@@ -215,33 +215,25 @@ def classify(p: PHQAlgebra) -> Classification:
     return Classification(CatalogLabel.parse(name), fp, steps)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A linear map between two algebras, columns in the target's coordinates."""
-
-    matrix: LinearMap
-
-
-def verify_witness(a: PHQAlgebra, b: PHQAlgebra, w: Witness | LinearMap) -> Check:
-    """Check that w is an invertible map a -> b intertwining brackets, the
-    complex structures, and the metrics."""
-    m = w.matrix if isinstance(w, Witness) else w
+def verify_witness(a: PHQAlgebra, b: PHQAlgebra, w: LinearMap) -> Check:
+    """Check that w is an invertible map a -> b (columns in b's coordinates)
+    intertwining brackets, the complex structures, and the metrics."""
     failures = []
     if a.dim != b.dim:
         return Check("witness", ("dimensions differ",))
-    if m.rows != a.dim or m.cols != a.dim:
+    if w.rows != a.dim or w.cols != a.dim:
         return Check("witness", ("witness matrix has the wrong shape",))
-    if m.rank() != a.dim:
+    if w.rank() != a.dim:
         failures.append("witness is not invertible")
-    if m @ a.j != b.j @ m:
+    if w @ a.j != b.j @ w:
         failures.append("witness does not intertwine the complex structures")
-    if m.transpose() @ b.phi @ m != a.phi:
+    if w.transpose() @ b.phi @ w != a.phi:
         failures.append("witness is not an isometry")
     n = a.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = m.apply(a.algebra.structure[i][j])
-            rhs = b.algebra.bracket(m.col(i), m.col(j))
+            lhs = w.apply(a.algebra.bracket_basis(i, j))
+            rhs = b.algebra.bracket(w.col(i), w.col(j))
             if lhs != rhs:
                 failures.append(
                     f"witness does not intertwine the bracket at "

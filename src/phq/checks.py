@@ -29,11 +29,3 @@ class Check:
             return f"{self.label}: ok"
         lines = [f"{self.label}: FAIL"] + [f"  - {f}" for f in self.failures]
         return "\n".join(lines)
-
-
-def check(label: str, failures) -> Check:
-    return Check(label, tuple(failures))
-
-
-def merge_ok(*reports) -> bool:
-    return all(bool(r) for r in reports)

@@ -15,24 +15,24 @@ from typing import Mapping, Sequence
 from .checks import Check
 from .lie import LieAlgebra, LinearMap, is_derivation
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
+    SparseTable,
     Vector,
     add_vec,
+    bilinear,
     commutator,
     dot,
     frac,
     is_zero_vec,
     neg_vec,
-    scale_vec,
+    sparse_table,
     sub_vec,
     unit_vector,
     vector,
-    zero_vector,
 )
 from .structures import PHQAlgebra, check_complex
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InvalidDerivation(ValueError):
@@ -80,35 +80,47 @@ def _unique_names(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...
     return tuple(out)
 
 
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    n, m = a.rows, b.rows
-    rows = []
-    for i in range(n):
-        rows.append(list(a.row(i)) + [ZERO] * m)
-    for i in range(m):
-        rows.append([ZERO] * n + list(b.row(i)))
-    return Matrix.from_rows(rows, cols=n + m)
+def _shift(col: Mapping[int, Fraction] | Vector, offset: int, sign=ONE) -> dict[int, Fraction]:
+    """A sparse or dense column moved ``offset`` places down and scaled by ``sign``."""
+    items = col.items() if isinstance(col, Mapping) else enumerate(col)
+    return {offset + k: sign * c for k, c in items if c}
+
+
+def _shifted_table(table: SparseTable, offset: int) -> SparseTable:
+    return {(offset + i, offset + j): _shift(col, offset) for (i, j), col in table.items()}
+
+
+def _block(m: Matrix, offset: int) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of m, moved ``offset`` places along the diagonal."""
+    return {
+        (offset + r, offset + c): m[r, c] for r in range(m.rows) for c in range(m.cols) if m[r, c]
+    }
+
+
+def _square(n: int, entries: Mapping[tuple[int, int], Fraction]) -> Matrix:
+    """The n x n matrix with the given (row, column) entries and zeros elsewhere."""
+    return Matrix(n, n, tuple(entries.get((r, c), ZERO) for r in range(n) for c in range(n)))
+
+
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: entry (i m + r, j m + s) is a[i, j] b[r, s]."""
+    m = b.rows
+    entries = {
+        (i * m + r, j * m + s): a_ij * b_rs
+        for (i, j), a_ij in _block(a, 0).items()
+        for (r, s), b_rs in _block(b, 0).items()
+    }
+    return _square(a.rows * m, entries)
 
 
 def direct_sum(p: PHQAlgebra, q: PHQAlgebra) -> PHQAlgebra:
     """Orthogonal direct sum: block-diagonal brackets, j, and phi."""
     n, m = p.dim, q.dim
     names = _unique_names(p.basis_names, q.basis_names)
-    table = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(p.algebra.structure[i][j] + zero_vector(m))
-            elif i >= n and j >= n:
-                row.append(zero_vector(n) + q.algebra.structure[i - n][j - n])
-            else:
-                row.append(zero_vector(n + m))
-        table.append(tuple(row))
     return PHQAlgebra(
-        LieAlgebra(names, tuple(table)),
-        _block_diag(p.j, q.j),
-        _block_diag(p.phi, q.phi),
+        LieAlgebra(names, {**p.algebra.brackets, **_shifted_table(q.algebra.brackets, n)}),
+        _square(n + m, {**_block(p.j, 0), **_block(q.j, n)}),
+        _square(n + m, {**_block(p.phi, 0), **_block(q.phi, n)}),
     )
 
 
@@ -136,28 +148,16 @@ def line_double_extension(base: QuadraticAlgebra, d: LinearMap) -> QuadraticAlge
     total = n + 2
     z, v = 0, n + 1
 
-    def emb(x: Vector) -> Vector:
-        return (ZERO,) + x + (ZERO,)
-
-    table = [[zero_vector(total) for _ in range(total)] for _ in range(total)]
+    table = _shifted_table(g0.brackets, 1)
     for i in range(n):
-        di = d.col(i)
-        for j in range(n):
-            val = emb(g0.structure[i][j])
-            coeff = dot(phi0.apply(di), unit_vector(n, j))
-            val = add_vec(val, scale_vec(coeff, unit_vector(total, z)))
-            table[1 + i][1 + j] = val
-        table[v][1 + i] = emb(di)
-        table[1 + i][v] = neg_vec(emb(di))
+        phi_di = phi0.apply(d.col(i))
+        for j in range(i + 1, n):
+            table.setdefault((1 + i, 1 + j), {})[z] = phi_di[j]
+        table[1 + i, v] = _shift(d.col(i), 1, -ONE)
 
-    phi_rows = [[ZERO] * total for _ in range(total)]
-    phi_rows[z][v] = phi_rows[v][z] = ONE
-    for i in range(n):
-        for j in range(n):
-            phi_rows[1 + i][1 + j] = phi0[i, j]
     return QuadraticAlgebra(
-        LieAlgebra(names, tuple(tuple(r) for r in table)),
-        Matrix.from_rows(phi_rows),
+        LieAlgebra(names, table),
+        _square(total, {(z, v): ONE, (v, z): ONE, **_block(phi0, 1)}),
     )
 
 
@@ -229,123 +229,69 @@ def phq_double_extension(data: ExtensionData) -> PHQAlgebra:
     vp, v = n + 2, n + 3
 
     names = _unique_names(("z", "z'"), _unique_names(g0.basis_names, ("v'", "v")))
-
-    def emb(x: Vector) -> Vector:
-        return (ZERO, ZERO) + x + (ZERO, ZERO)
-
     phi_s0 = phi0.apply(s0)
 
-    table = [[zero_vector(total) for _ in range(total)] for _ in range(total)]
-
-    def put(i: int, j: int, val: Vector) -> None:
-        table[i][j] = val
-        table[j][i] = neg_vec(val)
-
-    put(v, vp, emb(s0))
+    # Written with the smaller index first: [x, v] = -[v, x] and so on.
+    table = _shifted_table(g0.brackets, 2)
+    table[vp, v] = _shift(s0, 2, -ONE)
     for i in range(n):
-        fi, di = f.col(i), d.col(i)
         ci = phi_s0[i]
-        put(v, 2 + i, sub_vec(emb(fi), scale_vec(ci, unit_vector(total, zp))))
-        put(vp, 2 + i, add_vec(emb(di), scale_vec(ci, unit_vector(total, z))))
-    phi_d = [phi0.apply(d.col(i)) for i in range(n)]
-    phi_f = [phi0.apply(f.col(i)) for i in range(n)]
-    for i in range(n):
+        table[2 + i, v] = {**_shift(f.col(i), 2, -ONE), zp: ci}
+        table[2 + i, vp] = {**_shift(d.col(i), 2, -ONE), z: -ci}
+        phi_di, phi_fi = phi0.apply(d.col(i)), phi0.apply(f.col(i))
         for j in range(i + 1, n):
-            val = emb(g0.structure[i][j])
-            val = add_vec(val, scale_vec(phi_d[i][j], unit_vector(total, zp)))
-            val = add_vec(val, scale_vec(phi_f[i][j], unit_vector(total, z)))
-            put(2 + i, 2 + j, val)
+            col = table.setdefault((2 + i, 2 + j), {})
+            col[zp], col[z] = phi_di[j], phi_fi[j]
 
-    j_cols = [zero_vector(total) for _ in range(total)]
-    j_cols[z] = unit_vector(total, zp)
-    j_cols[zp] = neg_vec(unit_vector(total, z))
-    j_cols[v] = unit_vector(total, vp)
-    j_cols[vp] = neg_vec(unit_vector(total, v))
-    for i in range(n):
-        j_cols[2 + i] = emb(j0.col(i))
-
-    phi_rows = [[ZERO] * total for _ in range(total)]
-    phi_rows[z][v] = phi_rows[v][z] = ONE
-    phi_rows[zp][vp] = phi_rows[vp][zp] = ONE
-    for i in range(n):
-        for j in range(n):
-            phi_rows[2 + i][2 + j] = phi0[i, j]
-
+    j_entries = {(zp, z): ONE, (z, zp): -ONE, (vp, v): ONE, (v, vp): -ONE, **_block(j0, 2)}
+    phi_entries = {(z, v): ONE, (v, z): ONE, (zp, vp): ONE, (vp, zp): ONE, **_block(phi0, 2)}
     return PHQAlgebra(
-        LieAlgebra(names, tuple(tuple(r) for r in table)),
-        Matrix.from_cols(j_cols, rows=total),
-        Matrix.from_rows(phi_rows),
+        LieAlgebra(names, table),
+        _square(total, j_entries),
+        _square(total, phi_entries),
     )
 
 
 @dataclass(frozen=True)
 class Cocycle:
-    """An antisymmetric bilinear map into the dual, values[i][j] in dual coords."""
+    """An antisymmetric bilinear map into the dual: the sparse table
+    ``values[i, j]`` (i < j) holds theta(ei, ej) in dual coordinates."""
 
-    values: tuple[tuple[Vector, ...], ...]
+    dim: int
+    values: SparseTable
 
     def __post_init__(self):
-        n = len(self.values)
-        for i in range(n):
-            if len(self.values[i]) != n:
-                raise ValueError("cocycle tensor must be dim x dim")
-            for j in range(n):
-                if len(self.values[i][j]) != n:
-                    raise ValueError("cocycle values must be dual coordinate vectors")
-                if self.values[i][j] != neg_vec(self.values[j][i]):
-                    raise ValueError(f"cocycle not antisymmetric at ({i},{j})")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
+        object.__setattr__(self, "values", sparse_table(self.values, self.dim, skew=True))
 
     @classmethod
     def zero(cls, dim: int) -> "Cocycle":
-        z = zero_vector(dim)
-        return cls(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return cls(dim, {})
 
     @classmethod
     def from_values(
         cls, dim: int, entries: Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
     ) -> "Cocycle":
         """Sparse constructor: {(i, j): {k: value of theta(ei, ej) on ek}} with i < j."""
-        table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), duals in entries.items():
-            if i >= j:
-                raise ValueError("cocycle entries must be given with i < j")
-            for k, c in duals.items():
-                table[i][j][k] = frac(c)
-                table[j][i][k] = -frac(c)
-        return cls(tuple(tuple(tuple(r) for r in row) for row in table))
+        return cls(dim, entries)
 
     def evaluate(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear value theta(x, y) as a dual coordinate vector."""
-        xv, yv = vector(x), vector(y)
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(xv):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(yv):
-                if yj == 0 or is_zero_vec(self.values[i][j]):
-                    continue
-                out = add_vec(out, scale_vec(xi * yj, self.values[i][j]))
-        return out
+        return bilinear(self.values, vector(x), vector(y), skew=True)
 
     def scale(self, s) -> "Cocycle":
         s = frac(s)
-        return Cocycle(
-            tuple(tuple(scale_vec(s, v) for v in row) for row in self.values)
-        )
+        scaled = {pair: {k: s * c for k, c in col.items()} for pair, col in self.values.items()}
+        return Cocycle(self.dim, scaled)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if self.dim != other.dim:
             raise ValueError("cocycle dimensions differ")
-        return Cocycle(
-            tuple(
-                tuple(add_vec(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.values, other.values)
-            )
-        )
+        total = {pair: dict(col) for pair, col in self.values.items()}
+        for pair, col in other.values.items():
+            acc = total.setdefault(pair, {})
+            for k, c in col.items():
+                acc[k] = acc.get(k, ZERO) + c
+        return Cocycle(self.dim, total)
 
     def __neg__(self) -> "Cocycle":
         return self.scale(-1)
@@ -368,7 +314,7 @@ class CocycleReport:
 def _coadjoint(algebra: LieAlgebra, i: int, fv: Vector) -> Vector:
     """Coadjoint action of the i-th basis vector on a functional: -f o ad(ei)."""
     n = algebra.dim
-    return tuple(-dot(algebra.structure[i][k], fv) for k in range(n))
+    return tuple(-dot(algebra.bracket_basis(i, k), fv) for k in range(n))
 
 
 def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> CocycleReport:
@@ -384,13 +330,16 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> CocycleR
     """
     n = algebra.dim
     names = algebra.basis_names
-    t = theta.values
+    units = [unit_vector(n, i) for i in range(n)]
+
+    def t(a: int, b: int) -> Vector:
+        return theta.evaluate(units[a], units[b])
 
     cyclic_fail = []
     for i in range(n):
         for jj in range(n):
             for k in range(n):
-                if t[i][jj][k] != t[jj][k][i]:
+                if t(i, jj)[k] != t(jj, k)[i]:
                     cyclic_fail.append(
                         f"theta({names[i]},{names[jj]}){names[k]} != "
                         f"theta({names[jj]},{names[k]}){names[i]}"
@@ -400,12 +349,12 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> CocycleR
     for i in range(n):
         for jj in range(i + 1, n):
             for k in range(jj + 1, n):
-                term = _coadjoint(algebra, i, t[jj][k])
-                term = sub_vec(term, _coadjoint(algebra, jj, t[i][k]))
-                term = add_vec(term, _coadjoint(algebra, k, t[i][jj]))
-                term = sub_vec(term, theta.evaluate(algebra.structure[i][jj], unit_vector(n, k)))
-                term = add_vec(term, theta.evaluate(algebra.structure[i][k], unit_vector(n, jj)))
-                term = sub_vec(term, theta.evaluate(algebra.structure[jj][k], unit_vector(n, i)))
+                term = _coadjoint(algebra, i, t(jj, k))
+                term = sub_vec(term, _coadjoint(algebra, jj, t(i, k)))
+                term = add_vec(term, _coadjoint(algebra, k, t(i, jj)))
+                term = sub_vec(term, theta.evaluate(algebra.bracket_basis(i, jj), units[k]))
+                term = add_vec(term, theta.evaluate(algebra.bracket_basis(i, k), units[jj]))
+                term = sub_vec(term, theta.evaluate(algebra.bracket_basis(jj, k), units[i]))
                 if not is_zero_vec(term):
                     cocycle_fail.append(
                         f"d theta != 0 on ({names[i]}, {names[jj]}, {names[k]})"
@@ -416,10 +365,10 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> CocycleR
     for i in range(n):
         for jj in range(n):
             for k in range(n):
-                lhs = t[i][jj][k]
-                rhs = dot(theta.evaluate(jcols[i], jcols[jj]), unit_vector(n, k))
-                rhs += dot(theta.evaluate(jcols[jj], jcols[k]), unit_vector(n, i))
-                rhs += dot(theta.evaluate(jcols[k], jcols[i]), unit_vector(n, jj))
+                lhs = t(i, jj)[k]
+                rhs = theta.evaluate(jcols[i], jcols[jj])[k]
+                rhs += theta.evaluate(jcols[jj], jcols[k])[i]
+                rhs += theta.evaluate(jcols[k], jcols[i])[jj]
                 if lhs != rhs:
                     compat_fail.append(
                         f"J-compatibility fails on ({names[i]}, {names[jj]}, {names[k]})"
@@ -453,38 +402,24 @@ def tstar_extension(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> PHQAlg
                if not part.ok]
         raise InvalidCocycle(f"cocycle conditions failed: {', '.join(bad)}")
 
-    total = 2 * n
     names = _unique_names(algebra.basis_names, tuple(f"{s}*" for s in algebra.basis_names))
 
-    table = [[zero_vector(total) for _ in range(total)] for _ in range(total)]
+    table = {pair: dict(col) for pair, col in algebra.brackets.items()}
+    for pair, col in theta.values.items():
+        table.setdefault(pair, {}).update(_shift(col, n))
+    # [ea, eb*] = -(eb* o ad(ea)): dual coordinate k picks -c[a][k][b]
+    for (a, k), col in algebra.brackets.items():
+        for b, c in col.items():
+            table.setdefault((a, n + b), {})[n + k] = -c
+            table.setdefault((k, n + b), {})[n + a] = c
 
-    def put(a: int, b: int, val: Vector) -> None:
-        table[a][b] = val
-        table[b][a] = neg_vec(val)
-
+    phi_entries = {}
     for a in range(n):
-        for b in range(a + 1, n):
-            put(a, b, algebra.structure[a][b] + theta.values[a][b])
-        # [ea, eb*] = -(eb* o ad(ea)): dual coordinate k picks -c[a][k][b]
-        for b in range(n):
-            dual = tuple(-algebra.structure[a][k][b] for k in range(n))
-            put(a, n + b, zero_vector(n) + dual)
-
-    j_cols = []
-    for c in range(n):
-        j_cols.append(j.col(c) + zero_vector(n))
-    jt = j.transpose()
-    for c in range(n):
-        j_cols.append(zero_vector(n) + neg_vec(jt.col(c)))
-
-    phi_rows = [[ZERO] * total for _ in range(total)]
-    for a in range(n):
-        phi_rows[a][n + a] = phi_rows[n + a][a] = ONE
-
+        phi_entries[a, n + a] = phi_entries[n + a, a] = ONE
     return PHQAlgebra(
-        LieAlgebra(names, tuple(tuple(r) for r in table)),
-        Matrix.from_cols(j_cols, rows=total),
-        Matrix.from_rows(phi_rows),
+        LieAlgebra(names, table),
+        _square(2 * n, {**_block(j, 0), **_block(-j.transpose(), n)}),
+        _square(2 * n, phi_entries),
     )
 
 
@@ -515,27 +450,25 @@ def kodaira_cocycle_basis() -> tuple[Cocycle, Cocycle, Cocycle, Cocycle]:
 
 @dataclass(frozen=True)
 class CommutativeAlgebra:
-    """Associative commutative algebra with an invariant nondegenerate form."""
+    """Associative commutative algebra with an invariant nondegenerate form.
+
+    ``products[i, j]`` is the sparse product of basis elements i and j, for
+    every ordered pair whose product is nonzero.
+    """
 
     basis_names: tuple[str, ...]
-    products: tuple[tuple[Vector, ...], ...]
+    products: SparseTable
     form: Matrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "products", sparse_table(self.products, self.dim, skew=False))
 
     @property
     def dim(self) -> int:
         return len(self.basis_names)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vector:
-        xv, yv = vector(x), vector(y)
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(xv):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(yv):
-                if yj == 0:
-                    continue
-                out = add_vec(out, scale_vec(xi * yj, self.products[i][j]))
-        return out
+        return bilinear(self.products, vector(x), vector(y), skew=False)
 
 
 def check_commutative(a: CommutativeAlgebra) -> Check:
@@ -544,18 +477,21 @@ def check_commutative(a: CommutativeAlgebra) -> Check:
     failures = []
     for i in range(n):
         for j in range(n):
-            if a.products[i][j] != a.products[j][i]:
+            if a.products.get((i, j)) != a.products.get((j, i)):
                 failures.append(f"products not commutative at ({i},{j})")
+    units = [unit_vector(n, i) for i in range(n)]
     for i in range(n):
-        ei = unit_vector(n, i)
+        ei = units[i]
         for j in range(n):
-            ej = unit_vector(n, j)
+            ej = units[j]
+            eij = a.multiply(ei, ej)
             for k in range(n):
-                ek = unit_vector(n, k)
-                if a.multiply(a.products[i][j], ek) != a.multiply(ei, a.products[j][k]):
+                ek = units[k]
+                eik = a.multiply(ei, ek)
+                if a.multiply(eij, ek) != a.multiply(ei, a.multiply(ej, ek)):
                     failures.append(f"associativity fails at ({i},{j},{k})")
-                lhs = dot(a.form.apply(a.products[i][j]), ek)
-                rhs = dot(a.form.apply(ej), a.products[i][k])
+                lhs = dot(a.form.apply(eij), ek)
+                rhs = dot(a.form.apply(ej), eik)
                 if lhs != rhs:
                     failures.append(f"form invariance fails at ({i},{j},{k})")
     if not a.form.is_symmetric():
@@ -572,27 +508,14 @@ def truncated_poly(k: int) -> CommutativeAlgebra:
     if k < 1:
         raise InvalidParameter("truncated polynomial algebra needs k >= 1")
     names = tuple("a" if i == 0 else f"a^{i + 1}" for i in range(k))
-    products = tuple(
-        tuple(
-            unit_vector(k, i + j + 1) if i + j + 1 < k else zero_vector(k)
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-    form = Matrix.from_rows(
-        [[ONE if i + j == k - 1 else ZERO for j in range(k)] for i in range(k)]
-    )
+    products = {(i, j): {i + j + 1: ONE} for i in range(k) for j in range(k) if i + j + 1 < k}
+    form = _square(k, {(i, k - 1 - i): ONE for i in range(k)})
     return CommutativeAlgebra(names, products, form)
 
 
 def complex_units() -> CommutativeAlgebra:
     """The two-dimensional algebra {1, i} with B(a, b) = Re(ab)."""
-    one = unit_vector(2, 0)
-    imag = unit_vector(2, 1)
-    products = (
-        (one, imag),
-        (imag, neg_vec(one)),
-    )
+    products = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}, (1, 1): {0: -ONE}}
     return CommutativeAlgebra(("1", "i"), products, Matrix.diagonal([1, -1]))
 
 
@@ -605,61 +528,22 @@ def tensor_construct(p: PHQAlgebra, a: CommutativeAlgebra) -> PHQAlgebra:
     rep = check_commutative(a)
     if not rep.ok:
         raise InvalidAlgebraData("; ".join(rep.failures))
-    n, m = p.dim, a.dim
-    total = n * m
-    names = tuple(
-        f"{gn}.{an}" for gn in p.basis_names for an in a.basis_names
-    )
+    m = a.dim
+    names = tuple(f"{gn}.{an}" for gn in p.basis_names for an in a.basis_names)
 
-    def idx(i: int, r: int) -> int:
-        return i * m + r
-
-    table = [[zero_vector(total) for _ in range(total)] for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            cij = p.algebra.structure[i][j]
-            if is_zero_vec(cij):
-                continue
-            for r in range(m):
-                for s in range(m):
-                    prod = a.products[r][s]
-                    if is_zero_vec(prod):
-                        continue
-                    val = list(zero_vector(total))
-                    for kk in range(n):
-                        if cij[kk] == 0:
-                            continue
-                        for t in range(m):
-                            if prod[t] != 0:
-                                val[idx(kk, t)] = cij[kk] * prod[t]
-                    table[idx(i, r)][idx(j, s)] = tuple(val)
-
-    j_cols = []
-    for i in range(n):
-        jc = p.j.col(i)
-        for r in range(m):
-            col = list(zero_vector(total))
-            for kk in range(n):
-                if jc[kk] != 0:
-                    col[idx(kk, r)] = jc[kk]
-            j_cols.append(tuple(col))
-
-    phi_rows = [[ZERO] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            pij = p.phi[i, j]
-            if pij == 0:
-                continue
-            for r in range(m):
-                for s in range(m):
-                    brs = a.form[r, s]
-                    if brs != 0:
-                        phi_rows[idx(i, r)][idx(j, s)] = pij * brs
+    # i < j makes i m + r < j m + s, so every pair is written in table order;
+    # the pairs i > j follow by antisymmetry because a is commutative.
+    table = {}
+    for (i, j), cij in p.algebra.brackets.items():
+        for (r, s), prod in a.products.items():
+            table[i * m + r, j * m + s] = {
+                kk * m + t: c * q for kk, c in cij.items() for t, q in prod.items()
+            }
 
     return PHQAlgebra(
-        LieAlgebra(names, tuple(tuple(r) for r in table)),
-        Matrix.from_cols(j_cols, rows=total),
-        Matrix.from_rows(phi_rows),
+        LieAlgebra(names, table),
+        _kron(p.j, Matrix.identity(m)),
+        _kron(p.phi, a.form),
     )
 
 

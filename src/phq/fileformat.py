@@ -1,8 +1,10 @@
 """On-disk formats: `.alg` algebra files and `.recipe` construction files.
 
-Both formats are JSON.  Every scalar is written as an exact rational string
-("p/q", or "p" when the denominator is one); decimals are rejected.  Indices
-are 0-based.  Matrices are row-major and act on coordinate columns: column c
+Both formats are JSON.  Every scalar is an exact rational: a JSON integer or
+an ASCII string of the form ``-?[0-9]+(/[0-9]+)?`` ("p/q", or "p" when the
+denominator is one); decimals, exponents, underscores, signs other than a
+leading minus, whitespace and non-ASCII digits are rejected.  Indices are
+0-based.  Matrices are row-major and act on coordinate columns: column c
 of "J" is the image of basis vector c.
 
 Algebra file::
@@ -16,12 +18,14 @@ Algebra file::
     }
 
 Bracket entries must have i < j (antisymmetry is implied).  Recipe files are
-expression trees; see `parse_recipe`.
+expression trees; see `parse_recipe_text`.  A tree deeper than
+`MAX_RECIPE_DEPTH` nodes is rejected before anything is evaluated.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -63,11 +67,19 @@ class IndexOutOfRange(ParseError):
     pass
 
 
+# Longest chain of nested nodes a recipe may have, counting the root.
+MAX_RECIPE_DEPTH = 32
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
 
 def _rational(value: Any, where: str) -> Fraction:
@@ -75,10 +87,10 @@ def _rational(value: Any, where: str) -> Fraction:
         raise BadRational(f"{where}: scalars must be exact rational strings, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise BadRational(f"{where}: not a rational: {value!r}") from exc
     raise BadRational(f"{where}: not a rational: {value!r}")
 
@@ -145,14 +157,11 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
 
 def serialize_algebra(p: PHQAlgebra) -> str:
     """Canonical text for an algebra; `parse_algebra_text` inverts it exactly."""
-    brackets = []
     n = p.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = p.algebra.structure[i][j]
-            coeffs = {str(k): str(cij[k]) for k in range(n) if cij[k] != 0}
-            if coeffs:
-                brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    brackets = [
+        {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in col.items()}}
+        for (i, j), col in p.algebra.brackets.items()
+    ]
     doc = {
         "dim": n,
         "basis": list(p.basis_names),
@@ -192,7 +201,9 @@ def parse_recipe_text(text: str) -> Recipe:
     return Recipe(doc)
 
 
-def _validate_recipe(node: Any, where: str) -> None:
+def _validate_recipe(node: Any, where: str, depth: int = 1) -> None:
+    if depth > MAX_RECIPE_DEPTH:
+        raise ParseError(f"recipe is nested deeper than {MAX_RECIPE_DEPTH} nodes")
     if not isinstance(node, dict) or "op" not in node:
         raise ParseError(f"{where}: each node needs an 'op' field")
     op = node["op"]
@@ -207,7 +218,7 @@ def _validate_recipe(node: Any, where: str) -> None:
         if not isinstance(args, list) or len(args) < 2:
             raise ParseError(f"{where}: direct_sum needs at least two args")
         for pos, sub in enumerate(args):
-            _validate_recipe(sub, f"{where}.args[{pos}]")
+            _validate_recipe(sub, f"{where}.args[{pos}]", depth + 1)
     elif op == "tstar":
         theta = node.get("theta")
         if not isinstance(theta, list) or len(theta) != 4:
@@ -215,22 +226,22 @@ def _validate_recipe(node: Any, where: str) -> None:
         for pos, c in enumerate(theta):
             _rational(c, f"{where}.theta[{pos}]")
         base = node.get("base", {"op": "kodaira"})
-        _validate_recipe(base, f"{where}.base")
+        _validate_recipe(base, f"{where}.base", depth + 1)
         if base.get("op") != "kodaira":
             raise ParseError(f"{where}: tstar is defined over the kodaira carrier")
     elif op == "phq_ext":
-        _validate_recipe(node.get("base"), f"{where}.base")
+        _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
         for field in ("D", "F"):
             if not isinstance(node.get(field), list):
                 raise ParseError(f"{where}: phq_ext needs matrix {field!r}")
         if not isinstance(node.get("s0"), list):
             raise ParseError(f"{where}: phq_ext needs vector 's0'")
     elif op == "tensor":
-        _validate_recipe(node.get("base"), f"{where}.base")
+        _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
         if not isinstance(node.get("k"), int) or node["k"] < 1:
             raise ParseError(f"{where}: tensor needs integer k >= 1")
     elif op == "complexify":
-        _validate_recipe(node.get("base"), f"{where}.base")
+        _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
     # kodaira, L(4,2), L(2,4): no parameters
 
 

@@ -1,9 +1,11 @@
 """Lie algebras given by exact structure constants.
 
-The structure tensor is stored fully: ``structure[i][j]`` is the coordinate
-vector of the bracket of basis elements i and j.  The constructor enforces
-antisymmetry; the Jacobi identity is a separate check (`check_jacobi`) so
-that hand-entered tables can be diagnosed instead of rejected.
+The structure tensor is stored sparse: ``brackets[i, j]`` (i < j) maps each
+basis index k to the nonzero coefficient of e_k in the bracket of basis
+elements i and j; the pairs j < i are implied by antisymmetry.  Every
+evaluation goes through `linalg.bilinear`.  The Jacobi identity is a
+separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
+instead of rejected.
 """
 
 from __future__ import annotations
@@ -16,18 +18,20 @@ from .checks import Check
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    SparseTable,
     Subspace,
     Vector,
     add_vec,
-    frac,
+    bilinear,
+    dense,
     is_zero_vec,
     kernel,
     neg_vec,
-    scale_vec,
     solve_linear,
+    sparse_table,
+    unit_vector,
     vector,
     vstack,
-    zero_vector,
 )
 
 # A linear endomorphism in the algebra's basis; columns are basis images.
@@ -88,33 +92,28 @@ def format_vector(v: Vector, names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """Basis names and the sparse bracket table ``brackets[i, j]`` (i < j)."""
+
     basis_names: tuple[str, ...]
-    structure: tuple[tuple[Vector, ...], ...]
+    brackets: SparseTable
 
     def __post_init__(self):
-        n = len(self.basis_names)
-        if len(self.structure) != n or any(len(row) != n for row in self.structure):
-            raise ValueError("structure tensor must be dim x dim")
-        for i in range(n):
-            for j in range(n):
-                cij = self.structure[i][j]
-                if len(cij) != n:
-                    raise ValueError("structure constants must be coordinate vectors")
-                if cij != neg_vec(self.structure[j][i]):
-                    raise ValueError(
-                        f"structure constants not antisymmetric at ({i},{j})"
-                    )
+        object.__setattr__(self, "brackets", sparse_table(self.brackets, self.dim, skew=True))
 
     @property
     def dim(self) -> int:
         return len(self.basis_names)
 
+    @property
+    def structure(self) -> tuple[tuple[Vector, ...], ...]:
+        """Dense read-only view: ``structure[i][j]`` is the bracket of basis
+        elements i and j.  Computed on every access."""
+        n = self.dim
+        return tuple(tuple(self.bracket_basis(i, j) for j in range(n)) for i in range(n))
+
     @classmethod
     def abelian(cls, names: Sequence[str] | int) -> "LieAlgebra":
-        names = _names(names)
-        n = len(names)
-        zero = zero_vector(n)
-        return cls(names, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+        return cls(_names(names), {})
 
     @classmethod
     def from_brackets(
@@ -124,72 +123,44 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         """Build from sparse brackets {(i, j): {k: coefficient}} with i < j.
 
-        Antisymmetric counterparts are filled in automatically.
+        Antisymmetric counterparts are implied.
         """
-        names = _names(names)
-        n = len(names)
-        table = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
-        for (i, j), coeffs in brackets.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexError(f"bracket index ({i},{j}) out of range")
-            if i >= j:
-                raise ValueError(f"brackets must be given with i < j, got ({i},{j})")
-            for k, c in coeffs.items():
-                if not 0 <= k < n:
-                    raise IndexError(f"bracket target {k} out of range")
-                table[i][j][k] = frac(c)
-                table[j][i][k] = -frac(c)
-        return cls(names, tuple(tuple(tuple(r) for r in row) for row in table))
+        return cls(_names(names), brackets)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear, antisymmetric evaluation of the structure tensor."""
         xv, yv = vector(x), vector(y)
         if len(xv) != self.dim or len(yv) != self.dim:
             raise DimensionMismatch("bracket arguments must match the algebra dimension")
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(xv):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(yv):
-                if yj == 0:
-                    continue
-                cij = self.structure[i][j]
-                if not is_zero_vec(cij):
-                    out = add_vec(out, scale_vec(xi * yj, cij))
-        return out
+        return bilinear(self.brackets, xv, yv, skew=True)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.structure[i][j]
+        if i > j:
+            return neg_vec(self.bracket_basis(j, i))
+        return dense(self.brackets.get((i, j), {}), self.dim)
 
     def adjoint(self, x: Sequence) -> LinearMap:
         """Matrix of y -> [x, y]."""
         xv = vector(x)
         if len(xv) != self.dim:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
-        cols = []
-        for j in range(self.dim):
-            col = zero_vector(self.dim)
-            for i, xi in enumerate(xv):
-                if xi != 0:
-                    col = add_vec(col, scale_vec(xi, self.structure[i][j]))
-            cols.append(col)
-        return Matrix.from_cols(cols, rows=self.dim)
+        n = self.dim
+        return Matrix.from_cols(
+            [bilinear(self.brackets, xv, unit_vector(n, j), skew=True) for j in range(n)], rows=n
+        )
 
     def center(self) -> Subspace:
         """Kernel of all adjoint maps of basis elements, stacked."""
         if self.dim == 0:
             return Subspace.zero(0)
-        stacked = self.adjoint(_unit(self.dim, 0))
+        stacked = self.adjoint(unit_vector(self.dim, 0))
         for i in range(1, self.dim):
-            stacked = vstack(stacked, self.adjoint(_unit(self.dim, i)))
+            stacked = vstack(stacked, self.adjoint(unit_vector(self.dim, i)))
         return kernel(stacked)
 
     def derived_ideal(self) -> Subspace:
         """Span of all brackets of basis pairs."""
-        return Subspace.span(
-            self.dim,
-            [self.structure[i][j] for i in range(self.dim) for j in range(i + 1, self.dim)],
-        )
+        return Subspace.span(self.dim, [dense(col, self.dim) for col in self.brackets.values()])
 
     def lower_central_series(self) -> list[Subspace]:
         """C0 = g, C(k+1) = [g, Ck]; stops when stationary."""
@@ -199,7 +170,7 @@ class LieAlgebra:
             nxt = Subspace.span(
                 self.dim,
                 [
-                    self.bracket(_unit(self.dim, i), b)
+                    self.bracket(unit_vector(self.dim, i), b)
                     for i in range(self.dim)
                     for b in current.basis
                 ],
@@ -223,7 +194,7 @@ class LieAlgebra:
         return self.nilpotency_index() is not None
 
     def is_abelian(self) -> bool:
-        return self.derived_ideal().dim == 0
+        return not self.brackets
 
 
 def _names(names: Sequence[str] | int) -> tuple[str, ...]:
@@ -232,23 +203,19 @@ def _names(names: Sequence[str] | int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-
-
 def check_jacobi(algebra: LieAlgebra) -> JacobiReport:
     """Evaluate the Jacobi identity on every basis triple i < j < k."""
     n = algebra.dim
     violations = []
     for i in range(n):
-        ei = _unit(n, i)
+        ei = unit_vector(n, i)
         for j in range(i + 1, n):
-            ej = _unit(n, j)
+            ej = unit_vector(n, j)
             for k in range(j + 1, n):
-                ek = _unit(n, k)
-                res = algebra.bracket(ei, algebra.structure[j][k])
-                res = add_vec(res, algebra.bracket(ej, algebra.structure[k][i]))
-                res = add_vec(res, algebra.bracket(ek, algebra.structure[i][j]))
+                ek = unit_vector(n, k)
+                res = algebra.bracket(ei, algebra.bracket_basis(j, k))
+                res = add_vec(res, algebra.bracket(ej, algebra.bracket_basis(k, i)))
+                res = add_vec(res, algebra.bracket(ek, algebra.bracket_basis(i, j)))
                 if not is_zero_vec(res):
                     violations.append(JacobiViolation(i, j, k, res))
     return JacobiReport(algebra.basis_names, tuple(violations))
@@ -262,10 +229,10 @@ def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = m.apply(algebra.structure[i][j])
+            lhs = m.apply(algebra.bracket_basis(i, j))
             rhs = add_vec(
-                algebra.bracket(m.col(i), _unit(n, j)),
-                algebra.bracket(_unit(n, i), m.col(j)),
+                algebra.bracket(m.col(i), unit_vector(n, j)),
+                algebra.bracket(unit_vector(n, i), m.col(j)),
             )
             if lhs != rhs:
                 failures.append(
@@ -286,10 +253,11 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
+    ads = [algebra.adjoint(unit_vector(n, i)) for i in range(n)]
     rows = []
     rhs = []
     for j in range(n):
         for k in range(n):
-            rows.append([algebra.structure[i][j][k] for i in range(n)])
+            rows.append([ad[k, j] for ad in ads])
             rhs.append(m[k, j])
     return solve_linear(Matrix.from_rows(rows, cols=n), rhs)

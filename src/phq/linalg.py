@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+# A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
+# the nonzero coefficient of e_k in the value on the basis pair (e_i, e_j).
+SparseTable = dict[tuple[int, int], dict[int, Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,6 +84,58 @@ def dot(u: Vector, v: Vector) -> Fraction:
 
 def is_zero_vec(u: Vector) -> bool:
     return all(a == 0 for a in u)
+
+
+def sparse_table(entries: Mapping, n: int, skew: bool) -> SparseTable:
+    """Canonical copy of a sparse table on an n-dimensional space.
+
+    Scalars are coerced with `frac`, zero coefficients and empty pairs are
+    dropped, and pairs and coefficients are sorted, so equal maps give equal
+    tables.  A skew table stands for an antisymmetric map and lists each pair
+    once, as (i, j) with i < j; any other table lists every nonzero pair.
+    """
+    table = {}
+    for (i, j), coeffs in sorted(entries.items()):
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"table index ({i},{j}) out of range")
+        if skew and i >= j:
+            raise ValueError(f"antisymmetric entries must be given with i < j, got ({i},{j})")
+        col = {}
+        for k, c in sorted(coeffs.items()):
+            if not 0 <= k < n:
+                raise IndexError(f"table target {k} out of range")
+            if c := frac(c):
+                col[k] = c
+        if col:
+            table[i, j] = col
+    return table
+
+
+def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool) -> Vector:
+    """Value on coordinate vectors x and y of the map a sparse table stores
+    (see `sparse_table` for what ``skew`` means).
+
+    The loop runs over the supports of x and y and looks each pair up, so a
+    bracket of basis vectors costs one lookup whatever the table's size.
+    """
+    out = [ZERO] * len(x)
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in ys:
+            flip = skew and i > j
+            col = table.get((j, i) if flip else (i, j))
+            if col:
+                s = -a * b if flip else a * b
+                for k, c in col.items():
+                    out[k] += s * c
+    return tuple(out)
+
+
+def dense(col: Mapping[int, Fraction], n: int) -> Vector:
+    """The coordinate vector of a sparse column."""
+    return tuple(col.get(k, ZERO) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -329,9 +384,6 @@ class Subspace:
                 f = w[p]
                 w = [a - f * b for a, b in zip(w, row)]
         return all(e == 0 for e in w)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

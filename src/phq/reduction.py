@@ -17,6 +17,8 @@ from fractions import Fraction
 from .constructions import ExtensionData
 from .lie import LieAlgebra
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Subspace,
     Vector,
@@ -34,9 +36,6 @@ from .linalg import (
     vector,
 )
 from .structures import PHQAlgebra
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class EmptyIntersection(ValueError):
@@ -110,10 +109,11 @@ def _restrict(p: PHQAlgebra, basis: tuple[Vector, ...]) -> PHQAlgebra:
 
     m = len(basis)
     names = tuple(f"b{i + 1}" for i in range(m))
-    table = tuple(
-        tuple(coords(p.algebra.bracket(basis[i], basis[j])) for j in range(m))
+    table = {
+        (i, j): dict(enumerate(coords(p.algebra.bracket(basis[i], basis[j]))))
         for i in range(m)
-    )
+        for j in range(i + 1, m)
+    }
     j_cols = [coords(p.j.apply(b)) for b in basis]
     return PHQAlgebra(
         LieAlgebra(names, table),
@@ -204,13 +204,13 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
         return c[2 : 2 + m]
 
     base_names = tuple(f"b{i + 1}" for i in range(m))
-    base_table = tuple(
-        tuple(
-            base_block(p.algebra.bracket(base_space.basis[i], base_space.basis[j]))
-            for j in range(m)
+    base_table = {
+        (i, j): dict(
+            enumerate(base_block(p.algebra.bracket(base_space.basis[i], base_space.basis[j])))
         )
         for i in range(m)
-    )
+        for j in range(i + 1, m)
+    }
 
     def strict_block(w: Vector) -> Vector:
         c = coords(w)

@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,7 +8,9 @@ from phq import (
     CatalogLabel,
     DimensionTooLarge,
     ExtensionData,
+    LieAlgebra,
     Matrix,
+    PHQAlgebra,
     UnclassifiedFingerprint,
     UnknownLabel,
     abelian_with_signature,
@@ -22,6 +26,8 @@ from phq import (
     vector,
     verify_witness,
 )
+
+from oracles import entries, naive_apply, naive_bracket, structure_tensor
 
 INDECOMPOSABLE = ("R(2,0)", "R(0,2)", "L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K")
 
@@ -186,3 +192,68 @@ class TestSeparation:
         # empirical completeness of the fingerprint at dimension <= 8
         fps = {name: fingerprint(build(name)).as_tuple() for name in ALL_LABELS}
         assert len(set(fps.values())) == len(ALL_LABELS)
+
+
+# The eight non-abelian rows of the table and two abelian labels.
+TRANSPORTED_LABELS = (
+    "L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K",
+    "L(2,4)+R(0,2)", "L(2,4)+R(2,0)", "L(4,2)+R(0,2)", "L(4,2)+R(2,0)",
+    "R(2,2)", "R(2,4)",
+)
+
+
+def _naive_matmul(a, b):
+    cols = [naive_apply(a, [row[c] for row in b]) for c in range(len(b[0]))]
+    return [list(row) for row in zip(*cols)]
+
+
+def _seeded_basis_change(n, seed):
+    """A product M of 2n seeded shears e_i += c e_j, and its inverse."""
+    rng = random.Random(seed)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m, m_inv = ident, ident
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+        shear = [row[:] for row in ident]
+        unshear = [row[:] for row in ident]
+        shear[i][j], unshear[i][j] = c, -c
+        m, m_inv = _naive_matmul(m, shear), _naive_matmul(unshear, m_inv)
+    return m, m_inv
+
+
+def _transport(p, m, m_inv):
+    """p in the basis given by the columns of M, computed with the oracles
+    only: bracket M^-1 [Mx, My], j -> M^-1 j M, phi -> M^T phi M."""
+    n = p.dim
+    c = structure_tensor(p.algebra)
+    cols = [[row[k] for row in m] for k in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = naive_apply(m_inv, naive_bracket(c, cols[i], cols[j]))
+            brackets[i, j] = {k: v for k, v in enumerate(image) if v}
+    m_t = [list(row) for row in zip(*m)]
+    return PHQAlgebra(
+        LieAlgebra.from_brackets(p.basis_names, brackets),
+        Matrix.from_rows(_naive_matmul(m_inv, _naive_matmul(entries(p.j), m))),
+        Matrix.from_rows(_naive_matmul(m_t, _naive_matmul(entries(p.phi), m))),
+    )
+
+
+class TestBasisIndependence:
+    @pytest.mark.parametrize("name", TRANSPORTED_LABELS)
+    def test_transport_keeps_axioms_label_and_reduction(self, name):
+        p = build(name)
+        m, m_inv = _seeded_basis_change(p.dim, name)
+        assert _naive_matmul(m, m_inv) == entries(Matrix.identity(p.dim))
+        q = _transport(p, m, m_inv)
+        assert (q.algebra.brackets, q.phi) != (p.algebra.brackets, p.phi)
+        assert check_phq(q).ok
+        got, want = classify(q), classify(p)
+        assert str(got.label) == str(want.label) == name
+        assert _reduction_shape(got.reduction) == _reduction_shape(want.reduction)
+
+
+def _reduction_shape(result):
+    return [(s.kind, s.recovered.dim) for s in result.steps], result.residue.dim

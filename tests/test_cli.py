@@ -5,6 +5,7 @@ import pytest
 from phq import build
 from phq.cli import main
 from phq.fileformat import (
+    MAX_RECIPE_DEPTH,
     BadRational,
     IndexOutOfRange,
     ParseError,
@@ -25,6 +26,24 @@ MINIMAL = json.dumps(
         "phi": [["1", "0"], ["0", "1"]],
     }
 )
+
+# The shipped `.alg` fixtures and the catalog labels they serialize.
+FIXTURE_LABELS = {
+    "L42.alg": "L(4,2)",
+    "L24.alg": "L(2,4)",
+    "Tstar0K.alg": "Tstar0K",
+    "TstarTheta3K.alg": "TstarTheta3K",
+    "R22.alg": "R(2,2)",
+    "L24_R02.alg": "L(2,4)+R(0,2)",
+    "L24_R20.alg": "L(2,4)+R(2,0)",
+    "L42_R02.alg": "L(4,2)+R(0,2)",
+    "L42_R20.alg": "L(4,2)+R(2,0)",
+}
+
+
+def nested_recipe(depth: int) -> str:
+    """A chain of ``depth`` nodes: complexify around complexify ... around L(4,2)."""
+    return '{"op": "complexify", "base": ' * (depth - 1) + '{"op": "L(4,2)"}' + "}" * (depth - 1)
 
 
 class TestParsing:
@@ -62,8 +81,15 @@ class TestParsing:
             assert parse_algebra_text(serialize_algebra(p)) == p
 
     def test_fixture_is_byte_exact(self):
-        shipped = (FIXTURES / "L42.alg").read_text(encoding="utf-8")
-        assert shipped == serialize_algebra(build("L(4,2)"))
+        for name, label in FIXTURE_LABELS.items():
+            shipped = (FIXTURES / name).read_text(encoding="utf-8")
+            assert shipped == serialize_algebra(build(label)), name
+
+    def test_recipe_depth_limit(self):
+        # Only parsed, never evaluated: no algebra is built.
+        assert parse_recipe_text(nested_recipe(MAX_RECIPE_DEPTH)).tree["op"] == "complexify"
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_recipe_text(nested_recipe(MAX_RECIPE_DEPTH + 1))
 
     def test_recipe_validation(self):
         with pytest.raises(ParseError):
@@ -123,6 +149,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Jacobi: FAIL" in out
         assert "(e1, e2, e3)" in out
+
+    @pytest.mark.parametrize(
+        "scalar",
+        ["1.0", "1e0", "1_000", " 1", "1 ", "+1", "0x1", "--1", "", "1/0", "\u0661", "\uff11"],
+    )
+    def test_check_rejects_scalar_outside_grammar(self, tmp_path, capsys, scalar):
+        doc = json.loads((FIXTURES / "L42.alg").read_text())
+        doc["phi"][2][2] = scalar  # was "1"
+        bad = tmp_path / "scalar.alg"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_deep_recipe_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.recipe"
+        deep.write_text(nested_recipe(3000))
+        assert main(["construct", str(deep)]) == 2
+        assert "parse error" in capsys.readouterr().err
 
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"

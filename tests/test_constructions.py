@@ -240,10 +240,10 @@ class TestCocycles:
 
     def test_tabulated_values(self):
         t1, t2, t3, t4 = kodaira_cocycle_basis()
-        assert t3.values[0][2] == unit(4, 3)      # theta3(x1,x3) = x4*
-        assert t3.values[2][3] == unit(4, 0)      # theta3(x3,x4) = x1*
-        assert t4.values[1][2] == unit(4, 3)      # theta4(x2,x3) = x4*
-        assert t1.values[2][3] == vector([0, 0, 0, 0])  # theta1(x3,x4) = 0
+        assert t3.evaluate(unit(4, 0), unit(4, 2)) == unit(4, 3)  # theta3(x1,x3) = x4*
+        assert t3.evaluate(unit(4, 2), unit(4, 3)) == unit(4, 0)  # theta3(x3,x4) = x1*
+        assert t4.evaluate(unit(4, 1), unit(4, 2)) == unit(4, 3)  # theta4(x2,x3) = x4*
+        assert t1.evaluate(unit(4, 2), unit(4, 3)) == vector([0, 0, 0, 0])  # theta1(x3,x4) = 0
 
     def test_single_value_fails_cyclicity(self):
         k, j = kodaira_thurston()
@@ -317,7 +317,7 @@ class TestTensorAndComplexify:
     def test_unit_algebra_preserves_fingerprint(self):
         from phq import CommutativeAlgebra
 
-        unit_alg = CommutativeAlgebra(("1",), ((vector([1]),),), Matrix.identity(1))
+        unit_alg = CommutativeAlgebra(("1",), {(0, 0): {0: 1}}, Matrix.identity(1))
         assert check_commutative(unit_alg).ok
         core = build("L(4,2)")
         out = tensor_construct(core, unit_alg)
