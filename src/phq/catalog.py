@@ -202,9 +202,9 @@ def classify(p: PHQAlgebra) -> Classification:
         raise DimensionTooLarge(f"classification covers dimension <= 8, got {p.dim}")
     if not check_phq(p).ok:
         raise UnclassifiedFingerprint("input fails the structure axioms")
-    if not p.algebra.is_nilpotent():
-        raise UnclassifiedFingerprint("input is not nilpotent")
     fp = fingerprint(p)
+    if fp.nilpotency_index is None:
+        raise UnclassifiedFingerprint("input is not nilpotent")
     steps = full_reduction(p)
     if fp.dim_derived == 0:
         pq = fp.sig_phi

@@ -19,7 +19,10 @@ Algebra file::
 
 Bracket entries must have i < j (antisymmetry is implied).  Recipe files are
 expression trees; see `parse_recipe_text`.  A tree deeper than
-`MAX_RECIPE_DEPTH` nodes is rejected before anything is evaluated.
+`MAX_RECIPE_DEPTH` nodes is rejected before anything is evaluated.  An
+algebra file with ``dim`` above `MAX_DIM` is rejected, and so is a recipe
+whose output dimension, predicted from the tree, is above it; the prediction
+is made before anything is built.
 """
 
 from __future__ import annotations
@@ -31,18 +34,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .catalog import abelian_with_signature, lorentz_core
+from .catalog import abelian_with_signature, lorentz_core, tstar_kodaira
 from .constructions import (
     Cocycle,
     ExtensionData,
     complexify,
     direct_sum,
     kodaira_cocycle_basis,
-    kodaira_thurston,
     phq_double_extension,
     tensor_construct,
     truncated_poly,
-    tstar_extension,
 )
 from .lie import LieAlgebra
 from .linalg import Matrix, vector
@@ -69,6 +70,8 @@ class IndexOutOfRange(ParseError):
 
 # Longest chain of nested nodes a recipe may have, counting the root.
 MAX_RECIPE_DEPTH = 32
+# Largest dimension of an `.alg` file or of the algebra a recipe builds.
+MAX_DIM = 64
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -120,6 +123,8 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
     if not isinstance(dim, int) or dim < 0:
         raise ParseError("dim must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise ParseError(f"dim {dim} is above the limit {MAX_DIM}")
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must list dim names")
     if not isinstance(brackets, list):
@@ -192,6 +197,9 @@ class Recipe:
     tree: dict
 
     def evaluate(self) -> PHQAlgebra:
+        dim = _recipe_dim(self.tree)
+        if dim > MAX_DIM:
+            raise ParseError(f"recipe builds an algebra of dimension {dim}, above {MAX_DIM}")
         return _eval_recipe(self.tree)
 
 
@@ -245,6 +253,23 @@ def _validate_recipe(node: Any, where: str, depth: int = 1) -> None:
     # kodaira, L(4,2), L(2,4): no parameters
 
 
+def _recipe_dim(node: dict) -> int:
+    """Dimension of the algebra a validated recipe tree builds, read off the
+    tree without building anything."""
+    op = node["op"]
+    if op == "abelian":
+        return node["p"] + node["q"]
+    if op == "direct_sum":
+        return sum(_recipe_dim(sub) for sub in node["args"])
+    if op == "phq_ext":
+        return _recipe_dim(node["base"]) + 4
+    if op == "tensor":
+        return _recipe_dim(node["base"]) * node["k"]
+    if op == "complexify":
+        return 2 * _recipe_dim(node["base"])
+    return {"kodaira": 4, "L(4,2)": 6, "L(2,4)": 6, "tstar": 8}[op]
+
+
 def _eval_recipe(node: dict) -> PHQAlgebra:
     op = node["op"]
     if op == "abelian":
@@ -262,13 +287,11 @@ def _eval_recipe(node: dict) -> PHQAlgebra:
         return out
     if op == "tstar":
         coeffs = [_rational(c, "theta") for c in node["theta"]]
-        basis_cocycles = kodaira_cocycle_basis()
         theta = Cocycle.zero(4)
-        for c, th in zip(coeffs, basis_cocycles):
+        for c, th in zip(coeffs, kodaira_cocycle_basis()):
             if c != 0:
                 theta = theta + th.scale(c)
-        algebra, j = kodaira_thurston()
-        return tstar_extension(algebra, j, theta)
+        return tstar_kodaira(theta)
     if op == "phq_ext":
         base = _eval_recipe(node["base"])
         n = base.dim

@@ -316,17 +316,32 @@ def solve_linear(a: Matrix, b: Sequence) -> Vector | None:
     the RREF (the minimal-support representative for a fixed pivot order),
     so the result is deterministic.
     """
-    bv = vector(b)
-    if len(bv) != a.rows:
-        raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
-    aug = hstack(a, Matrix.from_cols([bv], rows=a.rows))
-    red, pivots = aug.rref()
-    if a.cols in pivots:
+    xs = solve_linear_many(a, [b])
+    return None if xs is None else xs[0]
+
+
+def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
+    """The `solve_linear` solution for each right-hand side in ``bs``, from
+    one RREF of ``[a | b1 ... bk]``; None if any system is inconsistent.
+
+    The pivots inside ``a`` do not depend on the appended columns, so each
+    column gets the solution `solve_linear` gives it alone.  A pivot right of
+    ``a`` marks an inconsistent column and alters every column after it.
+    """
+    bvs = [vector(b) for b in bs]
+    for bv in bvs:
+        if len(bv) != a.rows:
+            raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
+    red, pivots = hstack(a, Matrix.from_cols(bvs, rows=a.rows)).rref()
+    if pivots and pivots[-1] >= a.cols:
         return None
-    x = [ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r, a.cols]
-    return tuple(x)
+    xs = []
+    for k in range(a.cols, a.cols + len(bvs)):
+        x = [ZERO] * a.cols
+        for r, c in enumerate(pivots):
+            x[c] = red[r, k]
+        xs.append(tuple(x))
+    return xs
 
 
 def kernel(a: Matrix) -> Subspace:

@@ -7,14 +7,20 @@ of the plane double extension (`reduce_by_plane`); a vector of nonzero norm
 drives an orthogonal split (`split_plane`).  `full_reduction` iterates to an
 abelian residue.  `analyze_skew_pair` normalizes a nilpotent skewsymmetric
 pair on a neutral four-dimensional base into its adapted form.
+
+Each of them reads all its frame coordinates off one frame solve, `_coords`
+(a single elimination); the inverse steps share `_restrict`, and the plane
+reduction shares its isotropic dual vector (`_isotropic_dual`) with
+`analyze_skew_pair`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .constructions import ExtensionData
+from .constructions import ExtensionData, validate_extension_data
 from .lie import LieAlgebra
 from .linalg import (
     ONE,
@@ -27,13 +33,16 @@ from .linalg import (
     gram_restriction,
     intersect,
     is_zero_vec,
+    kernel,
     map_image,
     orthogonal_complement,
     scale_vec,
     signature,
     solve_linear,
+    solve_linear_many,
     sub_vec,
     vector,
+    zero_vector,
 )
 from .structures import PHQAlgebra
 
@@ -97,29 +106,65 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     )
 
 
-def _restrict(p: PHQAlgebra, basis: tuple[Vector, ...]) -> PHQAlgebra:
-    """Restriction of brackets, j, and phi to an invariant subspace basis."""
-    cols = Matrix.from_cols(list(basis), rows=p.dim)
+def _coords(
+    n: int, frame: Sequence[Vector], vectors: Sequence[Vector], error: Exception
+) -> list[Vector]:
+    """Coordinates of ``vectors`` in the independent columns ``frame`` of an
+    n-dimensional space, from one elimination; raises ``error`` if any of the
+    vectors leaves the span of the frame."""
+    xs = solve_linear_many(Matrix.from_cols(list(frame), rows=n), vectors)
+    if xs is None:
+        raise error
+    return xs
 
-    def coords(v: Vector) -> Vector:
-        sol = solve_linear(cols, v)
-        if sol is None:
-            raise InvalidCentralElement("restriction left the subspace; it is not invariant")
-        return sol
 
-    m = len(basis)
-    names = tuple(f"b{i + 1}" for i in range(m))
-    table = {
-        (i, j): dict(enumerate(coords(p.algebra.bracket(basis[i], basis[j]))))
-        for i in range(m)
-        for j in range(i + 1, m)
-    }
-    j_cols = [coords(p.j.apply(b)) for b in basis]
-    return PHQAlgebra(
-        LieAlgebra(names, table),
-        Matrix.from_cols(j_cols, rows=m),
+def _isotropic_dual(phi: Matrix, z: Vector, zp: Vector, error: Exception) -> Vector:
+    """An isotropic v with phi(z, v) = 1 and phi(zp, v) = 0, for an isotropic
+    z orthogonal to zp: the minimal-support solution of the two linear
+    conditions, moved along z until it is isotropic.  Raises ``error`` if the
+    conditions are inconsistent."""
+    v = solve_linear(Matrix.from_rows([phi.apply(z), phi.apply(zp)]), (ONE, ZERO))
+    if v is None:
+        raise error
+    return sub_vec(v, scale_vec(dot(phi.apply(v), v) / 2, z))
+
+
+def _restrict(
+    p: PHQAlgebra,
+    basis: Sequence[Vector],
+    drop: Sequence[Vector] = (),
+    extra: Sequence[Vector] = (),
+) -> tuple[PHQAlgebra, list[Vector]]:
+    """Restriction of brackets, j and phi to the span of ``basis``.
+
+    One frame solve in (drop..., basis...) gives the coordinates of the
+    brackets of the basis vectors, of their images under j and of the
+    ``extra`` vectors.  Components along ``drop`` are discarded, but j must
+    keep the span of ``basis``.  Returns the restriction and the ``basis``
+    coordinates of ``extra``.
+    """
+    m, k = len(basis), len(drop)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    images = [p.algebra.bracket(basis[a], basis[b]) for a, b in pairs]
+    images += [p.j.apply(x) for x in basis]
+    coords = _coords(
+        p.dim,
+        [*drop, *basis],
+        images + list(extra),
+        InvalidCentralElement("the restriction leaves the frame; the subspace is not invariant"),
+    )
+    j_cols = coords[len(pairs) : len(pairs) + m]
+    if any(any(c[:k]) for c in j_cols):
+        raise InvalidCentralElement("j does not keep the restricted subspace")
+    restricted = PHQAlgebra(
+        LieAlgebra(
+            tuple(f"b{i + 1}" for i in range(m)),
+            {pair: dict(enumerate(c[k:])) for pair, c in zip(pairs, coords)},
+        ),
+        Matrix.from_cols([c[k:] for c in j_cols], rows=m),
         gram_restriction(p.phi, basis),
     )
+    return restricted, [c[k:] for c in coords[len(pairs) + m :]]
 
 
 def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
@@ -129,15 +174,15 @@ def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
     sign of phi(z, z).
     """
     z = vector(z)
+    zp = p.j.apply(z)
     center = p.algebra.center()
-    if not (center.contains(z) and center.contains(p.j.apply(z))):
+    if not (center.contains(z) and center.contains(zp)):
         raise InvalidCentralElement("z and jz must be central")
     norm = dot(p.phi.apply(z), z)
     if norm == 0:
         raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    plane = Subspace.span(p.dim, [z, p.j.apply(z)])
-    complement = orthogonal_complement(plane, p.phi)
-    return _restrict(p, complement.basis), (1 if norm > 0 else -1)
+    complement = orthogonal_complement(Subspace.span(p.dim, [z, zp]), p.phi)
+    return _restrict(p, complement.basis)[0], (1 if norm > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -174,66 +219,21 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     if dot(p.phi.apply(z), z) != 0:
         raise NonIsotropic("z must be isotropic")
 
-    # v: minimal-support solution of phi(z, v) = 1, phi(jz, v) = 0, then the
-    # standard hyperbolic correction to make it isotropic.
-    system = Matrix.from_rows([p.phi.apply(z), p.phi.apply(zp)])
-    v = solve_linear(system, (ONE, ZERO))
-    if v is None:
-        raise InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
-    v = sub_vec(v, scale_vec(dot(p.phi.apply(v), v) / 2, z))
+    v = _isotropic_dual(
+        p.phi, z, zp, InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
+    )
     vp = p.j.apply(v)
 
-    plane = Subspace.span(p.dim, [z, zp, v, vp])
-    base_space = orthogonal_complement(plane, p.phi)
-    adapted = Matrix.from_cols([z, zp, *base_space.basis, vp, v], rows=p.dim)
-
-    def coords(w: Vector) -> Vector:
-        sol = solve_linear(adapted, w)
-        if sol is None:
-            raise InvalidCentralElement("bracket leaves the adapted frame")
-        return sol
-
-    m = base_space.dim
-
-    def base_block(w: Vector) -> Vector:
-        # Components along z and jz are projected away; components along v
-        # or jv would contradict the extension shape.
-        c = coords(w)
-        if any(c[i] != 0 for i in (m + 2, m + 3)):
-            raise InvalidCentralElement("bracket has components along v or jv")
-        return c[2 : 2 + m]
-
-    base_names = tuple(f"b{i + 1}" for i in range(m))
-    base_table = {
-        (i, j): dict(
-            enumerate(base_block(p.algebra.bracket(base_space.basis[i], base_space.basis[j])))
-        )
-        for i in range(m)
-        for j in range(i + 1, m)
-    }
-
-    def strict_block(w: Vector) -> Vector:
-        c = coords(w)
-        if any(c[i] != 0 for i in (0, 1, m + 2, m + 3)):
-            raise InvalidCentralElement("the recovered base is not j-invariant")
-        return c[2 : 2 + m]
-
-    base_j_cols = [strict_block(p.j.apply(b)) for b in base_space.basis]
-    base = PHQAlgebra(
-        LieAlgebra(base_names, base_table),
-        Matrix.from_cols(base_j_cols, rows=m),
-        gram_restriction(p.phi, base_space.basis),
-    )
-
-    f_cols = [base_block(p.algebra.bracket(v, b)) for b in base_space.basis]
-    d_cols = [base_block(p.algebra.bracket(vp, b)) for b in base_space.basis]
-    s0 = base_block(p.algebra.bracket(v, vp))
-
+    basis = orthogonal_complement(Subspace.span(p.dim, [z, zp, v, vp]), p.phi).basis
+    m = len(basis)
+    # F, D and s0 are the base components of [v, x], [v', x] and [v, v'].
+    maps = [p.algebra.bracket(w, b) for w in (v, vp) for b in basis]
+    base, ext = _restrict(p, basis, drop=(z, zp), extra=[*maps, p.algebra.bracket(v, vp)])
     data = ExtensionData(
         base,
-        Matrix.from_cols(d_cols, rows=m),
-        Matrix.from_cols(f_cols, rows=m),
-        s0,
+        Matrix.from_cols(ext[m : 2 * m], rows=m),
+        Matrix.from_cols(ext[:m], rows=m),
+        ext[2 * m],
     )
     return ReductionStep(
         kind="plane_reduction",
@@ -242,7 +242,7 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
         sign=None,
         recovered=base,
         extension_data=data,
-        adapted_basis=adapted,
+        adapted_basis=Matrix.from_cols([z, zp, *basis, vp, v], rows=p.dim),
     )
 
 
@@ -313,17 +313,13 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
     phi(u1, u2) = 1 and phi(ju1, u2) = 0, and reads off the constants
     f(u2) = a ju1 (a != 0) and d(u2) = b ju1, with d vanishing on ker(f).
     """
-    from .constructions import is_skewsymmetric
-    from .lie import is_derivation
-    from .linalg import kernel as null_space
-
     if base.dim != 4 or signature(base.phi) != (2, 2):
         raise HypothesisViolated("base must be four-dimensional of neutral signature")
+    # With s0 = 0 the report's ad(s0) = F D - D F is the condition [F, D] = 0.
+    report = validate_extension_data(base, d, f, zero_vector(4))
+    if not report.ok:
+        raise HypothesisViolated("; ".join(report.failures))
     for name, m in (("F", f), ("D", d)):
-        if not is_skewsymmetric(m, base.phi):
-            raise HypothesisViolated(f"{name} is not skewsymmetric")
-        if not is_derivation(base.algebra, m).ok:
-            raise HypothesisViolated(f"{name} is not a derivation")
         power = m
         for _ in range(4):
             power = power @ m
@@ -331,14 +327,8 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
             raise HypothesisViolated(f"{name} is not nilpotent")
     if f.is_zero():
         raise HypothesisViolated("F must be nonzero")
-    from .linalg import commutator
 
-    if not commutator(f, d).is_zero():
-        raise HypothesisViolated("[F, D] != 0")
-    if not commutator(f + base.j @ d, base.j).is_zero():
-        raise HypothesisViolated("[F + J D, J] != 0")
-
-    ker_f = null_space(f)
+    ker_f = kernel(f)
     if ker_f.dim != 2:
         raise HypothesisViolated(f"ker(F) has dimension {ker_f.dim}, expected 2")
     image = Subspace.span(4, [f.col(i) for i in range(4)])
@@ -349,23 +339,14 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
 
     u1 = ker_f.basis[0]
     ju1 = base.j.apply(u1)
-    system = Matrix.from_rows([base.phi.apply(u1), base.phi.apply(ju1)])
-    u2 = solve_linear(system, (ONE, ZERO))
-    if u2 is None:
-        raise HypothesisViolated("no dual vector for u1")
-    u2 = sub_vec(u2, scale_vec(dot(base.phi.apply(u2), u2) / 2, u1))
+    u2 = _isotropic_dual(base.phi, u1, ju1, HypothesisViolated("no dual vector for u1"))
     ju2 = base.j.apply(u2)
-
-    frame = Matrix.from_cols([u1, ju1, u2, ju2], rows=4)
-
-    def frame_coords(w: Vector) -> Vector:
-        sol = solve_linear(frame, w)
-        if sol is None:
-            raise HypothesisViolated("adapted frame is degenerate")
-        return sol
-
-    fu2 = frame_coords(f.apply(u2))
-    du2 = frame_coords(d.apply(u2))
+    fu2, du2, fju2 = _coords(
+        4,
+        [u1, ju1, u2, ju2],
+        [f.apply(u2), d.apply(u2), f.apply(ju2)],
+        HypothesisViolated("adapted frame is degenerate"),
+    )
     if fu2[0] != 0 or fu2[2] != 0 or fu2[3] != 0:
         raise HypothesisViolated("F(u2) is not a multiple of ju1")
     if du2[0] != 0 or du2[2] != 0 or du2[3] != 0:
@@ -374,7 +355,7 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
     b = du2[1]
     if a == 0:
         raise HypothesisViolated("the constant a vanishes although F != 0")
-    if frame_coords(f.apply(ju2)) != (-a, ZERO, ZERO, ZERO):
+    if fju2 != (-a, ZERO, ZERO, ZERO):
         raise HypothesisViolated("F(ju2) != -a u1")
     if not (is_zero_vec(d.apply(u1)) and is_zero_vec(d.apply(ju1))):
         raise HypothesisViolated("D does not vanish on ker(F)")

@@ -119,6 +119,16 @@ class TestClassify:
         with pytest.raises(UnclassifiedFingerprint):
             classify(p)
 
+    def test_non_nilpotent_input_rejected(self):
+        # F = D = j on R(2,2) meets every extension hypothesis, and the
+        # extension is a valid structure whose lower central series stalls.
+        base = build("R(2,2)")
+        p = phq_double_extension(ExtensionData(base, base.j, base.j, (0, 0, 0, 0)))
+        assert check_phq(p).ok
+        assert fingerprint(p).nilpotency_index is None
+        with pytest.raises(UnclassifiedFingerprint, match="^input is not nilpotent$"):
+            classify(p)
+
     def test_evidence_contains_reduction(self):
         result = classify(build("TstarTheta3K"))
         assert result.fingerprint.as_tuple() == (8, 5, 3, 3, (4, 4), (1, 1))

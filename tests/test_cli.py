@@ -5,14 +5,17 @@ import pytest
 from phq import build
 from phq.cli import main
 from phq.fileformat import (
+    MAX_DIM,
     MAX_RECIPE_DEPTH,
     BadRational,
     IndexOutOfRange,
     ParseError,
     parse_algebra_text,
     parse_recipe_text,
+    parse_path,
     serialize_algebra,
 )
+from phq.fileformat import _recipe_dim
 
 from conftest import FIXTURES
 
@@ -91,6 +94,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="nested deeper"):
             parse_recipe_text(nested_recipe(MAX_RECIPE_DEPTH + 1))
 
+    def test_predicted_recipe_dimension(self):
+        # The prediction is checked on the shipped recipes, which are small;
+        # large trees are only ever predicted, never built.
+        recipes = sorted(FIXTURES.glob("*.recipe"))
+        assert len(recipes) == 4
+        for path in recipes:
+            recipe = parse_path(path)
+            assert _recipe_dim(recipe.tree) == recipe.evaluate().dim <= MAX_DIM
+
     def test_recipe_validation(self):
         with pytest.raises(ParseError):
             parse_recipe_text(json.dumps({"op": "tstar", "theta": ["1", "0", "0"]}))
@@ -167,6 +179,31 @@ class TestCommands:
         deep.write_text(nested_recipe(3000))
         assert main(["construct", str(deep)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            '{"op":"tensor","k":100000,"base":{"op":"L(4,2)"}}',
+            nested_recipe(26),  # 25 complexify nodes: dimension 6 * 2**25
+        ],
+        ids=["tensor_k100000", "complexify_25"],
+    )
+    def test_oversized_recipe_exits_2(self, tmp_path, capsys, recipe):
+        path = tmp_path / "big.recipe"
+        path.write_text(recipe)
+        assert main(["construct", str(path)]) == 2
+        assert f"above {MAX_DIM}" in capsys.readouterr().err
+
+    def test_oversized_algebra_file_exits_2(self, tmp_path, capsys):
+        # A well-formed abelian file, one dimension above the bound.
+        n = MAX_DIM + 1
+        zero = [["0"] * n for _ in range(n)]
+        basis = [f"e{i}" for i in range(n)]
+        doc = {"dim": n, "basis": basis, "brackets": [], "J": zero, "phi": zero}
+        path = tmp_path / "big.alg"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert f"above the limit {MAX_DIM}" in capsys.readouterr().err
 
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"

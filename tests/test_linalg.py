@@ -17,6 +17,8 @@ from phq import (
     vector,
 )
 
+from phq.linalg import solve_linear_many
+
 from oracles import rank_oracle, signature_oracle
 from strategies import invertible_matrices, matrices, symmetric_matrices
 
@@ -48,6 +50,28 @@ class TestSolveLinear:
 
             aug = hstack(a, Matrix.from_cols([vector(b)], rows=3))
             assert rank_oracle(aug) == rank_oracle(a) + 1
+
+    @given(
+        matrices(3, 4),
+        st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=4),
+    )
+    def test_many_right_hand_sides_match_single_solves(self, a, bs):
+        singles = [solve_linear(a, b) for b in bs]
+        many = solve_linear_many(a, bs)
+        if None in singles:
+            assert many is None
+        else:
+            assert many == singles
+        # A consistent column after an inconsistent one does not hide it.
+        consistent = a.apply((1, -2, 0, 3))
+        for b, x in zip(bs, singles):
+            if x is None:
+                assert solve_linear_many(a, [b, consistent]) is None
+
+    def test_many_inconsistent_column_before_consistent_one(self):
+        a = Matrix.from_rows([[1, 1], [2, 2]])
+        assert solve_linear_many(a, [(1, 3), (1, 2)]) is None
+        assert solve_linear_many(a, [(1, 2), (2, 4)]) == [vector([1, 0]), vector([2, 0])]
 
 
 class TestKernel:
