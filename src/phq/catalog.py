@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .checks import Check
+from .checks import Check, PhqError
 from .constructions import (
     Cocycle,
     direct_sum,
@@ -33,15 +33,15 @@ from .reduction import ReductionResult, full_reduction
 from .structures import Fingerprint, PHQAlgebra, check_phq, fingerprint
 
 
-class UnknownLabel(ValueError):
+class UnknownLabel(PhqError, ValueError):
     pass
 
 
-class DimensionTooLarge(ValueError):
+class DimensionTooLarge(PhqError, ValueError):
     pass
 
 
-class UnclassifiedFingerprint(ValueError):
+class UnclassifiedFingerprint(PhqError, ValueError):
     pass
 
 
@@ -245,12 +245,12 @@ def verify_witness(a: PHQAlgebra, b: PHQAlgebra, w: LinearMap) -> Check:
 # Field order used to report a separating invariant: dimension and signature
 # first, then the center, mirroring how the inequivalences are usually argued.
 _EVIDENCE_FIELDS = (
-    ("dim", lambda fp: fp.dim),
-    ("sig_phi", lambda fp: fp.sig_phi),
-    ("dim_center", lambda fp: fp.dim_center),
-    ("nilpotency_index", lambda fp: fp.nilpotency_index),
-    ("dim_derived", lambda fp: fp.dim_derived),
-    ("sig_phi_on_derived", lambda fp: fp.sig_phi_derived),
+    "dim",
+    "sig_phi",
+    "dim_center",
+    "nilpotency_index",
+    "dim_derived",
+    "sig_phi_on_derived",
 )
 
 
@@ -277,8 +277,8 @@ class InequivalenceEvidence:
 def inequivalence_evidence(a: PHQAlgebra, b: PHQAlgebra) -> InequivalenceEvidence:
     """First fingerprint field (in the documented order) where a and b differ."""
     fa, fb = fingerprint(a), fingerprint(b)
-    for name, get in _EVIDENCE_FIELDS:
-        va, vb = get(fa), get(fb)
+    for name in _EVIDENCE_FIELDS:
+        va, vb = getattr(fa, name), getattr(fb, name)
         if va != vb:
             return InequivalenceEvidence(name, va, vb)
     return InequivalenceEvidence(None)

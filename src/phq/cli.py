@@ -8,8 +8,9 @@ Commands operate on `.alg` algebra files (`construct` takes a `.recipe`):
     phq reduce FILE         peel the algebra down to an abelian residue
     phq construct RECIPE    evaluate a construction tree, print the algebra
 
-Exit codes: 0 success, 1 axiom or operation failure, 2 parse error.  Output
-is deterministic; `--format json` selects machine-readable reports.
+Exit codes: 0 success, 1 axiom failure or library error (`PhqError`), 2 parse
+error.  Output is deterministic; `--format json` selects machine-readable
+reports.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .catalog import DimensionTooLarge, UnclassifiedFingerprint, classify
+from .catalog import classify
+from .checks import PhqError
 from .fileformat import ParseError, Recipe, parse_path, serialize_algebra
-from .reduction import ReductionStuck, full_reduction
+from .reduction import full_reduction
 from .structures import PHQAlgebra, check_phq, fingerprint
 
 EXIT_OK = 0
@@ -35,17 +38,6 @@ def _load_algebra(path: str, fixtures_dir: str | None) -> PHQAlgebra:
     return parsed
 
 
-def _fingerprint_json(fp) -> dict:
-    return {
-        "dim": fp.dim,
-        "dim_derived": fp.dim_derived,
-        "dim_center": fp.dim_center,
-        "nilpotency_index": fp.nilpotency_index,
-        "sig_phi": list(fp.sig_phi),
-        "sig_phi_on_derived": list(fp.sig_phi_derived),
-    }
-
-
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -54,36 +46,19 @@ def cmd_check(args) -> int:
     p = _load_algebra(args.file, args.fixtures_dir)
     report = check_phq(p)
     if args.format == "json":
-        doc = {
-            "ok": report.ok,
-            "axioms": {
-                name: {"ok": bool(part), "failures": _failure_list(part)}
-                for name, part in report.parts()
-            },
-        }
-        _emit_json(doc)
+        axioms = {part.label: {"ok": part.ok, "failures": part.failures} for part in report.parts}
+        _emit_json({"ok": report.ok, "axioms": axioms})
     else:
-        for name, part in report.parts():
-            if part:
-                print(f"{name}: ok")
-            else:
-                print(f"{name}: FAIL")
-                for line in _failure_list(part):
-                    print(f"  - {line}")
+        for part in report.parts:
+            print(part.describe())
     return EXIT_OK if report.ok else EXIT_FAILURE
-
-
-def _failure_list(part) -> list[str]:
-    if hasattr(part, "violations"):
-        return [v.describe(part.basis_names) for v in part.violations]
-    return list(part.failures)
 
 
 def cmd_invariants(args) -> int:
     p = _load_algebra(args.file, args.fixtures_dir)
     fp = fingerprint(p)
     if args.format == "json":
-        _emit_json(_fingerprint_json(fp))
+        _emit_json(asdict(fp))
     else:
         print(fp.table_row())
     return EXIT_OK
@@ -96,7 +71,7 @@ def cmd_classify(args) -> int:
         _emit_json(
             {
                 "label": str(result.label),
-                "fingerprint": _fingerprint_json(result.fingerprint),
+                "fingerprint": asdict(result.fingerprint),
                 "reduction": list(result.reduction.describe()),
             }
         )
@@ -192,13 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        DimensionTooLarge,
-        UnclassifiedFingerprint,
-        ReductionStuck,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    except PhqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

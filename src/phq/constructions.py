@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .checks import Check
+from .checks import Check, PhqError, Report
 from .lie import LieAlgebra, LinearMap, is_derivation
 from .linalg import (
     ONE,
     ZERO,
+    DimensionMismatch,
     Matrix,
     SparseTable,
     Vector,
@@ -35,25 +36,25 @@ from .linalg import (
 from .structures import PHQAlgebra, check_complex
 
 
-class InvalidDerivation(ValueError):
+class InvalidDerivation(PhqError, ValueError):
     pass
 
 
-class InvalidExtensionData(ValueError):
+class InvalidExtensionData(PhqError, ValueError):
     def __init__(self, report: Check):
         super().__init__("; ".join(report.failures))
         self.report = report
 
 
-class InvalidCocycle(ValueError):
+class InvalidCocycle(PhqError, ValueError):
     pass
 
 
-class InvalidAlgebraData(ValueError):
+class InvalidAlgebraData(PhqError, ValueError):
     pass
 
 
-class InvalidParameter(ValueError):
+class InvalidParameter(PhqError, ValueError):
     pass
 
 
@@ -285,7 +286,7 @@ class Cocycle:
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if self.dim != other.dim:
-            raise ValueError("cocycle dimensions differ")
+            raise DimensionMismatch("cocycle dimensions differ")
         total = {pair: dict(col) for pair, col in self.values.items()}
         for pair, col in other.values.items():
             acc = total.setdefault(pair, {})
@@ -297,27 +298,13 @@ class Cocycle:
         return self.scale(-1)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    cyclic: Check
-    cocycle: Check
-    j_compatible: Check
-
-    @property
-    def ok(self) -> bool:
-        return self.cyclic.ok and self.cocycle.ok and self.j_compatible.ok
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _coadjoint(algebra: LieAlgebra, i: int, fv: Vector) -> Vector:
     """Coadjoint action of the i-th basis vector on a functional: -f o ad(ei)."""
     n = algebra.dim
     return tuple(-dot(algebra.bracket_basis(i, k), fv) for k in range(n))
 
 
-def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> CocycleReport:
+def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
     """Three conditions on a dual-valued antisymmetric 2-form.
 
     (a) cyclicity  theta(x,y)z = theta(y,z)x  on all basis triples;
@@ -374,10 +361,12 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> CocycleR
                         f"J-compatibility fails on ({names[i]}, {names[jj]}, {names[k]})"
                     )
 
-    return CocycleReport(
-        Check("cyclic", tuple(cyclic_fail)),
-        Check("2-cocycle", tuple(cocycle_fail)),
-        Check("J-compatible", tuple(compat_fail)),
+    return Report(
+        (
+            Check("cyclic", tuple(cyclic_fail)),
+            Check("2-cocycle", tuple(cocycle_fail)),
+            Check("J-compatible", tuple(compat_fail)),
+        )
     )
 
 
@@ -397,9 +386,7 @@ def tstar_extension(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> PHQAlg
         raise InvalidCocycle("the carrier map is not a complex structure")
     rep = check_cocycle(algebra, j, theta)
     if not rep.ok:
-        bad = [name for name, part in
-               (("cyclic", rep.cyclic), ("2-cocycle", rep.cocycle), ("J-compatible", rep.j_compatible))
-               if not part.ok]
+        bad = [part.label for part in rep.parts if not part.ok]
         raise InvalidCocycle(f"cocycle conditions failed: {', '.join(bad)}")
 
     names = _unique_names(algebra.basis_names, tuple(f"{s}*" for s in algebra.basis_names))

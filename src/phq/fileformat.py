@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from .catalog import abelian_with_signature, lorentz_core, tstar_kodaira
+from .checks import PhqError
 from .constructions import (
     Cocycle,
     ExtensionData,
@@ -50,7 +51,7 @@ from .linalg import Matrix, vector
 from .structures import PHQAlgebra
 
 
-class ParseError(ValueError):
+class ParseError(PhqError, ValueError):
     """Malformed input file; carries line/column when JSON itself is broken."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -83,6 +84,11 @@ def _load_json(text: str) -> Any:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+
+
+def _integer(value: Any) -> bool:
+    """A JSON integer; JSON booleans are not integers here, though Python's are."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _rational(value: Any, where: str) -> Fraction:
@@ -121,7 +127,7 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         phi = doc["phi"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(dim, int) or dim < 0:
+    if not _integer(dim) or dim < 0:
         raise ParseError("dim must be a nonnegative integer")
     if dim > MAX_DIM:
         raise ParseError(f"dim {dim} is above the limit {MAX_DIM}")
@@ -135,7 +141,7 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= set(entry):
             raise ParseError(f"{where}: needs fields i, j, coeffs")
         i, j = entry["i"], entry["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _integer(i) or not _integer(j):
             raise ParseError(f"{where}: i and j must be integers")
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexOutOfRange(f"{where}: index out of range for dim {dim}")
@@ -219,8 +225,10 @@ def _validate_recipe(node: Any, where: str, depth: int = 1) -> None:
         raise ParseError(f"{where}: unknown op {op!r}")
     if op == "abelian":
         for field in ("p", "q"):
-            if not isinstance(node.get(field), int) or node[field] < 0:
+            if not _integer(node.get(field)) or node[field] < 0:
                 raise ParseError(f"{where}: abelian needs nonnegative integer {field!r}")
+        if node["p"] % 2 or node["q"] % 2 or node["p"] + node["q"] == 0:
+            raise ParseError(f"{where}: abelian needs even p and q, not both zero")
     elif op == "direct_sum":
         args = node.get("args")
         if not isinstance(args, list) or len(args) < 2:
@@ -246,7 +254,7 @@ def _validate_recipe(node: Any, where: str, depth: int = 1) -> None:
             raise ParseError(f"{where}: phq_ext needs vector 's0'")
     elif op == "tensor":
         _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
-        if not isinstance(node.get("k"), int) or node["k"] < 1:
+        if not _integer(node.get("k")) or node["k"] < 1:
             raise ParseError(f"{where}: tensor needs integer k >= 1")
     elif op == "complexify":
         _validate_recipe(node.get("base"), f"{where}.base", depth + 1)

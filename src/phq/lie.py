@@ -38,40 +38,6 @@ from .linalg import (
 LinearMap = Matrix
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
-    i: int
-    j: int
-    k: int
-    residual: Vector
-
-    def describe(self, names: Sequence[str]) -> str:
-        return (
-            f"Jacobi fails on ({names[self.i]}, {names[self.j]}, {names[self.k]}): "
-            f"residual {format_vector(self.residual, names)}"
-        )
-
-
-@dataclass(frozen=True)
-class JacobiReport:
-    basis_names: tuple[str, ...]
-    violations: tuple[JacobiViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def describe(self) -> str:
-        if self.ok:
-            return "Jacobi: ok"
-        lines = ["Jacobi: FAIL"]
-        lines += [f"  - {v.describe(self.basis_names)}" for v in self.violations]
-        return "\n".join(lines)
-
-
 def format_vector(v: Vector, names: Sequence[str]) -> str:
     terms = []
     for c, name in zip(v, names):
@@ -203,10 +169,11 @@ def _names(names: Sequence[str] | int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def check_jacobi(algebra: LieAlgebra) -> JacobiReport:
+def check_jacobi(algebra: LieAlgebra) -> Check:
     """Evaluate the Jacobi identity on every basis triple i < j < k."""
     n = algebra.dim
-    violations = []
+    names = algebra.basis_names
+    failures = []
     for i in range(n):
         ei = unit_vector(n, i)
         for j in range(i + 1, n):
@@ -217,8 +184,11 @@ def check_jacobi(algebra: LieAlgebra) -> JacobiReport:
                 res = add_vec(res, algebra.bracket(ej, algebra.bracket_basis(k, i)))
                 res = add_vec(res, algebra.bracket(ek, algebra.bracket_basis(i, j)))
                 if not is_zero_vec(res):
-                    violations.append(JacobiViolation(i, j, k, res))
-    return JacobiReport(algebra.basis_names, tuple(violations))
+                    failures.append(
+                        f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
+                        f"residual {format_vector(res, names)}"
+                    )
+    return Check("Jacobi", tuple(failures))
 
 
 def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .checks import PhqError
+
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
@@ -23,11 +25,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(PhqError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NotSymmetricError(ValueError):
+class NotSymmetricError(PhqError, ValueError):
     """A symmetric matrix was required."""
 
 
@@ -148,9 +150,9 @@ class Matrix:
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix shape")
+            raise DimensionMismatch("negative matrix shape")
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
+            raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
@@ -163,7 +165,7 @@ class Matrix:
             if any(len(r) != cols for r in rows):
                 raise DimensionMismatch("ragged rows")
         elif cols is None:
-            raise ValueError("empty from_rows needs an explicit column count")
+            raise DimensionMismatch("empty from_rows needs an explicit column count")
         return cls(len(rows), cols, tuple(e for r in rows for e in r))
 
     @classmethod
@@ -174,7 +176,7 @@ class Matrix:
             if any(len(c) != rows for c in cols):
                 raise DimensionMismatch("ragged columns")
         elif rows is None:
-            raise ValueError("empty from_cols needs an explicit row count")
+            raise DimensionMismatch("empty from_cols needs an explicit row count")
         return cls(
             rows, len(cols), tuple(cols[j][i] for i in range(rows) for j in range(len(cols)))
         )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .checks import PhqError
 from .constructions import ExtensionData, validate_extension_data
 from .lie import LieAlgebra
 from .linalg import (
@@ -47,28 +48,28 @@ from .linalg import (
 from .structures import PHQAlgebra
 
 
-class EmptyIntersection(ValueError):
+class EmptyIntersection(PhqError, ValueError):
     pass
 
 
-class ReductionStuck(RuntimeError):
+class ReductionStuck(PhqError, RuntimeError):
     """Central j-pair exists but is neither of nonzero norm nor in the
     derived ideal; outside the guaranteed cases."""
 
 
-class InvalidCentralElement(ValueError):
+class InvalidCentralElement(PhqError, ValueError):
     pass
 
 
-class NonIsotropic(ValueError):
+class NonIsotropic(PhqError, ValueError):
     pass
 
 
-class NotDefinitePlane(ValueError):
+class NotDefinitePlane(PhqError, ValueError):
     pass
 
 
-class HypothesisViolated(ValueError):
+class HypothesisViolated(PhqError, ValueError):
     pass
 
 

@@ -9,11 +9,11 @@ invariants used by the classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from .checks import Check
-from .lie import LieAlgebra, LinearMap, check_jacobi, format_vector, JacobiReport
+from .checks import Check, PhqError, Report
+from .lie import LieAlgebra, LinearMap, check_jacobi, format_vector
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -29,7 +29,7 @@ from .linalg import (
 )
 
 
-class OddDimension(ValueError):
+class OddDimension(PhqError, ValueError):
     """Complex structures require even dimension."""
 
 
@@ -46,20 +46,7 @@ def nijenhuis(algebra: LieAlgebra, j: LinearMap, x: Sequence, y: Sequence) -> Ve
     return sub_vec(out, algebra.bracket(jx, jy))
 
 
-@dataclass(frozen=True)
-class ComplexReport:
-    square: Check
-    torsion: Check
-
-    @property
-    def ok(self) -> bool:
-        return self.square.ok and self.torsion.ok
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_complex(algebra: LieAlgebra, j: LinearMap) -> ComplexReport:
+def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     """Verify j^2 = -I and vanishing torsion on all basis pairs.
 
     Raises OddDimension for odd-dimensional algebras.
@@ -84,24 +71,10 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> ComplexReport:
                 torsion_fail.append(
                     f"N({names[a]}, {names[b]}) = {format_vector(nab, names)}"
                 )
-    return ComplexReport(Check("square", tuple(square_fail)), Check("torsion", tuple(torsion_fail)))
+    return Report((Check("J^2", tuple(square_fail)), Check("Nijenhuis", tuple(torsion_fail))))
 
 
-@dataclass(frozen=True)
-class QuadraticReport:
-    symmetric: Check
-    nondegenerate: Check
-    ad_invariant: Check
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric.ok and self.nondegenerate.ok and self.ad_invariant.ok
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_quadratic(algebra: LieAlgebra, g: Matrix) -> QuadraticReport:
+def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
     """Verify that g is a symmetric, nondegenerate, ad-invariant pairing."""
     n = algebra.dim
     if g.rows != n or g.cols != n:
@@ -122,10 +95,12 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> QuadraticReport:
                     inv_fail.append(
                         f"ad-invariance fails on ({names[i]}, {names[j]}, {names[k]})"
                     )
-    return QuadraticReport(
-        Check("symmetric", tuple(sym_fail)),
-        Check("nondegenerate", tuple(nondeg_fail)),
-        Check("ad-invariant", tuple(inv_fail)),
+    return Report(
+        (
+            Check("symmetric", tuple(sym_fail)),
+            Check("nondegenerate", tuple(nondeg_fail)),
+            Check("ad-invariant", tuple(inv_fail)),
+        )
     )
 
 
@@ -155,36 +130,7 @@ class PHQAlgebra:
         return dot(self.phi.apply(vector(x)), vector(y))
 
 
-@dataclass(frozen=True)
-class PHQReport:
-    jacobi: JacobiReport
-    square: Check
-    torsion: Check
-    symmetric: Check
-    nondegenerate: Check
-    ad_invariant: Check
-    compatible: Check
-
-    def parts(self):
-        return (
-            ("Jacobi", self.jacobi),
-            ("J^2", self.square),
-            ("Nijenhuis", self.torsion),
-            ("symmetric", self.symmetric),
-            ("nondegenerate", self.nondegenerate),
-            ("ad-invariant", self.ad_invariant),
-            ("J-compatible", self.compatible),
-        )
-
-    @property
-    def ok(self) -> bool:
-        return all(bool(r) for _, r in self.parts())
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_phq(p: PHQAlgebra) -> PHQReport:
+def check_phq(p: PHQAlgebra) -> Report:
     """All axioms at once: Jacobi, complex structure, metric, compatibility.
 
     Compatibility is checked both as j^T phi j = phi and in the equivalent
@@ -192,11 +138,12 @@ def check_phq(p: PHQAlgebra) -> PHQReport:
     """
     jac = check_jacobi(p.algebra)
     try:
-        comp = check_complex(p.algebra, p.j)
-        square, torsion = comp.square, comp.torsion
+        complex_parts = check_complex(p.algebra, p.j).parts
     except OddDimension:
-        square = Check("square", ("odd dimension admits no complex structure",))
-        torsion = Check("torsion", ())
+        complex_parts = (
+            Check("J^2", ("odd dimension admits no complex structure",)),
+            Check("Nijenhuis"),
+        )
     quad = check_quadratic(p.algebra, p.phi)
 
     compat_fail = []
@@ -204,15 +151,7 @@ def check_phq(p: PHQAlgebra) -> PHQReport:
         compat_fail.append("phi(jx, jy) != phi(x, y)")
     if p.phi @ p.j != -(p.j.transpose() @ p.phi):
         compat_fail.append("j is not phi-skewsymmetric")
-    return PHQReport(
-        jac,
-        square,
-        torsion,
-        quad.symmetric,
-        quad.nondegenerate,
-        quad.ad_invariant,
-        Check("compatibility", tuple(compat_fail)),
-    )
+    return Report((jac, *complex_parts, *quad.parts, Check("J-compatible", tuple(compat_fail))))
 
 
 def kahler_form(p: PHQAlgebra) -> Matrix:
@@ -282,23 +221,16 @@ class Fingerprint:
     dim_center: int
     nilpotency_index: int | None
     sig_phi: tuple[int, int]
-    sig_phi_derived: tuple[int, int]
+    sig_phi_on_derived: tuple[int, int]
 
     def as_tuple(self):
-        return (
-            self.dim,
-            self.dim_derived,
-            self.dim_center,
-            self.nilpotency_index,
-            self.sig_phi,
-            self.sig_phi_derived,
-        )
+        return astuple(self)
 
     def table_row(self) -> str:
         """The five classification-table columns, pipe-separated."""
         return (
             f"{self.dim} | {self.dim_derived} | ({self.sig_phi[0]},{self.sig_phi[1]}) | "
-            f"({self.sig_phi_derived[0]},{self.sig_phi_derived[1]}) | "
+            f"({self.sig_phi_on_derived[0]},{self.sig_phi_on_derived[1]}) | "
             f"{self.nilpotency_index if self.nilpotency_index is not None else 'not nilpotent'}"
         )
 
@@ -321,7 +253,7 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
         dim_center=p.algebra.center().dim,
         nilpotency_index=p.algebra.nilpotency_index(),
         sig_phi=signature(p.phi),
-        sig_phi_derived=signature(restricted),
+        sig_phi_on_derived=signature(restricted),
     )
 
 

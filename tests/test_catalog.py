@@ -178,8 +178,8 @@ class TestSeparation:
     def test_six_indecomposables_pairwise_distinct(self):
         fps = {name: fingerprint(build(name)) for name in INDECOMPOSABLE}
         for a, b in combinations(INDECOMPOSABLE, 2):
-            key_a = (fps[a].dim, fps[a].sig_phi, fps[a].dim_center, fps[a].sig_phi_derived)
-            key_b = (fps[b].dim, fps[b].sig_phi, fps[b].dim_center, fps[b].sig_phi_derived)
+            key_a = (fps[a].dim, fps[a].sig_phi, fps[a].dim_center, fps[a].sig_phi_on_derived)
+            key_b = (fps[b].dim, fps[b].sig_phi, fps[b].dim_center, fps[b].sig_phi_on_derived)
             assert key_a != key_b, (a, b)
 
     def test_evidence_for_all_indecomposable_pairs(self):

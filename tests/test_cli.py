@@ -1,8 +1,15 @@
+import importlib
+import importlib.util
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import phq
+import phq.cli
 from phq import build
+from phq.checks import PhqError
 from phq.cli import main
 from phq.fileformat import (
     MAX_DIM,
@@ -42,6 +49,123 @@ FIXTURE_LABELS = {
     "L42_R02.alg": "L(4,2)+R(0,2)",
     "L42_R20.alg": "L(4,2)+R(2,0)",
 }
+
+
+# A four-dimensional table that breaks Jacobi, j^2 = -I, the torsion,
+# ad-invariance and compatibility at once; symmetry and nondegeneracy hold.
+BROKEN = {
+    "dim": 4,
+    "basis": ["e1", "e2", "e3", "e4"],
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"0": "1"}},
+        {"i": 0, "j": 2, "coeffs": {"1": "1"}},
+    ],
+    "J": [
+        ["0", "-1", "0", "0"],
+        ["1", "0", "0", "0"],
+        ["0", "0", "0", "-2"],
+        ["0", "0", "1", "0"],
+    ],
+    "phi": [
+        ["1", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ],
+}
+
+BROKEN_CHECK_TEXT = """\
+Jacobi: FAIL
+  - Jacobi fails on (e1, e2, e3): residual -e2
+J^2: FAIL
+  - j^2 != -I
+Nijenhuis: FAIL
+  - N(e1, e3) = e2
+  - N(e1, e4) = 2*e1
+  - N(e2, e3) = e1
+  - N(e2, e4) = -2*e2
+symmetric: ok
+nondegenerate: ok
+ad-invariant: FAIL
+  - ad-invariance fails on (e1, e1, e2)
+  - ad-invariance fails on (e1, e2, e1)
+  - ad-invariance fails on (e1, e2, e3)
+  - ad-invariance fails on (e1, e3, e2)
+  - ad-invariance fails on (e2, e1, e1)
+  - ad-invariance fails on (e3, e1, e2)
+  - ad-invariance fails on (e3, e2, e1)
+J-compatible: FAIL
+  - phi(jx, jy) != phi(x, y)
+  - j is not phi-skewsymmetric
+"""
+
+BROKEN_CHECK_JSON = """\
+{
+  "axioms": {
+    "J-compatible": {
+      "failures": [
+        "phi(jx, jy) != phi(x, y)",
+        "j is not phi-skewsymmetric"
+      ],
+      "ok": false
+    },
+    "J^2": {
+      "failures": [
+        "j^2 != -I"
+      ],
+      "ok": false
+    },
+    "Jacobi": {
+      "failures": [
+        "Jacobi fails on (e1, e2, e3): residual -e2"
+      ],
+      "ok": false
+    },
+    "Nijenhuis": {
+      "failures": [
+        "N(e1, e3) = e2",
+        "N(e1, e4) = 2*e1",
+        "N(e2, e3) = e1",
+        "N(e2, e4) = -2*e2"
+      ],
+      "ok": false
+    },
+    "ad-invariant": {
+      "failures": [
+        "ad-invariance fails on (e1, e1, e2)",
+        "ad-invariance fails on (e1, e2, e1)",
+        "ad-invariance fails on (e1, e2, e3)",
+        "ad-invariance fails on (e1, e3, e2)",
+        "ad-invariance fails on (e2, e1, e1)",
+        "ad-invariance fails on (e3, e1, e2)",
+        "ad-invariance fails on (e3, e2, e1)"
+      ],
+      "ok": false
+    },
+    "nondegenerate": {
+      "failures": [],
+      "ok": true
+    },
+    "symmetric": {
+      "failures": [],
+      "ok": true
+    }
+  },
+  "ok": false
+}
+"""
+
+
+# A bracket entry whose indices are filled in by the boolean-index cases.
+BOOL_INDEX = '"brackets": [{{"i": {i}, "j": {j}, "coeffs": {{"1": "1"}}}}]'
+
+
+def load_snapshot_script():
+    path = FIXTURES.parent / "scripts" / "make_cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("make_cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def nested_recipe(depth: int) -> str:
@@ -205,6 +329,49 @@ class TestCommands:
         assert main(["check", str(path)]) == 2
         assert f"above the limit {MAX_DIM}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fmt, expected", [("text", BROKEN_CHECK_TEXT), ("json", BROKEN_CHECK_JSON)]
+    )
+    def test_check_report_of_broken_algebra(self, tmp_path, capsys, fmt, expected):
+        bad = tmp_path / "broken.alg"
+        bad.write_text(json.dumps(BROKEN))
+        assert main(["--format", fmt, "check", str(bad)]) == 1
+        assert capsys.readouterr().out == expected
+
+    def test_fixture_commands_match_snapshot(self):
+        # Exit code and stdout hash of all 80 fixture commands, recorded by
+        # scripts/make_cli_snapshot.py; any byte of changed output fails here.
+        script = load_snapshot_script()
+        recorded = json.loads((FIXTURES.parent / "tests" / "cli_snapshot.json").read_text())
+        assert len(recorded) == 80
+        assert script.snapshot() == recorded
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("odd.recipe", '{"op": "abelian", "p": 1, "q": 1}'),
+            ("empty.recipe", '{"op": "abelian", "p": 0, "q": 0}'),
+            ("p_true.recipe", '{"op": "abelian", "p": true, "q": 2}'),
+            ("q_true.recipe", '{"op": "abelian", "p": 2, "q": true}'),
+            ("k_true.recipe", '{"op": "tensor", "k": true, "base": {"op": "L(4,2)"}}'),
+            ("dim_true.alg", '{"dim": true, "basis": ["e1"], "brackets": [], "J": [["0"]], "phi": [["1"]]}'),
+            ("i_false.alg", MINIMAL.replace('"brackets": []', BOOL_INDEX.format(i="false", j=1))),
+            ("j_true.alg", MINIMAL.replace('"brackets": []', BOOL_INDEX.format(i=0, j="true"))),
+        ],
+        ids=["abelian_1_1", "abelian_0_0", "p_true", "q_true", "k_true", "dim_true", "i_false", "j_true"],
+    )
+    def test_invalid_integer_fields_exit_2(self, tmp_path, capsys, monkeypatch, name, text):
+        def build_nothing(*args):
+            raise AssertionError("an algebra was built from invalid input")
+
+        monkeypatch.setattr(phq.cli, "check_phq", build_nothing)
+        monkeypatch.setattr("phq.fileformat._eval_recipe", build_nothing)
+        path = tmp_path / name
+        path.write_text(text)
+        command = "construct" if name.endswith(".recipe") else "check"
+        assert main([command, str(path)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"
         garbage.write_text("not json at all {{{")
@@ -263,3 +430,26 @@ class TestCommands:
         doc = json.loads((FIXTURES / "Tstar0K.alg").read_text())
         col0 = [row[0] for row in doc["J"]]
         assert col0 == ["0", "1", "0", "0", "0", "0", "0", "0"]
+
+
+class TestErrors:
+    def test_every_library_exception_is_a_phq_error(self):
+        modules = [importlib.import_module(f"phq.{m.name}") for m in pkgutil.iter_modules(phq.__path__)]
+        classes = [
+            obj
+            for module in modules
+            for _, obj in inspect.getmembers(module, inspect.isclass)
+            if obj.__module__ == module.__name__ and issubclass(obj, BaseException)
+        ]
+        assert len(classes) >= 20
+        for cls in classes:
+            assert issubclass(cls, PhqError), cls.__name__
+
+    def test_builtin_error_is_not_reported_as_library_error(self, monkeypatch, capsys):
+        def broken(p):
+            raise ValueError("a plain ValueError from a bug")
+
+        monkeypatch.setattr(phq.cli, "fingerprint", broken)
+        with pytest.raises(ValueError, match="plain ValueError"):
+            main(["invariants", str(FIXTURES / "L42.alg")])
+        assert "error:" not in capsys.readouterr().err

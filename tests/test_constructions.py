@@ -236,7 +236,7 @@ class TestCocycles:
         k, j = kodaira_thurston()
         for theta in kodaira_cocycle_basis():
             rep = check_cocycle(k, j, theta)
-            assert rep.cyclic.ok and rep.cocycle.ok and rep.j_compatible.ok
+            assert rep["cyclic"].ok and rep["2-cocycle"].ok and rep["J-compatible"].ok
 
     def test_tabulated_values(self):
         t1, t2, t3, t4 = kodaira_cocycle_basis()
@@ -249,7 +249,7 @@ class TestCocycles:
         k, j = kodaira_thurston()
         theta = Cocycle.from_values(4, {(0, 1): {2: 1}})
         rep = check_cocycle(k, j, theta)
-        assert not rep.cyclic.ok
+        assert not rep["cyclic"].ok
         # theta(x2,x3)x1 = 0 while theta(x1,x2)x3 = 1
 
     def test_cyclic_cocycle_failing_compatibility(self):
@@ -258,15 +258,15 @@ class TestCocycles:
         r6 = build("R(6,0)")
         theta = Cocycle.from_values(6, {(0, 2): {4: 1}, (0, 4): {2: -1}, (2, 4): {0: 1}})
         rep = check_cocycle(r6.algebra, r6.j, theta)
-        assert rep.cyclic.ok and rep.cocycle.ok
-        assert not rep.j_compatible.ok
+        assert rep["cyclic"].ok and rep["2-cocycle"].ok
+        assert not rep["J-compatible"].ok
 
     def test_cyclic_but_not_cocycle(self):
         core = build("L(4,2)")
         theta = Cocycle.from_values(6, {(0, 4): {5: 1}, (0, 5): {4: -1}, (4, 5): {0: 1}})
         rep = check_cocycle(core.algebra, core.j, theta)
-        assert rep.cyclic.ok
-        assert not rep.cocycle.ok
+        assert rep["cyclic"].ok
+        assert not rep["2-cocycle"].ok
 
 
 class TestCotangentExtension:

@@ -104,8 +104,8 @@ class TestCheckComplex:
         cols[2] = unit(6, 4)
         cols[4] = vector([0, 0, -1, 0, 0, 0])
         rep = check_complex(core.algebra, Matrix.from_cols(cols, rows=6))
-        assert not rep.square.ok
-        assert not rep.torsion.ok
+        assert not rep["J^2"].ok
+        assert not rep["Nijenhuis"].ok
 
 
 class TestCheckQuadratic:
@@ -119,8 +119,8 @@ class TestCheckQuadratic:
 
     def test_euclidean_metric_fails_invariance(self, core):
         rep = check_quadratic(core.algebra, Matrix.identity(6))
-        assert rep.symmetric.ok and rep.nondegenerate.ok
-        assert not rep.ad_invariant.ok
+        assert rep["symmetric"].ok and rep["nondegenerate"].ok
+        assert not rep["ad-invariant"].ok
         assert not naive_ad_invariant(structure_tensor(core.algebra), entries(Matrix.identity(6)))
 
 
@@ -137,9 +137,25 @@ class TestCheckPHQ:
         # phi(jx, jy) = -phi(x, y) on the plane: rejected
         p = PHQAlgebra(LieAlgebra.abelian(2), ROT2, Matrix.diagonal([1, -1]))
         rep = check_phq(p)
-        assert not rep.compatible.ok
-        assert rep.jacobi.ok and rep.symmetric.ok and rep.nondegenerate.ok
+        assert not rep["J-compatible"].ok
+        assert rep["Jacobi"].ok and rep["symmetric"].ok and rep["nondegenerate"].ok
         assert not naive_compatible(entries(p.phi), entries(p.j))
+
+    def test_report_names_the_seven_axioms(self, core):
+        rep = check_phq(core)
+        labels = [part.label for part in rep.parts]
+        assert labels == [
+            "Jacobi", "J^2", "Nijenhuis", "symmetric", "nondegenerate", "ad-invariant", "J-compatible"
+        ]
+        assert rep["Nijenhuis"] is rep.parts[2]
+        with pytest.raises(KeyError, match="torsion"):
+            rep["torsion"]
+
+    def test_odd_dimension_fails_the_square_not_the_torsion(self):
+        p = PHQAlgebra(LieAlgebra.abelian(3), Matrix.zero(3), Matrix.identity(3))
+        rep = check_phq(p)
+        assert rep["J^2"].failures == ("odd dimension admits no complex structure",)
+        assert rep["Nijenhuis"].ok and rep["Jacobi"].ok
 
 
 class TestKahlerForm:
