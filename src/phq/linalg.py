@@ -60,13 +60,13 @@ def unit_vector(n: int, i: int) -> Vector:
 def add_vec(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if b else a for a, b in zip(u, v))
 
 
 def sub_vec(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def neg_vec(u: Vector) -> Vector:
@@ -239,18 +239,30 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # row i of the product sums a * (row k of other) over the nonzeros a at (i, k)
+        other_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)), ZERO))
+            acc = [ZERO] * other.cols
+            for a, row in zip(self.row(i), other_rows):
+                if a:
+                    for j, b in row:
+                        acc[j] += a * b
+            out += acc
         return Matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        # the image sums v[k] * (column k) over the support of v
+        out = [ZERO] * self.rows
+        for k, a in enumerate(v):
+            if a:
+                for i, b in enumerate(self.entries[k :: self.cols]):
+                    if b:
+                        out[i] += b * a
+        return tuple(out)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -406,10 +418,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces in different ambient spaces")
         return Subspace.span(self.ambient_dim, self.basis + other.basis)
-
-    def basis_matrix(self) -> Matrix:
-        """Basis vectors as columns."""
-        return Matrix.from_cols(list(self.basis), rows=self.ambient_dim)
 
     def is_totally_isotropic(self, g: Matrix) -> bool:
         return all(dot(g.apply(u), v) == 0 for u in self.basis for v in self.basis)

@@ -9,6 +9,7 @@ invariants used by the classifier.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .linalg import (
     Matrix,
     Vector,
     add_vec,
+    bilinear,
     dot,
     gram_restriction,
     is_zero_vec,
@@ -40,10 +42,11 @@ def nijenhuis(algebra: LieAlgebra, j: LinearMap, x: Sequence, y: Sequence) -> Ve
         raise DimensionMismatch("j must be square of the algebra dimension")
     xv, yv = vector(x), vector(y)
     jx, jy = j.apply(xv), j.apply(yv)
-    out = algebra.bracket(xv, yv)
-    out = add_vec(out, j.apply(algebra.bracket(jx, yv)))
-    out = add_vec(out, j.apply(algebra.bracket(xv, jy)))
-    return sub_vec(out, algebra.bracket(jx, jy))
+    t = algebra.brackets
+    # j is linear, so j[jx,y] + j[x,jy] is one application of j
+    twisted = j.apply(add_vec(bilinear(t, jx, yv, skew=True), bilinear(t, xv, jy, skew=True)))
+    out = add_vec(bilinear(t, xv, yv, skew=True), twisted)
+    return sub_vec(out, bilinear(t, jx, jy, skew=True))
 
 
 def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
@@ -82,19 +85,29 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
     names = algebra.basis_names
 
     sym_fail = [] if g.is_symmetric() else ["phi is not symmetric"]
-    nondeg_fail = [] if g.rank() == n else [f"phi is degenerate (rank {g.rank()} < {n})"]
+    rank = g.rank()
+    nondeg_fail = [] if rank == n else [f"phi is degenerate (rank {rank} < {n})"]
 
-    inv_fail = []
-    # phi([ei,ej], ek) + phi(ej, [ei,ek]) = 0; entry (k, j) of g ad(ei) is
-    # the first term
-    for i in range(n):
-        paired = g @ algebra.adjoint(unit_vector(n, i))
-        for j in range(n):
+    # phi([ei,ej], ek) + phi(ej, [ei,ek]) = 0 is entry (k, j) of
+    # g ad(ei) + ad(ei)^T g, kept in skew[i][j, k].  Only the table pairs that
+    # contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).
+    gt = g.transpose()
+    skew = [Counter() for _ in range(n)]
+    for a, b in algebra.brackets:
+        ab = algebra.bracket_basis(a, b)
+        left, right = g.apply(ab), gt.apply(ab)
+        for i, t, sign in ((a, b, 1), (b, a, -1)):  # [ei, et] = sign * [ea, eb]
             for k in range(n):
-                if paired[k, j] + paired[j, k] != 0:
-                    inv_fail.append(
-                        f"ad-invariance fails on ({names[i]}, {names[j]}, {names[k]})"
-                    )
+                if left[k]:
+                    skew[i][t, k] += sign * left[k]
+                if right[k]:
+                    skew[i][k, t] += sign * right[k]
+    inv_fail = [
+        f"ad-invariance fails on ({names[i]}, {names[j]}, {names[k]})"
+        for i, entries in enumerate(skew)
+        for (j, k), v in sorted(entries.items())
+        if v
+    ]
     return Report(
         (
             Check("symmetric", tuple(sym_fail)),

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from phq import (
     kodaira_cocycle_basis,
     kodaira_thurston,
     line_double_extension,
+    parse_recipe_text,
     phq_double_extension,
     signature,
     swap_df,
@@ -348,6 +350,13 @@ class TestTensorAndComplexify:
         assert check_phq(out).ok
         idx = out.algebra.nilpotency_index()
         assert idx is not None and idx <= 3 * 2
+
+    def test_dim24_ladder_rung_passes_check(self):
+        # tensor(TstarTheta3K, k=3), the largest rung of the ROADMAP ladder
+        theta3 = {"op": "tstar", "base": {"op": "kodaira"}, "theta": ["0", "0", "1", "0"]}
+        out = parse_recipe_text(json.dumps({"op": "tensor", "base": theta3, "k": 3})).evaluate()
+        assert out.dim == 24
+        assert check_phq(out).ok
 
     def test_complex_units_algebra(self):
         a = complex_units()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,10 +27,13 @@ from phq import (
     tstar_kodaira,
     vector,
 )
+from phq.lie import format_vector
 
 from oracles import (
     entries,
     naive_ad_invariant,
+    naive_jacobi_violations,
+    naive_nijenhuis,
     naive_compatible,
     naive_nijenhuis_vanishes,
     naive_square_is_minus_identity,
@@ -243,3 +247,65 @@ class TestSalamon:
 
     def test_twisted_cotangent_proper(self):
         assert salamon_check(build("TstarTheta3K")).ok
+
+
+SWEEP_COEFFS = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+
+
+def random_broken_input(rng):
+    """A table, a j and a phi in dims 2-7 that break the axioms in mixed ways:
+    phi is not symmetric and j is not a complex structure."""
+    n = rng.randint(2, 7)
+    density = rng.choice((0.0, 0.3, 0.6))
+
+    def coeff():
+        return rng.choice(SWEEP_COEFFS) if rng.random() < density else 0
+
+    table = {(i, k): {m: coeff() for m in range(n)} for i in range(n) for k in range(i + 1, n)}
+    j = Matrix.from_rows([[coeff() for _ in range(n)] for _ in range(n)])
+    phi = Matrix.from_rows([[coeff() for _ in range(n)] for _ in range(n)])
+    return LieAlgebra.from_brackets(n, table), j, phi
+
+
+class TestSweepsAgainstOracles:
+    """The support-following sweeps against the brute-force oracles."""
+
+    INPUTS = [random_broken_input(random.Random(seed)) for seed in range(60)]
+
+    def test_jacobi_failing_triples(self):
+        outcomes = set()
+        for algebra, _, _ in self.INPUTS:
+            names = algebra.basis_names
+            found = [f.split(":")[0] for f in check_jacobi(algebra).failures]
+            expected = [
+                f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]})"
+                for i, j, k in naive_jacobi_violations(structure_tensor(algebra))
+            ]
+            assert found == expected
+            outcomes.add(bool(found))
+        assert outcomes == {True, False}
+
+    def test_nijenhuis_failing_pairs_and_residuals(self):
+        outcomes = set()
+        for algebra, j, _ in self.INPUTS:
+            n, names = algebra.dim, algebra.basis_names
+            if n % 2:
+                continue
+            c, jm = structure_tensor(algebra), entries(j)
+            expected = []
+            for a in range(n):
+                for b in range(a + 1, n):
+                    residual = naive_nijenhuis(c, jm, list(unit(n, a)), list(unit(n, b)))
+                    if any(residual):
+                        expected.append(f"N({names[a]}, {names[b]}) = {format_vector(residual, names)}")
+            assert check_complex(algebra, j)["Nijenhuis"].failures == tuple(expected)
+            outcomes.add(bool(expected))
+        assert outcomes == {True, False}
+
+    def test_ad_invariance(self):
+        outcomes = set()
+        for algebra, _, phi in self.INPUTS:
+            verdict = check_quadratic(algebra, phi)["ad-invariant"].ok
+            assert verdict == naive_ad_invariant(structure_tensor(algebra), entries(phi))
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
