@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .checks import Check
 from .linalg import (
+    ZERO,
     DimensionMismatch,
     Matrix,
     SparseTable,
@@ -31,7 +32,6 @@ from .linalg import (
     sparse_table,
     unit_vector,
     vector,
-    vstack,
     zero_vector,
 )
 
@@ -116,14 +116,20 @@ class LieAlgebra:
             [bilinear(self.brackets, xv, unit_vector(n, j), skew=True) for j in range(n)], rows=n
         )
 
+    def _adjoint_system(self) -> Matrix:
+        """The n^2 x n matrix of x -> ad(x): row b*n + k is entry (k, b) of
+        ad(x), read straight off the table."""
+        n = self.dim
+        entries = [ZERO] * (n * n * n)
+        for (a, b), col in self.brackets.items():
+            for k, c in col.items():
+                entries[(b * n + k) * n + a] = c
+                entries[(a * n + k) * n + b] = -c
+        return Matrix(n * n, n, tuple(entries))
+
     def center(self) -> Subspace:
-        """Kernel of all adjoint maps of basis elements, stacked."""
-        if self.dim == 0:
-            return Subspace.zero(0)
-        stacked = self.adjoint(unit_vector(self.dim, 0))
-        for i in range(1, self.dim):
-            stacked = vstack(stacked, self.adjoint(unit_vector(self.dim, i)))
-        return kernel(stacked)
+        """The x with ad(x) = 0: the kernel of the adjoint system."""
+        return kernel(self._adjoint_system())
 
     def derived_ideal(self) -> Subspace:
         """Span of all brackets of basis pairs."""
@@ -221,7 +227,7 @@ def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
 def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     """Some s with adjoint(s) = m, or None.
 
-    The unknown is the coordinate vector of s; the linear system stacks one
+    The unknown is the coordinate vector of s; the adjoint system has one
     equation per matrix entry of the adjoint.  The representative returned is
     the minimal-support solution for the fixed pivot order, so it is
     reproducible; the full solution set is s + center.
@@ -229,11 +235,4 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
-    ads = [algebra.adjoint(unit_vector(n, i)) for i in range(n)]
-    rows = []
-    rhs = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([ad[k, j] for ad in ads])
-            rhs.append(m[k, j])
-    return solve_linear(Matrix.from_rows(rows, cols=n), rhs)
+    return solve_linear(algebra._adjoint_system(), [m[k, j] for j in range(n) for k in range(n)])

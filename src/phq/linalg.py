@@ -313,12 +313,6 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)], cols=a.cols + b.cols)
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise DimensionMismatch("vstack needs equal column counts")
-    return Matrix(a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
@@ -420,7 +414,7 @@ class Subspace:
         return Subspace.span(self.ambient_dim, self.basis + other.basis)
 
     def is_totally_isotropic(self, g: Matrix) -> bool:
-        return all(dot(g.apply(u), v) == 0 for u in self.basis for v in self.basis)
+        return gram_restriction(g, self.basis).is_zero()
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -428,17 +422,10 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
     n = u.ambient_dim
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(n)
-    columns = list(u.basis) + [neg_vec(w) for w in v.basis]
-    coeffs = kernel(Matrix.from_cols(columns, rows=n))
-    points = []
-    for cv in coeffs.basis:
-        p = zero_vector(n)
-        for a, w in zip(cv[: u.dim], u.basis):
-            p = add_vec(p, scale_vec(a, w))
-        points.append(p)
-    return Subspace.span(n, points)
+    # (a, b) in the kernel of [U | V] means U a = -V b, a point of both
+    coeffs = kernel(Matrix.from_cols(u.basis + v.basis, rows=n))
+    frame = Matrix.from_cols(u.basis, rows=n)
+    return Subspace.span(n, [frame.apply(cv[: u.dim]) for cv in coeffs.basis])
 
 
 def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
@@ -458,19 +445,18 @@ def map_image(m: Matrix, u: Subspace) -> Subspace:
 
 
 def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
-    """Gram matrix of ``g`` on the given vectors."""
-    vs = [vector(v) for v in vectors]
-    images = [g.apply(v) for v in vs]
-    return Matrix.from_rows([[dot(gu, w) for w in vs] for gu in images], cols=len(vs))
+    """Gram matrix B^T g B of ``g`` on the given vectors, the columns of B."""
+    b = Matrix.from_cols(vectors, rows=g.rows)
+    return b.transpose() @ g @ b
 
 
 def signature(g: Matrix) -> tuple[int, int]:
     """(positive, negative) inertia of a symmetric matrix, computed exactly.
 
     Symmetric congruence elimination: a nonzero diagonal entry is pivoted
-    away by a Schur complement; when every remaining diagonal entry is zero,
-    an off-diagonal block [[0,a],[a,0]] is removed and counted as one plus
-    and one minus.  p + q < n exactly when ``g`` is degenerate.
+    away by a Schur complement.  When every remaining diagonal entry is zero
+    but some m[i, j] is not, the congruence e_i -> e_i + e_j first makes
+    m[i, i] = 2 m[i, j] nonzero.  p + q < n exactly when ``g`` is degenerate.
     """
     if g.rows != g.cols:
         raise NotSymmetricError("signature needs a square matrix")
@@ -481,41 +467,26 @@ def signature(g: Matrix) -> tuple[int, int]:
     pos = neg = 0
     while active:
         i = next((k for k in active if m[k, k] != 0), None)
-        if i is not None:
-            d = m[i, i]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [k for k in active if k != i]
-            for k in rest:
-                for l in rest:
-                    m[k, l] = m[k, l] - m[k, i] * m[i, l] / d
-            active = rest
-            continue
-        pair = next(
-            ((a, b) for ai, a in enumerate(active) for b in active[ai + 1 :] if m[a, b] != 0),
-            None,
-        )
-        if pair is None:
-            break  # remaining block is identically zero: degenerate part
-        i, j = pair
-        a = m[i, j]
-        pos += 1
-        neg += 1
-        rest = [k for k in active if k != i and k != j]
-        # congruence by e_k -> e_k - (m[k,j]/a) e_i - (m[k,i]/a) e_j
-        beta = {k: m[k, j] / a for k in rest}
-        alpha = {k: m[k, i] / a for k in rest}
+        if i is None:
+            pair = next(
+                ((a, b) for ai, a in enumerate(active) for b in active[ai + 1 :] if m[a, b] != 0),
+                None,
+            )
+            if pair is None:
+                break  # remaining block is identically zero: degenerate part
+            i, j = pair
+            # add row and column j to row and column i
+            for k in active:
+                m[i, k] = m[k, i] = m[k, i] + m[k, j]
+            m[i, i] = 2 * m[i, j]
+        d = m[i, i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [k for k in active if k != i]
         for k in rest:
             for l in rest:
-                m[k, l] = (
-                    m[k, l]
-                    - beta[l] * m[k, i]
-                    - alpha[l] * m[k, j]
-                    - beta[k] * m[i, l]
-                    - alpha[k] * m[j, l]
-                    + (beta[k] * alpha[l] + alpha[k] * beta[l]) * a
-                )
+                m[k, l] = m[k, l] - m[k, i] * m[i, l] / d
         active = rest
     return pos, neg

@@ -25,6 +25,7 @@ from .linalg import (
     gram_restriction,
     is_zero_vec,
     map_image,
+    signature,
     sub_vec,
     unit_vector,
     vector,
@@ -256,8 +257,6 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
     basis choice does not matter.  The restricted form may be degenerate, in
     which case the (p, q) counts sum to less than the ideal's dimension.
     """
-    from .linalg import signature
-
     derived = p.algebra.derived_ideal()
     restricted = gram_restriction(p.phi, derived.basis)
     return Fingerprint(

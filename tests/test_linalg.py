@@ -172,6 +172,12 @@ class TestSignature:
     def test_matches_charpoly_oracle(self, g):
         assert signature(g) == signature_oracle(g)
 
+    @given(symmetric_matrices(4))
+    def test_zero_diagonal_matches_charpoly_oracle(self, g):
+        # no diagonal pivot: the first step is the congruence e_i -> e_i + e_j
+        h = Matrix.from_rows([[0 if i == j else g[i, j] for j in range(4)] for i in range(4)])
+        assert signature(h) == signature_oracle(h)
+
     @given(symmetric_matrices(3), invertible_matrices(3))
     def test_congruence_invariance(self, g, p):
         assert signature(p.transpose() @ g @ p) == signature(g)

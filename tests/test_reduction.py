@@ -7,6 +7,7 @@ from phq import (
     InvalidCentralElement,
     Matrix,
     NotDefinitePlane,
+    PHQAlgebra,
     Subspace,
     analyze_skew_pair,
     build,
@@ -28,6 +29,13 @@ from test_constructions import adapted_pair, lemma_adapted_base
 
 def unit(n, i):
     return vector([1 if k == i else 0 for k in range(n)])
+
+
+def with_j_column(p, i, image):
+    """p with column i of j replaced by ``image``; PHQAlgebra does not check
+    the axioms, so the result may break them."""
+    cols = [image if k == i else p.j.col(k) for k in range(p.dim)]
+    return PHQAlgebra(p.algebra, Matrix.from_cols(cols), p.phi)
 
 
 NONABELIAN = (
@@ -98,6 +106,12 @@ class TestSplitPlane:
         with pytest.raises(InvalidCentralElement):
             split_plane(p, unit(6, 0))
 
+    def test_rejects_central_vector_with_noncentral_image(self):
+        # e1 is central of norm 1, but this j sends it to the non-central x1
+        p = with_j_column(build("L(4,2)+R(2,0)"), 6, unit(8, 0))
+        with pytest.raises(InvalidCentralElement, match="^z and jz must be central$"):
+            split_plane(p, unit(8, 6))
+
 
 class TestReduceByPlane:
     def test_abelian_rejected(self):
@@ -133,6 +147,17 @@ class TestReduceByPlane:
         p = build("R(2,2)")
         with pytest.raises(InvalidCentralElement):
             reduce_by_plane(p, unit(4, 0))  # not in (empty) derived ideal
+
+    def test_rejects_noncentral_vector(self):
+        p = build("L(4,2)")
+        with pytest.raises(InvalidCentralElement, match="^z must lie in center ∩ derived$"):
+            reduce_by_plane(p, unit(6, 0))  # x1
+
+    def test_rejects_central_vector_with_noncentral_image(self):
+        # x3 is central and derived, but this j sends it to the non-central x1
+        p = with_j_column(build("L(4,2)"), 4, unit(6, 0))
+        with pytest.raises(InvalidCentralElement, match="^jz must be central$"):
+            reduce_by_plane(p, unit(6, 4))
 
 
 class TestFullReduction:

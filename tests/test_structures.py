@@ -24,6 +24,7 @@ from phq import (
     map_image,
     nijenhuis,
     salamon_check,
+    solve_inner,
     tstar_kodaira,
     vector,
 )
@@ -32,11 +33,13 @@ from phq.lie import format_vector
 from oracles import (
     entries,
     naive_ad_invariant,
+    naive_bracket,
     naive_jacobi_violations,
     naive_nijenhuis,
     naive_compatible,
     naive_nijenhuis_vanishes,
     naive_square_is_minus_identity,
+    rank_oracle,
     structure_tensor,
 )
 from strategies import vectors
@@ -308,4 +311,22 @@ class TestSweepsAgainstOracles:
             verdict = check_quadratic(algebra, phi)["ad-invariant"].ok
             assert verdict == naive_ad_invariant(structure_tensor(algebra), entries(phi))
             outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+    def test_center_and_solve_inner(self):
+        outcomes = set()
+        for seed, (algebra, _, _) in enumerate(self.INPUTS):
+            n, c = algebra.dim, structure_tensor(algebra)
+            center = algebra.center()
+            for z in center.basis:
+                for i in range(n):
+                    assert not any(naive_bracket(c, list(z), list(unit(n, i))))
+            # row (i, k), column j: the e_k coefficient of [e_j, e_i]
+            ad_rows = [[c[j][i][k] for j in range(n)] for i in range(n) for k in range(n)]
+            assert center.dim == n - rank_oracle(Matrix.from_rows(ad_rows))
+            rng = random.Random(seed)
+            s = vector([rng.choice(SWEEP_COEFFS) for _ in range(n)])
+            found = solve_inner(algebra, algebra.adjoint(s))
+            assert found is not None and algebra.adjoint(found) == algebra.adjoint(s)
+            outcomes.add(center.dim > 0)
         assert outcomes == {True, False}
