@@ -22,13 +22,14 @@ from functools import reduce
 from .checks import Check, PhqError
 from .constructions import (
     Cocycle,
+    block_rotation,
     direct_sum,
     kodaira_cocycle_basis,
     kodaira_thurston,
     tstar_extension,
 )
 from .lie import LieAlgebra, LinearMap
-from .linalg import Matrix, Vector, neg_vec, unit_vector
+from .linalg import Matrix, is_zero_vec, unit_vector
 from .reduction import ReductionResult, full_reduction
 from .structures import Fingerprint, PHQAlgebra, check_phq, fingerprint
 
@@ -90,15 +91,8 @@ def abelian_with_signature(p: int, q: int) -> PHQAlgebra:
     the block rotation complex structure on consecutive pairs."""
     if p % 2 or q % 2 or (p == 0 and q == 0):
         raise UnknownLabel(f"signature ({p},{q}) must have even nonzero entries")
-    n = p + q
-    algebra = LieAlgebra.abelian(n)
-    j_cols: list[Vector] = []
-    for pair in range(n // 2):
-        a, b = 2 * pair, 2 * pair + 1
-        j_cols.append(unit_vector(n, b))
-        j_cols.append(neg_vec(unit_vector(n, a)))
     phi = Matrix.diagonal([1] * p + [-1] * q)
-    return PHQAlgebra(algebra, Matrix.from_cols(j_cols, rows=n), phi)
+    return PHQAlgebra(LieAlgebra.abelian(p + q), block_rotation(p + q), phi)
 
 
 def lorentz_core(positive: bool = True) -> PHQAlgebra:
@@ -119,14 +113,6 @@ def lorentz_core(positive: bool = True) -> PHQAlgebra:
             (1, 2): {4: 1},
         },
     )
-    j_cols = [
-        unit_vector(6, 1),
-        neg_vec(unit_vector(6, 0)),
-        unit_vector(6, 3),
-        neg_vec(unit_vector(6, 2)),
-        unit_vector(6, 5),
-        neg_vec(unit_vector(6, 4)),
-    ]
     sign = 1 if positive else -1
     phi = Matrix.from_rows(
         [
@@ -138,7 +124,7 @@ def lorentz_core(positive: bool = True) -> PHQAlgebra:
             [0, sign, 0, 0, 0, 0],
         ]
     )
-    return PHQAlgebra(algebra, Matrix.from_cols(j_cols, rows=6), phi)
+    return PHQAlgebra(algebra, block_rotation(6), phi)
 
 
 def tstar_kodaira(theta: Cocycle | None = None) -> PHQAlgebra:
@@ -231,10 +217,10 @@ def verify_witness(a: PHQAlgebra, b: PHQAlgebra, w: LinearMap) -> Check:
         failures.append("witness is not an isometry")
     n = a.dim
     for i in range(n):
+        # column j is w[e_i, e_j] - [w e_i, w e_j]
+        defect = w @ a.algebra.adjoint(unit_vector(n, i)) - b.algebra.adjoint(w.col(i)) @ w
         for j in range(i + 1, n):
-            lhs = w.apply(a.algebra.bracket_basis(i, j))
-            rhs = b.algebra.bracket(w.col(i), w.col(j))
-            if lhs != rhs:
+            if not is_zero_vec(defect.col(j)):
                 failures.append(
                     f"witness does not intertwine the bracket at "
                     f"({a.basis_names[i]}, {a.basis_names[j]})"

@@ -27,7 +27,6 @@ from .linalg import (
     dot,
     frac,
     is_zero_vec,
-    neg_vec,
     sparse_table,
     sub_vec,
     unit_vector,
@@ -298,12 +297,6 @@ class Cocycle:
         return self.scale(-1)
 
 
-def _coadjoint(algebra: LieAlgebra, i: int, fv: Vector) -> Vector:
-    """Coadjoint action of the i-th basis vector on a functional: -f o ad(ei)."""
-    n = algebra.dim
-    return tuple(-dot(algebra.bracket_basis(i, k), fv) for k in range(n))
-
-
 def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
     """Three conditions on a dual-valued antisymmetric 2-form.
 
@@ -333,15 +326,18 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
                     )
 
     cocycle_fail = []
+    ads = [algebra.adjoint(u) for u in units]
+    # the coadjoint action of e_i on a functional f is -f o ad(e_i) = -ad(e_i)^T f
+    coads = [-ad.transpose() for ad in ads]
     for i in range(n):
         for jj in range(i + 1, n):
             for k in range(jj + 1, n):
-                term = _coadjoint(algebra, i, t(jj, k))
-                term = sub_vec(term, _coadjoint(algebra, jj, t(i, k)))
-                term = add_vec(term, _coadjoint(algebra, k, t(i, jj)))
-                term = sub_vec(term, theta.evaluate(algebra.bracket_basis(i, jj), units[k]))
-                term = add_vec(term, theta.evaluate(algebra.bracket_basis(i, k), units[jj]))
-                term = sub_vec(term, theta.evaluate(algebra.bracket_basis(jj, k), units[i]))
+                term = coads[i].apply(t(jj, k))
+                term = sub_vec(term, coads[jj].apply(t(i, k)))
+                term = add_vec(term, coads[k].apply(t(i, jj)))
+                term = sub_vec(term, theta.evaluate(ads[i].col(jj), units[k]))
+                term = add_vec(term, theta.evaluate(ads[i].col(k), units[jj]))
+                term = sub_vec(term, theta.evaluate(ads[jj].col(k), units[i]))
                 if not is_zero_vec(term):
                     cocycle_fail.append(
                         f"d theta != 0 on ({names[i]}, {names[jj]}, {names[k]})"
@@ -410,19 +406,21 @@ def tstar_extension(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> PHQAlg
     )
 
 
+def block_rotation(n: int) -> LinearMap:
+    """The complex structure e_2k -> e_2k+1, e_2k+1 -> -e_2k on consecutive
+    basis pairs of an even dimension n."""
+    entries = {}
+    for a in range(0, n, 2):
+        entries[a + 1, a] = ONE
+        entries[a, a + 1] = -ONE
+    return _square(n, entries)
+
+
 def kodaira_thurston() -> tuple[LieAlgebra, LinearMap]:
     """The Kodaira-Thurston algebra: Heisenberg plus a line, [x1, x2] = x3,
     with the abelian complex structure x1 -> x2, x3 -> x4."""
     algebra = LieAlgebra.from_brackets(("x1", "x2", "x3", "x4"), {(0, 1): {2: 1}})
-    j = Matrix.from_cols(
-        [
-            unit_vector(4, 1),
-            neg_vec(unit_vector(4, 0)),
-            unit_vector(4, 3),
-            neg_vec(unit_vector(4, 2)),
-        ]
-    )
-    return algebra, j
+    return algebra, block_rotation(4)
 
 
 def kodaira_cocycle_basis() -> tuple[Cocycle, Cocycle, Cocycle, Cocycle]:

@@ -2,10 +2,11 @@
 
 The structure tensor is stored sparse: ``brackets[i, j]`` (i < j) maps each
 basis index k to the nonzero coefficient of e_k in the bracket of basis
-elements i and j; the pairs j < i are implied by antisymmetry.  Every
-evaluation goes through `linalg.bilinear`.  The Jacobi identity is a
-separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
-instead of rejected.
+elements i and j; the pairs j < i are implied by antisymmetry.  `adjoint`
+reads ad(x) off the table, and the identities over basis pairs (derivations,
+the lower central series) are identities between ad matrices.  The Jacobi
+identity is a separate check (`check_jacobi`) so that hand-entered tables
+can be diagnosed instead of rejected.
 """
 
 from __future__ import annotations
@@ -75,8 +76,15 @@ class LieAlgebra:
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense read-only view: ``structure[i][j]`` is the bracket of basis
         elements i and j.  Computed on every access."""
-        n = self.dim
-        return tuple(tuple(self.bracket_basis(i, j) for j in range(n)) for i in range(n))
+        n, zero = self.dim, zero_vector(self.dim)
+        upper = {pair: dense(col, n) for pair, col in self.brackets.items()}
+        return tuple(
+            tuple(
+                upper.get((i, j), zero) if i <= j else neg_vec(upper.get((j, i), zero))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
 
     @classmethod
     def abelian(cls, names: Sequence[str] | int) -> "LieAlgebra":
@@ -101,30 +109,31 @@ class LieAlgebra:
             raise DimensionMismatch("bracket arguments must match the algebra dimension")
         return bilinear(self.brackets, xv, yv, skew=True)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        if i > j:
-            return neg_vec(self.bracket_basis(j, i))
-        return dense(self.brackets.get((i, j), {}), self.dim)
-
     def adjoint(self, x: Sequence) -> LinearMap:
-        """Matrix of y -> [x, y]."""
+        """Matrix of y -> [x, y], read off the table: c = [e_a, e_b]_k adds
+        x_a c at entry (k, b) and -x_b c at entry (k, a)."""
         xv = vector(x)
         if len(xv) != self.dim:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
         n = self.dim
-        return Matrix.from_cols(
-            [bilinear(self.brackets, xv, unit_vector(n, j), skew=True) for j in range(n)], rows=n
-        )
+        entries = [ZERO] * (n * n)
+        for (a, b), col in self.brackets.items():
+            xa, xb = xv[a], xv[b]
+            if xa or xb:
+                for k, c in col.items():
+                    entries[k * n + b] += xa * c
+                    entries[k * n + a] -= xb * c
+        return Matrix(n, n, tuple(entries))
 
     def _adjoint_system(self) -> Matrix:
-        """The n^2 x n matrix of x -> ad(x): row b*n + k is entry (k, b) of
-        ad(x), read straight off the table."""
+        """The n^2 x n matrix A of x -> ad(x), read straight off the table:
+        A x is ``adjoint(x).entries``, so row k*n + b is entry (k, b)."""
         n = self.dim
         entries = [ZERO] * (n * n * n)
         for (a, b), col in self.brackets.items():
             for k, c in col.items():
-                entries[(b * n + k) * n + a] = c
-                entries[(a * n + k) * n + b] = -c
+                entries[(k * n + b) * n + a] = c
+                entries[(k * n + a) * n + b] = -c
         return Matrix(n * n, n, tuple(entries))
 
     def center(self) -> Subspace:
@@ -136,18 +145,14 @@ class LieAlgebra:
         return Subspace.span(self.dim, [dense(col, self.dim) for col in self.brackets.values()])
 
     def lower_central_series(self) -> list[Subspace]:
-        """C0 = g, C(k+1) = [g, Ck]; stops when stationary."""
-        series = [Subspace.full(self.dim)]
+        """C0 = g, C(k+1) = [g, Ck], the span of the columns of ad(c) for c
+        in a basis of Ck; stops when stationary."""
+        n = self.dim
+        series = [Subspace.full(n)]
         while True:
             current = series[-1]
-            nxt = Subspace.span(
-                self.dim,
-                [
-                    self.bracket(unit_vector(self.dim, i), b)
-                    for i in range(self.dim)
-                    for b in current.basis
-                ],
-            )
+            ads = [self.adjoint(c) for c in current.basis]
+            nxt = Subspace.span(n, [ad.col(j) for ad in ads for j in range(n)])
             if nxt == current:
                 break
             series.append(nxt)
@@ -204,19 +209,19 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
 
 
 def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
-    """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs."""
+    """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs.
+
+    Column j of m ad(e_i) - ad(e_i) m - ad(m e_i) is the defect on (e_i, e_j).
+    """
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("derivation candidate must be square of the algebra dimension")
     failures = []
     for i in range(n):
+        ad = algebra.adjoint(unit_vector(n, i))
+        defect = m @ ad - ad @ m - algebra.adjoint(m.col(i))
         for j in range(i + 1, n):
-            lhs = m.apply(algebra.bracket_basis(i, j))
-            rhs = add_vec(
-                algebra.bracket(m.col(i), unit_vector(n, j)),
-                algebra.bracket(unit_vector(n, i), m.col(j)),
-            )
-            if lhs != rhs:
+            if not is_zero_vec(defect.col(j)):
                 failures.append(
                     f"derivation identity fails on ({algebra.basis_names[i]}, "
                     f"{algebra.basis_names[j]})"
@@ -235,4 +240,4 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
-    return solve_linear(algebra._adjoint_system(), [m[k, j] for j in range(n) for k in range(n)])
+    return solve_linear(algebra._adjoint_system(), m.entries)

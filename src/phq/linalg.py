@@ -223,11 +223,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, add_vec(self.entries, other.entries))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, sub_vec(self.entries, other.entries))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
@@ -296,7 +296,7 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        return Matrix.from_rows(m, cols=self.cols), tuple(pivots)
+        return Matrix(self.rows, self.cols, tuple(e for row in m for e in row)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -434,9 +434,7 @@ def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
         raise DimensionMismatch("pairing matrix must be square of the ambient dimension")
     if not g.is_symmetric():
         raise NotSymmetricError("pairing matrix must be symmetric")
-    if u.dim == 0:
-        return Subspace.full(u.ambient_dim)
-    return kernel(Matrix.from_rows([g.apply(w) for w in u.basis]))
+    return kernel(Matrix.from_rows([g.apply(w) for w in u.basis], cols=u.ambient_dim))
 
 
 def map_image(m: Matrix, u: Subspace) -> Subspace:

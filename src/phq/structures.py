@@ -21,6 +21,7 @@ from .linalg import (
     Vector,
     add_vec,
     bilinear,
+    dense,
     dot,
     gram_restriction,
     is_zero_vec,
@@ -94,8 +95,8 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
     # contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).
     gt = g.transpose()
     skew = [Counter() for _ in range(n)]
-    for a, b in algebra.brackets:
-        ab = algebra.bracket_basis(a, b)
+    for (a, b), col in algebra.brackets.items():
+        ab = dense(col, n)
         left, right = g.apply(ab), gt.apply(ab)
         for i, t, sign in ((a, b, 1), (b, a, -1)):  # [ei, et] = sign * [ea, eb]
             for k in range(n):
@@ -182,12 +183,10 @@ def j_twisted_bracket(algebra: LieAlgebra, j: LinearMap) -> LieAlgebra:
     n = algebra.dim
     table = {}
     for i in range(n):
+        # column k of ad(j e_i) + ad(e_i) j is [j e_i, e_k] + [e_i, j e_k]
+        row = algebra.adjoint(j.col(i)) + algebra.adjoint(unit_vector(n, i)) @ j
         for k in range(i + 1, n):
-            val = add_vec(
-                algebra.bracket(j.col(i), unit_vector(n, k)),
-                algebra.bracket(unit_vector(n, i), j.col(k)),
-            )
-            table[i, k] = dict(enumerate(val))
+            table[i, k] = dict(enumerate(row.col(k)))
     return LieAlgebra(algebra.basis_names, table)
 
 
@@ -209,21 +208,14 @@ class JClassification:
 
 def j_class(algebra: LieAlgebra, j: LinearMap) -> JClassification:
     """Test [jx,jy] = [x,y] (abelian) and [jx,y] = j[x,y] (bi-invariant)
-    on all basis pairs; both can hold together only on abelian algebras."""
+    on all ordered basis pairs, as ad(j e_a) j = ad(e_a) and
+    ad(j e_a) = j ad(e_a) for every a; both can hold together only on
+    abelian algebras."""
     n = algebra.dim
-    abelian = True
-    bi_invariant = True
-    for a in range(n):
-        ja = j.col(a)
-        for b in range(a + 1, n):
-            br = algebra.bracket_basis(a, b)
-            if algebra.bracket(ja, j.col(b)) != br:
-                abelian = False
-            if algebra.bracket(ja, unit_vector(n, b)) != j.apply(br):
-                bi_invariant = False
-        if not abelian and not bi_invariant:
-            break
-    return JClassification(abelian, bi_invariant)
+    ads = [(algebra.adjoint(unit_vector(n, a)), algebra.adjoint(j.col(a))) for a in range(n)]
+    return JClassification(
+        all(ad_j @ j == ad for ad, ad_j in ads), all(ad_j == j @ ad for ad, ad_j in ads)
+    )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from phq import (
     complexify,
     direct_sum,
     fingerprint,
+    full_reduction,
     gram_restriction,
     kodaira_cocycle_basis,
     kodaira_thurston,
@@ -357,6 +358,14 @@ class TestTensorAndComplexify:
         out = parse_recipe_text(json.dumps({"op": "tensor", "base": theta3, "k": 3})).evaluate()
         assert out.dim == 24
         assert check_phq(out).ok
+        current, planes = out, 0
+        for step in full_reduction(out).steps:
+            if step.kind == "plane_reduction":
+                rebuilt = phq_double_extension(step.extension_data)
+                assert verify_witness(rebuilt, current, step.adapted_basis).ok
+                planes += 1
+            current = step.recovered
+        assert planes > 0
 
     def test_complex_units_algebra(self):
         a = complex_units()

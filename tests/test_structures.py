@@ -16,6 +16,7 @@ from phq import (
     check_phq,
     check_quadratic,
     fingerprint,
+    is_derivation,
     j_class,
     j_twisted_bracket,
     kahler_form,
@@ -27,12 +28,14 @@ from phq import (
     solve_inner,
     tstar_kodaira,
     vector,
+    verify_witness,
 )
 from phq.lie import format_vector
 
 from oracles import (
     entries,
     naive_ad_invariant,
+    naive_apply,
     naive_bracket,
     naive_jacobi_violations,
     naive_nijenhuis,
@@ -215,6 +218,14 @@ class TestJClass:
             p = build(name)
             assert j_class(p.algebra, p.j).label == "generic"
 
+    def test_bi_invariance_is_tested_in_both_orders(self):
+        # [j e_a, e_b] = j[e_a, e_b] holds for every a < b, but
+        # [j e4, e1] = 0 while j[e4, e1] = -e2
+        algebra = LieAlgebra.from_brackets(4, {(0, 3): {0: 1}, (1, 3): {1: 1}})
+        j = Matrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+        assert check_jacobi(algebra).ok and check_complex(algebra, j).ok
+        assert not j_class(algebra, j).bi_invariant
+
 
 class TestFingerprint:
     def test_core_row(self, core):
@@ -253,6 +264,10 @@ class TestSalamon:
 
 
 SWEEP_COEFFS = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+
+
+def random_vector(rng, n):
+    return vector([rng.choice(SWEEP_COEFFS) for _ in range(n)])
 
 
 def random_broken_input(rng):
@@ -330,3 +345,149 @@ class TestSweepsAgainstOracles:
             assert found is not None and algebra.adjoint(found) == algebra.adjoint(s)
             outcomes.add(center.dim > 0)
         assert outcomes == {True, False}
+
+    def test_adjoint(self):
+        for seed, (algebra, _, _) in enumerate(self.INPUTS):
+            n, c = algebra.dim, structure_tensor(algebra)
+            s = random_vector(random.Random(seed), n)
+            expected = [naive_bracket(c, list(s), list(unit(n, j))) for j in range(n)]
+            assert entries(algebra.adjoint(s)) == [list(row) for row in zip(*expected)]
+
+    def test_lower_central_series(self):
+        # targets above both indices make the series descend in several steps
+        triangular = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(3, 7)
+            table = {
+                (i, k): {m: rng.choice(SWEEP_COEFFS) for m in range(k + 1, n)}
+                for i in range(n)
+                for k in range(i + 1, n)
+            }
+            triangular.append(LieAlgebra.from_brackets(n, table))
+        lengths = set()
+        for algebra in [a for a, _, _ in self.INPUTS] + triangular:
+            n, c = algebra.dim, structure_tensor(algebra)
+            series = algebra.lower_central_series()
+            assert series[0].dim == n
+            for k, term in enumerate(series):
+                brackets = [
+                    naive_bracket(c, list(unit(n, i)), list(b))
+                    for i in range(n)
+                    for b in term.basis
+                ]
+                if k + 1 < len(series):
+                    nxt = series[k + 1]
+                else:  # the series stops at zero or where it is stationary
+                    nxt = Subspace.zero(n) if term.dim == 0 else term
+                # nxt is spanned by the brackets: it contains them all and
+                # they have its dimension
+                assert rank_oracle(Matrix.from_rows(brackets, cols=n)) == nxt.dim
+                both = brackets + [list(v) for v in nxt.basis]
+                assert rank_oracle(Matrix.from_rows(both, cols=n)) == nxt.dim
+            lengths.add(len(series))
+        assert {1, 2, 3, 4} <= lengths
+
+    def test_derivation_failing_pairs(self):
+        outcomes = set()
+        for seed, (algebra, _, _) in enumerate(self.INPUTS):
+            n, names, c = algebra.dim, algebra.basis_names, structure_tensor(algebra)
+            rng = random.Random(seed)
+            s = random_vector(rng, n)
+            ad_s = Matrix.from_cols([naive_bracket(c, list(s), list(unit(n, j))) for j in range(n)])
+            m = Matrix.from_rows([random_vector(rng, n) for _ in range(n)])
+            for cand in (m, ad_s, Matrix.zero(n)):
+                cm = entries(cand)
+                expected = []
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        lhs = naive_apply(cm, c[i][j])
+                        mi, mj = naive_apply(cm, unit(n, i)), naive_apply(cm, unit(n, j))
+                        rhs = [
+                            a + b
+                            for a, b in zip(
+                                naive_bracket(c, mi, list(unit(n, j))),
+                                naive_bracket(c, list(unit(n, i)), mj),
+                            )
+                        ]
+                        if lhs != rhs:
+                            expected.append(
+                                f"derivation identity fails on ({names[i]}, {names[j]})"
+                            )
+                assert is_derivation(algebra, cand).failures == tuple(expected)
+                outcomes.add(bool(expected))
+        assert outcomes == {True, False}
+
+    def test_j_twisted_bracket(self):
+        outcomes = set()
+        for algebra, j, _ in self.INPUTS:
+            n, c, jm = algebra.dim, structure_tensor(algebra), entries(j)
+            expected = [
+                [
+                    [
+                        a + b
+                        for a, b in zip(
+                            naive_bracket(c, naive_apply(jm, unit(n, i)), list(unit(n, k))),
+                            naive_bracket(c, list(unit(n, i)), naive_apply(jm, unit(n, k))),
+                        )
+                    ]
+                    for k in range(n)
+                ]
+                for i in range(n)
+            ]
+            assert structure_tensor(j_twisted_bracket(algebra, j)) == expected
+            outcomes.add(any(any(any(v) for v in row) for row in expected))
+        assert outcomes == {True, False}
+
+    def test_witness_bracket_failures(self):
+        outcomes = set()
+        for seed, (algebra, j, phi) in enumerate(self.INPUTS):
+            n, names, c = algebra.dim, algebra.basis_names, structure_tensor(algebra)
+            rng = random.Random(seed)
+            w = Matrix.from_rows([random_vector(rng, n) for _ in range(n)])
+            wm = entries(w)
+            expected = []
+            for i in range(n):
+                for k in range(i + 1, n):
+                    wi, wk = naive_apply(wm, unit(n, i)), naive_apply(wm, unit(n, k))
+                    if naive_apply(wm, c[i][k]) != naive_bracket(c, wi, wk):
+                        expected.append(
+                            f"witness does not intertwine the bracket at ({names[i]}, {names[k]})"
+                        )
+            p = PHQAlgebra(algebra, j, phi)
+            found = [f for f in verify_witness(p, p, w).failures if "bracket" in f]
+            assert found == expected
+            outcomes.add(bool(expected))
+        assert outcomes == {True, False}
+
+    def test_j_class_on_all_ordered_pairs(self):
+        outcomes = set()
+        for algebra, j, _ in self.INPUTS:
+            n, c, jm = algebra.dim, structure_tensor(algebra), entries(j)
+            js = [naive_apply(jm, unit(n, a)) for a in range(n)]
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+            abelian = all(naive_bracket(c, js[a], js[b]) == c[a][b] for a, b in pairs)
+            bi_invariant = all(
+                naive_bracket(c, js[a], list(unit(n, b))) == naive_apply(jm, c[a][b])
+                for a, b in pairs
+            )
+            cls = j_class(algebra, j)
+            assert (cls.abelian, cls.bi_invariant) == (abelian, bi_invariant)
+            outcomes.add((abelian, bi_invariant))
+        assert {(True, True), (False, False)} <= outcomes
+
+    def test_structure_tensor_does_not_read_the_adjoint(self, monkeypatch):
+        # the oracles compare `adjoint` against `structure`, so the latter
+        # must read the table by itself
+        algebra = self.INPUTS[1][0]
+        expected = structure_tensor(algebra)
+
+        def refuse(self, x):
+            raise AssertionError("structure went through adjoint")
+
+        monkeypatch.setattr(LieAlgebra, "adjoint", refuse)
+        assert structure_tensor(algebra) == expected
+        n = algebra.dim
+        for (a, b), col in algebra.brackets.items():
+            assert expected[a][b] == [col.get(k, 0) for k in range(n)]
+            assert expected[b][a] == [-col.get(k, 0) for k in range(n)]
