@@ -18,21 +18,23 @@ Algebra file::
     }
 
 Bracket entries must have i < j (antisymmetry is implied).  Recipe files are
-expression trees; see `parse_recipe_text`.  A tree deeper than
-`MAX_RECIPE_DEPTH` nodes is rejected before anything is evaluated.  An
-algebra file with ``dim`` above `MAX_DIM` is rejected, and so is a recipe
-whose output dimension, predicted from the tree, is above it; the prediction
-is made before anything is built.
+expression trees (README.md lists the ops).  `parse_recipe_text` checks every
+field of every node and parses every scalar before anything is built, and
+`Recipe.dim` holds the dimension predicted from the tree.  A tree deeper than
+`MAX_RECIPE_DEPTH` nodes is rejected while parsing.  An algebra file with
+``dim`` above `MAX_DIM` is rejected, and `Recipe.evaluate` rejects a recipe
+whose predicted dimension is above it before building anything.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .catalog import abelian_with_signature, lorentz_core, tstar_kodaira
 from .checks import PhqError
@@ -47,7 +49,7 @@ from .constructions import (
     truncated_poly,
 )
 from .lie import LieAlgebra
-from .linalg import Matrix, vector
+from .linalg import Matrix
 from .structures import PHQAlgebra
 
 
@@ -111,8 +113,8 @@ def _matrix(rows: Any, dim: int, where: str) -> Matrix:
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {r} must have {dim} entries")
-        out.append([_rational(e, f"{where}[{r}]") for e in row])
-    return Matrix.from_rows(out, cols=dim)
+        out += [_rational(e, f"{where}[{r}]") for e in row]
+    return Matrix(dim, dim, tuple(out))
 
 
 def parse_algebra_text(text: str) -> PHQAlgebra:
@@ -183,138 +185,94 @@ def serialize_algebra(p: PHQAlgebra) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_RECIPE_OPS = {
-    "abelian",
-    "kodaira",
-    "L(4,2)",
-    "L(2,4)",
-    "direct_sum",
-    "tstar",
-    "phq_ext",
-    "tensor",
-    "complexify",
-}
-
-
 @dataclass(frozen=True)
 class Recipe:
-    """Parsed construction tree; `evaluate` produces the algebra."""
+    """Parsed construction tree: every field is checked, ``dim`` is the
+    predicted dimension, and `evaluate` builds the algebra."""
 
     tree: dict
+    dim: int
+    build: Callable[[], PHQAlgebra] = field(compare=False, repr=False)
 
     def evaluate(self) -> PHQAlgebra:
-        dim = _recipe_dim(self.tree)
-        if dim > MAX_DIM:
-            raise ParseError(f"recipe builds an algebra of dimension {dim}, above {MAX_DIM}")
-        return _eval_recipe(self.tree)
+        if self.dim > MAX_DIM:
+            raise ParseError(f"recipe builds an algebra of dimension {self.dim}, above {MAX_DIM}")
+        return self.build()
 
 
 def parse_recipe_text(text: str) -> Recipe:
     doc = _load_json(text)
-    _validate_recipe(doc, "recipe")
-    return Recipe(doc)
+    return Recipe(doc, *_recipe(doc, "recipe"))
 
 
-def _validate_recipe(node: Any, where: str, depth: int = 1) -> None:
+def _recipe(
+    node: Any, where: str, depth: int = 1, carrier: bool = False
+) -> tuple[int, Callable[[], PHQAlgebra] | None]:
+    """Check one node and its subtree, parsing every scalar, and return the
+    dimension it builds and a zero-argument builder.  Nothing is built here.
+    ``carrier`` admits the kodaira carrier, which only a tstar base may be."""
     if depth > MAX_RECIPE_DEPTH:
         raise ParseError(f"recipe is nested deeper than {MAX_RECIPE_DEPTH} nodes")
     if not isinstance(node, dict) or "op" not in node:
         raise ParseError(f"{where}: each node needs an 'op' field")
     op = node["op"]
-    if op not in _RECIPE_OPS:
-        raise ParseError(f"{where}: unknown op {op!r}")
+    if op in ("L(4,2)", "L(2,4)"):
+        return 6, lambda: lorentz_core(op == "L(4,2)")
+    if op == "kodaira":
+        if not carrier:
+            raise ParseError("the kodaira carrier has no metric; wrap it in 'tstar'")
+        return 4, None
     if op == "abelian":
-        for field in ("p", "q"):
-            if not _integer(node.get(field)) or node[field] < 0:
-                raise ParseError(f"{where}: abelian needs nonnegative integer {field!r}")
-        if node["p"] % 2 or node["q"] % 2 or node["p"] + node["q"] == 0:
+        for name in ("p", "q"):
+            if not _integer(node.get(name)) or node[name] < 0:
+                raise ParseError(f"{where}: abelian needs nonnegative integer {name!r}")
+        p, q = node["p"], node["q"]
+        if p % 2 or q % 2 or p + q == 0:
             raise ParseError(f"{where}: abelian needs even p and q, not both zero")
-    elif op == "direct_sum":
+        return p + q, lambda: abelian_with_signature(p, q)
+    if op == "direct_sum":
         args = node.get("args")
         if not isinstance(args, list) or len(args) < 2:
             raise ParseError(f"{where}: direct_sum needs at least two args")
-        for pos, sub in enumerate(args):
-            _validate_recipe(sub, f"{where}.args[{pos}]", depth + 1)
-    elif op == "tstar":
+        parts = [_recipe(sub, f"{where}.args[{pos}]", depth + 1) for pos, sub in enumerate(args)]
+        return sum(n for n, _ in parts), lambda: reduce(direct_sum, (build() for _, build in parts))
+    if op == "tstar":
         theta = node.get("theta")
         if not isinstance(theta, list) or len(theta) != 4:
             raise ParseError(f"{where}: tstar needs a list of 4 coefficients")
-        for pos, c in enumerate(theta):
-            _rational(c, f"{where}.theta[{pos}]")
+        coeffs = [_rational(c, f"{where}.theta[{pos}]") for pos, c in enumerate(theta)]
         base = node.get("base", {"op": "kodaira"})
-        _validate_recipe(base, f"{where}.base", depth + 1)
-        if base.get("op") != "kodaira":
+        _recipe(base, f"{where}.base", depth + 1, carrier=True)
+        if base["op"] != "kodaira":
             raise ParseError(f"{where}: tstar is defined over the kodaira carrier")
-    elif op == "phq_ext":
-        _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
-        for field in ("D", "F"):
-            if not isinstance(node.get(field), list):
-                raise ParseError(f"{where}: phq_ext needs matrix {field!r}")
-        if not isinstance(node.get("s0"), list):
-            raise ParseError(f"{where}: phq_ext needs vector 's0'")
-    elif op == "tensor":
-        _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
-        if not _integer(node.get("k")) or node["k"] < 1:
+
+        def build():
+            terms = (th.scale(c) for c, th in zip(coeffs, kodaira_cocycle_basis()) if c)
+            return tstar_kodaira(sum(terms, Cocycle.zero(4)))
+
+        return 8, build
+    if op not in ("phq_ext", "tensor", "complexify"):
+        raise ParseError(f"{where}: unknown op {op!r}")
+    # phq_ext, tensor and complexify each take one base
+    n, build_base = _recipe(node.get("base"), f"{where}.base", depth + 1)
+    if op == "complexify":
+        return 2 * n, lambda: complexify(build_base())
+    if op == "tensor":
+        k = node.get("k")
+        if not _integer(k) or k < 1:
             raise ParseError(f"{where}: tensor needs integer k >= 1")
-    elif op == "complexify":
-        _validate_recipe(node.get("base"), f"{where}.base", depth + 1)
-    # kodaira, L(4,2), L(2,4): no parameters
-
-
-def _recipe_dim(node: dict) -> int:
-    """Dimension of the algebra a validated recipe tree builds, read off the
-    tree without building anything."""
-    op = node["op"]
-    if op == "abelian":
-        return node["p"] + node["q"]
-    if op == "direct_sum":
-        return sum(_recipe_dim(sub) for sub in node["args"])
-    if op == "phq_ext":
-        return _recipe_dim(node["base"]) + 4
-    if op == "tensor":
-        return _recipe_dim(node["base"]) * node["k"]
-    if op == "complexify":
-        return 2 * _recipe_dim(node["base"])
-    return {"kodaira": 4, "L(4,2)": 6, "L(2,4)": 6, "tstar": 8}[op]
-
-
-def _eval_recipe(node: dict) -> PHQAlgebra:
-    op = node["op"]
-    if op == "abelian":
-        return abelian_with_signature(node["p"], node["q"])
-    if op == "L(4,2)":
-        return lorentz_core(True)
-    if op == "L(2,4)":
-        return lorentz_core(False)
-    if op == "kodaira":
-        raise ParseError("the kodaira carrier has no metric; wrap it in 'tstar'")
-    if op == "direct_sum":
-        out = _eval_recipe(node["args"][0])
-        for sub in node["args"][1:]:
-            out = direct_sum(out, _eval_recipe(sub))
-        return out
-    if op == "tstar":
-        coeffs = [_rational(c, "theta") for c in node["theta"]]
-        theta = Cocycle.zero(4)
-        for c, th in zip(coeffs, kodaira_cocycle_basis()):
-            if c != 0:
-                theta = theta + th.scale(c)
-        return tstar_kodaira(theta)
-    if op == "phq_ext":
-        base = _eval_recipe(node["base"])
-        n = base.dim
-        d = _matrix(node["D"], n, "D")
-        f = _matrix(node["F"], n, "F")
-        s0 = node["s0"]
-        if len(s0) != n:
-            raise ParseError(f"s0 must have length {n}")
-        data = ExtensionData(base, d, f, vector([_rational(c, "s0") for c in s0]))
-        return phq_double_extension(data)
-    if op == "tensor":
-        return tensor_construct(_eval_recipe(node["base"]), truncated_poly(node["k"]))
-    if op == "complexify":
-        return complexify(_eval_recipe(node["base"]))
-    raise ParseError(f"unknown op {op!r}")
+        return n * k, lambda: tensor_construct(build_base(), truncated_poly(k))
+    for name in ("D", "F"):
+        if not isinstance(node.get(name), list):
+            raise ParseError(f"{where}: phq_ext needs matrix {name!r}")
+    s0 = node.get("s0")
+    if not isinstance(s0, list):
+        raise ParseError(f"{where}: phq_ext needs vector 's0'")
+    d, f = _matrix(node["D"], n, "D"), _matrix(node["F"], n, "F")
+    if len(s0) != n:
+        raise ParseError(f"s0 must have length {n}")
+    s0 = tuple(_rational(c, "s0") for c in s0)
+    return n + 4, lambda: phq_double_extension(ExtensionData(build_base(), d, f, s0))
 
 
 def parse_path(path: str | Path, fixtures_dir: str | Path | None = None):

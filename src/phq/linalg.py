@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .checks import PhqError
@@ -156,6 +157,10 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+        # the methods trust their entries, so an int or float must not get in
+        if not all(map(isinstance, self.entries, repeat(Fraction))):
+            bad = next(e for e in self.entries if not isinstance(e, Fraction))
+            raise TypeError(f"matrix entries must be Fractions, got {bad!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":

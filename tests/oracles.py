@@ -20,7 +20,8 @@ def entries(matrix) -> list[list[Fraction]]:
 
 def structure_tensor(algebra) -> list[list[list[Fraction]]]:
     n = algebra.dim
-    return [[[algebra.structure[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    c = algebra.structure  # rebuilt on every access: read it once
+    return [[[c[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
 
 
 def naive_bracket(c, x, y):

@@ -8,6 +8,7 @@ import pytest
 
 import phq
 import phq.cli
+import phq.fileformat
 from phq import build
 from phq.checks import PhqError
 from phq.cli import main
@@ -22,7 +23,6 @@ from phq.fileformat import (
     parse_path,
     serialize_algebra,
 )
-from phq.fileformat import _recipe_dim
 
 from conftest import FIXTURES
 
@@ -168,9 +168,69 @@ def load_snapshot_script():
     return module
 
 
-def nested_recipe(depth: int) -> str:
-    """A chain of ``depth`` nodes: complexify around complexify ... around L(4,2)."""
-    return '{"op": "complexify", "base": ' * (depth - 1) + '{"op": "L(4,2)"}' + "}" * (depth - 1)
+def nested_recipe(depth: int, leaf: str = '{"op": "L(4,2)"}') -> str:
+    """A chain of ``depth`` nodes: complexify around complexify ... around ``leaf``."""
+    return '{"op": "complexify", "base": ' * (depth - 1) + leaf + "}" * (depth - 1)
+
+
+L42 = {"op": "L(4,2)"}
+ZERO6 = [["0"] * 6 for _ in range(6)]
+TSTAR = {"op": "tstar", "theta": ["0", "0", "1", "0"]}
+
+
+def ext(**fields) -> dict:
+    """A well-formed phq_ext node over L(4,2), with ``fields`` replaced."""
+    return {"op": "phq_ext", "base": L42, "D": ZERO6, "F": ZERO6, "s0": ["0"] * 6, **fields}
+
+
+# One malformed recipe per ParseError branch of the recipe grammar, and the
+# exact message each gives.
+MALFORMED_RECIPES = {
+    "bad_json": ("{", "invalid JSON: Expecting property name enclosed in double quotes (line 1, column 2)"),
+    "too_deep": (nested_recipe(MAX_RECIPE_DEPTH + 1), "recipe is nested deeper than 32 nodes"),
+    # a tstar's implicit kodaira base counts as a node
+    "too_deep_carrier": (
+        nested_recipe(MAX_RECIPE_DEPTH, json.dumps(TSTAR)),
+        "recipe is nested deeper than 32 nodes",
+    ),
+    "not_object": ([], "recipe: each node needs an 'op' field"),
+    "unknown_op": ({"op": "L(4,4)"}, "recipe: unknown op 'L(4,4)'"),
+    "unhashable_op": ({"op": []}, "recipe: unknown op []"),
+    "abelian_negative": (
+        {"op": "abelian", "p": -2, "q": 2},
+        "recipe: abelian needs nonnegative integer 'p'",
+    ),
+    "abelian_odd": (
+        {"op": "abelian", "p": 2, "q": 1},
+        "recipe: abelian needs even p and q, not both zero",
+    ),
+    "direct_sum_one_arg": ({"op": "direct_sum", "args": [L42]}, "recipe: direct_sum needs at least two args"),
+    "direct_sum_bad_arg": ({"op": "direct_sum", "args": [L42, {"op": "x"}]}, "recipe.args[1]: unknown op 'x'"),
+    "kodaira": ({"op": "kodaira"}, "the kodaira carrier has no metric; wrap it in 'tstar'"),
+    "theta_length": ({"op": "tstar", "theta": ["1", "0", "0"]}, "recipe: tstar needs a list of 4 coefficients"),
+    "theta_float": (
+        {**TSTAR, "theta": [0.5, "0", "0", "0"]},
+        "recipe.theta[0]: scalars must be exact rational strings, got 0.5",
+    ),
+    "theta_decimal": ({**TSTAR, "theta": ["0", "0", "1.5", "0"]}, "recipe.theta[2]: not a rational: '1.5'"),
+    "tstar_base": ({**TSTAR, "base": L42}, "recipe: tstar is defined over the kodaira carrier"),
+    "ext_no_D": (ext(D=None), "recipe: phq_ext needs matrix 'D'"),
+    "ext_no_s0": (ext(s0={}), "recipe: phq_ext needs vector 's0'"),
+    "ext_D_rows": (ext(D=[["x"]]), "D: expected 6 rows"),
+    "ext_F_row": (ext(F=ZERO6[:3] + [["0"] * 5] + ZERO6[4:]), "F: row 3 must have 6 entries"),
+    "ext_D_scalar": (
+        ext(D=ZERO6[:1] + [["0", "x", "0", "0", "0", "0"]] + ZERO6[2:]),
+        "D[1]: not a rational: 'x'",
+    ),
+    "ext_s0_length": (ext(s0=["0"] * 5), "s0 must have length 6"),
+    "ext_s0_scalar": (ext(s0=["0"] * 5 + ["1.0"]), "s0: not a rational: '1.0'"),
+    "tensor_k": ({"op": "tensor", "base": L42, "k": 0}, "recipe: tensor needs integer k >= 1"),
+    "complexify_no_base": ({"op": "complexify"}, "recipe.base: each node needs an 'op' field"),
+    "oversized": (
+        {"op": "tensor", "base": L42, "k": 100000},
+        "recipe builds an algebra of dimension 600000, above 64",
+    ),
+}
 
 
 class TestParsing:
@@ -225,7 +285,7 @@ class TestParsing:
         assert len(recipes) == 4
         for path in recipes:
             recipe = parse_path(path)
-            assert _recipe_dim(recipe.tree) == recipe.evaluate().dim <= MAX_DIM
+            assert recipe.dim == recipe.evaluate().dim <= MAX_DIM
 
     def test_recipe_validation(self):
         with pytest.raises(ParseError):
@@ -234,6 +294,14 @@ class TestParsing:
             json.dumps({"op": "tstar", "base": {"op": "kodaira"}, "theta": ["0", "0", "1", "0"]})
         )
         assert recipe.evaluate() == build("TstarTheta3K")
+
+    @pytest.mark.parametrize("name", MALFORMED_RECIPES)
+    def test_malformed_recipe_message(self, name):
+        recipe, message = MALFORMED_RECIPES[name]
+        text = recipe if isinstance(recipe, str) else json.dumps(recipe)
+        with pytest.raises(ParseError) as err:
+            parse_recipe_text(text).evaluate()
+        assert str(err.value) == message
 
 
 class TestCommands:
@@ -354,18 +422,27 @@ class TestCommands:
             ("p_true.recipe", '{"op": "abelian", "p": true, "q": 2}'),
             ("q_true.recipe", '{"op": "abelian", "p": 2, "q": true}'),
             ("k_true.recipe", '{"op": "tensor", "k": true, "base": {"op": "L(4,2)"}}'),
+            ("bad_D.recipe", json.dumps(ext(D=[["x"]]))),
+            ("kodaira_arg.recipe", json.dumps({"op": "direct_sum", "args": [L42, {"op": "kodaira"}]})),
             ("dim_true.alg", '{"dim": true, "basis": ["e1"], "brackets": [], "J": [["0"]], "phi": [["1"]]}'),
             ("i_false.alg", MINIMAL.replace('"brackets": []', BOOL_INDEX.format(i="false", j=1))),
             ("j_true.alg", MINIMAL.replace('"brackets": []', BOOL_INDEX.format(i=0, j="true"))),
         ],
-        ids=["abelian_1_1", "abelian_0_0", "p_true", "q_true", "k_true", "dim_true", "i_false", "j_true"],
+        ids=[
+            "abelian_1_1", "abelian_0_0", "p_true", "q_true", "k_true",
+            "phq_ext_bad_D", "direct_sum_kodaira", "dim_true", "i_false", "j_true",
+        ],
     )
     def test_invalid_integer_fields_exit_2(self, tmp_path, capsys, monkeypatch, name, text):
         def build_nothing(*args):
             raise AssertionError("an algebra was built from invalid input")
 
         monkeypatch.setattr(phq.cli, "check_phq", build_nothing)
-        monkeypatch.setattr("phq.fileformat._eval_recipe", build_nothing)
+        for builder in (
+            "abelian_with_signature", "lorentz_core", "tstar_kodaira", "direct_sum",
+            "phq_double_extension", "tensor_construct", "complexify",
+        ):
+            monkeypatch.setattr(phq.fileformat, builder, build_nothing)
         path = tmp_path / name
         path.write_text(text)
         command = "construct" if name.endswith(".recipe") else "check"

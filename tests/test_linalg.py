@@ -26,6 +26,15 @@ from strategies import invertible_matrices, matrices, symmetric_matrices
 F = Fraction
 
 
+class TestMatrix:
+    @pytest.mark.parametrize("entries", [(2, 0, 0, 1), (F(1, 2), 0.5, F(0), F(1))], ids=["int", "float"])
+    def test_constructor_takes_only_fractions(self, entries):
+        # from_rows coerces; the raw constructor must not let an int or a
+        # float reach rref, which would return floats
+        with pytest.raises(TypeError, match="must be Fractions"):
+            Matrix(2, 2, entries)
+
+
 class TestSolveLinear:
     def test_identity_system(self):
         assert solve_linear(Matrix.identity(2), (3, F(-1, 2))) == vector([3, F(-1, 2)])

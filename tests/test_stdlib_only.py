@@ -1,4 +1,5 @@
-"""The library imports nothing beyond the standard library."""
+"""The library imports nothing beyond the standard library, and the test
+oracles import nothing from the library."""
 
 import ast
 import sys
@@ -6,19 +7,30 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "phq").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "phq").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_absolute_imports_are_stdlib(path):
+def absolute_imports(path: Path) -> list[str]:
     modules = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules.append(node.module)
-    outside = [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+    return modules
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    outside = [m for m in absolute_imports(path) if m.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_oracles_import_nothing_from_phq():
+    # the oracles cross-check the library, so they must not share its code
+    from_phq = [m for m in absolute_imports(TESTS / "oracles.py") if m.split(".")[0] == "phq"]
+    assert not from_phq, f"oracles.py imports {from_phq}"
 
 
 def test_sources_found():
