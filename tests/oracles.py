@@ -116,6 +116,78 @@ def naive_square_is_minus_identity(j):
     return all(sq[i][l] == (-1 if i == l else 0) for i in range(n) for l in range(n))
 
 
+def cocycle_tensor(theta) -> list[list[list[Fraction]]]:
+    """Dense theta[a][b][k] = theta(ea, eb)(ek) from the sparse i < j table."""
+    n = theta.dim
+    t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (a, b), col in theta.values.items():
+        for k, v in col.items():
+            t[a][b][k], t[b][a][k] = v, -v
+    return t
+
+
+def naive_cocycle_violations(c, j, t):
+    """The failing triples of the three cocycle conditions, each list in the
+    order the triples are visited: cyclicity and J-compatibility over all
+    (i, j, k), the coadjoint 2-cocycle identity over i < j < k."""
+    n = len(c)
+    units = [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
+
+    def theta(x, y):
+        return naive_bracket(t, x, y)
+
+    def coact(x, f):
+        # (x . f)(w) = -f([x, w])
+        return [-sum((a * b for a, b in zip(f, naive_bracket(c, x, w))), Fraction(0)) for w in units]
+
+    jcol = [naive_apply(j, u) for u in units]
+    cyclic, cocycle, compat = [], [], []
+    for i in range(n):
+        for b in range(n):
+            for k in range(n):
+                if t[i][b][k] != t[b][k][i]:
+                    cyclic.append((i, b, k))
+                rhs = (theta(jcol[i], jcol[b])[k] + theta(jcol[b], jcol[k])[i]
+                       + theta(jcol[k], jcol[i])[b])
+                if t[i][b][k] != rhs:
+                    compat.append((i, b, k))
+                if i < b < k:
+                    x, y, z = units[i], units[b], units[k]
+                    terms = (
+                        coact(x, theta(y, z)),
+                        [-v for v in coact(y, theta(x, z))],
+                        coact(z, theta(x, y)),
+                        [-v for v in theta(naive_bracket(c, x, y), z)],
+                        theta(naive_bracket(c, x, z), y),
+                        [-v for v in theta(naive_bracket(c, y, z), x)],
+                    )
+                    if any(sum(col) != 0 for col in zip(*terms)):
+                        cocycle.append((i, b, k))
+    return cyclic, cocycle, compat
+
+
+def naive_commutative_failures(p, g):
+    """The failure messages of an algebra with products p[i][j] (a coordinate
+    vector) and form g: commutativity, then associativity and invariance
+    B(ek, ei ej) = B(ei ek, ej) per triple, then symmetry and degeneracy."""
+    n = len(p)
+    units = [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
+    failures = [f"products not commutative at ({i},{j})"
+                for i in range(n) for j in range(n) if p[i][j] != p[j][i]]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if naive_bracket(p, p[i][j], units[k]) != naive_bracket(p, units[i], p[j][k]):
+                    failures.append(f"associativity fails at ({i},{j},{k})")
+                if naive_pair(g, units[k], p[i][j]) != naive_pair(g, p[i][k], units[j]):
+                    failures.append(f"form invariance fails at ({i},{j},{k})")
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
+        failures.append("form not symmetric")
+    elif sympy.Matrix([[sympy.Rational(v) for v in row] for row in g]).rank() != n:
+        failures.append("form degenerate")
+    return failures
+
+
 def _descartes_positive_roots(coeffs) -> int:
     """Sign changes in the coefficient list; exact root count (with
     multiplicity) for polynomials whose roots are all real."""

@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from phq import (
     Cocycle,
+    CommutativeAlgebra,
     ExtensionData,
     InvalidCocycle,
     InvalidDerivation,
@@ -39,6 +41,14 @@ from phq import (
     validate_extension_data,
     vector,
     verify_witness,
+)
+
+from oracles import (
+    cocycle_tensor,
+    entries,
+    naive_cocycle_violations,
+    naive_commutative_failures,
+    structure_tensor,
 )
 
 
@@ -270,6 +280,105 @@ class TestCocycles:
         rep = check_cocycle(core.algebra, core.j, theta)
         assert rep["cyclic"].ok
         assert not rep["2-cocycle"].ok
+
+
+COEFFS = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+
+
+def random_theta(rng, n, three_form):
+    """A seeded cocycle candidate: an alternating 3-form (always cyclic) or
+    arbitrary values on each pair."""
+    values = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if three_form:
+                for c in range(b + 1, n):
+                    if w := rng.choice(COEFFS):
+                        values.setdefault((a, b), {})[c] = w
+                        values.setdefault((a, c), {})[b] = -w
+                        values.setdefault((b, c), {})[a] = w
+            else:
+                values[a, b] = {k: rng.choice(COEFFS) for k in range(n)}
+    return Cocycle.from_values(n, values)
+
+
+def cocycle_inputs():
+    kodaira = kodaira_thurston()
+    carriers = [kodaira] + [(p.algebra, p.j) for p in (build("R(6,0)"), build("L(4,2)"))]
+    out = [(*kodaira, theta) for theta in kodaira_cocycle_basis()]
+    for seed in range(12):
+        rng = random.Random(seed)
+        for algebra, j in carriers:
+            out.append((algebra, j, random_theta(rng, algebra.dim, three_form=seed % 2 == 0)))
+    return out
+
+
+def random_commutative(rng, symmetric, form):
+    n = 3
+    products = {}
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            products[i, j] = {k: rng.choice(COEFFS) for k in range(n)}
+            if symmetric:
+                products[j, i] = products[i, j]
+    rows = [[rng.choice(COEFFS) for _ in range(n)] for _ in range(n)]
+    if form == "symmetric":
+        rows = [[rows[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    elif form == "zero":
+        rows = [[0] * n for _ in range(n)]
+    return CommutativeAlgebra(("a", "b", "c"), products, Matrix.from_rows(rows))
+
+
+class TestChecksAgainstOracles:
+    """`check_cocycle` and `check_commutative` against the brute-force oracles,
+    failure by failure and in order."""
+
+    def test_cocycle_failures(self):
+        outcomes = {label: set() for label in ("cyclic", "2-cocycle", "J-compatible")}
+        for algebra, j, theta in cocycle_inputs():
+            names = algebra.basis_names
+            cyclic, cocycle, compat = naive_cocycle_violations(
+                structure_tensor(algebra), entries(j), cocycle_tensor(theta)
+            )
+            expected = {
+                "cyclic": [
+                    f"theta({names[i]},{names[b]}){names[k]} != theta({names[b]},{names[k]}){names[i]}"
+                    for i, b, k in cyclic
+                ],
+                "2-cocycle": [
+                    f"d theta != 0 on ({names[i]}, {names[b]}, {names[k]})" for i, b, k in cocycle
+                ],
+                "J-compatible": [
+                    f"J-compatibility fails on ({names[i]}, {names[b]}, {names[k]})"
+                    for i, b, k in compat
+                ],
+            }
+            report = check_cocycle(algebra, j, theta)
+            assert [part.label for part in report.parts] == list(expected)
+            for label, failures in expected.items():
+                assert report[label].failures == tuple(failures)
+                outcomes[label].add(report[label].ok)
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+    def test_commutative_failures(self):
+        inputs = [truncated_poly(k) for k in range(1, 5)] + [complex_units()]
+        for seed in range(24):
+            rng = random.Random(seed)
+            form = ("symmetric", "general", "zero")[seed % 3]
+            inputs.append(random_commutative(rng, symmetric=seed % 2 == 0, form=form))
+            a3 = truncated_poly(3)
+            inputs.append(CommutativeAlgebra(a3.basis_names, a3.products, random_commutative(rng, True, form).form))
+        kinds = ("not commutative", "associativity", "form invariance", "not symmetric", "degenerate")
+        outcomes = {kind: set() for kind in kinds}
+        for a in inputs:
+            products = [[[a.products.get((i, j), {}).get(k, Fraction(0)) for k in range(a.dim)]
+                         for j in range(a.dim)] for i in range(a.dim)]
+            expected = naive_commutative_failures(products, entries(a.form))
+            found = check_commutative(a).failures
+            assert found == tuple(expected)
+            for kind in kinds:
+                outcomes[kind].add(any(kind in f for f in found))
+        assert all(seen == {True, False} for seen in outcomes.values())
 
 
 class TestCotangentExtension:
