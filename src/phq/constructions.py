@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .checks import Check, PhqError, Report
@@ -24,7 +25,6 @@ from .linalg import (
     add_vec,
     bilinear,
     commutator,
-    dot,
     frac,
     is_zero_vec,
     sparse_table,
@@ -307,55 +307,47 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
     (c) the complex-structure compatibility
         theta(x,y)z = theta(jx,jy)z + theta(jy,jz)x + theta(jz,jx)y
         on all basis triples.
+
+    theta is evaluated once on each pair of basis vectors and once on each
+    pair of their images under j; (a) and (c) are read from those two tables.
     """
     n = algebra.dim
+    if theta.dim != n:
+        raise DimensionMismatch("cocycle dimension does not match the algebra")
+    if j.rows != n or j.cols != n:
+        raise DimensionMismatch("j must be square of the algebra dimension")
     names = algebra.basis_names
     units = [unit_vector(n, i) for i in range(n)]
+    jcols = [j.col(c) for c in range(n)]
+    t = [[theta.evaluate(x, y) for y in units] for x in units]
+    tj = [[theta.evaluate(x, y) for y in jcols] for x in jcols]
+    triples = list(product(range(n), repeat=3))
 
-    def t(a: int, b: int) -> Vector:
-        return theta.evaluate(units[a], units[b])
+    cyclic_fail = [
+        f"theta({names[i]},{names[b]}){names[k]} != theta({names[b]},{names[k]}){names[i]}"
+        for i, b, k in triples
+        if t[i][b][k] != t[b][k][i]
+    ]
 
-    cyclic_fail = []
-    for i in range(n):
-        for jj in range(n):
-            for k in range(n):
-                if t(i, jj)[k] != t(jj, k)[i]:
-                    cyclic_fail.append(
-                        f"theta({names[i]},{names[jj]}){names[k]} != "
-                        f"theta({names[jj]},{names[k]}){names[i]}"
-                    )
-
-    cocycle_fail = []
     ads = [algebra.adjoint(u) for u in units]
     # the coadjoint action of e_i on a functional f is -f o ad(e_i) = -ad(e_i)^T f
     coads = [-ad.transpose() for ad in ads]
-    for i in range(n):
-        for jj in range(i + 1, n):
-            for k in range(jj + 1, n):
-                term = coads[i].apply(t(jj, k))
-                term = sub_vec(term, coads[jj].apply(t(i, k)))
-                term = add_vec(term, coads[k].apply(t(i, jj)))
-                term = sub_vec(term, theta.evaluate(ads[i].col(jj), units[k]))
-                term = add_vec(term, theta.evaluate(ads[i].col(k), units[jj]))
-                term = sub_vec(term, theta.evaluate(ads[jj].col(k), units[i]))
-                if not is_zero_vec(term):
-                    cocycle_fail.append(
-                        f"d theta != 0 on ({names[i]}, {names[jj]}, {names[k]})"
-                    )
+    cocycle_fail = []
+    for i, b, k in combinations(range(n), 3):
+        term = coads[i].apply(t[b][k])
+        term = sub_vec(term, coads[b].apply(t[i][k]))
+        term = add_vec(term, coads[k].apply(t[i][b]))
+        term = sub_vec(term, theta.evaluate(ads[i].col(b), units[k]))
+        term = add_vec(term, theta.evaluate(ads[i].col(k), units[b]))
+        term = sub_vec(term, theta.evaluate(ads[b].col(k), units[i]))
+        if not is_zero_vec(term):
+            cocycle_fail.append(f"d theta != 0 on ({names[i]}, {names[b]}, {names[k]})")
 
-    compat_fail = []
-    jcols = [j.col(c) for c in range(n)]
-    for i in range(n):
-        for jj in range(n):
-            for k in range(n):
-                lhs = t(i, jj)[k]
-                rhs = theta.evaluate(jcols[i], jcols[jj])[k]
-                rhs += theta.evaluate(jcols[jj], jcols[k])[i]
-                rhs += theta.evaluate(jcols[k], jcols[i])[jj]
-                if lhs != rhs:
-                    compat_fail.append(
-                        f"J-compatibility fails on ({names[i]}, {names[jj]}, {names[k]})"
-                    )
+    compat_fail = [
+        f"J-compatibility fails on ({names[i]}, {names[b]}, {names[k]})"
+        for i, b, k in triples
+        if t[i][b][k] != tj[i][b][k] + tj[b][k][i] + tj[k][i][b]
+    ]
 
     return Report(
         (
@@ -457,28 +449,25 @@ class CommutativeAlgebra:
 
 
 def check_commutative(a: CommutativeAlgebra) -> Check:
-    """Commutativity, associativity, nondegeneracy, and B(ab,c) = B(b,ac)."""
+    """Commutativity, associativity, nondegeneracy, and B(ab,c) = B(b,ac),
+    read from the products of basis vectors, each computed once."""
     n = a.dim
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            if a.products.get((i, j)) != a.products.get((j, i)):
-                failures.append(f"products not commutative at ({i},{j})")
     units = [unit_vector(n, i) for i in range(n)]
-    for i in range(n):
-        ei = units[i]
-        for j in range(n):
-            ej = units[j]
-            eij = a.multiply(ei, ej)
-            for k in range(n):
-                ek = units[k]
-                eik = a.multiply(ei, ek)
-                if a.multiply(eij, ek) != a.multiply(ei, a.multiply(ej, ek)):
-                    failures.append(f"associativity fails at ({i},{j},{k})")
-                lhs = dot(a.form.apply(eij), ek)
-                rhs = dot(a.form.apply(ej), eik)
-                if lhs != rhs:
-                    failures.append(f"form invariance fails at ({i},{j},{k})")
+    prod = [[a.multiply(x, y) for y in units] for x in units]
+    # B(e_k, e_i e_j) is entry k of left[i][j], B(e_i e_k, e_j) entry j of right[i][k]
+    form_t = a.form.transpose()
+    left = [[a.form.apply(p) for p in row] for row in prod]
+    right = [[form_t.apply(p) for p in row] for row in prod]
+    failures = [
+        f"products not commutative at ({i},{j})"
+        for i, j in product(range(n), repeat=2)
+        if prod[i][j] != prod[j][i]
+    ]
+    for i, j, k in product(range(n), repeat=3):
+        if a.multiply(prod[i][j], units[k]) != a.multiply(units[i], prod[j][k]):
+            failures.append(f"associativity fails at ({i},{j},{k})")
+        if left[i][j][k] != right[i][k][j]:
+            failures.append(f"form invariance fails at ({i},{j},{k})")
     if not a.form.is_symmetric():
         failures.append("form not symmetric")
     elif a.form.rank() != n:

@@ -4,7 +4,8 @@ Both formats are JSON.  Every scalar is an exact rational: a JSON integer or
 an ASCII string of the form ``-?[0-9]+(/[0-9]+)?`` ("p/q", or "p" when the
 denominator is one); decimals, exponents, underscores, signs other than a
 leading minus, whitespace and non-ASCII digits are rejected.  Indices are
-0-based.  Matrices are row-major and act on coordinate columns: column c
+0-based; a coefficient key is an ASCII decimal ``0|[1-9][0-9]*``, as
+`serialize_algebra` writes it.  Matrices are row-major and act on coordinate columns: column c
 of "J" is the image of basis vector c.
 
 Algebra file::
@@ -77,6 +78,7 @@ MAX_RECIPE_DEPTH = 32
 MAX_DIM = 64
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
 def _load_json(text: str) -> Any:
@@ -156,10 +158,9 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
             raise ParseError(f"{where}: coeffs must be an object")
         parsed: dict[int, Fraction] = {}
         for key, val in coeffs.items():
-            try:
-                k = int(key)
-            except ValueError as exc:
-                raise ParseError(f"{where}: bad coefficient index {key!r}") from exc
+            if not _INDEX.fullmatch(key):
+                raise ParseError(f"{where}: bad coefficient index {key!r}")
+            k = int(key)
             if not 0 <= k < dim:
                 raise IndexOutOfRange(f"{where}: coefficient index {k} out of range")
             parsed[k] = _rational(val, f"{where}.coeffs[{key}]")

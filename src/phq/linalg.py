@@ -306,11 +306,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def __str__(self) -> str:
-        cells = [[str(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
-
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:

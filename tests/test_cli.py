@@ -366,6 +366,17 @@ class TestCommands:
         assert main(["check", str(bad)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    # "01" once read as index 1, so {"1": ..., "01": ...} silently kept one value
+    @pytest.mark.parametrize("key", [" 1", "1 ", "+1", "-0", "1_0", "01", "\u0661", ""])
+    def test_check_rejects_coefficient_key_outside_grammar(self, tmp_path, capsys, key):
+        doc = json.loads((FIXTURES / "L42.alg").read_text())
+        coeffs = doc["brackets"][0]["coeffs"]
+        coeffs[key] = coeffs.pop(next(iter(coeffs)))
+        bad = tmp_path / "key.alg"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        assert f"bad coefficient index {key!r}" in capsys.readouterr().err
+
     def test_deep_recipe_exits_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.recipe"
         deep.write_text(nested_recipe(3000))

@@ -7,6 +7,7 @@ import pytest
 from phq import (
     Cocycle,
     CommutativeAlgebra,
+    DimensionMismatch,
     ExtensionData,
     InvalidCocycle,
     InvalidDerivation,
@@ -274,6 +275,30 @@ class TestCocycles:
         assert rep["cyclic"].ok and rep["2-cocycle"].ok
         assert not rep["J-compatible"].ok
 
+    @pytest.mark.parametrize(
+        "theta, j",
+        [
+            (Cocycle.zero(6), None),
+            (Cocycle.zero(2), None),
+            (None, Matrix.from_rows([[0, -1], [1, 0]])),
+        ],
+        ids=["theta_dim6", "theta_dim2", "j_2x2"],
+    )
+    def test_shapes_must_fit_the_algebra(self, theta, j):
+        k, jk = kodaira_thurston()
+        with pytest.raises(DimensionMismatch):
+            check_cocycle(k, jk if j is None else j, kodaira_cocycle_basis()[2] if theta is None else theta)
+
+    def test_values_are_read_once(self, monkeypatch):
+        # theta on the n^2 basis pairs and on their n^2 j-images, plus the
+        # three bracket terms of each 2-cocycle triple: 2n^2 + 3 C(n, 3)
+        calls = []
+        evaluate = Cocycle.evaluate
+        monkeypatch.setattr(Cocycle, "evaluate", lambda self, x, y: calls.append(1) or evaluate(self, x, y))
+        k, j = kodaira_thurston()
+        assert check_cocycle(k, j, kodaira_cocycle_basis()[2]).ok
+        assert len(calls) <= 2 * 4**2 + 3 * 4 == 44
+
     def test_cyclic_but_not_cocycle(self):
         core = build("L(4,2)")
         theta = Cocycle.from_values(6, {(0, 4): {5: 1}, (0, 5): {4: -1}, (4, 5): {0: 1}})
@@ -361,13 +386,14 @@ class TestChecksAgainstOracles:
         assert all(seen == {True, False} for seen in outcomes.values())
 
     def test_commutative_failures(self):
+        a3 = truncated_poly(3)
         inputs = [truncated_poly(k) for k in range(1, 5)] + [complex_units()]
         for seed in range(24):
             rng = random.Random(seed)
             form = ("symmetric", "general", "zero")[seed % 3]
             inputs.append(random_commutative(rng, symmetric=seed % 2 == 0, form=form))
-            a3 = truncated_poly(3)
-            inputs.append(CommutativeAlgebra(a3.basis_names, a3.products, random_commutative(rng, True, form).form))
+            # an associative product under a random form
+            inputs.append(CommutativeAlgebra(a3.basis_names, a3.products, inputs[-1].form))
         kinds = ("not commutative", "associativity", "form invariance", "not symmetric", "degenerate")
         outcomes = {kind: set() for kind in kinds}
         for a in inputs:
