@@ -5,8 +5,8 @@ an ASCII string of the form ``-?[0-9]+(/[0-9]+)?`` ("p/q", or "p" when the
 denominator is one); decimals, exponents, underscores, signs other than a
 leading minus, whitespace and non-ASCII digits are rejected.  Indices are
 0-based; a coefficient key is an ASCII decimal ``0|[1-9][0-9]*``, as
-`serialize_algebra` writes it.  Matrices are row-major and act on coordinate columns: column c
-of "J" is the image of basis vector c.
+`serialize_algebra` writes it.  Matrices are row-major and act on
+coordinate columns: column c of "J" is the image of basis vector c.
 
 Algebra file::
 
