@@ -214,3 +214,46 @@ def rank_oracle(matrix) -> int:
         [[sympy.Rational(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
     )
     return m.rank()
+
+
+def _sympy_matrix(matrix):
+    return sympy.Matrix(
+        [[sympy.Rational(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    )
+
+
+def _fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+def rref_oracle(matrix) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """sympy's reduced row echelon form (rows of Fractions) and pivot columns."""
+    red, pivots = _sympy_matrix(matrix).rref()
+    return [[_fraction(red[i, j]) for j in range(red.cols)] for i in range(red.rows)], tuple(pivots)
+
+
+def nullspace_oracle(matrix) -> list[list[Fraction]]:
+    """The nonzero rows of the RREF of sympy's null-space basis: the
+    canonical basis of the kernel."""
+    basis = _sympy_matrix(matrix).nullspace()
+    if not basis:
+        return []
+    red, pivots = sympy.Matrix.hstack(*basis).T.rref()
+    return [[_fraction(red[i, j]) for j in range(red.cols)] for i in range(len(pivots))]
+
+
+def solve_oracle(matrix, bs) -> list[list[Fraction]] | None:
+    """For each right-hand side b, the solution of matrix @ x = b with zeros
+    in the free columns, read off sympy's RREF of [matrix | b]; None if any
+    system is inconsistent."""
+    a, n = _sympy_matrix(matrix), matrix.cols
+    xs = []
+    for b in bs:
+        red, pivots = a.row_join(sympy.Matrix([sympy.Rational(v) for v in b])).rref()
+        if pivots and pivots[-1] == n:
+            return None
+        x = [Fraction(0)] * n
+        for r, c in enumerate(pivots):
+            x[c] = _fraction(red[r, n])
+        xs.append(x)
+    return xs

@@ -19,8 +19,22 @@ from phq import (
 
 from phq.linalg import solve_linear_many
 
-from oracles import rank_oracle, signature_oracle
-from strategies import invertible_matrices, matrices, symmetric_matrices
+from oracles import (
+    entries,
+    nullspace_oracle,
+    rank_oracle,
+    rref_oracle,
+    signature_oracle,
+    solve_oracle,
+)
+from strategies import (
+    coprime_rationals,
+    deficient_matrices,
+    deficient_symmetric_matrices,
+    invertible_matrices,
+    matrices,
+    symmetric_matrices,
+)
 
 
 F = Fraction
@@ -190,3 +204,41 @@ class TestSignature:
     @given(symmetric_matrices(3), invertible_matrices(3))
     def test_congruence_invariance(self, g, p):
         assert signature(p.transpose() @ g @ p) == signature(g)
+
+
+class TestEliminationAgainstSympy:
+    """rref and what is built on it, on large coprime denominators, zero rows
+    and rank-deficient matrices, against sympy."""
+
+    @given(deficient_matrices())
+    def test_rref(self, a):
+        red, pivots = a.rref()
+        assert (entries(red), pivots) == rref_oracle(a)
+        # no int (or float) leaks out of the elimination
+        assert all(type(e) is Fraction for e in red.entries)
+
+    @given(deficient_matrices())
+    def test_kernel(self, a):
+        basis = kernel(a).basis
+        assert [list(v) for v in basis] == nullspace_oracle(a)
+        assert all(type(e) is Fraction for v in basis for e in v)
+
+    @given(deficient_matrices(), st.data())
+    def test_solve_linear_many(self, a, data):
+        def rhs():
+            if data.draw(st.booleans()):  # consistent by construction
+                x = data.draw(st.lists(coprime_rationals, min_size=a.cols, max_size=a.cols))
+                return [sum((a[i, j] * x[j] for j in range(a.cols)), F(0)) for i in range(a.rows)]
+            return data.draw(st.lists(coprime_rationals, min_size=a.rows, max_size=a.rows))
+
+        bs = [rhs() for _ in range(data.draw(st.integers(min_value=0, max_value=3)))]
+        found = solve_linear_many(a, bs)
+        expected = solve_oracle(a, bs)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert [list(x) for x in found] == expected
+            assert all(type(e) is Fraction for x in found for e in x)
+
+    @given(deficient_symmetric_matrices())
+    def test_signature(self, g):
+        assert signature(g) == signature_oracle(g)

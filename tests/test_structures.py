@@ -41,6 +41,7 @@ from oracles import (
     naive_nijenhuis,
     naive_compatible,
     naive_nijenhuis_vanishes,
+    naive_pair,
     naive_square_is_minus_identity,
     rank_oracle,
     structure_tensor,
@@ -270,42 +271,151 @@ def random_vector(rng, n):
     return vector([rng.choice(SWEEP_COEFFS) for _ in range(n)])
 
 
-def random_broken_input(rng):
+def random_broken_input(rng, table_coeffs=SWEEP_COEFFS, map_coeffs=SWEEP_COEFFS):
     """A table, a j and a phi in dims 2-7 that break the axioms in mixed ways:
     phi is not symmetric and j is not a complex structure."""
     n = rng.randint(2, 7)
     density = rng.choice((0.0, 0.3, 0.6))
 
-    def coeff():
-        return rng.choice(SWEEP_COEFFS) if rng.random() < density else 0
+    def coeff(coeffs):
+        return rng.choice(coeffs) if rng.random() < density else 0
 
-    table = {(i, k): {m: coeff() for m in range(n)} for i in range(n) for k in range(i + 1, n)}
-    j = Matrix.from_rows([[coeff() for _ in range(n)] for _ in range(n)])
-    phi = Matrix.from_rows([[coeff() for _ in range(n)] for _ in range(n)])
+    table = {(i, k): {m: coeff(table_coeffs) for m in range(n)} for i in range(n) for k in range(i + 1, n)}
+    j = Matrix.from_rows([[coeff(map_coeffs) for _ in range(n)] for _ in range(n)])
+    phi = Matrix.from_rows([[coeff(map_coeffs) for _ in range(n)] for _ in range(n)])
     return LieAlgebra.from_brackets(n, table), j, phi
+
+
+# Denominators 3 and 4 in the table, 5 and 4 in j and phi: the common
+# denominators of the table, of j and of phi differ, so the sweeps that
+# clear them are exercised with each scale on its own.
+TABLE_COPRIME = (0, 0, 0, 1, -1, Fraction(1, 3), Fraction(-7, 4))
+MAP_COPRIME = (0, 0, 0, 1, -1, Fraction(2, 5), Fraction(-7, 4))
+
+
+def transported(p, rng):
+    """p in the basis of the columns of P = D U: D diagonal and U unit upper
+    bidiagonal, with coprime denominators.  The bracket becomes
+    P^-1 [P x, P y], j becomes P^-1 j P and phi becomes P^T phi P."""
+    n, c = p.dim, structure_tensor(p.algebra)
+    d = [rng.choice((Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 1)) for _ in range(n)]
+    u = [rng.choice(TABLE_COPRIME + MAP_COPRIME) for _ in range(n - 1)]
+    # P e_b = d_b e_b + u_(b-1) d_(b-1) e_(b-1); (U^-1)_ab = prod over a <= k < b of -u_k
+    cols = [[d[a] if a == b else u[a] * d[a] if a == b - 1 else Fraction(0) for a in range(n)] for b in range(n)]
+    u_inv = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        u_inv[a][a] = Fraction(1)
+        for b in range(a + 1, n):
+            u_inv[a][b] = -u[b - 1] * u_inv[a][b - 1]
+    p_inv = [[u_inv[a][b] / d[b] for b in range(n)] for a in range(n)]
+    table = {
+        (a, b): dict(enumerate(naive_apply(p_inv, naive_bracket(c, cols[a], cols[b]))))
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    jm, gm = entries(p.j), entries(p.phi)
+    j_cols = [naive_apply(p_inv, naive_apply(jm, col)) for col in cols]
+    return (
+        LieAlgebra(p.basis_names, table),
+        Matrix.from_cols(j_cols),
+        Matrix.from_rows([[naive_pair(gm, x, y) for y in cols] for x in cols]),
+    )
+
+
+def perturbed(algebra, j, phi, rng):
+    """The transported input and three breakages of it: one table
+    coefficient, one entry of j, and one symmetric pair of entries of phi."""
+    n = algebra.dim
+    a, b = sorted(rng.sample(range(n), 2))
+    table = {pair: dict(col) for pair, col in algebra.brackets.items()}
+    col, k = table.setdefault((a, b), {}), rng.randrange(n)
+    col[k] = col.get(k, 0) + Fraction(1, 3)
+    bump = Matrix.from_rows([[Fraction(2, 5) if (r, s) in ((a, b), (b, a)) else 0 for s in range(n)] for r in range(n)])
+    upper = Matrix.from_rows([[Fraction(-7, 4) if (r, s) == (a, b) else 0 for s in range(n)] for r in range(n)])
+    return [
+        (algebra, j, phi),
+        (LieAlgebra(algebra.basis_names, table), j, phi),
+        (algebra, j + upper, phi),
+        (algebra, j, phi + bump),
+    ]
+
+
+def coprime_inputs():
+    inputs = [random_broken_input(random.Random(seed), TABLE_COPRIME, MAP_COPRIME) for seed in range(20)]
+    for seed, label in enumerate(("L(4,2)", "L(2,4)", "R(2,2)", "TstarTheta3K")):
+        rng = random.Random(seed)
+        inputs += perturbed(*transported(build(label), rng), rng)
+    return inputs
 
 
 class TestSweepsAgainstOracles:
     """The support-following sweeps against the brute-force oracles."""
 
     INPUTS = [random_broken_input(random.Random(seed)) for seed in range(60)]
+    COPRIME_INPUTS = coprime_inputs()
 
     def test_jacobi_failing_triples(self):
+        self._jacobi_failing_triples(self.INPUTS)
+
+    def test_jacobi_failing_triples_coprime_denominators(self):
+        self._jacobi_failing_triples(self.COPRIME_INPUTS)
+
+    def test_nijenhuis_failing_pairs_and_residuals(self):
+        self._nijenhuis_failing_pairs_and_residuals(self.INPUTS)
+
+    def test_nijenhuis_failing_pairs_and_residuals_coprime_denominators(self):
+        self._nijenhuis_failing_pairs_and_residuals(self.COPRIME_INPUTS)
+
+    def test_ad_invariance(self):
+        self._ad_invariance(self.INPUTS)
+
+    def test_ad_invariance_coprime_denominators(self):
+        self._ad_invariance(self.COPRIME_INPUTS)
+
+    def test_square_and_compatibility_coprime_denominators(self):
+        squares, outcomes = set(), set()
+        for algebra, j, phi in self.COPRIME_INPUTS:
+            jm = entries(j)
+            square = naive_square_is_minus_identity(jm)
+            if algebra.dim % 2 == 0:
+                assert check_complex(algebra, j)["J^2"].ok == square
+                squares.add(square)
+            if not square:
+                continue
+            # where j^2 = -I, the two forms check_phq tests are equivalent to
+            # phi(jx, jy) = phi(x, y) on all basis pairs
+            verdict = check_phq(PHQAlgebra(algebra, j, phi))["J-compatible"].ok
+            assert verdict == naive_compatible(entries(phi), jm)
+            outcomes.add(verdict)
+        assert squares == outcomes == {True, False}
+
+    @staticmethod
+    def _jacobi_failing_triples(inputs):
         outcomes = set()
-        for algebra, _, _ in self.INPUTS:
-            names = algebra.basis_names
-            found = [f.split(":")[0] for f in check_jacobi(algebra).failures]
-            expected = [
-                f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]})"
-                for i, j, k in naive_jacobi_violations(structure_tensor(algebra))
-            ]
+        for algebra, _, _ in inputs:
+            n, names, c = algebra.dim, algebra.basis_names, structure_tensor(algebra)
+            expected = []
+            for i, j, k in naive_jacobi_violations(c):
+                # the cyclic sum [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+                cycle = zip(
+                    naive_bracket(c, list(unit(n, i)), c[j][k]),
+                    naive_bracket(c, list(unit(n, j)), c[k][i]),
+                    naive_bracket(c, list(unit(n, k)), c[i][j]),
+                )
+                residual = [x + y + z for x, y, z in cycle]
+                expected.append(
+                    f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
+                    f"residual {format_vector(residual, names)}"
+                )
+            found = list(check_jacobi(algebra).failures)
             assert found == expected
             outcomes.add(bool(found))
         assert outcomes == {True, False}
 
-    def test_nijenhuis_failing_pairs_and_residuals(self):
+    @staticmethod
+    def _nijenhuis_failing_pairs_and_residuals(inputs):
         outcomes = set()
-        for algebra, j, _ in self.INPUTS:
+        for algebra, j, _ in inputs:
             n, names = algebra.dim, algebra.basis_names
             if n % 2:
                 continue
@@ -320,9 +430,10 @@ class TestSweepsAgainstOracles:
             outcomes.add(bool(expected))
         assert outcomes == {True, False}
 
-    def test_ad_invariance(self):
+    @staticmethod
+    def _ad_invariance(inputs):
         outcomes = set()
-        for algebra, _, phi in self.INPUTS:
+        for algebra, _, phi in inputs:
             verdict = check_quadratic(algebra, phi)["ad-invariant"].ok
             assert verdict == naive_ad_invariant(structure_tensor(algebra), entries(phi))
             outcomes.add(verdict)
