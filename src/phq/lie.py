@@ -29,9 +29,9 @@ from .linalg import (
     is_zero_vec,
     kernel,
     neg_vec,
+    scaled_table,
     solve_linear,
     sparse_table,
-    unit_vector,
     vector,
     zero_vector,
 )
@@ -182,26 +182,30 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
     """Evaluate the Jacobi identity on every basis triple i < j < k.
 
     Only the nonzero table pairs (a, b) contribute: each adds its term
-    [e_i, [e_a, e_b]] to the residual of the sorted triple of (i, a, b).
+    [e_i, [e_a, e_b]] to the residual of the sorted triple of (i, a, b).  The
+    sweep runs on the integer table T = d * brackets (`scaled_table`), so a
+    residual it finds is d^2 times the Jacobi residual.
     """
     n = algebra.dim
     names = algebra.basis_names
+    d, t = scaled_table(algebra.brackets)
+    units = [dense({i: 1}, n, 0) for i in range(n)]
     residuals = {}
-    for (a, b), col in algebra.brackets.items():
-        ab = dense(col, n)
+    for (a, b), col in t.items():
+        ab = dense(col, n, 0)
         for i in range(n):
             if i == a or i == b:
                 continue
-            term = bilinear(algebra.brackets, unit_vector(n, i), ab, skew=True)
+            term = bilinear(t, units[i], ab, True, 0)
             if is_zero_vec(term):
                 continue
             if a < i < b:  # (i, a, b) is not a cyclic order of the sorted triple
                 term = neg_vec(term)
             triple = tuple(sorted((i, a, b)))
-            residuals[triple] = add_vec(residuals.get(triple, zero_vector(n)), term)
+            residuals[triple] = add_vec(residuals.get(triple, (0,) * n), term)
     failures = [
         f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
-        f"residual {format_vector(res, names)}"
+        f"residual {format_vector([Fraction(r, d * d) for r in res], names)}"
         for (i, j, k), res in sorted(residuals.items())
         if not is_zero_vec(res)
     ]
@@ -211,22 +215,43 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
 def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
     """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs.
 
-    Column j of m ad(e_i) - ad(e_i) m - ad(m e_i) is the defect on (e_i, e_j).
+    The defect on (e_i, e_j) is m[e_i, e_j] - [m e_i, e_j] - [e_i, m e_j],
+    with ad(m e_i) = sum over k of m_ki ad(e_k).  One pass over the nonzero
+    table pairs c = [e_a, e_b] adds m c to the defect on (e_a, e_b), and each
+    nonzero m_at or m_bt adds +-m c to the defects on the pairs of t with b
+    or a, so a zero m builds no defect at all.
     """
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("derivation candidate must be square of the algebra dimension")
-    failures = []
-    for i in range(n):
-        ad = algebra.adjoint(unit_vector(n, i))
-        defect = m @ ad - ad @ m - algebra.adjoint(m.col(i))
-        for j in range(i + 1, n):
-            if not is_zero_vec(defect.col(j)):
-                failures.append(
-                    f"derivation identity fails on ({algebra.basis_names[i]}, "
-                    f"{algebra.basis_names[j]})"
-                )
-    return Check("derivation", tuple(failures))
+    rows = [[(t, v) for t, v in enumerate(m.row(r)) if v] for r in range(n)]
+    defects: dict[tuple[int, int], list[Fraction]] = {}
+
+    def add(i: int, j: int, s: Fraction, col: Mapping[int, Fraction]) -> None:
+        if i < j:
+            acc = defects.setdefault((i, j), [ZERO] * n)
+            for k, c in col.items():
+                acc[k] += s * c
+
+    for (a, b), col in algebra.brackets.items():
+        image = {k: c for k, c in enumerate(m.apply(dense(col, n))) if c}
+        if image:
+            add(a, b, 1, image)  # m [e_a, e_b]
+        for t, v in rows[a]:  # m_at: -[m e_t, e_b] and -[e_b, m e_t]
+            add(t, b, -v, col)
+            add(b, t, v, col)
+        for t, v in rows[b]:  # m_bt: -[m e_t, e_a] and -[e_a, m e_t]
+            add(t, a, v, col)
+            add(a, t, -v, col)
+    names = algebra.basis_names
+    return Check(
+        "derivation",
+        tuple(
+            f"derivation identity fails on ({names[i]}, {names[j]})"
+            for (i, j), defect in sorted(defects.items())
+            if any(defect)
+        ),
+    )
 
 
 def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:

@@ -5,6 +5,14 @@ independent of evaluation order.  Subspaces are stored with a canonical
 reduced-row-echelon basis, which makes subspace equality a plain ``==``.
 Matrices act on coordinate columns: ``m.apply(v)`` is the image of the
 coordinate vector ``v``.
+
+Under that API the heavy loops run on integers.  `Matrix.rref` clears each
+row's denominators, eliminates with integer row operations and makes each
+Fraction once, at the end.  The axiom sweeps test scaled integer identities:
+`scaled` and `scaled_table` give the least common denominator d of a matrix
+or a table and the integers d times its entries, and `bilinear`, `mat_vec`
+and `mat_mul` evaluate either scalar type, starting from the ``zero`` they
+are given.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .checks import PhqError
@@ -47,6 +56,10 @@ def frac(x: int | str | Fraction) -> Fraction:
 
 
 def vector(entries: Iterable) -> Vector:
+    """The entries as a tuple of Fractions; a tuple of Fractions is returned
+    as it is."""
+    if isinstance(entries, tuple) and all(map(isinstance, entries, repeat(Fraction))):
+        return entries
     return tuple(frac(e) for e in entries)
 
 
@@ -96,17 +109,19 @@ def sparse_table(entries: Mapping, n: int, skew: bool) -> SparseTable:
     dropped, and pairs and coefficients are sorted, so equal maps give equal
     tables.  A skew table stands for an antisymmetric map and lists each pair
     once, as (i, j) with i < j; any other table lists every nonzero pair.
+    An index outside 0..n-1, or a skew pair with i >= j, raises
+    `DimensionMismatch`.
     """
     table = {}
     for (i, j), coeffs in sorted(entries.items()):
         if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"table index ({i},{j}) out of range")
+            raise DimensionMismatch(f"table index ({i},{j}) out of range for dimension {n}")
         if skew and i >= j:
-            raise ValueError(f"antisymmetric entries must be given with i < j, got ({i},{j})")
+            raise DimensionMismatch(f"antisymmetric entries must be given with i < j, got ({i},{j})")
         col = {}
         for k, c in sorted(coeffs.items()):
             if not 0 <= k < n:
-                raise IndexError(f"table target {k} out of range")
+                raise DimensionMismatch(f"table target {k} out of range for dimension {n}")
             if c := frac(c):
                 col[k] = c
         if col:
@@ -114,14 +129,32 @@ def sparse_table(entries: Mapping, n: int, skew: bool) -> SparseTable:
     return table
 
 
-def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool) -> Vector:
+def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator d of ``values`` and the integers d * v."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def scaled_table(table: SparseTable) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+    """The least common denominator d of a sparse table's coefficients and
+    the table d * table, with int coefficients."""
+    d = lcm(*(c.denominator for col in table.values() for c in col.values()))
+    return d, {
+        pair: {k: c.numerator * (d // c.denominator) for k, c in col.items()}
+        for pair, col in table.items()
+    }
+
+
+def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool, zero=ZERO) -> Vector:
     """Value on coordinate vectors x and y of the map a sparse table stores
     (see `sparse_table` for what ``skew`` means).
 
     The loop runs over the supports of x and y and looks each pair up, so a
     bracket of basis vectors costs one lookup whatever the table's size.
+    ``zero`` is the zero of the scalars: `ZERO` for Fractions, 0 for a
+    `scaled_table` evaluated on integer vectors.
     """
-    out = [ZERO] * len(x)
+    out = [zero] * len(x)
     ys = [(j, b) for j, b in enumerate(y) if b]
     for i, a in enumerate(x):
         if not a:
@@ -136,9 +169,38 @@ def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool) -> Vector:
     return tuple(out)
 
 
-def dense(col: Mapping[int, Fraction], n: int) -> Vector:
+def dense(col: Mapping[int, Fraction], n: int, zero=ZERO) -> Vector:
     """The coordinate vector of a sparse column."""
-    return tuple(col.get(k, ZERO) for k in range(n))
+    return tuple(col.get(k, zero) for k in range(n))
+
+
+def mat_vec(entries: Sequence, rows: int, cols: int, support: Iterable, zero=ZERO) -> list:
+    """Image of a column under the row-major rows x cols matrix ``entries``:
+    the sum of a * (column k) over the pairs (k, a) of ``support``, visiting
+    only the nonzeros of each column met.  ``zero`` as in `bilinear`."""
+    out = [zero] * rows
+    for k, a in support:
+        if a:
+            for i, b in enumerate(entries[k::cols]):
+                if b:
+                    out[i] += b * a
+    return out
+
+
+def mat_mul(a: Sequence, rows: int, inner: int, b: Sequence, cols: int, zero=ZERO) -> list:
+    """Row-major product of the rows x inner matrix ``a`` and the inner x cols
+    matrix ``b``: row i sums a[i, k] * (row k of b) over the nonzeros a[i, k]
+    and the nonzeros of row k.  ``zero`` as in `bilinear`."""
+    b_rows = [[(j, x) for j, x in enumerate(b[k * cols : (k + 1) * cols]) if x] for k in range(inner)]
+    out = []
+    for i in range(rows):
+        acc = [zero] * cols
+        for f, row in zip(a[i * inner : (i + 1) * inner], b_rows):
+            if f:
+                for j, x in row:
+                    acc[j] += f * x
+        out += acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,30 +306,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # row i of the product sums a * (row k of other) over the nonzeros a at (i, k)
-        other_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            acc = [ZERO] * other.cols
-            for a, row in zip(self.row(i), other_rows):
-                if a:
-                    for j, b in row:
-                        acc[j] += a * b
-            out += acc
+        out = mat_mul(self.entries, self.rows, self.cols, other.entries, other.cols)
         return Matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")
-        # the image sums v[k] * (column k) over the support of v
-        out = [ZERO] * self.rows
-        for k, a in enumerate(v):
-            if a:
-                for i, b in enumerate(self.entries[k :: self.cols]):
-                    if b:
-                        out[i] += b * a
-        return tuple(out)
+        return tuple(mat_vec(self.entries, self.rows, self.cols, enumerate(v)))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -281,27 +327,36 @@ class Matrix:
         """Reduced row echelon form and the pivot columns.
 
         The result is the unique RREF, independent of row order of the input.
+        The elimination runs over integers: each row is scaled by its least
+        common denominator, the row operation pv * row_i - f * row_r keeps
+        every row integral, and each new row is divided by the gcd of its
+        entries.  Each Fraction is made once at the end, as entry / pivot.
         """
-        m = [list(self.row(i)) for i in range(self.rows)]
+        m = [scaled(self.row(i))[1] for i in range(self.rows)]
         pivots: list[int] = []
-        r = 0
         for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
+            r = len(pivots)
+            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [e / pv for e in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            top = m[r]
+            pv = top[c]
+            for i, row in enumerate(m):
+                f = row[c]
+                if f and i != r:
+                    row = [pv * a - f * b for a, b in zip(row, top)]
+                    g = gcd(*row)
+                    m[i] = [a // g for a in row] if g > 1 else row
             pivots.append(c)
-            r += 1
-            if r == self.rows:
+            if len(pivots) == self.rows:
                 break
-        return Matrix(self.rows, self.cols, tuple(e for row in m for e in row)), tuple(pivots)
+        out = []
+        for row, c in zip(m, pivots):
+            pv = row[c]
+            out += [Fraction(a, pv) if a else ZERO for a in row]
+        out += [ZERO] * ((self.rows - len(pivots)) * self.cols)
+        return Matrix(self.rows, self.cols, tuple(out)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -24,8 +24,11 @@ from .linalg import (
     dense,
     dot,
     gram_restriction,
-    is_zero_vec,
     map_image,
+    mat_mul,
+    mat_vec,
+    scaled,
+    scaled_table,
     signature,
     sub_vec,
     unit_vector,
@@ -62,20 +65,34 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
     names = algebra.basis_names
-
+    # Both sweeps run on J = dj * j and the integer table T = dt * brackets
+    # (`scaled`, `scaled_table`): j^2 = -I is J^2 = -dj^2 I, and
+    # dj^2 dt N(x, y) = dj^2 T(x, y) + JT(Jx, y) + JT(x, Jy) - T(Jx, Jy), where
+    # JT is T with J applied to each column.
+    dj, jn = scaled(j.entries)
     square_fail = []
-    if (j @ j) != -Matrix.identity(n):
+    if mat_mul(jn, n, n, jn, n, 0) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
         square_fail.append("j^2 != -I")
 
+    _, t = scaled_table(algebra.brackets)
+    jt = {}
+    for pair, col in t.items():
+        jt[pair] = {k: c for k, c in enumerate(mat_vec(jn, n, n, col.items(), 0)) if c}
+    units = [dense({a: 1}, n, 0) for a in range(n)]
+    jcols = [jn[a::n] for a in range(n)]
     torsion_fail = []
     for a in range(n):
-        ea = unit_vector(n, a)
         for b in range(a + 1, n):
-            nab = nijenhuis(algebra, j, ea, unit_vector(n, b))
-            if not is_zero_vec(nab):
-                torsion_fail.append(
-                    f"N({names[a]}, {names[b]}) = {format_vector(nab, names)}"
-                )
+            ea, eb, ja, jb = units[a], units[b], jcols[a], jcols[b]
+            terms = zip(
+                bilinear(t, ea, eb, True, 0),
+                bilinear(jt, ja, eb, True, 0),
+                bilinear(jt, ea, jb, True, 0),
+                bilinear(t, ja, jb, True, 0),
+            )
+            if any(dj * dj * p + q + r - s for p, q, r, s in terms):
+                nab = nijenhuis(algebra, j, unit_vector(n, a), unit_vector(n, b))
+                torsion_fail.append(f"N({names[a]}, {names[b]}) = {format_vector(nab, names)}")
     return Report((Check("J^2", tuple(square_fail)), Check("Nijenhuis", tuple(torsion_fail))))
 
 
@@ -92,12 +109,15 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
 
     # phi([ei,ej], ek) + phi(ej, [ei,ek]) = 0 is entry (k, j) of
     # g ad(ei) + ad(ei)^T g, kept in skew[i][j, k].  Only the table pairs that
-    # contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).
-    gt = g.transpose()
+    # contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).  The
+    # sweep runs on the integers dg * g and dt * brackets, which scale every
+    # entry by dg * dt.
+    _, gn = scaled(g.entries)
+    _, gtn = scaled(g.transpose().entries)
+    _, t = scaled_table(algebra.brackets)
     skew = [Counter() for _ in range(n)]
-    for (a, b), col in algebra.brackets.items():
-        ab = dense(col, n)
-        left, right = g.apply(ab), gt.apply(ab)
+    for (a, b), col in t.items():
+        left, right = mat_vec(gn, n, n, col.items(), 0), mat_vec(gtn, n, n, col.items(), 0)
         for i, t, sign in ((a, b, 1), (b, a, -1)):  # [ei, et] = sign * [ea, eb]
             for k in range(n):
                 if left[k]:
@@ -161,10 +181,16 @@ def check_phq(p: PHQAlgebra) -> Report:
         )
     quad = check_quadratic(p.algebra, p.phi)
 
+    # on J = dj * j and G = dg * phi: J^T G J = dj^2 G and G J = -J^T G
+    n = p.dim
+    dj, jn = scaled(p.j.entries)
+    _, jtn = scaled(p.j.transpose().entries)
+    _, gn = scaled(p.phi.entries)
+    gj = mat_mul(gn, n, n, jn, n, 0)
     compat_fail = []
-    if p.j.transpose() @ p.phi @ p.j != p.phi:
+    if mat_mul(jtn, n, n, gj, n, 0) != [dj * dj * x for x in gn]:
         compat_fail.append("phi(jx, jy) != phi(x, y)")
-    if p.phi @ p.j != -(p.j.transpose() @ p.phi):
+    if gj != [-x for x in mat_mul(jtn, n, n, gn, n, 0)]:
         compat_fail.append("j is not phi-skewsymmetric")
     return Report((jac, *complex_parts, *quad.parts, Check("J-compatible", tuple(compat_fail))))
 

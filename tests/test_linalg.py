@@ -5,8 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phq import (
+    Cocycle,
+    DimensionMismatch,
+    LieAlgebra,
     Matrix,
     NotSymmetricError,
+    PhqError,
     Subspace,
     build,
     intersect,
@@ -47,6 +51,39 @@ class TestMatrix:
         # float reach rref, which would return floats
         with pytest.raises(TypeError, match="must be Fractions"):
             Matrix(2, 2, entries)
+
+
+class TestVector:
+    def test_fraction_tuple_is_returned_as_is(self):
+        v = (F(1, 3), F(-2), F(0))
+        assert vector(v) is v
+
+    def test_ints_and_rational_strings_are_coerced(self):
+        for given in ([1, "-2/3", F(1, 2)], (1, "-2/3", F(1, 2))):
+            v = vector(given)
+            assert v == (F(1), F(-2, 3), F(1, 2))
+            assert all(type(e) is Fraction for e in v)
+
+    @pytest.mark.parametrize("given", [[0.5, F(1)], (F(1), 0.5)], ids=["list", "tuple"])
+    def test_floats_raise(self, given):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            vector(given)
+
+
+class TestSparseTable:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Cocycle.from_values(4, {(1, 0): {2: 1}}),
+            lambda: Cocycle.from_values(4, {(0, 1): {7: 1}}),
+            lambda: LieAlgebra.from_brackets(3, {(0, 5): {1: 1}}),
+        ],
+        ids=["skew_pair_i_above_j", "target_out_of_range", "index_out_of_range"],
+    )
+    def test_bad_index_is_a_phq_error(self, make):
+        with pytest.raises(PhqError) as info:
+            make()
+        assert isinstance(info.value, DimensionMismatch)
 
 
 class TestSolveLinear:
