@@ -196,7 +196,7 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
         for i in range(n):
             if i == a or i == b:
                 continue
-            term = bilinear(t, units[i], ab, True, 0)
+            term = bilinear(t, units[i], ab, skew=True, zero=0)
             if is_zero_vec(term):
                 continue
             if a < i < b:  # (i, a, b) is not a cyclic order of the sorted triple
@@ -216,10 +216,12 @@ def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
     """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs.
 
     The defect on (e_i, e_j) is m[e_i, e_j] - [m e_i, e_j] - [e_i, m e_j],
-    with ad(m e_i) = sum over k of m_ki ad(e_k).  One pass over the nonzero
-    table pairs c = [e_a, e_b] adds m c to the defect on (e_a, e_b), and each
-    nonzero m_at or m_bt adds +-m c to the defects on the pairs of t with b
-    or a, so a zero m builds no defect at all.
+    and ad(m e_i) = sum over k of m_ki ad(e_k) is read off the table.  One
+    pass over the nonzero table pairs c = [e_a, e_b] adds m c to the defect
+    on (e_a, e_b); each nonzero m_at adds -m_at c to the defect on (e_t, e_b)
+    and m_at c to the one on (e_b, e_t), and each nonzero m_bt does the same
+    with a and b swapped and c negated.  Only pairs i < j are kept, so a zero
+    m builds no defect at all.
     """
     n = algebra.dim
     if m.rows != n or m.cols != n:

@@ -75,9 +75,10 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
         square_fail.append("j^2 != -I")
 
     _, t = scaled_table(algebra.brackets)
-    jt = {}
-    for pair, col in t.items():
-        jt[pair] = {k: c for k, c in enumerate(mat_vec(jn, n, n, col.items(), 0)) if c}
+    jt = {
+        pair: {k: c for k, c in enumerate(mat_vec(jn, n, n, col.items(), 0)) if c}
+        for pair, col in t.items()
+    }
     units = [dense({a: 1}, n, 0) for a in range(n)]
     jcols = [jn[a::n] for a in range(n)]
     torsion_fail = []
@@ -85,10 +86,10 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
         for b in range(a + 1, n):
             ea, eb, ja, jb = units[a], units[b], jcols[a], jcols[b]
             terms = zip(
-                bilinear(t, ea, eb, True, 0),
-                bilinear(jt, ja, eb, True, 0),
-                bilinear(jt, ea, jb, True, 0),
-                bilinear(t, ja, jb, True, 0),
+                bilinear(t, ea, eb, skew=True, zero=0),
+                bilinear(jt, ja, eb, skew=True, zero=0),
+                bilinear(jt, ea, jb, skew=True, zero=0),
+                bilinear(t, ja, jb, skew=True, zero=0),
             )
             if any(dj * dj * p + q + r - s for p, q, r, s in terms):
                 nab = nijenhuis(algebra, j, unit_vector(n, a), unit_vector(n, b))
