@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +271,29 @@ class TestBasisIndependence:
 
 def _reduction_shape(result):
     return [(s.kind, s.recovered.dim) for s in result.steps], result.residue.dim
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# The classification table `scripts/table_report.py` prints, byte for byte.
+TABLE_REPORT = """\
+dim | dim[g,g] | sig(phi) | sig(phi|[g,g]) | nilpotency | label
+---------------------------------------------------------------
+6 | 3 | (2,4) | (0,1) | 3 | L(2,4)
+6 | 3 | (4,2) | (1,0) | 3 | L(4,2)
+8 | 3 | (2,6) | (0,1) | 3 | L(2,4)+R(0,2)
+8 | 3 | (4,4) | (0,1) | 3 | L(2,4)+R(2,0)
+8 | 3 | (4,4) | (0,0) | 2 | Tstar0K
+8 | 3 | (4,4) | (1,0) | 3 | L(4,2)+R(0,2)
+8 | 3 | (6,2) | (1,0) | 3 | L(4,2)+R(2,0)
+8 | 5 | (4,4) | (1,1) | 3 | TstarTheta3K
+"""
+
+
+def test_table_report_is_byte_identical():
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run(
+        [sys.executable, "scripts/table_report.py"], cwd=REPO, env=env, capture_output=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == TABLE_REPORT.encode()

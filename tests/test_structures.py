@@ -25,6 +25,7 @@ from phq import (
     map_image,
     nijenhuis,
     salamon_check,
+    signature,
     solve_inner,
     tstar_kodaira,
     vector,
@@ -44,9 +45,11 @@ from oracles import (
     naive_pair,
     naive_square_is_minus_identity,
     rank_oracle,
+    signature_oracle,
     structure_tensor,
 )
 from strategies import vectors
+from test_catalog import ALL_LABELS
 
 
 ROT2 = Matrix.from_rows([[0, -1], [1, 0]])
@@ -348,6 +351,78 @@ def coprime_inputs():
     return inputs
 
 
+def triangular(coeffs):
+    """Twenty tables whose brackets have targets above both indices, so that
+    the lower central series descends in several steps."""
+    algebras = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        table = {
+            (i, k): {m: rng.choice(coeffs) for m in range(k + 1, n)}
+            for i in range(n)
+            for k in range(i + 1, n)
+        }
+        algebras.append(LieAlgebra.from_brackets(n, table))
+    return algebras
+
+
+def congruent(m, p):
+    """P^T M P for square lists of Fractions."""
+    n = len(m)
+    mp = [[sum(m[a][k] * p[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    return [[sum(p[k][a] * mp[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+
+
+def negative_pivot_then_zero_diagonal(rng):
+    """diag(-1/3) + [[0, 2/5], [2/5, 0]] + a diagonal tail, under the
+    unimodular congruence P = [[1, u], [0, S]] (u integral, S a signed
+    permutation).  The (0, 0) entry stays -1/3, and the Schur complement of
+    it is S^T N S for the rest N, so a zero diagonal is reached after the
+    first, negative pivot."""
+    tail = [rng.choice((Fraction(7, 4), Fraction(-2, 5), Fraction(1, 3))) for _ in range(rng.randint(0, 3))]
+    blocks = [[Fraction(-1, 3)], [[0, Fraction(2, 5)], [Fraction(2, 5), 0]]] + [[t] for t in tail]
+    if rng.random() < 0.5:
+        blocks.insert(2, [[0, Fraction(-7, 4)], [Fraction(-7, 4), 0]])
+    n = sum(len(b) for b in blocks)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        rows = b if isinstance(b[0], list) else [b]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                m[at + i][at + j] = Fraction(v)
+        at += len(rows)
+    order = list(range(1, n))
+    rng.shuffle(order)
+    p = [[Fraction(0)] * n for _ in range(n)]
+    p[0] = [Fraction(1)] + [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]
+    for col, row in zip(range(1, n), order):
+        p[row][col] = Fraction(rng.choice((1, -1)))
+    return Matrix.from_rows(congruent(m, p))
+
+
+def zero_diagonal(rng):
+    """A symmetric matrix with zero diagonal and coprime denominators: the
+    first pivot comes from the rule e_i -> e_i + e_j, negative when the pair's
+    entry is."""
+    n = rng.randint(2, 6)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            m[a][b] = m[b][a] = Fraction(rng.choice(TABLE_COPRIME + MAP_COPRIME))
+    return Matrix.from_rows(m)
+
+
+def dense_congruence(rng, n=16):
+    """L^T D L for D = diag(+-1) and L unit lower triangular with coprime
+    denominators; the expected signature is read off D."""
+    d = [rng.choice((1, -1)) for _ in range(n)]
+    entries = (Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 1, -1)
+    el = [[Fraction(1) if a == b else Fraction(rng.choice(entries)) if a > b else Fraction(0) for b in range(n)] for a in range(n)]
+    return Matrix.from_rows(congruent([[d[a] if a == b else 0 for b in range(n)] for a in range(n)], el)), (d.count(1), d.count(-1))
+
+
 class TestSweepsAgainstOracles:
     """The support-following sweeps against the brute-force oracles."""
 
@@ -440,8 +515,15 @@ class TestSweepsAgainstOracles:
         assert outcomes == {True, False}
 
     def test_center_and_solve_inner(self):
+        self._center_and_solve_inner(self.INPUTS)
+
+    def test_center_and_solve_inner_coprime_denominators(self):
+        self._center_and_solve_inner(self.COPRIME_INPUTS)
+
+    @staticmethod
+    def _center_and_solve_inner(inputs):
         outcomes = set()
-        for seed, (algebra, _, _) in enumerate(self.INPUTS):
+        for seed, (algebra, _, _) in enumerate(inputs):
             n, c = algebra.dim, structure_tensor(algebra)
             center = algebra.center()
             for z in center.basis:
@@ -457,6 +539,25 @@ class TestSweepsAgainstOracles:
             outcomes.add(center.dim > 0)
         assert outcomes == {True, False}
 
+    def test_signature_of_transported_metrics(self):
+        for seed, name in enumerate(ALL_LABELS):
+            _, _, phi = transported(build(name), random.Random(seed))
+            assert signature(phi) == signature_oracle(phi), name
+
+    def test_signature_after_a_negative_pivot_and_a_zero_diagonal(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            m = negative_pivot_then_zero_diagonal(rng)
+            assert m[0, 0] < 0
+            assert signature(m) == signature_oracle(m)
+            z = zero_diagonal(rng)
+            assert signature(z) == signature_oracle(z)
+
+    def test_signature_of_dense_congruences(self):
+        for seed in range(3):
+            m, expected = dense_congruence(random.Random(seed))
+            assert signature(m) == signature_oracle(m) == expected
+
     def test_adjoint(self):
         for seed, (algebra, _, _) in enumerate(self.INPUTS):
             n, c = algebra.dim, structure_tensor(algebra)
@@ -465,19 +566,18 @@ class TestSweepsAgainstOracles:
             assert entries(algebra.adjoint(s)) == [list(row) for row in zip(*expected)]
 
     def test_lower_central_series(self):
-        # targets above both indices make the series descend in several steps
-        triangular = []
-        for seed in range(20):
-            rng = random.Random(seed)
-            n = rng.randint(3, 7)
-            table = {
-                (i, k): {m: rng.choice(SWEEP_COEFFS) for m in range(k + 1, n)}
-                for i in range(n)
-                for k in range(i + 1, n)
-            }
-            triangular.append(LieAlgebra.from_brackets(n, table))
+        lengths = self._lower_central_series([a for a, _, _ in self.INPUTS] + triangular(SWEEP_COEFFS))
+        assert {1, 2, 3, 4} <= lengths
+
+    def test_lower_central_series_coprime_denominators(self):
+        algebras = [a for a, _, _ in self.COPRIME_INPUTS] + triangular(TABLE_COPRIME)
+        lengths = self._lower_central_series(algebras)
+        assert {1, 2, 3, 4} <= lengths
+
+    @staticmethod
+    def _lower_central_series(algebras):
         lengths = set()
-        for algebra in [a for a, _, _ in self.INPUTS] + triangular:
+        for algebra in algebras:
             n, c = algebra.dim, structure_tensor(algebra)
             series = algebra.lower_central_series()
             assert series[0].dim == n
@@ -497,7 +597,7 @@ class TestSweepsAgainstOracles:
                 both = brackets + [list(v) for v in nxt.basis]
                 assert rank_oracle(Matrix.from_rows(both, cols=n)) == nxt.dim
             lengths.add(len(series))
-        assert {1, 2, 3, 4} <= lengths
+        return lengths
 
     def test_derivation_failing_pairs(self):
         outcomes = set()
