@@ -7,6 +7,12 @@ reads ad(x) off the table, and the identities over basis pairs (derivations,
 the lower central series) are identities between ad matrices.  The Jacobi
 identity is a separate check (`check_jacobi`) so that hand-entered tables
 can be diagnosed instead of rejected.
+
+The invariants run on the integer table d * brackets (`scaled_table`) and
+make Fractions only for their canonical bases: the center is the integer
+null space of the adjoint system, and the derived ideal and each term of
+the lower central series are spans of integer vectors, all through the one
+elimination `linalg.eliminate`.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ from .linalg import (
     SparseTable,
     Subspace,
     Vector,
+    _kernel_int,
+    _span_int,
     add_vec,
     bilinear,
     dense,
     is_zero_vec,
-    kernel,
     neg_vec,
+    scaled,
     scaled_table,
     solve_linear,
     sparse_table,
@@ -110,49 +118,48 @@ class LieAlgebra:
         return bilinear(self.brackets, xv, yv, skew=True)
 
     def adjoint(self, x: Sequence) -> LinearMap:
-        """Matrix of y -> [x, y], read off the table: c = [e_a, e_b]_k adds
-        x_a c at entry (k, b) and -x_b c at entry (k, a)."""
+        """Matrix of y -> [x, y], read off the table by `_ad_entries`."""
         xv = vector(x)
         if len(xv) != self.dim:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
-        n = self.dim
-        entries = [ZERO] * (n * n)
-        for (a, b), col in self.brackets.items():
-            xa, xb = xv[a], xv[b]
-            if xa or xb:
-                for k, c in col.items():
-                    entries[k * n + b] += xa * c
-                    entries[k * n + a] -= xb * c
-        return Matrix(n, n, tuple(entries))
+        return Matrix(self.dim, self.dim, tuple(_ad_entries(self.brackets, xv)))
 
-    def _adjoint_system(self) -> Matrix:
-        """The n^2 x n matrix A of x -> ad(x), read straight off the table:
-        A x is ``adjoint(x).entries``, so row k*n + b is entry (k, b)."""
+    def _adjoint_system(self) -> tuple[int, dict[int, list[int]]]:
+        """The n^2 x n matrix A of x -> ad(x), read straight off the integer
+        table d * brackets (`scaled_table`): the scale d and the nonzero rows
+        of d * A by row index.  A x is ``adjoint(x).entries``, so row k*n + b
+        is entry (k, b): c = [e_a, e_b]_k puts c in column a of row k*n + b
+        and -c in column b of row k*n + a."""
         n = self.dim
-        entries = [ZERO] * (n * n * n)
-        for (a, b), col in self.brackets.items():
+        d, t = scaled_table(self.brackets)
+        rows: dict[int, list[int]] = {}
+        for (a, b), col in t.items():
             for k, c in col.items():
-                entries[(k * n + b) * n + a] = c
-                entries[(k * n + a) * n + b] = -c
-        return Matrix(n * n, n, tuple(entries))
+                rows.setdefault(k * n + b, [0] * n)[a] = c
+                rows.setdefault(k * n + a, [0] * n)[b] = -c
+        return d, rows
 
     def center(self) -> Subspace:
-        """The x with ad(x) = 0: the kernel of the adjoint system."""
-        return kernel(self._adjoint_system())
+        """The x with ad(x) = 0: the integer null space of the adjoint system."""
+        return _kernel_int(self._adjoint_system()[1].values(), self.dim)
 
     def derived_ideal(self) -> Subspace:
         """Span of all brackets of basis pairs."""
-        return Subspace.span(self.dim, [dense(col, self.dim) for col in self.brackets.values()])
+        t = scaled_table(self.brackets)[1]
+        return _span_int(self.dim, [dense(col, self.dim, 0) for col in t.values()])
 
     def lower_central_series(self) -> list[Subspace]:
         """C0 = g, C(k+1) = [g, Ck], the span of the columns of ad(c) for c
-        in a basis of Ck; stops when stationary."""
+        in a basis of Ck; stops when stationary.  Each c is scaled to
+        integers and the columns of ad(c) are written off the integer table
+        as `adjoint` writes them, and all are spanned at once by `eliminate`."""
         n = self.dim
+        t = scaled_table(self.brackets)[1]
         series = [Subspace.full(n)]
         while True:
             current = series[-1]
-            ads = [self.adjoint(c) for c in current.basis]
-            nxt = Subspace.span(n, [ad.col(j) for ad in ads for j in range(n)])
+            ads = [_ad_entries(t, scaled(c)[1], 0) for c in current.basis]
+            nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
             if nxt == current:
                 break
             series.append(nxt)
@@ -170,6 +177,22 @@ class LieAlgebra:
 
     def is_abelian(self) -> bool:
         return not self.brackets
+
+
+def _ad_entries(table: Mapping, x: Sequence, zero=ZERO) -> list:
+    """Row-major entries of ad(x) read off a skew table, in one pass over its
+    nonzero pairs: c = [e_a, e_b]_k adds x_a c at (k, b) and -x_b c at (k, a).
+    ``zero`` as in `bilinear`: `ZERO`, or 0 for a `scaled_table` and an
+    integer x."""
+    n = len(x)
+    entries = [zero] * (n * n)
+    for (a, b), col in table.items():
+        xa, xb = x[a], x[b]
+        if xa or xb:
+            for k, c in col.items():
+                entries[k * n + b] += xa * c
+                entries[k * n + a] -= xb * c
+    return entries
 
 
 def _names(names: Sequence[str] | int) -> tuple[str, ...]:
@@ -267,4 +290,8 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
-    return solve_linear(algebra._adjoint_system(), m.entries)
+    d, rows = algebra._adjoint_system()
+    if any(e for i, e in enumerate(m.entries) if i not in rows):
+        return None  # a nonzero entry where every adjoint has a zero
+    a = Matrix(len(rows), n, tuple(Fraction(e) for row in rows.values() for e in row))
+    return solve_linear(a, [d * m.entries[i] for i in rows])

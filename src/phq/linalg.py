@@ -6,9 +6,13 @@ reduced-row-echelon basis, which makes subspace equality a plain ``==``.
 Matrices act on coordinate columns: ``m.apply(v)`` is the image of the
 coordinate vector ``v``.
 
-Under that API the heavy loops run on integers.  `Matrix.rref` clears each
-row's denominators, eliminates with integer row operations and makes each
-Fraction once, at the end.  The axiom sweeps test scaled integer identities:
+Under that API the heavy loops run on integers.  One routine, `eliminate`,
+reduces integer rows fraction-free; `Matrix.rref`, `kernel`, `Subspace.span`
+and, in `lie`, the center, the derived ideal and the lower central series
+all reach it, and each makes its Fractions once, at the end.  `signature`
+runs its congruence elimination on integers as well, dividing the active
+block by the gcd of its entries after each step.  The axiom sweeps test
+scaled integer identities:
 `scaled` and `scaled_table` give the least common denominator d of a matrix
 or a table and the integers d times its entries, and `bilinear`, `mat_vec`
 and `mat_mul` evaluate either scalar type, starting from the ``zero`` they
@@ -327,34 +331,12 @@ class Matrix:
         """Reduced row echelon form and the pivot columns.
 
         The result is the unique RREF, independent of row order of the input.
-        The elimination runs over integers: each row is scaled by its least
-        common denominator, the row operation pv * row_i - f * row_r keeps
-        every row integral, and each new row is divided by the gcd of its
-        entries.  Each Fraction is made once at the end, as entry / pivot.
+        Each row is scaled by its least common denominator, `eliminate`
+        reduces the integer rows, and each Fraction is made once at the end,
+        as entry / pivot.
         """
-        m = [scaled(self.row(i))[1] for i in range(self.rows)]
-        pivots: list[int] = []
-        for c in range(self.cols):
-            r = len(pivots)
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            top = m[r]
-            pv = top[c]
-            for i, row in enumerate(m):
-                f = row[c]
-                if f and i != r:
-                    row = [pv * a - f * b for a, b in zip(row, top)]
-                    g = gcd(*row)
-                    m[i] = [a // g for a in row] if g > 1 else row
-            pivots.append(c)
-            if len(pivots) == self.rows:
-                break
-        out = []
-        for row, c in zip(m, pivots):
-            pv = row[c]
-            out += [Fraction(a, pv) if a else ZERO for a in row]
+        rows, pivots = eliminate([scaled(self.row(i))[1] for i in range(self.rows)], self.cols)
+        out = [e for row in _normalized(rows, pivots) for e in row]
         out += [ZERO] * ((self.rows - len(pivots)) * self.cols)
         return Matrix(self.rows, self.cols, tuple(out)), tuple(pivots)
 
@@ -407,18 +389,68 @@ def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
     return xs
 
 
-def kernel(a: Matrix) -> Subspace:
-    """The exact null space {x : a @ x = 0} as a canonical subspace."""
-    red, pivots = a.rref()
+def eliminate(rows: Iterable[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows of length
+    ``cols``: the reduced nonzero rows and their pivot columns.
+
+    A pivot row r, pivot pv, clears column c of every other row with the
+    integer row operation pv * row_i - f * row_r, and each new row is divided
+    by the gcd of its entries.  Row r divided by its pivot is row r of the
+    unique RREF over the rationals.
+    """
+    m = [row for row in rows if any(row)]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        pv = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m[: len(pivots)], pivots
+
+
+def _normalized(rows: list[list[int]], pivots: list[int]) -> list[Vector]:
+    """The rows of `eliminate` divided by their pivots, as Fractions."""
+    return [tuple(Fraction(a, row[c]) if a else ZERO for a in row) for row, c in zip(rows, pivots)]
+
+
+def _span_int(n: int, rows: Iterable[list[int]]) -> Subspace:
+    """The span of integer rows of length n as a canonical subspace."""
+    return Subspace(n, tuple(_normalized(*eliminate(rows, n))))
+
+
+def _kernel_int(rows: Iterable[list[int]], cols: int) -> Subspace:
+    """The null space of integer rows of length ``cols``, as a canonical
+    subspace.  The null vector of a free column f takes, at f, the lcm L of
+    the pivots pv of the reduced rows with an entry e at f, and -e * L / pv
+    at each of their pivot columns, so it stays integral."""
+    red, pivots = eliminate(rows, cols)
     pivot_set = set(pivots)
     basis = []
-    for free in (c for c in range(a.cols) if c not in pivot_set):
-        v = [ZERO] * a.cols
-        v[free] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r, free]
-        basis.append(tuple(v))
-    return Subspace.span(a.cols, basis)
+    for free in (c for c in range(cols) if c not in pivot_set):
+        v = [0] * cols
+        v[free] = lcm(*(row[c] for row, c in zip(red, pivots) if row[free]))
+        for row, c in zip(red, pivots):
+            if row[free]:
+                v[c] = -row[free] * (v[free] // row[c])
+        basis.append(v)
+    return _span_int(cols, basis)
+
+
+def kernel(a: Matrix) -> Subspace:
+    """The exact null space {x : a @ x = 0} as a canonical subspace."""
+    return _kernel_int([scaled(a.row(i))[1] for i in range(a.rows)], a.cols)
 
 
 @dataclass(frozen=True)
@@ -434,11 +466,7 @@ class Subspace:
         for v in vs:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(f"vector of length {len(v)} in ambient dim {ambient_dim}")
-        vs = [v for v in vs if not is_zero_vec(v)]
-        if not vs:
-            return cls(ambient_dim, ())
-        red, pivots = Matrix.from_rows(vs).rref()
-        return cls(ambient_dim, tuple(red.row(i) for i in range(len(pivots))))
+        return _span_int(ambient_dim, [scaled(v)[1] for v in vs])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -506,40 +534,46 @@ def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
 def signature(g: Matrix) -> tuple[int, int]:
     """(positive, negative) inertia of a symmetric matrix, computed exactly.
 
-    Symmetric congruence elimination: a nonzero diagonal entry is pivoted
-    away by a Schur complement.  When every remaining diagonal entry is zero
-    but some m[i, j] is not, the congruence e_i -> e_i + e_j first makes
-    m[i, i] = 2 m[i, j] nonzero.  p + q < n exactly when ``g`` is degenerate.
+    Symmetric congruence elimination over the integers d * g (`scaled`): a
+    nonzero diagonal entry p is pivoted away by the scaled Schur step
+    m <- p * m - m_i m_i^T on the rest of the block, which is then divided by
+    the gcd of its entries.  The rest is p times the true Schur complement,
+    so a negative p flips the inertia of what remains; the sign of the
+    product of the pivots used so far says how to count the next one.  When
+    every remaining diagonal entry is zero but some m[i, j] is not, the
+    congruence e_i -> e_i + e_j first makes m[i, i] = 2 m[i, j] nonzero.
+    p + q < n exactly when ``g`` is degenerate.
     """
     if g.rows != g.cols:
         raise NotSymmetricError("signature needs a square matrix")
     if not g.is_symmetric():
         raise NotSymmetricError("signature needs a symmetric matrix")
-    m = {(i, j): g[i, j] for i in range(g.rows) for j in range(g.cols)}
-    active = list(range(g.rows))
+    n = g.rows
+    flat = scaled(g.entries)[1]
+    m = [flat[i * n : (i + 1) * n] for i in range(n)]
     pos = neg = 0
-    while active:
-        i = next((k for k in active if m[k, k] != 0), None)
+    flipped = False
+    while m:
+        i = next((k for k, row in enumerate(m) if row[k]), None)
         if i is None:
-            pair = next(
-                ((a, b) for ai, a in enumerate(active) for b in active[ai + 1 :] if m[a, b] != 0),
-                None,
-            )
+            pair = next(((a, b) for a, row in enumerate(m) for b in range(a + 1, len(m)) if row[b]), None)
             if pair is None:
                 break  # remaining block is identically zero: degenerate part
             i, j = pair
-            # add row and column j to row and column i
-            for k in active:
-                m[i, k] = m[k, i] = m[k, i] + m[k, j]
-            m[i, i] = 2 * m[i, j]
-        d = m[i, i]
-        if d > 0:
+            # add column j to column i, then row j to row i
+            for row in m:
+                row[i] += row[j]
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
+        top = m[i]
+        p = top[i]
+        if (p > 0) != flipped:
             pos += 1
         else:
             neg += 1
-        rest = [k for k in active if k != i]
-        for k in rest:
-            for l in rest:
-                m[k, l] = m[k, l] - m[k, i] * m[i, l] / d
-        active = rest
+        rest = [k for k in range(len(m)) if k != i]
+        m = [[p * m[k][l] - m[k][i] * top[l] for l in rest] for k in rest]
+        d = gcd(*(a for row in m for a in row))
+        if d > 1:
+            m = [[a // d for a in row] for row in m]
+        flipped ^= p < 0
     return pos, neg

@@ -31,6 +31,7 @@ from phq import (
     vector,
     verify_witness,
 )
+from phq.catalog import _FINGERPRINT_TABLE
 from phq.lie import format_vector
 
 from oracles import (
@@ -250,6 +251,33 @@ class TestFingerprint:
             p, q = fingerprint(build(name)).sig_phi
             assert p % 2 == 0 and q % 2 == 0
 
+
+    def test_invariants_stay_on_the_integer_kernel(self, monkeypatch):
+        # the center and the lower central series are read off the integer
+        # table: no adjoint in Fractions, and no n^2 x n system reaches rref
+        inputs = [(name, build(name)) for name in ALL_LABELS]
+        inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
+
+        def refuse(self, x):
+            raise AssertionError("fingerprint went through adjoint")
+
+        shapes = []
+        rref = Matrix.rref
+
+        def recording(self):
+            shapes.append((self.rows, self.cols))
+            return rref(self)
+
+        monkeypatch.setattr(LieAlgebra, "adjoint", refuse)
+        monkeypatch.setattr(Matrix, "rref", recording)
+        for name, p in inputs:
+            shapes.clear()
+            fp = fingerprint(p)
+            if fp.dim_derived:
+                assert _FINGERPRINT_TABLE[fp.as_tuple()] == name
+            else:
+                assert name == f"R({fp.sig_phi[0]},{fp.sig_phi[1]})"
+            assert all(rows != p.dim**2 for rows, _ in shapes), (name, shapes)
 
 class TestSalamon:
     def test_abelian_trivially_proper(self):
