@@ -567,6 +567,33 @@ class TestSweepsAgainstOracles:
             outcomes.add(center.dim > 0)
         assert outcomes == {True, False}
 
+    def test_contains(self):
+        self._contains(self.INPUTS)
+
+    def test_contains_coprime_denominators(self):
+        self._contains(self.COPRIME_INPUTS)
+
+    @staticmethod
+    def _contains(inputs):
+        # members: combinations of the basis of the center and of the derived
+        # ideal; non-members: the same plus a unit vector outside, by the oracle
+        coeffs = [c for c in TABLE_COPRIME + MAP_COPRIME if c]
+        outcomes = set()
+        for seed, (algebra, _, _) in enumerate(inputs):
+            n, rng = algebra.dim, random.Random(seed)
+            for space in (algebra.center(), algebra.derived_ideal()):
+                basis = [list(b) for b in space.basis]
+                cs = [rng.choice(coeffs) for _ in basis]
+                w = [sum((c * b[k] for c, b in zip(cs, basis)), Fraction(0)) for k in range(n)]
+                assert rank_oracle(Matrix.from_rows(basis + [w], cols=n)) == space.dim
+                assert space.contains(w)
+                for i in range(n):
+                    e = list(unit(n, i))
+                    outside = rank_oracle(Matrix.from_rows(basis + [e], cols=n)) > space.dim
+                    assert space.contains([a + b for a, b in zip(w, e)]) == (not outside)
+                    outcomes.add(outside)
+        assert outcomes == {True, False}
+
     def test_signature_of_transported_metrics(self):
         for seed, name in enumerate(ALL_LABELS):
             _, _, phi = transported(build(name), random.Random(seed))
