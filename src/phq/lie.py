@@ -30,6 +30,7 @@ from .linalg import (
     Subspace,
     Vector,
     _kernel_int,
+    _solve_int,
     _span_int,
     add_vec,
     bilinear,
@@ -38,7 +39,6 @@ from .linalg import (
     neg_vec,
     scaled,
     scaled_table,
-    solve_linear,
     sparse_table,
     vector,
     zero_vector,
@@ -149,22 +149,20 @@ class LieAlgebra:
         return _span_int(self.dim, [dense(col, self.dim, 0) for col in t.values()])
 
     def lower_central_series(self) -> list[Subspace]:
-        """C0 = g, C(k+1) = [g, Ck], the span of the columns of ad(c) for c
-        in a basis of Ck; stops when stationary.  Each c is scaled to
-        integers and the columns of ad(c) are written off the integer table
-        as `adjoint` writes them, and all are spanned at once by `eliminate`."""
+        """C0 = g, C1 = `derived_ideal`, C(k+1) = [g, Ck], the span of the
+        columns of ad(c) for c in a basis of Ck; stops at zero or when
+        stationary.  Each c is scaled to integers, the columns of ad(c) are
+        written off the integer table and spanned at once by `eliminate`."""
         n = self.dim
         t = scaled_table(self.brackets)[1]
         series = [Subspace.full(n)]
-        while True:
-            current = series[-1]
-            ads = [_ad_entries(t, scaled(c)[1], 0) for c in current.basis]
-            nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
-            if nxt == current:
-                break
+        nxt = self.derived_ideal()
+        while nxt != series[-1]:
             series.append(nxt)
             if nxt.dim == 0:
                 break
+            ads = [_ad_entries(t, scaled(c)[1], 0) for c in nxt.basis]
+            nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
         return series
 
     def nilpotency_index(self) -> int | None:
@@ -293,5 +291,7 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     d, rows = algebra._adjoint_system()
     if any(e for i, e in enumerate(m.entries) if i not in rows):
         return None  # a nonzero entry where every adjoint has a zero
-    a = Matrix(len(rows), n, tuple(Fraction(e) for row in rows.values() for e in row))
-    return solve_linear(a, [d * m.entries[i] for i in rows])
+    # (d A) x = d m, scaled by the common denominator dm of m
+    dm, mn = scaled(m.entries)
+    xs = _solve_int([[dm * e for e in row] + [d * mn[i]] for i, row in rows.items()], n, 1)
+    return None if xs is None else xs[0]

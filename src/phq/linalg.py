@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .checks import PhqError
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
 # the nonzero coefficient of e_k in the value on the basis pair (e_i, e_j).
@@ -344,12 +343,6 @@ class Matrix:
         return len(self.rref()[1])
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows:
-        raise DimensionMismatch("hstack needs equal row counts")
-    return Matrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)], cols=a.cols + b.cols)
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
@@ -367,7 +360,7 @@ def solve_linear(a: Matrix, b: Sequence) -> Vector | None:
 
 def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
     """The `solve_linear` solution for each right-hand side in ``bs``, from
-    one RREF of ``[a | b1 ... bk]``; None if any system is inconsistent.
+    one `eliminate` of ``[a | b1 ... bk]``; None if any system is inconsistent.
 
     The pivots inside ``a`` do not depend on the appended columns, so each
     column gets the solution `solve_linear` gives it alone.  A pivot right of
@@ -377,16 +370,22 @@ def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
     for bv in bvs:
         if len(bv) != a.rows:
             raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
-    red, pivots = hstack(a, Matrix.from_cols(bvs, rows=a.rows)).rref()
-    if pivots and pivots[-1] >= a.cols:
+    rows = [scaled(a.row(i) + tuple(bv[i] for bv in bvs))[1] for i in range(a.rows)]
+    return _solve_int(rows, a.cols, len(bvs))
+
+
+def _solve_int(rows: Iterable[list[int]], cols: int, rhs: int) -> list[Vector] | None:
+    """`solve_linear_many` on integer rows ``[A | B]``, A with ``cols`` columns
+    and B with ``rhs``; each Fraction is made once, as row[k] / row[pivot]."""
+    red, pivots = eliminate(rows, cols + rhs)
+    if pivots and pivots[-1] >= cols:
         return None
-    xs = []
-    for k in range(a.cols, a.cols + len(bvs)):
-        x = [ZERO] * a.cols
-        for r, c in enumerate(pivots):
-            x[c] = red[r, k]
-        xs.append(tuple(x))
-    return xs
+    xs = [[ZERO] * cols for _ in range(rhs)]
+    for row, c in zip(red, pivots):
+        for x, e in zip(xs, row[cols:]):
+            if e:
+                x[c] = Fraction(e, row[c])
+    return [tuple(x) for x in xs]
 
 
 def eliminate(rows: Iterable[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -481,15 +480,12 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        w = list(vector(v))
+        """Rank test through `eliminate`: v is in the span when it adds no pivot."""
+        w = vector(v)
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        for row in self.basis:
-            p = next(i for i, e in enumerate(row) if e != 0)
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return all(e == 0 for e in w)
+        rows = [scaled(b)[1] for b in (*self.basis, w)]
+        return len(eliminate(rows, self.ambient_dim)[1]) == self.dim
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .checks import Check, PhqError, Report
@@ -74,7 +75,7 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     if mat_mul(jn, n, n, jn, n, 0) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
         square_fail.append("j^2 != -I")
 
-    _, t = scaled_table(algebra.brackets)
+    dt, t = scaled_table(algebra.brackets)
     jt = {
         pair: {k: c for k, c in enumerate(mat_vec(jn, n, n, col.items(), 0)) if c}
         for pair, col in t.items()
@@ -91,8 +92,9 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
                 bilinear(jt, ea, jb, skew=True, zero=0),
                 bilinear(t, ja, jb, skew=True, zero=0),
             )
-            if any(dj * dj * p + q + r - s for p, q, r, s in terms):
-                nab = nijenhuis(algebra, j, unit_vector(n, a), unit_vector(n, b))
+            residual = [dj * dj * p + q + r - s for p, q, r, s in terms]
+            if any(residual):
+                nab = [Fraction(x, dj * dj * dt) for x in residual]
                 torsion_fail.append(f"N({names[a]}, {names[b]}) = {format_vector(nab, names)}")
     return Report((Check("J^2", tuple(square_fail)), Check("Nijenhuis", tuple(torsion_fail))))
 
@@ -114,7 +116,7 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
     # sweep runs on the integers dg * g and dt * brackets, which scale every
     # entry by dg * dt.
     _, gn = scaled(g.entries)
-    _, gtn = scaled(g.transpose().entries)
+    gtn = [x for c in range(n) for x in gn[c::n]]  # g^T
     _, t = scaled_table(algebra.brackets)
     skew = [Counter() for _ in range(n)]
     for (a, b), col in t.items():
@@ -185,7 +187,7 @@ def check_phq(p: PHQAlgebra) -> Report:
     # on J = dj * j and G = dg * phi: J^T G J = dj^2 G and G J = -J^T G
     n = p.dim
     dj, jn = scaled(p.j.entries)
-    _, jtn = scaled(p.j.transpose().entries)
+    jtn = [x for c in range(n) for x in jn[c::n]]  # j^T
     _, gn = scaled(p.phi.entries)
     gj = mat_mul(gn, n, n, jn, n, 0)
     compat_fail = []

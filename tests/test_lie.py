@@ -21,6 +21,7 @@ from phq import (
 
 from oracles import naive_jacobi_violations, structure_tensor
 from strategies import matrices, vectors
+from test_catalog import ALL_LABELS
 
 
 def unit(n, i):
@@ -140,6 +141,25 @@ class TestSeriesAndIdeals:
         )
         assert core.algebra.nilpotency_index() != 1
         assert core.algebra.derived_ideal().dim != 0
+
+    def test_series_expands_only_the_terms_after_c0(self, monkeypatch):
+        # C1 is the derived ideal, so ad(c) is written for the basis vectors c
+        # of C1, C2, ... only, never for the n basis vectors of C0 = g
+        import phq.lie
+
+        calls = []
+        ad_entries = phq.lie._ad_entries
+
+        def counting(*args):
+            calls.append(1)
+            return ad_entries(*args)
+
+        monkeypatch.setattr(phq.lie, "_ad_entries", counting)
+        for name in ALL_LABELS:
+            algebra = build(name).algebra
+            calls.clear()
+            series = algebra.lower_central_series()
+            assert len(calls) == sum(term.dim for term in series[1:]), name
 
 
 class TestDerivations:

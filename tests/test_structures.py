@@ -16,6 +16,7 @@ from phq import (
     check_phq,
     check_quadratic,
     fingerprint,
+    full_reduction,
     is_derivation,
     j_class,
     j_twisted_bracket,
@@ -279,6 +280,30 @@ class TestFingerprint:
                 assert name == f"R({fp.sig_phi[0]},{fp.sig_phi[1]})"
             assert all(rows != p.dim**2 for rows, _ in shapes), (name, shapes)
 
+    def test_reduction_fingerprint_and_solve_inner_never_reach_rref(self, monkeypatch):
+        # solves, membership and the invariants all go through
+        # linalg.eliminate; Matrix.rref is left to Matrix.rank
+        inputs = [(name, build(name)) for name in ALL_LABELS]
+        inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
+        described = [full_reduction(p).describe() for _, p in inputs]
+
+        def refuse(self):
+            raise AssertionError("Matrix.rref was reached")
+
+        monkeypatch.setattr(Matrix, "rref", refuse)
+        for (name, p), lines in zip(inputs, described):
+            fp = fingerprint(p)
+            if fp.dim_derived:
+                assert _FINGERPRINT_TABLE[fp.as_tuple()] == name
+            else:
+                assert name == f"R({fp.sig_phi[0]},{fp.sig_phi[1]})"
+            result = full_reduction(p)
+            assert result.describe() == lines, name
+            assert result.residue.algebra.is_abelian()
+            e0 = unit(p.dim, 0)
+            s = solve_inner(p.algebra, p.algebra.adjoint(e0))
+            assert s is not None and p.algebra.adjoint(s) == p.algebra.adjoint(e0)
+
 class TestSalamon:
     def test_abelian_trivially_proper(self):
         assert salamon_check(build("R(2,2)")).ok
@@ -468,6 +493,17 @@ class TestSweepsAgainstOracles:
 
     def test_nijenhuis_failing_pairs_and_residuals_coprime_denominators(self):
         self._nijenhuis_failing_pairs_and_residuals(self.COPRIME_INPUTS)
+
+    def test_torsion_residuals_without_nijenhuis(self, monkeypatch):
+        # the residual printed for a failing pair is the integer one the
+        # sweep already holds, divided back
+        import phq.structures
+
+        def refuse(*args):
+            raise AssertionError("check_complex called nijenhuis")
+
+        monkeypatch.setattr(phq.structures, "nijenhuis", refuse)
+        self._nijenhuis_failing_pairs_and_residuals(self.INPUTS)
 
     def test_ad_invariance(self):
         self._ad_invariance(self.INPUTS)
