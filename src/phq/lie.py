@@ -10,9 +10,9 @@ can be diagnosed instead of rejected.
 
 The invariants run on the integer table d * brackets (`scaled_table`) and
 make Fractions only for their canonical bases: the center is the integer
-null space of the adjoint system, and the derived ideal and each term of
-the lower central series are spans of integer vectors, all through the one
-elimination `linalg.eliminate`.
+null space of the adjoint system that `solve_inner` solves, and the derived
+ideal, which is C1, and each later term of the lower central series are
+spans of integer vectors, all through the one elimination `linalg.eliminate`.
 """
 
 from __future__ import annotations
