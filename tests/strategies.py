@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from phq import Matrix
+from phq import Matrix, Subspace
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -95,3 +95,12 @@ def deficient_symmetric_matrices(draw, n=4):
     scaled = [[d * a for a in row] for d, row in zip(diag, left)]
     transposed = [list(col) for col in zip(*left)] if k else [[] for _ in range(n)]
     return Matrix.from_rows(_product(transposed, scaled, n), cols=n)
+
+
+def subspaces(n=4):
+    """The zero subspace, the full one, or the span of up to n + 1
+    coprime-rational vectors of length n (so often of lower dimension)."""
+    spans = st.lists(st.lists(coprime_rationals, min_size=n, max_size=n), max_size=n + 1)
+    return st.one_of(
+        st.just(Subspace.zero(n)), st.just(Subspace.full(n)), spans.map(lambda vs: Subspace.span(n, vs))
+    )

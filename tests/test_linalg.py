@@ -14,7 +14,9 @@ from phq import (
     Subspace,
     build,
     intersect,
+    gram_restriction,
     kernel,
+    map_image,
     orthogonal_complement,
     signature,
     solve_linear,
@@ -25,6 +27,8 @@ from phq.linalg import solve_linear_many
 
 from oracles import (
     entries,
+    naive_apply,
+    naive_pair,
     nullspace_oracle,
     rank_oracle,
     rref_oracle,
@@ -37,6 +41,7 @@ from strategies import (
     deficient_symmetric_matrices,
     invertible_matrices,
     matrices,
+    subspaces,
     symmetric_matrices,
 )
 
@@ -277,3 +282,74 @@ class TestEliminationAgainstSympy:
     @given(deficient_symmetric_matrices())
     def test_signature(self, g):
         assert signature(g) == signature_oracle(g)
+
+
+def null_oracle(n, rows):
+    """sympy's canonical null-space basis of the rows; a zero row keeps the
+    matrix n columns wide when there are no rows."""
+    return nullspace_oracle(Matrix.from_rows([*rows, [0] * n], cols=n))
+
+
+def span_oracle(n, vectors):
+    """Canonical basis of the span: the null space of the annihilator."""
+    return null_oracle(n, null_oracle(n, vectors))
+
+
+def rows_of(subspace):
+    assert all(type(e) is Fraction for b in subspace.basis for e in b)
+    return [list(b) for b in subspace.basis]
+
+
+maps_from_4 = st.integers(min_value=1, max_value=5).flatmap(
+    lambda r: st.lists(st.lists(coprime_rationals, min_size=4, max_size=4), min_size=r, max_size=r)
+).map(lambda rows: Matrix.from_rows(rows, cols=4))
+
+
+class TestSubspaceMapsAgainstSympy:
+    """intersect, map_image, orthogonal_complement and gram_restriction on
+    coprime denominators, the zero and the full subspace and degenerate
+    forms, against sympy's null spaces and a naive B^T g B."""
+
+    @given(subspaces(), subspaces())
+    def test_intersect(self, u, v):
+        # u ∩ v is the common null space of the annihilators of u and of v
+        expected = null_oracle(4, null_oracle(4, u.basis) + null_oracle(4, v.basis))
+        assert rows_of(intersect(u, v)) == expected
+        assert rows_of(intersect(u, Subspace.full(4))) == rows_of(u)
+        assert intersect(u, Subspace.zero(4)) == Subspace.zero(4)
+
+    @given(maps_from_4, subspaces())
+    def test_map_image(self, m, u):
+        images = [naive_apply(entries(m), b) for b in u.basis]
+        found = map_image(m, u)
+        assert rows_of(found) == span_oracle(m.rows, images)
+        assert found.dim == rank_oracle(Matrix.from_rows([*images, [0] * m.rows], cols=m.rows))
+
+    @given(deficient_symmetric_matrices(), subspaces())
+    def test_orthogonal_complement(self, g, u):
+        images = [naive_apply(entries(g), w) for w in u.basis]
+        found = orthogonal_complement(u, g)
+        assert rows_of(found) == null_oracle(4, images)
+        assert found.dim == 4 - rank_oracle(Matrix.from_rows([*images, [0] * 4], cols=4))
+
+    @given(
+        deficient_symmetric_matrices(),
+        subspaces(),
+        st.lists(st.lists(coprime_rationals, min_size=4, max_size=4), max_size=3),
+    )
+    def test_gram_restriction(self, g, u, loose):
+        # on a canonical basis and on loose, possibly dependent vectors
+        gm = entries(g)
+        for vectors in (u.basis, [vector(x) for x in loose]):
+            gram = gram_restriction(g, vectors)
+            assert (gram.rows, gram.cols) == (len(vectors), len(vectors))
+            assert entries(gram) == [[naive_pair(gm, x, y) for y in vectors] for x in vectors]
+            assert all(type(e) is Fraction for e in gram.entries)
+
+    def test_degenerate_and_zero_forms(self):
+        g = Matrix.from_rows([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+        full = Subspace.full(4)
+        assert rows_of(orthogonal_complement(full, g)) == null_oracle(4, entries(g))
+        assert orthogonal_complement(full, Matrix.zero(4)) == full
+        assert gram_restriction(Matrix.zero(4), full.basis) == Matrix.zero(4)
+        assert entries(gram_restriction(g, full.basis)) == entries(g)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from phq import (
     vector,
     verify_witness,
 )
+from phq.linalg import add_vec
 
 from test_constructions import adapted_pair, lemma_adapted_base
+from test_structures import transported
 
 
 def unit(n, i):
@@ -95,6 +98,21 @@ class TestSplitPlane:
         rest, sign = split_plane(p, unit(8, 6))
         assert sign == 1
         assert fingerprint(rest) == fingerprint(build("L(4,2)"))
+
+    def test_split_on_dense_copies(self):
+        # a central j-pair vector of nonzero norm in a random basis: the rest
+        # is valid, two dimensions smaller, and its signature plus the
+        # plane's is the input's
+        for name in ("L(4,2)+R(2,0)", "L(2,4)+R(0,2)", "R(2,4)"):
+            for seed in range(3):
+                p = PHQAlgebra(*transported(build(name), random.Random(seed)))
+                w = find_central_pair(p).subspace.basis
+                z = next(x for x in [*w, *map(add_vec, w, w[1:])] if p.pairing(x, x))
+                rest, sign = split_plane(p, vector(z))
+                assert rest.dim == p.dim - 2 and check_phq(rest).ok, (name, seed)
+                pos, neg = signature(rest.phi)
+                plane = (2, 0) if sign > 0 else (0, 2)
+                assert (pos + plane[0], neg + plane[1]) == signature(p.phi), (name, seed)
 
     def test_rejects_isotropic_vector(self):
         p = build("Tstar0K")
@@ -188,15 +206,28 @@ class TestFullReduction:
             assert result.residue.algebra.is_abelian()
 
     def test_round_trip_on_catalog(self):
-        for name in NONABELIAN:
-            p = build(name)
+        # the catalog models and dense random-basis copies of them: every
+        # plane step is witnessed, every split leaves a valid algebra whose
+        # signature plus the removed plane's is the one it came from
+        inputs = [(name, build(name)) for name in NONABELIAN]
+        inputs += [
+            (name, PHQAlgebra(*transported(build(name), random.Random(seed))))
+            for seed in range(3)
+            for name in NONABELIAN
+        ]
+        for name, p in inputs:
             result = full_reduction(p)
             current = p
             for step in result.steps:
                 if step.kind == "plane_reduction":
                     rebuilt = phq_double_extension(step.extension_data)
-                    assert fingerprint(rebuilt) == fingerprint(current)
-                    assert verify_witness(rebuilt, current, step.adapted_basis).ok
+                    assert fingerprint(rebuilt) == fingerprint(current), name
+                    assert verify_witness(rebuilt, current, step.adapted_basis).ok, name
+                else:
+                    assert check_phq(step.recovered).ok, name
+                    pos, neg = signature(step.recovered.phi)
+                    plane = (2, 0) if step.sign > 0 else (0, 2)
+                    assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
                 current = step.recovered
 
 
