@@ -13,6 +13,8 @@ make Fractions only for their canonical bases: the center is the integer
 null space of the adjoint system that `solve_inner` solves, and the derived
 ideal, which is C1, and each later term of the lower central series are
 spans of integer vectors, all through the one elimination `linalg.eliminate`.
+Each is a private function of one integer table (`_center`, `_derived`,
+`_series`), so a caller that needs several of them scales the table once.
 """
 
 from __future__ import annotations
@@ -124,54 +126,23 @@ class LieAlgebra:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
         return Matrix(self.dim, self.dim, tuple(_ad_entries(self.brackets, xv)))
 
-    def _adjoint_system(self) -> tuple[int, dict[int, list[int]]]:
-        """The n^2 x n matrix A of x -> ad(x), read straight off the integer
-        table d * brackets (`scaled_table`): the scale d and the nonzero rows
-        of d * A by row index.  A x is ``adjoint(x).entries``, so row k*n + b
-        is entry (k, b): c = [e_a, e_b]_k puts c in column a of row k*n + b
-        and -c in column b of row k*n + a."""
-        n = self.dim
-        d, t = scaled_table(self.brackets)
-        rows: dict[int, list[int]] = {}
-        for (a, b), col in t.items():
-            for k, c in col.items():
-                rows.setdefault(k * n + b, [0] * n)[a] = c
-                rows.setdefault(k * n + a, [0] * n)[b] = -c
-        return d, rows
-
     def center(self) -> Subspace:
         """The x with ad(x) = 0: the integer null space of the adjoint system."""
-        return _kernel_int(self._adjoint_system()[1].values(), self.dim)
+        return _center(scaled_table(self.brackets)[1], self.dim)
 
     def derived_ideal(self) -> Subspace:
         """Span of all brackets of basis pairs."""
-        t = scaled_table(self.brackets)[1]
-        return _span_int(self.dim, [dense(col, self.dim, 0) for col in t.values()])
+        return _derived(scaled_table(self.brackets)[1], self.dim)
 
     def lower_central_series(self) -> list[Subspace]:
-        """C0 = g, C1 = `derived_ideal`, C(k+1) = [g, Ck], the span of the
-        columns of ad(c) for c in a basis of Ck; stops at zero or when
-        stationary.  Each c is scaled to integers, the columns of ad(c) are
-        written off the integer table and spanned at once by `eliminate`."""
-        n = self.dim
+        """C0 = g, C1 = `derived_ideal`, C(k+1) = [g, Ck]; see `_series`."""
         t = scaled_table(self.brackets)[1]
-        series = [Subspace.full(n)]
-        nxt = self.derived_ideal()
-        while nxt != series[-1]:
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-            ads = [_ad_entries(t, scaled(c)[1], 0) for c in nxt.basis]
-            nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
-        return series
+        return _series(t, self.dim, _derived(t, self.dim))
 
     def nilpotency_index(self) -> int | None:
         """Smallest k with Ck = 0 (abelian algebras have index 1); None if the
         series stabilizes at a nonzero term."""
-        series = self.lower_central_series()
-        if series[-1].dim != 0:
-            return None
-        return len(series) - 1
+        return _index(self.lower_central_series())
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -191,6 +162,51 @@ def _ad_entries(table: Mapping, x: Sequence, zero=ZERO) -> list:
                 entries[k * n + b] += xa * c
                 entries[k * n + a] -= xb * c
     return entries
+
+
+def _adjoint_rows(t: Mapping, n: int) -> dict[int, list[int]]:
+    """The n^2 x n matrix A of x -> ad(x) read off the integer table
+    T = d * brackets (`scaled_table`): the nonzero rows of d * A by row
+    index.  A x is ``adjoint(x).entries``, so row k*n + b is entry (k, b):
+    c = [e_a, e_b]_k puts c in column a of row k*n + b and -c in column b of
+    row k*n + a."""
+    rows: dict[int, list[int]] = {}
+    for (a, b), col in t.items():
+        for k, c in col.items():
+            rows.setdefault(k * n + b, [0] * n)[a] = c
+            rows.setdefault(k * n + a, [0] * n)[b] = -c
+    return rows
+
+
+def _center(t: Mapping, n: int) -> Subspace:
+    """The null space of `_adjoint_rows`."""
+    return _kernel_int(_adjoint_rows(t, n).values(), n)
+
+
+def _derived(t: Mapping, n: int) -> Subspace:
+    """The span of the columns of T."""
+    return _span_int(n, [dense(col, n, 0) for col in t.values()])
+
+
+def _series(t: Mapping, n: int, derived: Subspace) -> list[Subspace]:
+    """The lower central series from C1 = ``derived``: C(k+1) is the span of
+    the columns of ad(c) for c in a basis of Ck; stops at zero or when
+    stationary.  Each c is scaled to integers, the columns of ad(c) are
+    written off T and spanned at once by `eliminate`."""
+    series = [Subspace.full(n)]
+    nxt = derived
+    while nxt != series[-1]:
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
+        ads = [_ad_entries(t, scaled(c)[1], 0) for c in nxt.basis]
+        nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
+    return series
+
+
+def _index(series: list[Subspace]) -> int | None:
+    """The nilpotency index a lower central series gives, or None."""
+    return len(series) - 1 if series[-1].dim == 0 else None
 
 
 def _names(names: Sequence[str] | int) -> tuple[str, ...]:
@@ -288,10 +304,11 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
-    d, rows = algebra._adjoint_system()
+    d, t = scaled_table(algebra.brackets)
+    rows = _adjoint_rows(t, n)
     if any(e for i, e in enumerate(m.entries) if i not in rows):
         return None  # a nonzero entry where every adjoint has a zero
     # (d A) x = d m, scaled by the common denominator dm of m
     dm, mn = scaled(m.entries)
-    xs = _solve_int([[dm * e for e in row] + [d * mn[i]] for i, row in rows.items()], n, 1)
+    xs = _solve_int([[dm * e for e in row] + [d * mn[i]] for i, row in rows.items()], [1] * n, [1])
     return None if xs is None else xs[0]

@@ -10,7 +10,9 @@ Under that API the heavy loops run on integers.  One routine, `eliminate`,
 reduces integer rows fraction-free; `Matrix.rref`, `kernel`, `Subspace.span`,
 `Subspace.contains` (a rank test), `solve_linear_many` and, in `lie`,
 `solve_inner`, the center, the derived ideal and the lower central series
-all reach it, and each makes its Fractions once, at the end.  `signature`
+all reach it, and each makes its Fractions once, at the end; `intersect`,
+`map_image`, `orthogonal_complement` and `gram_restriction` scale their
+vectors and matrices and reach it too.  `signature`
 runs its congruence elimination on integers as well, dividing the active
 block by the gcd of its entries after each step.  The axiom sweeps test
 scaled integer identities: `scaled` and `scaled_table` give the least
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .checks import PhqError
@@ -33,6 +36,10 @@ Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
 # the nonzero coefficient of e_k in the value on the basis pair (e_i, e_j).
 SparseTable = dict[tuple[int, int], dict[int, Fraction]]
+
+# A vector v as the pair (s, x) of a positive scale s and the integers
+# x = s * v, as `scaled` gives it.
+Scaled = tuple[int, list[int]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,11 +97,6 @@ def neg_vec(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def scale_vec(s, u: Vector) -> Vector:
-    s = frac(s)
-    return tuple(s * a for a in u)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
@@ -132,7 +134,7 @@ def sparse_table(entries: Mapping, n: int, skew: bool) -> SparseTable:
     return table
 
 
-def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def scaled(values: Sequence[Fraction]) -> Scaled:
     """The least common denominator d of ``values`` and the integers d * v."""
     d = lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
@@ -371,20 +373,24 @@ def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
         if len(bv) != a.rows:
             raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
     rows = [scaled(a.row(i) + tuple(bv[i] for bv in bvs))[1] for i in range(a.rows)]
-    return _solve_int(rows, a.cols, len(bvs))
+    return _solve_int(rows, [1] * a.cols, [1] * len(bvs))
 
 
-def _solve_int(rows: Iterable[list[int]], cols: int, rhs: int) -> list[Vector] | None:
-    """`solve_linear_many` on integer rows ``[A | B]``, A with ``cols`` columns
-    and B with ``rhs``; each Fraction is made once, as row[k] / row[pivot]."""
-    red, pivots = eliminate(rows, cols + rhs)
+def _solve_int(rows: Iterable[list[int]], scales: Sequence[int], dens: Sequence[int]) -> list[Vector] | None:
+    """`solve_linear_many` on integer rows ``[A | B]`` of a system whose
+    column c of A is scales[c] times the rational column and whose column r
+    of B is dens[r] times the rational right-hand side.  The integer solution
+    X gives x_c = X_c * scales[c] / dens[r], and each Fraction is made once,
+    as row[k] * scales[c] / (row[c] * dens[r]) for the pivot c of a row."""
+    cols = len(scales)
+    red, pivots = eliminate(rows, cols + len(dens))
     if pivots and pivots[-1] >= cols:
         return None
-    xs = [[ZERO] * cols for _ in range(rhs)]
+    xs = [[ZERO] * cols for _ in dens]
     for row, c in zip(red, pivots):
-        for x, e in zip(xs, row[cols:]):
+        for x, e, den in zip(xs, row[cols:], dens):
             if e:
-                x[c] = Fraction(e, row[c])
+                x[c] = Fraction(e * scales[c], row[c] * den)
     return [tuple(x) for x in xs]
 
 
@@ -431,9 +437,15 @@ def _span_int(n: int, rows: Iterable[list[int]]) -> Subspace:
 
 def _kernel_int(rows: Iterable[list[int]], cols: int) -> Subspace:
     """The null space of integer rows of length ``cols``, as a canonical
-    subspace.  The null vector of a free column f takes, at f, the lcm L of
-    the pivots pv of the reduced rows with an entry e at f, and -e * L / pv
-    at each of their pivot columns, so it stays integral."""
+    subspace."""
+    return _span_int(cols, _null_int(rows, cols))
+
+
+def _null_int(rows: Iterable[list[int]], cols: int) -> list[list[int]]:
+    """Integer basis vectors of the null space of integer rows of length
+    ``cols``, one per free column.  The vector of a free column f takes, at
+    f, the lcm L of the pivots pv of the reduced rows with an entry e at f,
+    and -e * L / pv at each of their pivot columns, so it stays integral."""
     red, pivots = eliminate(rows, cols)
     pivot_set = set(pivots)
     basis = []
@@ -444,7 +456,7 @@ def _kernel_int(rows: Iterable[list[int]], cols: int) -> Subspace:
             if row[free]:
                 v[c] = -row[free] * (v[free] // row[c])
         basis.append(v)
-    return _span_int(cols, basis)
+    return basis
 
 
 def kernel(a: Matrix) -> Subspace:
@@ -496,35 +508,64 @@ class Subspace:
         return gram_restriction(g, self.basis).is_zero()
 
 
+# The subspace maps below scale each basis vector and each matrix to
+# integers (`scaled`) and go straight to `_span_int` and `_kernel_int`: a
+# span or a null space does not change when a vector is scaled.
+
+
 def intersect(u: Subspace, v: Subspace) -> Subspace:
     """Largest subspace contained in both."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
     n = u.ambient_dim
-    # (a, b) in the kernel of [U | V] means U a = -V b, a point of both
-    coeffs = kernel(Matrix.from_cols(u.basis + v.basis, rows=n))
-    frame = Matrix.from_cols(u.basis, rows=n)
-    return Subspace.span(n, [frame.apply(cv[: u.dim]) for cv in coeffs.basis])
+    frame = [scaled(b)[1] for b in u.basis + v.basis]
+    rows = [[x[i] for x in frame] for i in range(n)]  # [U | V]
+    # (a, b) in the null space of [U | V] means U a = -V b, a point of both
+    nulls = _null_int(rows, len(frame))
+    return _span_int(n, [[sum(map(mul, a[: u.dim], row)) for row in rows] for a in nulls])
 
 
 def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
     """{x : x^T g w = 0 for all w in u} for a symmetric pairing ``g``."""
-    if g.rows != g.cols or g.rows != u.ambient_dim:
+    n = u.ambient_dim
+    if g.rows != g.cols or g.rows != n:
         raise DimensionMismatch("pairing matrix must be square of the ambient dimension")
     if not g.is_symmetric():
         raise NotSymmetricError("pairing matrix must be symmetric")
-    return kernel(Matrix.from_rows([g.apply(w) for w in u.basis], cols=u.ambient_dim))
+    gn = scaled(g.entries)[1]
+    return _kernel_int([mat_vec(gn, n, n, enumerate(scaled(w)[1]), 0) for w in u.basis], n)
 
 
 def map_image(m: Matrix, u: Subspace) -> Subspace:
     """Image of a subspace under a linear map."""
-    return Subspace.span(m.rows, [m.apply(b) for b in u.basis])
+    if m.cols != u.ambient_dim:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} map on a subspace of ambient dim {u.ambient_dim}")
+    mn = scaled(m.entries)[1]
+    return _span_int(m.rows, [mat_vec(mn, m.rows, m.cols, enumerate(scaled(b)[1]), 0) for b in u.basis])
 
 
 def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
     """Gram matrix B^T g B of ``g`` on the given vectors, the columns of B."""
-    b = Matrix.from_cols(vectors, rows=g.rows)
-    return b.transpose() @ g @ b
+    vs = [vector(v) for v in vectors]
+    if g.rows != g.cols or any(len(v) != g.rows for v in vs):
+        raise DimensionMismatch("Gram matrix needs a square form and vectors of its dimension")
+    return _gram_int(g.rows, *scaled(g.entries), [scaled(v) for v in vs])
+
+
+def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matrix:
+    """Gram matrix of the n x n form gn / dg, gn row-major integers, on the
+    vectors of the `Scaled` pairs (s, x) of ``vs``: entry (a, b) is
+    x_a . (gn x_b) / (dg s_a s_b), each made once."""
+    images = [mat_vec(gn, n, n, enumerate(x), 0) for _, x in vs]
+    return Matrix(
+        len(vs),
+        len(vs),
+        tuple(
+            Fraction(sum(map(mul, xa, gxb)), dg * sa * sb)
+            for sa, xa in vs
+            for (sb, _), gxb in zip(vs, images)
+        ),
+    )
 
 
 def signature(g: Matrix) -> tuple[int, int]:

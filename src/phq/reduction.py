@@ -8,41 +8,48 @@ drives an orthogonal split (`split_plane`).  `full_reduction` iterates to an
 abelian residue.  `analyze_skew_pair` normalizes a nilpotent skewsymmetric
 pair on a neutral four-dimensional base into its adapted form.
 
-Each of them reads all its frame coordinates off one frame solve, `_coords`
-(a single elimination); the inverse steps share `_restrict`, and the plane
-reduction shares its isotropic dual vector (`_isotropic_dual`) with
-`analyze_skew_pair`.  The inverse steps test that z is central as
-ad(z) = 0 and never build the center.
+Each inverse step scales the bracket table, j and phi to integers once
+(`_Integers`) and computes everything it reads from them over int: the
+centrality of z and jz (no nonzero entry of the integer ad(z); the center is
+never built), the isotropic dual vector (`_isotropic_dual`, shared with
+`analyze_skew_pair`), the orthogonal complement, and in `_restrict` the
+brackets and j-images of the frame vectors, their coordinates from one
+integer frame solve (`_coords`, also shared with `analyze_skew_pair`) and
+the Gram block B^T g B.  Each Fraction of the result is made once, at the
+end.  The extension data a plane step reads off is still validated on
+Fractions by `ExtensionData`, independently of how it was computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .checks import PhqError
 from .constructions import ExtensionData, validate_extension_data
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _ad_entries, _center, _derived
 from .linalg import (
-    ONE,
     ZERO,
+    DimensionMismatch,
     Matrix,
+    Scaled,
     Subspace,
     Vector,
+    _gram_int,
+    _kernel_int,
+    _solve_int,
     add_vec,
-    dot,
-    gram_restriction,
+    bilinear,
     intersect,
     is_zero_vec,
     kernel,
     map_image,
-    orthogonal_complement,
-    scale_vec,
+    mat_vec,
+    scaled,
+    scaled_table,
     signature,
-    solve_linear,
-    solve_linear_many,
-    sub_vec,
     vector,
     zero_vector,
 )
@@ -91,11 +98,13 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     among the echelon basis of W and then pairwise sums of it.  A nonempty W
     is guaranteed for nilpotent input; anything else raises.
     """
-    center = p.algebra.center()
+    n = p.dim
+    t = scaled_table(p.algebra.brackets)[1]
+    center = _center(t, n)
     w = intersect(center, map_image(p.j, center))
     if w.dim == 0:
         raise EmptyIntersection("center ∩ j(center) is zero; input is outside the nilpotent case")
-    in_derived = intersect(w, p.algebra.derived_ideal())
+    in_derived = intersect(w, _derived(t, n))
     if in_derived.dim > 0:
         return CentralPair(w, in_derived.basis[0], True)
     candidates = list(w.basis)
@@ -108,51 +117,111 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     )
 
 
-def _coords(
-    n: int, frame: Sequence[Vector], vectors: Sequence[Vector], error: Exception
-) -> list[Vector]:
-    """Coordinates of ``vectors`` in the independent columns ``frame`` of an
-    n-dimensional space, from one elimination; raises ``error`` if any of the
-    vectors leaves the span of the frame."""
-    xs = solve_linear_many(Matrix.from_cols(list(frame), rows=n), vectors)
+class _Integers(NamedTuple):
+    """The bracket table, j and phi of an n-dimensional PHQAlgebra scaled to
+    integers once: T = d * brackets (`scaled_table`), J = dj * j and
+    G = dg * phi (`scaled`).  The methods take and give `Scaled` pairs, or
+    integers where only a span, a sign or a zero test needs them."""
+
+    n: int
+    d: int
+    t: dict
+    dj: int
+    j: list[int]
+    dg: int
+    g: list[int]
+
+    @classmethod
+    def of(cls, p: PHQAlgebra) -> "_Integers":
+        return cls(p.dim, *scaled_table(p.algebra.brackets), *scaled(p.j.entries), *scaled(p.phi.entries))
+
+    def vec(self, v: Sequence) -> Scaled:
+        v = vector(v)
+        if len(v) != self.n:
+            raise DimensionMismatch("vector must match the algebra dimension")
+        return scaled(v)
+
+    def bracket(self, x: Scaled, y: Scaled) -> Scaled:
+        return self.d * x[0] * y[0], bilinear(self.t, x[1], y[1], skew=True, zero=0)
+
+    def jmap(self, x: Scaled) -> Scaled:
+        return self.dj * x[0], mat_vec(self.j, self.n, self.n, enumerate(x[1]), 0)
+
+    def pairing_row(self, x: Scaled) -> list[int]:
+        """G x, a positive multiple of the row of phi(x, .)."""
+        return mat_vec(self.g, self.n, self.n, enumerate(x[1]), 0)
+
+    def norm(self, x: Scaled) -> int:
+        """A positive multiple of phi(x, x)."""
+        return sum(map(mul, x[1], self.pairing_row(x)))
+
+    def complement(self, xs: Sequence[Scaled]) -> Subspace:
+        """The y with phi(x, y) = 0 for every x in ``xs``."""
+        return _kernel_int([self.pairing_row(x) for x in xs], self.n)
+
+    def central(self, x: Scaled) -> bool:
+        """ad(x) = 0, tested on the integer entries of ad(x) read off T."""
+        return not any(_ad_entries(self.t, x[1], 0))
+
+
+def _unscaled(x: Scaled) -> Vector:
+    return tuple(Fraction(a, x[0]) for a in x[1])
+
+
+def _coords(n: int, frame: Sequence[Scaled], images: Sequence[Scaled], error: Exception) -> list[Vector]:
+    """Coordinates of the ``images`` in the independent columns ``frame`` of
+    an n-dimensional space, all `Scaled` pairs, from one integer solve of
+    [frame | images]: x_c = y_c * s_c / den for the scale s_c of column c and
+    the scale den of an image.  Raises ``error`` if any image leaves the
+    span of the frame."""
+    rows = [[x[i] for _, x in frame] + [y[i] for _, y in images] for i in range(n)]
+    xs = _solve_int(rows, [s for s, _ in frame], [den for den, _ in images])
     if xs is None:
         raise error
     return xs
 
 
-def _isotropic_dual(phi: Matrix, z: Vector, zp: Vector, error: Exception) -> Vector:
+def _isotropic_dual(ints: _Integers, z: Scaled, zp: Scaled, error: Exception) -> Vector:
     """An isotropic v with phi(z, v) = 1 and phi(zp, v) = 0, for an isotropic
-    z orthogonal to zp: the minimal-support solution of the two linear
-    conditions, moved along z until it is isotropic.  Raises ``error`` if the
-    conditions are inconsistent."""
-    v = solve_linear(Matrix.from_rows([phi.apply(z), phi.apply(zp)]), (ONE, ZERO))
-    if v is None:
+    z orthogonal to zp: the minimal-support solution v0 of the two linear
+    conditions, moved along z until it is isotropic, v0 - phi(v0, v0) / 2 z,
+    with each entry made once over the common denominator.  Raises ``error``
+    if the conditions are inconsistent."""
+    n, dg = ints.n, ints.dg
+    rows = [ints.pairing_row(z) + [dg * z[0]], ints.pairing_row(zp) + [0]]
+    xs = _solve_int(rows, [1] * n, [1])
+    if xs is None:
         raise error
-    return sub_vec(v, scale_vec(dot(phi.apply(v), v) / 2, z))
+    s, x = scaled(xs[0])
+    q = ints.norm((s, x))  # dg s^2 phi(v0, v0)
+    sz, zn = z
+    return tuple(Fraction(2 * dg * s * sz * a - q * b, 2 * dg * s * s * sz) for a, b in zip(x, zn))
 
 
 def _restrict(
-    p: PHQAlgebra,
-    basis: Sequence[Vector],
-    drop: Sequence[Vector] = (),
-    extra: Sequence[Vector] = (),
+    ints: _Integers,
+    basis: Sequence[Scaled],
+    drop: Sequence[Scaled] = (),
+    extra: Sequence[tuple[Scaled, Scaled]] = (),
 ) -> tuple[PHQAlgebra, list[Vector]]:
     """Restriction of brackets, j and phi to the span of ``basis``.
 
-    One frame solve in (drop..., basis...) gives the coordinates of the
-    brackets of the basis vectors, of their images under j and of the
-    ``extra`` vectors.  Components along ``drop`` are discarded, but j must
-    keep the span of ``basis``.  Returns the restriction and the ``basis``
-    coordinates of ``extra``.
+    One integer frame solve in (drop..., basis...) gives the coordinates of
+    the brackets of the basis vectors, of their images under j and of the
+    brackets of the ``extra`` pairs.  Components along ``drop`` are
+    discarded, but j must keep the span of ``basis``.  The metric is the
+    Gram block B^T g B on integers.  Returns the restriction and the
+    ``basis`` coordinates of the ``extra`` brackets.
     """
     m, k = len(basis), len(drop)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    images = [p.algebra.bracket(basis[a], basis[b]) for a, b in pairs]
-    images += [p.j.apply(x) for x in basis]
+    images = [ints.bracket(basis[a], basis[b]) for a, b in pairs]
+    images += [ints.jmap(x) for x in basis]
+    images += [ints.bracket(x, y) for x, y in extra]
     coords = _coords(
-        p.dim,
+        ints.n,
         [*drop, *basis],
-        images + list(extra),
+        images,
         InvalidCentralElement("the restriction leaves the frame; the subspace is not invariant"),
     )
     j_cols = coords[len(pairs) : len(pairs) + m]
@@ -164,7 +233,7 @@ def _restrict(
             {pair: dict(enumerate(c[k:])) for pair, c in zip(pairs, coords)},
         ),
         Matrix.from_cols([c[k:] for c in j_cols], rows=m),
-        gram_restriction(p.phi, basis),
+        _gram_int(ints.n, ints.dg, ints.g, basis),
     )
     return restricted, [c[k:] for c in coords[len(pairs) + m :]]
 
@@ -175,15 +244,16 @@ def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
     Returns the restriction to the orthogonal complement together with the
     sign of phi(z, z).
     """
-    z = vector(z)
-    zp = p.j.apply(z)
-    if not (p.algebra.adjoint(z).is_zero() and p.algebra.adjoint(zp).is_zero()):
+    ints = _Integers.of(p)
+    z = ints.vec(z)
+    zp = ints.jmap(z)
+    if not (ints.central(z) and ints.central(zp)):
         raise InvalidCentralElement("z and jz must be central")
-    norm = p.pairing(z, z)
+    norm = ints.norm(z)
     if norm == 0:
         raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    complement = orthogonal_complement(Subspace.span(p.dim, [z, zp]), p.phi)
-    return _restrict(p, complement.basis)[0], (1 if norm > 0 else -1)
+    complement = ints.complement([z, zp]).basis
+    return _restrict(ints, [scaled(b) for b in complement])[0], (1 if norm > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -209,25 +279,29 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     isotropic; the recovered base is the orthogonal of span{z, jz, v, jv},
     and the extension data is read off the brackets with v and jv.
     """
+    ints = _Integers.of(p)
     z = vector(z)
-    if not (p.algebra.adjoint(z).is_zero() and p.algebra.derived_ideal().contains(z)):
+    zs = ints.vec(z)
+    if not (ints.central(zs) and _derived(ints.t, ints.n).contains(z)):
         raise InvalidCentralElement("z must lie in center ∩ derived")
-    zp = p.j.apply(z)
-    if not p.algebra.adjoint(zp).is_zero():
+    zps = ints.jmap(zs)
+    if not ints.central(zps):
         raise InvalidCentralElement("jz must be central")
-    if p.pairing(z, z) != 0:
+    if ints.norm(zs) != 0:
         raise NonIsotropic("z must be isotropic")
 
     v = _isotropic_dual(
-        p.phi, z, zp, InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
+        ints, zs, zps, InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
     )
-    vp = p.j.apply(v)
+    vs = scaled(v)
+    vps = ints.jmap(vs)
 
-    basis = orthogonal_complement(Subspace.span(p.dim, [z, zp, v, vp]), p.phi).basis
+    basis = ints.complement([zs, zps, vs, vps]).basis
     m = len(basis)
+    bs = [scaled(b) for b in basis]
     # F, D and s0 are the base components of [v, x], [v', x] and [v, v'].
-    maps = [p.algebra.bracket(w, b) for w in (v, vp) for b in basis]
-    base, ext = _restrict(p, basis, drop=(z, zp), extra=[*maps, p.algebra.bracket(v, vp)])
+    extra = [(w, b) for w in (vs, vps) for b in bs] + [(vs, vps)]
+    base, ext = _restrict(ints, bs, drop=(zs, zps), extra=extra)
     data = ExtensionData(
         base,
         Matrix.from_cols(ext[m : 2 * m], rows=m),
@@ -241,7 +315,7 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
         sign=None,
         recovered=base,
         extension_data=data,
-        adapted_basis=Matrix.from_cols([z, zp, *basis, vp, v], rows=p.dim),
+        adapted_basis=Matrix.from_cols([z, _unscaled(zps), *basis, _unscaled(vps), v], rows=p.dim),
     )
 
 
@@ -336,14 +410,15 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
     if not ker_f.is_totally_isotropic(base.phi):
         raise HypothesisViolated("ker(F) is not totally isotropic")
 
+    ints = _Integers.of(base)
     u1 = ker_f.basis[0]
     ju1 = base.j.apply(u1)
-    u2 = _isotropic_dual(base.phi, u1, ju1, HypothesisViolated("no dual vector for u1"))
+    u2 = _isotropic_dual(ints, scaled(u1), scaled(ju1), HypothesisViolated("no dual vector for u1"))
     ju2 = base.j.apply(u2)
     fu2, du2, fju2 = _coords(
         4,
-        [u1, ju1, u2, ju2],
-        [f.apply(u2), d.apply(u2), f.apply(ju2)],
+        [scaled(x) for x in (u1, ju1, u2, ju2)],
+        [scaled(f.apply(u2)), scaled(d.apply(u2)), scaled(f.apply(ju2))],
         HypothesisViolated("adapted frame is degenerate"),
     )
     if fu2[0] != 0 or fu2[2] != 0 or fu2[3] != 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .checks import Check, PhqError, Report
-from .lie import LieAlgebra, LinearMap, check_jacobi, format_vector
+from .lie import LieAlgebra, LinearMap, _center, _derived, _index, _series, check_jacobi, format_vector
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -277,16 +277,19 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
     canonical echelon basis; signatures are congruence invariants, so the
     basis choice does not matter.  The restricted form may be degenerate, in
     which case the (p, q) counts sum to less than the ideal's dimension.
+    The center, the derived ideal and the lower central series, which starts
+    from that ideal, all read one integer table (`scaled_table`).
     """
-    derived = p.algebra.derived_ideal()
-    restricted = gram_restriction(p.phi, derived.basis)
+    n = p.dim
+    t = scaled_table(p.algebra.brackets)[1]
+    derived = _derived(t, n)
     return Fingerprint(
-        dim=p.dim,
+        dim=n,
         dim_derived=derived.dim,
-        dim_center=p.algebra.center().dim,
-        nilpotency_index=p.algebra.nilpotency_index(),
+        dim_center=_center(t, n).dim,
+        nilpotency_index=_index(_series(t, n, derived)),
         sig_phi=signature(p.phi),
-        sig_phi_on_derived=signature(restricted),
+        sig_phi_on_derived=signature(gram_restriction(p.phi, derived.basis)),
     )
 
 

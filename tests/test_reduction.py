@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from phq import (
     HypothesisViolated,
     InvalidCentralElement,
+    LieAlgebra,
     Matrix,
     NotDefinitePlane,
     PHQAlgebra,
@@ -13,6 +15,7 @@ from phq import (
     analyze_skew_pair,
     build,
     check_phq,
+    classify,
     find_central_pair,
     fingerprint,
     full_reduction,
@@ -26,6 +29,7 @@ from phq import (
 )
 from phq.linalg import add_vec
 
+from test_catalog import ALL_LABELS
 from test_constructions import adapted_pair, lemma_adapted_base
 from test_structures import transported
 
@@ -229,6 +233,37 @@ class TestFullReduction:
                     plane = (2, 0) if step.sign > 0 else (0, 2)
                     assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
                 current = step.recovered
+
+
+    def test_steps_stay_on_the_integer_kernel(self, monkeypatch):
+        # a reduction or a classify evaluates no bracket in Fractions; the one
+        # adjoint taken is that of s0 in validate_extension_data, once per
+        # plane step
+        inputs = [(name, build(name)) for name in ALL_LABELS]
+        inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
+        expected = [(full_reduction(p).describe(), classify(p).label) for _, p in inputs]
+
+        def refuse(self, x, y):
+            raise AssertionError("LieAlgebra.bracket was reached")
+
+        callers = []
+        adjoint = LieAlgebra.adjoint
+
+        def recording(self, x):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return adjoint(self, x)
+
+        monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+        monkeypatch.setattr(LieAlgebra, "adjoint", recording)
+        for (name, p), (lines, label) in zip(inputs, expected):
+            callers.clear()
+            result = full_reduction(p)
+            assert result.describe() == lines, name
+            once_per_plane = ["validate_extension_data"] * sum(s.kind == "plane_reduction" for s in result.steps)
+            assert callers == once_per_plane, name
+            callers.clear()
+            assert classify(p).label == label, name
+            assert callers == once_per_plane, name
 
 
 class TestAnalyzeSkewPair:
