@@ -34,6 +34,7 @@ from .linalg import (
     ZERO,
     DimensionMismatch,
     Matrix,
+    NotSymmetricError,
     Scaled,
     Subspace,
     Vector,
@@ -148,16 +149,21 @@ class _Integers(NamedTuple):
         return self.dj * x[0], mat_vec(self.j, self.n, self.n, enumerate(x[1]), 0)
 
     def pairing_row(self, x: Scaled) -> list[int]:
-        """G x, a positive multiple of the row of phi(x, .)."""
+        """G x = dg * s * (phi x), the row of phi(x, .) times dg * s when
+        phi is symmetric."""
         return mat_vec(self.g, self.n, self.n, enumerate(x[1]), 0)
 
     def norm(self, x: Scaled) -> int:
-        """A positive multiple of phi(x, x)."""
+        """dg * s^2 * phi(x, x), of the sign of phi(x, x)."""
         return sum(map(mul, x[1], self.pairing_row(x)))
 
     def complement(self, xs: Sequence[Scaled]) -> Subspace:
-        """The y with phi(x, y) = 0 for every x in ``xs``."""
-        return _kernel_int([self.pairing_row(x) for x in xs], self.n)
+        """The y with phi(x, y) = 0 for every x in ``xs``, as
+        `orthogonal_complement` gives it: phi must be symmetric."""
+        n, g = self.n, self.g
+        if any(g[a * n + b] != g[b * n + a] for a in range(n) for b in range(a)):
+            raise NotSymmetricError("pairing matrix must be symmetric")
+        return _kernel_int([self.pairing_row(x) for x in xs], n)
 
     def central(self, x: Scaled) -> bool:
         """ad(x) = 0, tested on the integer entries of ad(x) read off T."""
@@ -165,6 +171,7 @@ class _Integers(NamedTuple):
 
 
 def _unscaled(x: Scaled) -> Vector:
+    """The Fraction vector of a `Scaled` pair."""
     return tuple(Fraction(a, x[0]) for a in x[1])
 
 

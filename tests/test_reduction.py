@@ -10,6 +10,7 @@ from phq import (
     LieAlgebra,
     Matrix,
     NotDefinitePlane,
+    NotSymmetricError,
     PHQAlgebra,
     Subspace,
     analyze_skew_pair,
@@ -36,6 +37,13 @@ from test_structures import transported
 
 def unit(n, i):
     return vector([1 if k == i else 0 for k in range(n)])
+
+
+def with_phi_entry(p, i, k, value):
+    """p with entry (i, k) of phi, alone, replaced: phi is no longer
+    symmetric."""
+    rows = [[value if (r, c) == (i, k) else p.phi[r, c] for c in range(p.dim)] for r in range(p.dim)]
+    return PHQAlgebra(p.algebra, p.j, Matrix.from_rows(rows))
 
 
 def with_j_column(p, i, image):
@@ -112,11 +120,16 @@ class TestSplitPlane:
                 p = PHQAlgebra(*transported(build(name), random.Random(seed)))
                 w = find_central_pair(p).subspace.basis
                 z = next(x for x in [*w, *map(add_vec, w, w[1:])] if p.pairing(x, x))
-                rest, sign = split_plane(p, vector(z))
+                rest, sign = split_plane(p, z)
                 assert rest.dim == p.dim - 2 and check_phq(rest).ok, (name, seed)
                 pos, neg = signature(rest.phi)
                 plane = (2, 0) if sign > 0 else (0, 2)
                 assert (pos + plane[0], neg + plane[1]) == signature(p.phi), (name, seed)
+
+    def test_rejects_nonsymmetric_metric(self):
+        p = with_phi_entry(build("L(4,2)+R(2,0)"), 0, 1, Fraction(1, 3))
+        with pytest.raises(NotSymmetricError):
+            split_plane(p, unit(8, 6))
 
     def test_rejects_isotropic_vector(self):
         p = build("Tstar0K")
@@ -174,6 +187,12 @@ class TestReduceByPlane:
         p = build("L(4,2)")
         with pytest.raises(InvalidCentralElement, match="^z must lie in center ∩ derived$"):
             reduce_by_plane(p, unit(6, 0))  # x1
+
+    def test_rejects_nonsymmetric_metric(self):
+        # z = x3 passes every test before the complement is taken
+        p = with_phi_entry(build("L(4,2)"), 0, 1, Fraction(1, 3))
+        with pytest.raises(NotSymmetricError):
+            reduce_by_plane(p, unit(6, 4))
 
     def test_rejects_central_vector_with_noncentral_image(self):
         # x3 is central and derived, but this j sends it to the non-central x1
@@ -233,7 +252,6 @@ class TestFullReduction:
                     plane = (2, 0) if step.sign > 0 else (0, 2)
                     assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
                 current = step.recovered
-
 
     def test_steps_stay_on_the_integer_kernel(self, monkeypatch):
         # a reduction or a classify evaluates no bracket in Fractions; the one

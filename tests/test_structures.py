@@ -280,6 +280,32 @@ class TestFingerprint:
                 assert name == f"R({fp.sig_phi[0]},{fp.sig_phi[1]})"
             assert all(rows != p.dim**2 for rows, _ in shapes), (name, shapes)
 
+    def test_one_integer_table_and_one_derived_ideal(self, monkeypatch):
+        # the center, the derived ideal and the series read one scaled table,
+        # and the series starts from the derived ideal fingerprint spanned
+        import phq.lie
+        import phq.structures
+
+        scalings = []
+        scaled_table = phq.structures.scaled_table
+
+        def counting(table):
+            scalings.append(1)
+            return scaled_table(table)
+
+        def refuse(self):
+            raise AssertionError("fingerprint went through LieAlgebra.derived_ideal")
+
+        inputs = [build(name) for name in ALL_LABELS]
+        expected = [fingerprint(p) for p in inputs]
+        monkeypatch.setattr(phq.structures, "scaled_table", counting)
+        monkeypatch.setattr(phq.lie, "scaled_table", counting)
+        monkeypatch.setattr(LieAlgebra, "derived_ideal", refuse)
+        for p, fp in zip(inputs, expected):
+            scalings.clear()
+            assert fingerprint(p) == fp
+            assert len(scalings) == 1
+
     def test_reduction_fingerprint_and_solve_inner_never_reach_rref(self, monkeypatch):
         # solves, membership and the invariants all go through
         # linalg.eliminate; Matrix.rref is left to Matrix.rank
