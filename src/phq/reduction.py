@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .checks import PhqError
 from .constructions import ExtensionData, validate_extension_data
@@ -118,23 +118,19 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     )
 
 
-class _Integers(NamedTuple):
+class _Integers:
     """The bracket table, j and phi of an n-dimensional PHQAlgebra scaled to
     integers once: T = d * brackets (`scaled_table`), J = dj * j and
     G = dg * phi (`scaled`).  The methods take and give `Scaled` pairs, or
     integers where only a span, a sign or a zero test needs them."""
 
-    n: int
-    d: int
-    t: dict
-    dj: int
-    j: list[int]
-    dg: int
-    g: list[int]
+    __slots__ = ("n", "d", "t", "dj", "j", "dg", "g")
 
-    @classmethod
-    def of(cls, p: PHQAlgebra) -> "_Integers":
-        return cls(p.dim, *scaled_table(p.algebra.brackets), *scaled(p.j.entries), *scaled(p.phi.entries))
+    def __init__(self, p: PHQAlgebra):
+        self.n = p.dim
+        self.d, self.t = scaled_table(p.algebra.brackets)
+        self.dj, self.j = scaled(p.j.entries)
+        self.dg, self.g = scaled(p.phi.entries)
 
     def vec(self, v: Sequence) -> Scaled:
         v = vector(v)
@@ -251,15 +247,15 @@ def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
     Returns the restriction to the orthogonal complement together with the
     sign of phi(z, z).
     """
-    ints = _Integers.of(p)
-    z = ints.vec(z)
-    zp = ints.jmap(z)
-    if not (ints.central(z) and ints.central(zp)):
+    ints = _Integers(p)
+    zs = ints.vec(z)
+    zps = ints.jmap(zs)
+    if not (ints.central(zs) and ints.central(zps)):
         raise InvalidCentralElement("z and jz must be central")
-    norm = ints.norm(z)
+    norm = ints.norm(zs)
     if norm == 0:
         raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    complement = ints.complement([z, zp]).basis
+    complement = ints.complement([zs, zps]).basis
     return _restrict(ints, [scaled(b) for b in complement])[0], (1 if norm > 0 else -1)
 
 
@@ -286,7 +282,7 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     isotropic; the recovered base is the orthogonal of span{z, jz, v, jv},
     and the extension data is read off the brackets with v and jv.
     """
-    ints = _Integers.of(p)
+    ints = _Integers(p)
     z = vector(z)
     zs = ints.vec(z)
     if not (ints.central(zs) and _derived(ints.t, ints.n).contains(z)):
@@ -417,7 +413,7 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
     if not ker_f.is_totally_isotropic(base.phi):
         raise HypothesisViolated("ker(F) is not totally isotropic")
 
-    ints = _Integers.of(base)
+    ints = _Integers(base)
     u1 = ker_f.basis[0]
     ju1 = base.j.apply(u1)
     u2 = _isotropic_dual(ints, scaled(u1), scaled(ju1), HypothesisViolated("no dual vector for u1"))
