@@ -17,9 +17,11 @@ from phq import (
     build,
     check_phq,
     classify,
+    direct_sum,
     find_central_pair,
     fingerprint,
     full_reduction,
+    is_skewsymmetric,
     phq_double_extension,
     reduce_by_plane,
     signature,
@@ -30,6 +32,7 @@ from phq import (
 )
 from phq.linalg import add_vec
 
+from oracles import entries, naive_apply, naive_bracket, naive_pair, structure_tensor
 from test_catalog import ALL_LABELS
 from test_constructions import adapted_pair, lemma_adapted_base
 from test_structures import transported
@@ -325,3 +328,145 @@ class TestAnalyzeSkewPair:
         assert report.a == Fraction(5, 2)
         assert report.b == Fraction(-2, 3)
         assert report.kernel_f.dim == 2
+
+
+def naive_skew(m, g):
+    """g(m e_a, e_b) + g(e_a, m e_b) = 0 for every basis pair."""
+    n = len(g)
+    units = [list(unit(n, i)) for i in range(n)]
+    images = [naive_apply(m, u) for u in units]
+    return all(
+        naive_pair(g, images[a], units[b]) + naive_pair(g, units[a], images[b]) == 0
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+def naive_derivation(c, m):
+    """m[e_i, e_k] = [m e_i, e_k] + [e_i, m e_k] for every basis pair."""
+    n = len(c)
+    units = [list(unit(n, i)) for i in range(n)]
+    return all(
+        naive_apply(m, c[i][k])
+        == [
+            a + b
+            for a, b in zip(
+                naive_bracket(c, naive_apply(m, units[i]), units[k]),
+                naive_bracket(c, units[i], naive_apply(m, units[k])),
+            )
+        ]
+        for i in range(n)
+        for k in range(i + 1, n)
+    )
+
+
+def naive_extension_failures(base, d, f, s0):
+    """The failures `validate_extension_data` reports, in its order, from the
+    dense structure tensor and naive products on basis vectors."""
+    n = base.dim
+    c, g, jm, dm, fm = structure_tensor(base.algebra), entries(base.phi), entries(base.j), entries(d), entries(f)
+    units = [list(unit(n, i)) for i in range(n)]
+    failures = []
+    for name, m in (("D", dm), ("F", fm)):
+        if not naive_skew(m, g):
+            failures.append(f"{name} is not skewsymmetric for the base metric")
+        if not naive_derivation(c, m):
+            failures.append(f"{name} is not a derivation of the base")
+
+    def f_plus_jd(v):
+        return [a + b for a, b in zip(naive_apply(fm, v), naive_apply(jm, naive_apply(dm, v)))]
+
+    if any(f_plus_jd(naive_apply(jm, u)) != naive_apply(jm, f_plus_jd(u)) for u in units):
+        failures.append("[F + J D, J] != 0")
+    commutator = [
+        [a - b for a, b in zip(naive_apply(fm, naive_apply(dm, u)), naive_apply(dm, naive_apply(fm, u)))]
+        for u in units
+    ]
+    if any(naive_bracket(c, list(s0), u) != fdu for u, fdu in zip(units, commutator)):
+        failures.append("ad(s0) != F D - D F")
+    return tuple(failures)
+
+
+def elementary(n, a, b, value):
+    """The n x n matrix with ``value`` at (a, b) and zeros elsewhere."""
+    return Matrix.from_rows([[value if (r, s) == (a, b) else 0 for s in range(n)] for r in range(n)])
+
+
+def skew_rank_two(g, a, b, value):
+    """value * (x -> g(e_a, x) e_b - g(e_b, x) e_a): skewsymmetric for a
+    symmetric g."""
+    n = len(g)
+    rows = [[value * ((r == b) * g[a][s] - (r == a) * g[b][s]) for s in range(n)] for r in range(n)]
+    return Matrix.from_rows(rows)
+
+
+def perturbations(data):
+    """One perturbation of the datum per hypothesis, each built to break it,
+    with coprime denominators 7, 11, 5 and 13, and the message of the
+    hypothesis it targets.  With X skewsymmetric, X - j X j is skewsymmetric
+    and commutes with j, and X + j X j is skewsymmetric and anticommutes
+    with j (j is skewsymmetric and j^2 = -1):
+
+    - D + I/7 is not skewsymmetric; [F + J D, J] and F D - D F do not move;
+    - F + (X - j X j) for an X with denominator 11 that makes it no
+      derivation of a nonabelian base;
+    - F + (X + j X j), X with denominator 5, does not commute with j; in
+      dimension 2 no skewsymmetric map anticommutes with j, and X is an
+      elementary matrix there;
+    - s0 + e_k/13 for a noncentral e_k of a nonabelian base.
+
+    On an abelian base every map is a derivation and ad(s0) = 0, so the
+    second and fourth are left out."""
+    base, d, f, s0 = data.base, data.d, data.f, data.s0
+    n, g, j, c = base.dim, entries(base.phi), base.j, structure_tensor(base.algebra)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    out = [((base, d + Matrix.identity(n).scale(Fraction(1, 7)), f, s0), "D is not skewsymmetric for the base metric")]
+    if any(any(any(row) for row in plane) for plane in c):
+        commuting = (skew_rank_two(g, a, b, Fraction(1, 11)) for a, b in pairs)
+        x = next(y for y in (x - j @ x @ j for x in commuting) if not naive_derivation(c, entries(f + y)))
+        out.append(((base, d, f + x, s0), "F is not a derivation of the base"))
+        k = next(k for k in range(n) if any(any(v) for v in c[k]))
+        moved = tuple(v + Fraction(1, 13) * (i == k) for i, v in enumerate(s0))
+        out.append(((base, d, f, moved), "ad(s0) != F D - D F"))
+    candidates = [skew_rank_two(g, a, b, Fraction(1, 5)) for a, b in pairs]
+    candidates += [elementary(n, a, b, Fraction(1, 5)) for a in range(n) for b in range(n)]
+    y = next(y for y in (x + j @ x @ j for x in candidates) if not y.is_zero())
+    out.append(((base, d, f + y, s0), "[F + J D, J] != 0"))
+    return out
+
+
+class TestExtensionDataAgainstOracle:
+    # every plane step of three dense transports of each catalog label, whose
+    # bases are all abelian, and of the sum L(4,2) + L(2,4), whose first
+    # plane step has a nonabelian base
+    DATA = [
+        step.extension_data
+        for seed in range(3)
+        for p in [build(name) for name in ALL_LABELS] + [direct_sum(build("L(4,2)"), build("L(2,4)"))]
+        for step in full_reduction(PHQAlgebra(*transported(p, random.Random(seed)))).steps
+        if step.kind == "plane_reduction"
+    ]
+
+    def test_failures_match_the_oracle(self):
+        # the report, failure by failure and in order, and is_skewsymmetric
+        # of D and F, whose verdicts the oracle's report holds
+        seen = set()
+        for data in self.DATA:
+            for (base, d, f, s0), target in [((data.base, data.d, data.f, data.s0), None), *perturbations(data)]:
+                expected = naive_extension_failures(base, d, f, s0)
+                assert validate_extension_data(base, d, f, s0).failures == expected
+                for name, m in (("D", d), ("F", f)):
+                    skew = f"{name} is not skewsymmetric for the base metric" not in expected
+                    assert is_skewsymmetric(m, base.phi) == skew
+                if target is not None:
+                    assert target in expected
+                seen.update(expected)
+        assert len(self.DATA) == 30
+        assert seen == {
+            "D is not skewsymmetric for the base metric",
+            "D is not a derivation of the base",
+            "F is not skewsymmetric for the base metric",
+            "F is not a derivation of the base",
+            "[F + J D, J] != 0",
+            "ad(s0) != F D - D F",
+        }
