@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add
 from typing import Mapping, Sequence
 
 from .checks import Check, PhqError, Report
-from .lie import LieAlgebra, LinearMap, is_derivation
+from .lie import LieAlgebra, LinearMap, _ad_entries, _derivation_failures, is_derivation
 from .linalg import (
     ONE,
     ZERO,
@@ -24,9 +25,11 @@ from .linalg import (
     Vector,
     add_vec,
     bilinear,
-    commutator,
     frac,
     is_zero_vec,
+    mat_mul,
+    scaled,
+    scaled_table,
     sparse_table,
     sub_vec,
     unit_vector,
@@ -125,8 +128,18 @@ def direct_sum(p: PHQAlgebra, q: PHQAlgebra) -> PHQAlgebra:
 
 
 def is_skewsymmetric(m: Matrix, g: Matrix) -> bool:
-    """m^T g + g m = 0, i.e. g(mx, y) = -g(x, my)."""
-    return (m.transpose() @ g + g @ m).is_zero()
+    """m^T g + g m = 0, i.e. g(mx, y) = -g(x, my), tested by `_skew` on the
+    integers d_m m and d_g g (`scaled`)."""
+    n = m.rows
+    if not m.cols == g.rows == g.cols == n:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} map against a {g.rows}x{g.cols} form")
+    return _skew(scaled(m.entries)[1], scaled(g.entries)[1], n)
+
+
+def _skew(m: Sequence[int], g: Sequence[int], n: int) -> bool:
+    """M^T G + G M = 0 for row-major integer n x n matrices M and G."""
+    mt = [x for c in range(n) for x in m[c::n]]
+    return not any(map(add, mat_mul(mt, n, n, g, n, 0), mat_mul(g, n, n, m, n, 0)))
 
 
 def line_double_extension(base: QuadraticAlgebra, d: LinearMap) -> QuadraticAlgebra:
@@ -168,20 +181,36 @@ def validate_extension_data(
 
     Checks: d and f are phi-skewsymmetric derivations, f + j d commutes with
     j, and the adjoint of s0 equals the commutator f d - d f entrywise.
+
+    Each is an integer identity.  The table, j, phi, d, f and s0 are scaled
+    once (`scaled_table`, `scaled`): T = d_t [ , ], J = d_j j, G = d_g phi,
+    D = d_d d, F = d_f f and S = d_s s0.  Then D^T G + G D = 0 and the
+    derivation identity of D on T (`lie._derivation_failures`), and the same
+    for F; [A, J] = 0 for A = d_j d_d F + d_f J D = d_f d_j d_d (f + j d);
+    and d_f d_d ad(S) = d_t d_s (F D - D F), with ad(S) read off T by
+    `_ad_entries`.
     """
-    failures = []
     s0v = vector(s0)
     n = base.dim
     if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
         return Check("extension data", ("shape mismatch with the base algebra",))
-    for name, m in (("D", d), ("F", f)):
-        if not is_skewsymmetric(m, base.phi):
+    dt, t = scaled_table(base.algebra.brackets)
+    dj, jn = scaled(base.j.entries)
+    g = scaled(base.phi.entries)[1]
+    dd, dn = scaled(d.entries)
+    df, fn = scaled(f.entries)
+    ds, sn = scaled(s0v)
+    failures = []
+    for name, m in (("D", dn), ("F", fn)):
+        if not _skew(m, g, n):
             failures.append(f"{name} is not skewsymmetric for the base metric")
-        if not is_derivation(base.algebra, m).ok:
+        if _derivation_failures(t, m, n):
             failures.append(f"{name} is not a derivation of the base")
-    if not commutator(f + base.j @ d, base.j).is_zero():
+    a = [dj * dd * x + df * y for x, y in zip(fn, mat_mul(jn, n, n, dn, n, 0))]
+    if mat_mul(a, n, n, jn, n, 0) != mat_mul(jn, n, n, a, n, 0):
         failures.append("[F + J D, J] != 0")
-    if base.algebra.adjoint(s0v) != commutator(f, d):
+    fd, dfm = mat_mul(fn, n, n, dn, n, 0), mat_mul(dn, n, n, fn, n, 0)
+    if any(df * dd * x != dt * ds * (p - q) for x, p, q in zip(_ad_entries(t, sn, 0), fd, dfm)):
         failures.append("ad(s0) != F D - D F")
     return Check("extension data", tuple(failures))
 

@@ -95,31 +95,47 @@ def _integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rational(value: Any, where: str) -> Fraction:
+def _rational(value: Any, where: str, known: dict[int | str, Fraction] | None = None) -> Fraction:
+    """A scalar as a Fraction.  ``known`` maps the valid scalars already
+    read from the same text to their Fractions, and each new one is added,
+    so the text makes one Fraction per distinct scalar.  A scalar that fails
+    is never added and raises at its own position."""
     if isinstance(value, bool) or isinstance(value, float):
         raise BadRational(f"{where}: scalars must be exact rational strings, got {value!r}")
+    if not isinstance(value, (int, str)):
+        raise BadRational(f"{where}: not a rational: {value!r}")
+    if known is not None and (q := known.get(value)) is not None:
+        return q
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        q = Fraction(value)
+    elif not _RATIONAL.fullmatch(value):
+        raise BadRational(f"{where}: not a rational: {value!r}")
+    else:
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except ZeroDivisionError as exc:
             raise BadRational(f"{where}: not a rational: {value!r}") from exc
-    raise BadRational(f"{where}: not a rational: {value!r}")
+    if known is not None:
+        known[value] = q
+    return q
 
 
-def _matrix(rows: Any, dim: int, where: str) -> Matrix:
+def _matrix(rows: Any, dim: int, where: str, known: dict[int | str, Fraction] | None = None) -> Matrix:
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
     out = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {r} must have {dim} entries")
-        out += [_rational(e, f"{where}[{r}]") for e in row]
+        at = f"{where}[{r}]"
+        out += [_rational(e, at, known) for e in row]
     return Matrix(dim, dim, tuple(out))
 
 
 def parse_algebra_text(text: str) -> PHQAlgebra:
+    """The algebra of an `.alg` text.  Each distinct scalar string is
+    validated and made a Fraction once (`_rational`), and every later
+    occurrence in the text shares that Fraction."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("algebra file must be a JSON object")
@@ -139,6 +155,7 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         raise ParseError("basis must list dim names")
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
+    known: dict[int | str, Fraction] = {}
     sparse: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pos, entry in enumerate(brackets):
         where = f"brackets[{pos}]"
@@ -163,10 +180,10 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
             k = int(key)
             if not 0 <= k < dim:
                 raise IndexOutOfRange(f"{where}: coefficient index {k} out of range")
-            parsed[k] = _rational(val, f"{where}.coeffs[{key}]")
+            parsed[k] = _rational(val, f"{where}.coeffs[{key}]", known)
         sparse[(i, j)] = parsed
     algebra = LieAlgebra.from_brackets(tuple(basis), sparse)
-    return PHQAlgebra(algebra, _matrix(jmat, dim, "J"), _matrix(phi, dim, "phi"))
+    return PHQAlgebra(algebra, _matrix(jmat, dim, "J", known), _matrix(phi, dim, "phi", known))
 
 
 def serialize_algebra(p: PHQAlgebra) -> str:

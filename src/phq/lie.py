@@ -38,6 +38,7 @@ from .linalg import (
     bilinear,
     dense,
     is_zero_vec,
+    mat_vec,
     neg_vec,
     scaled,
     scaled_table,
@@ -252,45 +253,53 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
 def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
     """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs.
 
-    The defect on (e_i, e_j) is m[e_i, e_j] - [m e_i, e_j] - [e_i, m e_j],
-    and ad(m e_i) = sum over k of m_ki ad(e_k) is read off the table.  One
-    pass over the nonzero table pairs c = [e_a, e_b] adds m c to the defect
-    on (e_a, e_b); each nonzero m_at adds -m_at c to the defect on (e_t, e_b)
-    and m_at c to the one on (e_b, e_t), and each nonzero m_bt does the same
-    with a and b swapped and c negated.  Only pairs i < j are kept, so a zero
-    m builds no defect at all.
+    `_derivation_failures` tests it on the integer table T = d_t * brackets
+    and M = d_m * m (`scaled_table`, `scaled`); both sides of the identity
+    scale by d_t d_m.
     """
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("derivation candidate must be square of the algebra dimension")
-    rows = [[(t, v) for t, v in enumerate(m.row(r)) if v] for r in range(n)]
-    defects: dict[tuple[int, int], list[Fraction]] = {}
+    names = algebra.basis_names
+    failing = _derivation_failures(scaled_table(algebra.brackets)[1], scaled(m.entries)[1], n)
+    return Check(
+        "derivation",
+        tuple(f"derivation identity fails on ({names[i]}, {names[j]})" for i, j in failing),
+    )
 
-    def add(i: int, j: int, s: Fraction, col: Mapping[int, Fraction]) -> None:
+
+def _derivation_failures(t: Mapping, m: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """The basis pairs i < j, sorted, on which the row-major integer n x n
+    matrix m breaks the derivation identity of the integer table t:
+    the defect M T(e_i, e_j) - T(M e_i, e_j) - T(e_i, M e_j) is not zero.
+
+    ad(M e_i) = sum over k of M_ki ad(e_k) is read off the table.  One pass
+    over the nonzero table pairs c = T(e_a, e_b) adds M c to the defect on
+    (e_a, e_b); each nonzero M_ar adds -M_ar c to the defect on (e_r, e_b)
+    and M_ar c to the one on (e_b, e_r), and each nonzero M_br does the same
+    with a and b swapped and c negated.  Only pairs i < j are kept, so a zero
+    m builds no defect at all.
+    """
+    rows = [[(r, v) for r, v in enumerate(m[a * n : (a + 1) * n]) if v] for a in range(n)]
+    defects: dict[tuple[int, int], list[int]] = {}
+
+    def add(i: int, j: int, s: int, col: Mapping[int, int]) -> None:
         if i < j:
-            acc = defects.setdefault((i, j), [ZERO] * n)
+            acc = defects.setdefault((i, j), [0] * n)
             for k, c in col.items():
                 acc[k] += s * c
 
-    for (a, b), col in algebra.brackets.items():
-        image = {k: c for k, c in enumerate(m.apply(dense(col, n))) if c}
+    for (a, b), col in t.items():
+        image = {k: c for k, c in enumerate(mat_vec(m, n, n, col.items(), 0)) if c}
         if image:
-            add(a, b, 1, image)  # m [e_a, e_b]
-        for t, v in rows[a]:  # m_at: -[m e_t, e_b] and -[e_b, m e_t]
-            add(t, b, -v, col)
-            add(b, t, v, col)
-        for t, v in rows[b]:  # m_bt: -[m e_t, e_a] and -[e_a, m e_t]
-            add(t, a, v, col)
-            add(a, t, -v, col)
-    names = algebra.basis_names
-    return Check(
-        "derivation",
-        tuple(
-            f"derivation identity fails on ({names[i]}, {names[j]})"
-            for (i, j), defect in sorted(defects.items())
-            if any(defect)
-        ),
-    )
+            add(a, b, 1, image)  # M T(e_a, e_b)
+        for r, v in rows[a]:  # M_ar: -T(M e_r, e_b) and -T(e_b, M e_r)
+            add(r, b, -v, col)
+            add(b, r, v, col)
+        for r, v in rows[b]:  # M_br: -T(M e_r, e_a) and -T(e_a, M e_r)
+            add(r, a, v, col)
+            add(a, r, -v, col)
+    return sorted(pair for pair, defect in defects.items() if any(defect))
 
 
 def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:

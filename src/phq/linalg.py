@@ -345,10 +345,6 @@ class Matrix:
         return len(self.rref()[1])
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
-
-
 def solve_linear(a: Matrix, b: Sequence) -> Vector | None:
     """Some exact solution of ``a @ x = b``, or None if inconsistent.
 

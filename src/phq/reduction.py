@@ -16,8 +16,9 @@ never built), the isotropic dual vector (`_isotropic_dual`, shared with
 brackets and j-images of the frame vectors, their coordinates from one
 integer frame solve (`_coords`, also shared with `analyze_skew_pair`) and
 the Gram block B^T g B.  Each Fraction of the result is made once, at the
-end.  The extension data a plane step reads off is still validated on
-Fractions by `ExtensionData`, independently of how it was computed.
+end.  `ExtensionData` validates the extension data a plane step reads off,
+independently of how it was computed, as integer identities on the table,
+j, phi, D, F and s0 scaled once (`validate_extension_data`).
 """
 
 from __future__ import annotations

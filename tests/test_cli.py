@@ -3,13 +3,15 @@ import importlib.util
 import inspect
 import json
 import pkgutil
+import random
+from fractions import Fraction
 
 import pytest
 
 import phq
 import phq.cli
 import phq.fileformat
-from phq import build
+from phq import PHQAlgebra, build
 from phq.checks import PhqError
 from phq.cli import main
 from phq.fileformat import (
@@ -25,6 +27,7 @@ from phq.fileformat import (
 )
 
 from conftest import FIXTURES
+from test_structures import transported
 
 
 MINIMAL = json.dumps(
@@ -250,6 +253,33 @@ class TestParsing:
         doc["brackets"] = [{"i": 0, "j": 5, "coeffs": {"1": "1"}}]
         with pytest.raises(IndexOutOfRange):
             parse_algebra_text(json.dumps(doc))
+
+    def test_one_fraction_per_distinct_scalar(self, monkeypatch):
+        # a dense transport repeats most of its scalar strings
+        text = serialize_algebra(PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0))))
+        doc = json.loads(text)
+        scalars = [v for entry in doc["brackets"] for v in entry["coeffs"].values()]
+        scalars += [v for name in ("J", "phi") for row in doc[name] for v in row]
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(phq.fileformat, "Fraction", counting)
+        p = parse_algebra_text(text)
+        assert len(made) == len(set(scalars)) < len(scalars)
+        assert serialize_algebra(p) == text
+
+    def test_repeated_bad_scalar_named_at_first_position(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "L42.alg").read_text())
+        doc["J"][1][0] = doc["phi"][2][2] = "1/0"
+        with pytest.raises(BadRational, match=r"^J\[1\]: not a rational: '1/0'$"):
+            parse_algebra_text(json.dumps(doc))
+        bad = tmp_path / "twice.alg"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        assert "J[1]: not a rational: '1/0'" in capsys.readouterr().err
 
     def test_decimal_scalar_rejected(self):
         doc = json.loads(MINIMAL)

@@ -26,6 +26,8 @@ from phq import (
     reduce_by_plane,
     signature,
     split_plane,
+    tensor_construct,
+    truncated_poly,
     validate_extension_data,
     vector,
     verify_witness,
@@ -256,35 +258,52 @@ class TestFullReduction:
                     assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
                 current = step.recovered
 
+    def test_dense_transport_of_the_dim24_rung(self):
+        # tensor(TstarTheta3K, k=3) in a seeded dense basis reduces as the
+        # sparse rung does, through valid bases and valid extension data
+        sparse = tensor_construct(build("TstarTheta3K"), truncated_poly(3))
+        p = PHQAlgebra(*transported(sparse, random.Random(7)))
+        result = full_reduction(p)
+        assert result.describe() == full_reduction(sparse).describe()
+        assert sum(s.kind == "plane_reduction" for s in result.steps) == 3
+        for step in result.steps:
+            assert check_phq(step.recovered).ok
+            if step.kind == "plane_reduction":
+                data = step.extension_data
+                assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
+
     def test_steps_stay_on_the_integer_kernel(self, monkeypatch):
-        # a reduction or a classify evaluates no bracket in Fractions; the one
-        # adjoint taken is that of s0 in validate_extension_data, once per
-        # plane step
+        # a reduction or a classify evaluates no bracket and takes no adjoint
+        # in Fractions, and validate_extension_data multiplies no Matrix
         inputs = [(name, build(name)) for name in ALL_LABELS]
         inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
         expected = [(full_reduction(p).describe(), classify(p).label) for _, p in inputs]
+        data = full_reduction(inputs[-1][1]).steps[0].extension_data
 
         def refuse(self, x, y):
             raise AssertionError("LieAlgebra.bracket was reached")
 
-        callers = []
-        adjoint = LieAlgebra.adjoint
+        def refuse_adjoint(self, x):
+            raise AssertionError("LieAlgebra.adjoint was reached")
 
-        def recording(self, x):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return adjoint(self, x)
+        matmul = Matrix.__matmul__
+
+        def guarded(self, other):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name == "validate_extension_data":
+                    raise AssertionError("Matrix.__matmul__ was reached in validate_extension_data")
+                frame = frame.f_back
+            return matmul(self, other)
 
         monkeypatch.setattr(LieAlgebra, "bracket", refuse)
-        monkeypatch.setattr(LieAlgebra, "adjoint", recording)
+        monkeypatch.setattr(LieAlgebra, "adjoint", refuse_adjoint)
+        monkeypatch.setattr(Matrix, "__matmul__", guarded)
         for (name, p), (lines, label) in zip(inputs, expected):
-            callers.clear()
-            result = full_reduction(p)
-            assert result.describe() == lines, name
-            once_per_plane = ["validate_extension_data"] * sum(s.kind == "plane_reduction" for s in result.steps)
-            assert callers == once_per_plane, name
-            callers.clear()
+            assert full_reduction(p).describe() == lines, name
             assert classify(p).label == label, name
-            assert callers == once_per_plane, name
+        # the guard sees validate_extension_data called on its own too
+        assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
 
 
 class TestAnalyzeSkewPair:
