@@ -95,32 +95,20 @@ def _integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rational(value: Any, where: str, known: dict[int | str, Fraction] | None = None) -> Fraction:
-    """A scalar as a Fraction.  ``known`` maps the valid scalars already
-    read from the same text to their Fractions, and each new one is added,
-    so the text makes one Fraction per distinct scalar.  A scalar that fails
-    is never added and raises at its own position."""
+def _rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise BadRational(f"{where}: scalars must be exact rational strings, got {value!r}")
-    if not isinstance(value, (int, str)):
-        raise BadRational(f"{where}: not a rational: {value!r}")
-    if known is not None and (q := known.get(value)) is not None:
-        return q
     if isinstance(value, int):
-        q = Fraction(value)
-    elif not _RATIONAL.fullmatch(value):
-        raise BadRational(f"{where}: not a rational: {value!r}")
-    else:
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            q = Fraction(value)
+            return Fraction(value)
         except ZeroDivisionError as exc:
             raise BadRational(f"{where}: not a rational: {value!r}") from exc
-    if known is not None:
-        known[value] = q
-    return q
+    raise BadRational(f"{where}: not a rational: {value!r}")
 
 
-def _matrix(rows: Any, dim: int, where: str, known: dict[int | str, Fraction] | None = None) -> Matrix:
+def _matrix(rows: Any, dim: int, where: str, scalar: Callable[[Any, str], Fraction] = _rational) -> Matrix:
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
     out = []
@@ -128,14 +116,14 @@ def _matrix(rows: Any, dim: int, where: str, known: dict[int | str, Fraction] | 
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {r} must have {dim} entries")
         at = f"{where}[{r}]"
-        out += [_rational(e, at, known) for e in row]
+        out += [scalar(e, at) for e in row]
     return Matrix(dim, dim, tuple(out))
 
 
 def parse_algebra_text(text: str) -> PHQAlgebra:
-    """The algebra of an `.alg` text.  Each distinct scalar string is
-    validated and made a Fraction once (`_rational`), and every later
-    occurrence in the text shares that Fraction."""
+    """The algebra of an `.alg` text.  Each distinct scalar string of the
+    text is validated and made a Fraction once, and its later occurrences
+    share that Fraction; a bad scalar raises at its first position."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("algebra file must be a JSON object")
@@ -155,7 +143,15 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         raise ParseError("basis must list dim names")
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
-    known: dict[int | str, Fraction] = {}
+    known: dict[str, Fraction] = {}
+
+    def scalar(value: Any, where: str) -> Fraction:
+        if not isinstance(value, str):
+            return _rational(value, where)
+        if value not in known:
+            known[value] = _rational(value, where)
+        return known[value]
+
     sparse: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pos, entry in enumerate(brackets):
         where = f"brackets[{pos}]"
@@ -180,10 +176,10 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
             k = int(key)
             if not 0 <= k < dim:
                 raise IndexOutOfRange(f"{where}: coefficient index {k} out of range")
-            parsed[k] = _rational(val, f"{where}.coeffs[{key}]", known)
+            parsed[k] = scalar(val, f"{where}.coeffs[{key}]")
         sparse[(i, j)] = parsed
     algebra = LieAlgebra.from_brackets(tuple(basis), sparse)
-    return PHQAlgebra(algebra, _matrix(jmat, dim, "J", known), _matrix(phi, dim, "phi", known))
+    return PHQAlgebra(algebra, _matrix(jmat, dim, "J", scalar), _matrix(phi, dim, "phi", scalar))
 
 
 def serialize_algebra(p: PHQAlgebra) -> str:
