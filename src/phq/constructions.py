@@ -182,13 +182,13 @@ def validate_extension_data(
     Checks: d and f are phi-skewsymmetric derivations, f + j d commutes with
     j, and the adjoint of s0 equals the commutator f d - d f entrywise.
 
-    Each is an integer identity.  The table, j, phi, d, f and s0 are scaled
-    once (`scaled_table`, `scaled`): T = d_t [ , ], J = d_j j, G = d_g phi,
-    D = d_d d, F = d_f f and S = d_s s0.  Then D^T G + G D = 0 and the
-    derivation identity of D on T (`lie._derivation_failures`), and the same
-    for F; [A, J] = 0 for A = d_j d_d F + d_f J D = d_f d_j d_d (f + j d);
-    and d_f d_d ad(S) = d_t d_s (F D - D F), with ad(S) read off T by
-    `_ad_entries`.
+    Each is an integer identity.  The table, j and phi are scaled once
+    (`scaled_table`, `scaled`): T = d_t [ , ], J = d_j j and G = d_g phi,
+    and d, f and s0 by their one common denominator c: D = c d, F = c f and
+    S = c s0.  Then D^T G + G D = 0 and the derivation identity of D on T
+    (`lie._derivation_failures`), and the same for F; [d_j F + J D, J] = 0,
+    which is c d_j [f + j d, j]; and c ad(S) = d_t (F D - D F), with ad(S)
+    read off T by `_ad_entries`.
     """
     s0v = vector(s0)
     n = base.dim
@@ -197,20 +197,19 @@ def validate_extension_data(
     dt, t = scaled_table(base.algebra.brackets)
     dj, jn = scaled(base.j.entries)
     g = scaled(base.phi.entries)[1]
-    dd, dn = scaled(d.entries)
-    df, fn = scaled(f.entries)
-    ds, sn = scaled(s0v)
+    c, dfs = scaled(d.entries + f.entries + s0v)
+    dn, fn, sn = dfs[: n * n], dfs[n * n : 2 * n * n], dfs[2 * n * n :]
     failures = []
     for name, m in (("D", dn), ("F", fn)):
         if not _skew(m, g, n):
             failures.append(f"{name} is not skewsymmetric for the base metric")
         if _derivation_failures(t, m, n):
             failures.append(f"{name} is not a derivation of the base")
-    a = [dj * dd * x + df * y for x, y in zip(fn, mat_mul(jn, n, n, dn, n, 0))]
+    a = [dj * x + y for x, y in zip(fn, mat_mul(jn, n, n, dn, n, 0))]
     if mat_mul(a, n, n, jn, n, 0) != mat_mul(jn, n, n, a, n, 0):
         failures.append("[F + J D, J] != 0")
     fd, dfm = mat_mul(fn, n, n, dn, n, 0), mat_mul(dn, n, n, fn, n, 0)
-    if any(df * dd * x != dt * ds * (p - q) for x, p, q in zip(_ad_entries(t, sn, 0), fd, dfm)):
+    if any(c * x != dt * (p - q) for x, p, q in zip(_ad_entries(t, sn, 0), fd, dfm)):
         failures.append("ad(s0) != F D - D F")
     return Check("extension data", tuple(failures))
 

@@ -451,7 +451,26 @@ def perturbations(data):
     candidates += [elementary(n, a, b, Fraction(1, 5)) for a in range(n) for b in range(n)]
     y = next(y for y in (x + j @ x @ j for x in candidates) if not y.is_zero())
     out.append(((base, d, f + y, s0), "[F + J D, J] != 0"))
+    out.append(((base, d + j @ y, f + y, s0), "ad(s0) != F D - D F"))
     return out
+
+
+def inner_pair(data):
+    """On a base that is not two-step nilpotent, F = ad(e_a)/3, D = 2 ad(e_b)/5
+    and s0 = 2 [e_a, e_b]/15 for a pair with [e_a, e_b] not central: F and D
+    are skewsymmetric derivations and F D - D F = ad(s0) != 0, so the
+    identity holds with both sides nonzero; None on other bases."""
+    base = data.base
+    n, c = base.dim, structure_tensor(base.algebra)
+    units = [list(unit(n, i)) for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    noncentral = [(a, b) for a, b in pairs if any(any(naive_bracket(c, c[a][b], u)) for u in units)]
+    if not noncentral:
+        return None
+    a, b = noncentral[0]
+    f = Matrix.from_cols([c[a][k] for k in range(n)]).scale(Fraction(1, 3))
+    d = Matrix.from_cols([c[b][k] for k in range(n)]).scale(Fraction(2, 5))
+    return base, d, f, tuple(Fraction(2, 15) * v for v in c[a][b])
 
 
 class TestExtensionDataAgainstOracle:
@@ -471,7 +490,8 @@ class TestExtensionDataAgainstOracle:
         # of D and F, whose verdicts the oracle's report holds
         seen = set()
         for data in self.DATA:
-            for (base, d, f, s0), target in [((data.base, data.d, data.f, data.s0), None), *perturbations(data)]:
+            inner = [(inner_pair(data), None)] if inner_pair(data) else []
+            for (base, d, f, s0), target in [((data.base, data.d, data.f, data.s0), None), *perturbations(data), *inner]:
                 expected = naive_extension_failures(base, d, f, s0)
                 assert validate_extension_data(base, d, f, s0).failures == expected
                 for name, m in (("D", d), ("F", f)):
