@@ -432,7 +432,9 @@ def perturbations(data):
     - F + (X + j X j), X with denominator 5, does not commute with j; in
       dimension 2 no skewsymmetric map anticommutes with j, and X is an
       elementary matrix there;
-    - s0 + e_k/13 for a noncentral e_k of a nonabelian base.
+    - s0 + e_k/13 for a noncentral e_k of a nonabelian base;
+    - F + Y and D + j Y for that X + j X j = Y: F + j D stays and
+      F D - D F moves, which also exercises the scale of j.
 
     On an abelian base every map is a derivation and ad(s0) = 0, so the
     second and fourth are left out."""
@@ -490,7 +492,7 @@ class TestExtensionDataAgainstOracle:
         # of D and F, whose verdicts the oracle's report holds
         seen = set()
         for data in self.DATA:
-            inner = [(inner_pair(data), None)] if inner_pair(data) else []
+            inner = [(pair, None)] if (pair := inner_pair(data)) else []
             for (base, d, f, s0), target in [((data.base, data.d, data.f, data.s0), None), *perturbations(data), *inner]:
                 expected = naive_extension_failures(base, d, f, s0)
                 assert validate_extension_data(base, d, f, s0).failures == expected
