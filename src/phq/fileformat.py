@@ -24,7 +24,8 @@ field of every node and parses every scalar before anything is built, and
 `Recipe.dim` holds the dimension predicted from the tree.  A tree deeper than
 `MAX_RECIPE_DEPTH` nodes is rejected while parsing.  An algebra file with
 ``dim`` above `MAX_DIM` is rejected, and `Recipe.evaluate` rejects a recipe
-whose predicted dimension is above it before building anything.
+whose predicted dimension is above it before building anything.  A number
+with more than `MAX_DIGITS` digits is rejected before any int is made of it.
 """
 
 from __future__ import annotations
@@ -76,14 +77,22 @@ class IndexOutOfRange(ParseError):
 MAX_RECIPE_DEPTH = 32
 # Largest dimension of an `.alg` file or of the algebra a recipe builds.
 MAX_DIM = 64
+# Most digits of any integer in a file (Python makes no int of over 4,300).
+MAX_DIGITS = 1000
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
+def _digits(literal: str, what: str) -> str:
+    if len(literal.lstrip("-")) > MAX_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
+    return literal
+
+
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda literal: int(_digits(literal, "a JSON integer")))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError as exc:
@@ -102,7 +111,7 @@ def _rational(value: Any, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            return Fraction(value)
+            return Fraction(*(int(_digits(part, f"{where}: a scalar")) for part in value.split("/")))
         except ZeroDivisionError as exc:
             raise BadRational(f"{where}: not a rational: {value!r}") from exc
     raise BadRational(f"{where}: not a rational: {value!r}")
@@ -173,7 +182,7 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         for key, val in coeffs.items():
             if not _INDEX.fullmatch(key):
                 raise ParseError(f"{where}: bad coefficient index {key!r}")
-            k = int(key)
+            k = int(_digits(key, f"{where}: a coefficient index"))
             if not 0 <= k < dim:
                 raise IndexOutOfRange(f"{where}: coefficient index {k} out of range")
             parsed[k] = scalar(val, f"{where}.coeffs[{key}]")

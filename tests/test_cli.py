@@ -490,6 +490,39 @@ class TestCommands:
         assert main([command, str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("string_coefficient.alg", '"2": "1"', '"2": "{long}"'),
+            ("integer_coefficient.alg", '"2": "1"', '"2": {long}'),
+            ("dim.alg", '"dim": 6', '"dim": {long}'),
+            ("coefficient_index.alg", '"2": "1"', '"{long}": "1"'),
+            ("recipe_scalar.recipe", '"s0": ["0"', '"s0": ["-1/{long}"'),
+            ("recipe_integer.recipe", '"k": 2', '"k": {long}'),
+        ],
+        ids=["string", "integer", "dim", "index", "recipe_scalar", "recipe_integer"],
+    )
+    def test_long_integers_exit_2(self, tmp_path, capsys, monkeypatch, name, old, new):
+        # Python refuses to convert a decimal string of more than 4,300
+        # digits to int; such a number is a parse error, found before any int
+        # is made of it
+        def build_nothing(*args):
+            raise AssertionError("an algebra was built from invalid input")
+
+        monkeypatch.setattr(phq.cli, "check_phq", build_nothing)
+        if name.endswith(".recipe"):
+            base = {"op": "tensor", "base": ext(), "k": 2} if "integer" in name else ext()
+            text = json.dumps(base)
+        else:
+            text = (FIXTURES / "L42.alg").read_text()
+        assert old in text
+        path = tmp_path / name
+        path.write_text(text.replace(old, new.format(long="1" + "0" * 5000), 1))
+        command = "construct" if name.endswith(".recipe") else "check"
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "digits" in err
+
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"
         garbage.write_text("not json at all {{{")
