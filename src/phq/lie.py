@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, Sequence
 
 from .checks import Check
@@ -34,10 +35,8 @@ from .linalg import (
     _kernel_int,
     _solve_int,
     _span_int,
-    add_vec,
     bilinear,
     dense,
-    is_zero_vec,
     mat_vec,
     neg_vec,
     scaled,
@@ -165,6 +164,33 @@ def _ad_entries(table: Mapping, x: Sequence, zero=ZERO) -> list:
     return entries
 
 
+def _ad_columns(t: Mapping, n: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
+    brackets, from one pass over the integer table T: the column c of a pair
+    (a, b) is listed under b as (a, c) and under a as (b, -c)."""
+    columns: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]
+    for (a, b), col in t.items():
+        columns[b].append((a, list(col.items())))
+        columns[a].append((b, [(k, -c) for k, c in col.items()]))
+    return columns
+
+
+def _twisted(t: Mapping, m: Sequence[int], n: int) -> dict[tuple[int, int], list[int]]:
+    """U[a, b] = T(M e_a, e_b), the sum of M_ra T(e_r, e_b), for the integer
+    table T and the row-major integer n x n matrix M, built in one pass over
+    the nonzeros of M and `_ad_columns`; the pairs it never meets are zero
+    and left out."""
+    columns = _ad_columns(t, n)
+    u: dict[tuple[int, int], list[int]] = {}
+    for a in range(n):
+        for r, v in enumerate(m[a::n]):
+            for b, image in columns[r] if v else ():  # T(e_r, e_b) = -T(e_b, e_r)
+                acc = u.setdefault((a, b), [0] * n)
+                for k, c in image:
+                    acc[k] -= v * c
+    return u
+
+
 def _adjoint_rows(t: Mapping, n: int) -> dict[int, list[int]]:
     """The n^2 x n matrix A of x -> ad(x) read off the integer table
     T = d * brackets (`scaled_table`): the nonzero rows of d * A by row
@@ -222,30 +248,30 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
     Only the nonzero table pairs (a, b) contribute: each adds its term
     [e_i, [e_a, e_b]] to the residual of the sorted triple of (i, a, b).  The
     sweep runs on the integer table T = d * brackets (`scaled_table`), so a
-    residual it finds is d^2 times the Jacobi residual.
+    residual it finds is d^2 times the Jacobi residual.  The term of
+    c = T(e_a, e_b) is the sum of c_k T(e_i, e_k) over the `_ad_columns` k.
     """
     n = algebra.dim
     names = algebra.basis_names
     d, t = scaled_table(algebra.brackets)
-    units = [dense({i: 1}, n, 0) for i in range(n)]
-    residuals = {}
+    columns = _ad_columns(t, n)
+    residuals: dict[tuple[int, int, int], list[int]] = {}
     for (a, b), col in t.items():
-        ab = dense(col, n, 0)
-        for i in range(n):
-            if i == a or i == b:
-                continue
-            term = bilinear(t, units[i], ab, skew=True, zero=0)
-            if is_zero_vec(term):
-                continue
-            if a < i < b:  # (i, a, b) is not a cyclic order of the sorted triple
-                term = neg_vec(term)
-            triple = tuple(sorted((i, a, b)))
-            residuals[triple] = add_vec(residuals.get(triple, (0,) * n), term)
+        by_i: dict[int, list[int]] = {}  # i -> the residual of the triple of (i, a, b)
+        for k, v in col.items():
+            for i, image in columns[k]:
+                if i == a or i == b:
+                    continue
+                if (res := by_i.get(i)) is None:
+                    res = by_i[i] = residuals.setdefault(tuple(sorted((i, a, b))), [0] * n)
+                s = -v if a < i < b else v  # (i, a, b) is not a cyclic order of the sorted triple
+                for m, c in image:
+                    res[m] += s * c
     failures = [
         f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
         f"residual {format_vector([Fraction(r, d * d) for r in res], names)}"
         for (i, j, k), res in sorted(residuals.items())
-        if not is_zero_vec(res)
+        if any(res)
     ]
     return Check("Jacobi", tuple(failures))
 
@@ -270,36 +296,18 @@ def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
 
 def _derivation_failures(t: Mapping, m: Sequence[int], n: int) -> list[tuple[int, int]]:
     """The basis pairs i < j, sorted, on which the row-major integer n x n
-    matrix m breaks the derivation identity of the integer table t:
-    the defect M T(e_i, e_j) - T(M e_i, e_j) - T(e_i, M e_j) is not zero.
-
-    ad(M e_i) = sum over k of M_ki ad(e_k) is read off the table.  One pass
-    over the nonzero table pairs c = T(e_a, e_b) adds M c to the defect on
-    (e_a, e_b); each nonzero M_ar adds -M_ar c to the defect on (e_r, e_b)
-    and M_ar c to the one on (e_b, e_r), and each nonzero M_br does the same
-    with a and b swapped and c negated.  Only pairs i < j are kept, so a zero
-    m builds no defect at all.
+    matrix m breaks the derivation identity of the integer table t: the
+    defect M T(e_i, e_j) - T(M e_i, e_j) - T(e_i, M e_j) is not zero.  With
+    U = `_twisted` (t, m), it is M T(e_i, e_j) - U[i, j] + U[j, i], so only
+    the pairs of T and of U are visited.
     """
-    rows = [[(r, v) for r, v in enumerate(m[a * n : (a + 1) * n]) if v] for a in range(n)]
-    defects: dict[tuple[int, int], list[int]] = {}
-
-    def add(i: int, j: int, s: int, col: Mapping[int, int]) -> None:
-        if i < j:
-            acc = defects.setdefault((i, j), [0] * n)
-            for k, c in col.items():
-                acc[k] += s * c
-
-    for (a, b), col in t.items():
-        image = {k: c for k, c in enumerate(mat_vec(m, n, n, col.items(), 0)) if c}
-        if image:
-            add(a, b, 1, image)  # M T(e_a, e_b)
-        for r, v in rows[a]:  # M_ar: -T(M e_r, e_b) and -T(e_b, M e_r)
-            add(r, b, -v, col)
-            add(b, r, v, col)
-        for r, v in rows[b]:  # M_br: -T(M e_r, e_a) and -T(e_a, M e_r)
-            add(r, a, v, col)
-            add(a, r, -v, col)
-    return sorted(pair for pair, defect in defects.items() if any(defect))
+    u, zero = _twisted(t, m, n), [0] * n
+    failing = []
+    for i, j in sorted({(min(pair), max(pair)) for pair in (*t, *u) if pair[0] != pair[1]}):
+        twist = map(sub, u.get((i, j), zero), u.get((j, i), zero))
+        if any(map(sub, mat_vec(m, n, n, t.get((i, j), {}).items(), 0), twist)):
+            failing.append((i, j))
+    return failing
 
 
 def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:

@@ -7,18 +7,15 @@ Matrices act on coordinate columns: ``m.apply(v)`` is the image of the
 coordinate vector ``v``.
 
 Under that API the heavy loops run on integers.  One routine, `eliminate`,
-reduces integer rows fraction-free; `Matrix.rref`, `kernel`, `Subspace.span`,
-`Subspace.contains` (a rank test), `solve_linear_many` and, in `lie`,
-`solve_inner`, the center, the derived ideal and the lower central series
-all reach it, and each makes its Fractions once, at the end; `intersect`,
-`map_image`, `orthogonal_complement` and `gram_restriction` scale their
-vectors and matrices and reach it too.  `signature`
-runs its congruence elimination on integers as well, dividing the active
-block by the gcd of its entries after each step.  The axiom sweeps test
-scaled integer identities: `scaled` and `scaled_table` give the least
-common denominator d of a matrix or a table and the integers d times its
-entries, and `bilinear`, `mat_vec` and `mat_mul` evaluate either scalar
-type, starting from the ``zero`` they are given.
+reduces integer rows fraction-free; the ranks, spans, null spaces, solves
+and subspace maps here and the invariants of `lie` all reach it, and each
+makes its Fractions once, at the end.  `signature` eliminates on integers
+too.  `scaled` and `scaled_table` give the least common denominator d of a
+matrix or a table and the integers d times its entries; the axiom sweeps of
+`lie` and `structures` contract those integers in one pass over the
+nonzeros, with `mat_vec` and `mat_mul` for the matrix products.  `bilinear`,
+`mat_vec` and `mat_mul` evaluate either scalar type, starting from the
+``zero`` they are given.
 """
 
 from __future__ import annotations

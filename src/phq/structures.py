@@ -9,21 +9,21 @@ invariants used by the classifier.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .checks import Check, PhqError, Report
-from .lie import LieAlgebra, LinearMap, _center, _derived, _index, _series, check_jacobi, format_vector
+from .lie import LieAlgebra, LinearMap, _center, _derived, _index, _series, _twisted, check_jacobi, format_vector
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
     add_vec,
     bilinear,
-    dense,
     dot,
+    eliminate,
     gram_restriction,
     map_image,
     mat_mul,
@@ -66,33 +66,30 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
     names = algebra.basis_names
-    # Both sweeps run on J = dj * j and the integer table T = dt * brackets
-    # (`scaled`, `scaled_table`): j^2 = -I is J^2 = -dj^2 I, and
-    # dj^2 dt N(x, y) = dj^2 T(x, y) + JT(Jx, y) + JT(x, Jy) - T(Jx, Jy), where
-    # JT is T with J applied to each column.
+    # On J = dj * j and T = dt * brackets (`scaled`, `scaled_table`), j^2 = -I is
+    # J^2 = -dj^2 I.  With U[a][b] = T(J e_a, e_b) = sum_r J_ra T(e_r, e_b) built
+    # once by `_twisted`, and T(e_a, J e_b) = -U[b][a],
+    # dj^2 dt N(e_a, e_b) = dj^2 T(e_a, e_b) + J(U[a][b] - U[b][a]) - sum_s J_sb U[a][s].
     dj, jn = scaled(j.entries)
     square_fail = []
     if mat_mul(jn, n, n, jn, n, 0) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
         square_fail.append("j^2 != -I")
 
     dt, t = scaled_table(algebra.brackets)
-    jt = {
-        pair: {k: c for k, c in enumerate(mat_vec(jn, n, n, col.items(), 0)) if c}
-        for pair, col in t.items()
-    }
-    units = [dense({a: 1}, n, 0) for a in range(n)]
-    jcols = [jn[a::n] for a in range(n)]
+    jcols = [[(s, v) for s, v in enumerate(jn[b::n]) if v] for b in range(n)]
+    u, zero = _twisted(t, jn, n), [0] * n
     torsion_fail = []
     for a in range(n):
         for b in range(a + 1, n):
-            ea, eb, ja, jb = units[a], units[b], jcols[a], jcols[b]
-            terms = zip(
-                bilinear(t, ea, eb, skew=True, zero=0),
-                bilinear(jt, ja, eb, skew=True, zero=0),
-                bilinear(jt, ea, jb, skew=True, zero=0),
-                bilinear(t, ja, jb, skew=True, zero=0),
-            )
-            residual = [dj * dj * p + q + r - s for p, q, r, s in terms]
+            residual = [0] * n
+            for k, c in t.get((a, b), {}).items():
+                residual[k] = dj * dj * c
+            for k, x in enumerate(map(sub, u.get((a, b), zero), u.get((b, a), zero))):
+                for s, v in jcols[k] if x else ():
+                    residual[s] += v * x
+            for s, v in jcols[b]:
+                if (a, s) in u:
+                    residual = [x - v * y for x, y in zip(residual, u[a, s])]
             if any(residual):
                 nab = [Fraction(x, dj * dj * dt) for x in residual]
                 torsion_fail.append(f"N({names[a]}, {names[b]}) = {format_vector(nab, names)}")
@@ -106,31 +103,32 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
         raise DimensionMismatch("metric must be square of the algebra dimension")
     names = algebra.basis_names
 
-    sym_fail = [] if g.is_symmetric() else ["phi is not symmetric"]
-    rank = g.rank()
+    # on G = dg * g, which has the symmetry and the rank of g
+    _, gn = scaled(g.entries)
+    gtn = [x for c in range(n) for x in gn[c::n]]  # G^T
+    sym_fail = [] if gn == gtn else ["phi is not symmetric"]
+    rank = len(eliminate([gn[r * n : (r + 1) * n] for r in range(n)], n)[1])
     nondeg_fail = [] if rank == n else [f"phi is degenerate (rank {rank} < {n})"]
 
     # phi([ei,ej], ek) + phi(ej, [ei,ek]) = 0 is entry (k, j) of
-    # g ad(ei) + ad(ei)^T g, kept in skew[i][j, k].  Only the table pairs that
-    # contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).  The
-    # sweep runs on the integers dg * g and dt * brackets, which scale every
-    # entry by dg * dt.
-    _, gn = scaled(g.entries)
-    gtn = [x for c in range(n) for x in gn[c::n]]  # g^T
+    # g ad(ei) + ad(ei)^T g, kept at skew[i][j * n + k].  Only the table pairs
+    # that contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).
+    # The sweep runs on G and T = dt * brackets, scaling every entry by dg * dt.
     _, t = scaled_table(algebra.brackets)
-    skew = [Counter() for _ in range(n)]
+    skew = [[0] * (n * n) for _ in range(n)]
     for (a, b), col in t.items():
         left, right = mat_vec(gn, n, n, col.items(), 0), mat_vec(gtn, n, n, col.items(), 0)
-        for i, t, sign in ((a, b, 1), (b, a, -1)):  # [ei, et] = sign * [ea, eb]
+        for i, e, sign in ((a, b, 1), (b, a, -1)):  # [ei, ee] = sign * [ea, eb]
+            row = skew[i]
             for k in range(n):
                 if left[k]:
-                    skew[i][t, k] += sign * left[k]
+                    row[e * n + k] += sign * left[k]
                 if right[k]:
-                    skew[i][k, t] += sign * right[k]
+                    row[k * n + e] += sign * right[k]
     inv_fail = [
-        f"ad-invariance fails on ({names[i]}, {names[j]}, {names[k]})"
-        for i, entries in enumerate(skew)
-        for (j, k), v in sorted(entries.items())
+        f"ad-invariance fails on ({names[i]}, {names[jk // n]}, {names[jk % n]})"
+        for i, row in enumerate(skew)
+        for jk, v in enumerate(row)
         if v
     ]
     return Report(

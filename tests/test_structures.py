@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 
 from phq import (
@@ -330,6 +331,21 @@ class TestFingerprint:
             s = solve_inner(p.algebra, p.algebra.adjoint(e0))
             assert s is not None and p.algebra.adjoint(s) == p.algebra.adjoint(e0)
 
+    def test_check_phq_never_reaches_rref(self, monkeypatch):
+        # the rank of phi is taken by linalg.eliminate on its scaled integers
+        inputs = [build(name) for name in ALL_LABELS]
+        inputs += [PHQAlgebra(*args) for args in TestSweepsAgainstOracles.COPRIME_INPUTS]
+        reports = [check_phq(p) for p in inputs]
+        assert {r["nondegenerate"].ok for r in reports} == {True, False}
+
+        def refuse(self):
+            raise AssertionError("Matrix.rref was reached")
+
+        monkeypatch.setattr(Matrix, "rref", refuse)
+        for p, report in zip(inputs, reports):
+            assert check_phq(p) == report
+
+
 class TestSalamon:
     def test_abelian_trivially_proper(self):
         assert salamon_check(build("R(2,2)")).ok
@@ -375,11 +391,28 @@ TABLE_COPRIME = (0, 0, 0, 1, -1, Fraction(1, 3), Fraction(-7, 4))
 MAP_COPRIME = (0, 0, 0, 1, -1, Fraction(2, 5), Fraction(-7, 4))
 
 
-def transported(p, rng):
-    """p in the basis of the columns of P = D U: D diagonal and U unit upper
-    bidiagonal, with coprime denominators.  The bracket becomes
-    P^-1 [P x, P y], j becomes P^-1 j P and phi becomes P^T phi P."""
+def in_basis(p, cols, p_inv):
+    """p in the basis of the columns ``cols`` of P, with P^-1 = ``p_inv``: the
+    bracket becomes P^-1 [P x, P y], j becomes P^-1 j P and phi becomes
+    P^T phi P."""
     n, c = p.dim, structure_tensor(p.algebra)
+    table = {
+        (a, b): dict(enumerate(naive_apply(p_inv, naive_bracket(c, cols[a], cols[b]))))
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    jm = entries(p.j)
+    return (
+        LieAlgebra(p.basis_names, table),
+        Matrix.from_cols([naive_apply(p_inv, naive_apply(jm, col)) for col in cols]),
+        Matrix.from_rows(congruent(entries(p.phi), [[col[a] for col in cols] for a in range(n)])),
+    )
+
+
+def transported(p, rng):
+    """p in the basis of the columns of P = D U (`in_basis`): D diagonal and
+    U unit upper bidiagonal, with coprime denominators."""
+    n = p.dim
     d = [rng.choice((Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 1)) for _ in range(n)]
     u = [rng.choice(TABLE_COPRIME + MAP_COPRIME) for _ in range(n - 1)]
     # P e_b = d_b e_b + u_(b-1) d_(b-1) e_(b-1); (U^-1)_ab = prod over a <= k < b of -u_k
@@ -389,19 +422,42 @@ def transported(p, rng):
         u_inv[a][a] = Fraction(1)
         for b in range(a + 1, n):
             u_inv[a][b] = -u[b - 1] * u_inv[a][b - 1]
-    p_inv = [[u_inv[a][b] / d[b] for b in range(n)] for a in range(n)]
-    table = {
-        (a, b): dict(enumerate(naive_apply(p_inv, naive_bracket(c, cols[a], cols[b]))))
-        for a in range(n)
-        for b in range(a + 1, n)
-    }
-    jm, gm = entries(p.j), entries(p.phi)
-    j_cols = [naive_apply(p_inv, naive_apply(jm, col)) for col in cols]
-    return (
-        LieAlgebra(p.basis_names, table),
-        Matrix.from_cols(j_cols),
-        Matrix.from_rows([[naive_pair(gm, x, y) for y in cols] for x in cols]),
-    )
+    return in_basis(p, cols, [[u_inv[a][b] / d[b] for b in range(n)] for a in range(n)])
+
+
+DENSE_COEFFS = (1, -1, 2, -2, Fraction(1, 3), Fraction(-7, 4), Fraction(2, 5))
+
+
+def dense_transported(p, rng):
+    """p in the basis of the columns of P = L U (`in_basis`), with L unit
+    lower and U unit upper triangular and every entry off their diagonals
+    nonzero, so that P, P^-1 and, in general, the new table and j have no
+    zero entry."""
+    n = p.dim
+    tri = [[Fraction(1) if a == b else Fraction(rng.choice(DENSE_COEFFS)) if a > b else Fraction(0)
+            for b in range(n)] for a in range(n)]
+    upper = [[Fraction(1) if a == b else Fraction(rng.choice(DENSE_COEFFS)) if a < b else Fraction(0)
+              for b in range(n)] for a in range(n)]
+    pm = [[sum(tri[a][k] * upper[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    inv = sympy.Matrix(pm).inv()
+    p_inv = [[Fraction(int(inv[a, b].p), int(inv[a, b].q)) for b in range(n)] for a in range(n)]
+    return in_basis(p, [[pm[a][b] for a in range(n)] for b in range(n)], p_inv)
+
+
+def fully_dense_inputs():
+    """Dense transports of four catalog labels (dims 6 and 8, all axioms
+    hold) and two random inputs that break them; in each, every coefficient
+    of the table and every entry of j is nonzero."""
+    inputs = [
+        dense_transported(build(label), random.Random(seed))
+        for seed, label in enumerate(("L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K"))
+    ]
+    for seed, n in enumerate((6, 8)):
+        rng = random.Random(seed)
+        table = {(a, b): {k: rng.choice(DENSE_COEFFS) for k in range(n)} for a in range(n) for b in range(a + 1, n)}
+        j, phi = ([[rng.choice(DENSE_COEFFS) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        inputs.append((LieAlgebra.from_brackets(n, table), Matrix.from_rows(j), Matrix.from_rows(phi)))
+    return inputs
 
 
 def perturbed(algebra, j, phi, rng):
@@ -507,6 +563,7 @@ class TestSweepsAgainstOracles:
 
     INPUTS = [random_broken_input(random.Random(seed)) for seed in range(60)]
     COPRIME_INPUTS = coprime_inputs()
+    DENSE_INPUTS = fully_dense_inputs()
 
     def test_jacobi_failing_triples(self):
         self._jacobi_failing_triples(self.INPUTS)
@@ -519,6 +576,17 @@ class TestSweepsAgainstOracles:
 
     def test_nijenhuis_failing_pairs_and_residuals_coprime_denominators(self):
         self._nijenhuis_failing_pairs_and_residuals(self.COPRIME_INPUTS)
+
+    def test_torsion_and_jacobi_on_fully_dense_j_and_table(self):
+        # every row of J and every table column is full, so the contraction
+        # U[a][b] = T(J e_a, e_b) meets every term
+        for algebra, j, _ in self.DENSE_INPUTS:
+            n = algebra.dim
+            assert n in (6, 8) and len(algebra.brackets) == n * (n - 1) // 2
+            assert all(len(col) == n for col in algebra.brackets.values())
+            assert all(j.entries)
+        self._nijenhuis_failing_pairs_and_residuals(self.DENSE_INPUTS)
+        self._jacobi_failing_triples(self.DENSE_INPUTS)
 
     def test_torsion_residuals_without_nijenhuis(self, monkeypatch):
         # the residual printed for a failing pair is the integer one the
@@ -553,6 +621,26 @@ class TestSweepsAgainstOracles:
             assert verdict == naive_compatible(entries(phi), jm)
             outcomes.add(verdict)
         assert squares == outcomes == {True, False}
+
+    def test_symmetry_and_rank_of_phi(self):
+        self._symmetry_and_rank_of_phi(self.INPUTS)
+
+    def test_symmetry_and_rank_of_phi_coprime_denominators(self):
+        self._symmetry_and_rank_of_phi(self.COPRIME_INPUTS)
+
+    @staticmethod
+    def _symmetry_and_rank_of_phi(inputs):
+        outcomes = set()
+        for algebra, _, phi in inputs:
+            n, g = algebra.dim, entries(phi)
+            symmetric = all(g[a][b] == g[b][a] for a in range(n) for b in range(n))
+            rank = rank_oracle(phi)
+            report = check_quadratic(algebra, phi)
+            assert report["symmetric"].failures == (() if symmetric else ("phi is not symmetric",))
+            degenerate = () if rank == n else (f"phi is degenerate (rank {rank} < {n})",)
+            assert report["nondegenerate"].failures == degenerate
+            outcomes.add((symmetric, rank == n))
+        assert {(True, False), (False, True), (False, False)} <= outcomes
 
     @staticmethod
     def _jacobi_failing_triples(inputs):
