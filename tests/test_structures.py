@@ -45,7 +45,6 @@ from oracles import (
     naive_nijenhuis,
     naive_compatible,
     naive_nijenhuis_vanishes,
-    naive_pair,
     naive_square_is_minus_identity,
     rank_oracle,
     signature_oracle,
@@ -173,6 +172,20 @@ class TestCheckPHQ:
         rep = check_phq(p)
         assert rep["J^2"].failures == ("odd dimension admits no complex structure",)
         assert rep["Nijenhuis"].ok and rep["Jacobi"].ok
+
+    def test_check_phq_never_reaches_rref(self, monkeypatch):
+        # the rank of phi is taken by linalg.eliminate on its scaled integers
+        inputs = [build(name) for name in ALL_LABELS]
+        inputs += [PHQAlgebra(*args) for args in TestSweepsAgainstOracles.COPRIME_INPUTS]
+        reports = [check_phq(p) for p in inputs]
+        assert {r["nondegenerate"].ok for r in reports} == {True, False}
+
+        def refuse(self):
+            raise AssertionError("Matrix.rref was reached")
+
+        monkeypatch.setattr(Matrix, "rref", refuse)
+        for p, report in zip(inputs, reports):
+            assert check_phq(p) == report
 
 
 class TestKahlerForm:
@@ -330,21 +343,6 @@ class TestFingerprint:
             e0 = unit(p.dim, 0)
             s = solve_inner(p.algebra, p.algebra.adjoint(e0))
             assert s is not None and p.algebra.adjoint(s) == p.algebra.adjoint(e0)
-
-    def test_check_phq_never_reaches_rref(self, monkeypatch):
-        # the rank of phi is taken by linalg.eliminate on its scaled integers
-        inputs = [build(name) for name in ALL_LABELS]
-        inputs += [PHQAlgebra(*args) for args in TestSweepsAgainstOracles.COPRIME_INPUTS]
-        reports = [check_phq(p) for p in inputs]
-        assert {r["nondegenerate"].ok for r in reports} == {True, False}
-
-        def refuse(self):
-            raise AssertionError("Matrix.rref was reached")
-
-        monkeypatch.setattr(Matrix, "rref", refuse)
-        for p, report in zip(inputs, reports):
-            assert check_phq(p) == report
-
 
 class TestSalamon:
     def test_abelian_trivially_proper(self):
