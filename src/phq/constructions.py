@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import add
 from typing import Mapping, Sequence
 
 from .checks import Check, PhqError, Report
@@ -23,6 +22,8 @@ from .linalg import (
     Matrix,
     SparseTable,
     Vector,
+    _skew,
+    _transpose,
     add_vec,
     bilinear,
     frac,
@@ -134,12 +135,6 @@ def is_skewsymmetric(m: Matrix, g: Matrix) -> bool:
     if not m.cols == g.rows == g.cols == n:
         raise DimensionMismatch(f"{m.rows}x{m.cols} map against a {g.rows}x{g.cols} form")
     return _skew(scaled(m.entries)[1], scaled(g.entries)[1], n)
-
-
-def _skew(m: Sequence[int], g: Sequence[int], n: int) -> bool:
-    """M^T G + G M = 0 for row-major integer n x n matrices M and G."""
-    mt = [x for c in range(n) for x in m[c::n]]
-    return not any(map(add, mat_mul(mt, n, n, g, n, 0), mat_mul(g, n, n, m, n, 0)))
 
 
 def line_double_extension(base: QuadraticAlgebra, d: LinearMap) -> QuadraticAlgebra:
@@ -496,7 +491,8 @@ def check_commutative(a: CommutativeAlgebra) -> Check:
             failures.append(f"associativity fails at ({i},{j},{k})")
         if left[i][j][k] != right[i][k][j]:
             failures.append(f"form invariance fails at ({i},{j},{k})")
-    if not a.form.is_symmetric():
+    fn = scaled(a.form.entries)[1]
+    if fn != _transpose(fn, n):
         failures.append("form not symmetric")
     elif a.form.rank() != n:
         failures.append("form degenerate")

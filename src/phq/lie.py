@@ -3,10 +3,12 @@
 The structure tensor is stored sparse: ``brackets[i, j]`` (i < j) maps each
 basis index k to the nonzero coefficient of e_k in the bracket of basis
 elements i and j; the pairs j < i are implied by antisymmetry.  `adjoint`
-reads ad(x) off the table, and the identities over basis pairs (derivations,
-the lower central series) are identities between ad matrices.  The Jacobi
-identity is a separate check (`check_jacobi`) so that hand-entered tables
-can be diagnosed instead of rejected.
+reads ad(x) off the table, and the lower central series is spanned by the
+columns of ad matrices.  The derivation identity of a map M is an integer
+contraction on the table, M T(e_a, e_b) - U[a, b] + U[b, a] = 0 with
+U[a, b] = T(M e_a, e_b) built once by `_twisted`.  The Jacobi identity is a
+separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
+instead of rejected.
 
 The invariants run on the integer table d * brackets (`scaled_table`) and
 make Fractions only for their canonical bases: the center is the integer
@@ -50,6 +52,11 @@ from .linalg import (
 LinearMap = Matrix
 
 
+# Printed, after its sign, for a coefficient with more digits than the
+# interpreter converts to decimal (4,300 by default from Python 3.11 on).
+_LONG = "<long>"
+
+
 def format_vector(v: Vector, names: Sequence[str]) -> str:
     terms = []
     for c, name in zip(v, names):
@@ -61,7 +68,11 @@ def format_vector(v: Vector, names: Sequence[str]) -> str:
             terms.append(f"-{name}")
         else:
             sign = "+" if c > 0 else "-"
-            terms.append(f"{sign}{abs(c)}*{name}")
+            try:
+                digits = str(abs(c))
+            except ValueError:  # the interpreter's int-to-str digit limit
+                digits = _LONG
+            terms.append(f"{sign}{digits}*{name}")
     if not terms:
         return "0"
     out = " ".join(terms)

@@ -13,7 +13,9 @@ makes its Fractions once, at the end.  `signature` eliminates on integers
 too.  `scaled` and `scaled_table` give the least common denominator d of a
 matrix or a table and the integers d times its entries; the axiom sweeps of
 `lie` and `structures` contract those integers in one pass over the
-nonzeros, with `mat_vec` and `mat_mul` for the matrix products.  `bilinear`,
+nonzeros, with `mat_vec` and `mat_mul` for the matrix products.  A form is
+symmetric when its integers equal their `_transpose`, and `_skew` tests
+M^T G + G M = 0 on integers; every caller uses these two.  `bilinear`,
 `mat_vec` and `mat_mul` evaluate either scalar type, starting from the
 ``zero`` they are given.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .checks import PhqError
@@ -189,6 +191,16 @@ def mat_vec(entries: Sequence, rows: int, cols: int, support: Iterable, zero=ZER
     return out
 
 
+def _transpose(m: Sequence, n: int) -> list:
+    """The transpose of the row-major n x n matrix ``m``."""
+    return [x for c in range(n) for x in m[c::n]]
+
+
+def _skew(m: Sequence[int], g: Sequence[int], n: int) -> bool:
+    """M^T G + G M = 0 for row-major integer n x n matrices M and G."""
+    return not any(map(add, mat_mul(_transpose(m, n), n, n, g, n, 0), mat_mul(g, n, n, m, n, 0)))
+
+
 def mat_mul(a: Sequence, rows: int, inner: int, b: Sequence, cols: int, zero=ZERO) -> list:
     """Row-major product of the rows x inner matrix ``a`` and the inner x cols
     matrix ``b``: row i sums a[i, k] * (row k of b) over the nonzeros a[i, k]
@@ -316,11 +328,6 @@ class Matrix:
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")
         return tuple(mat_vec(self.entries, self.rows, self.cols, enumerate(v)))
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -523,10 +530,16 @@ def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
     n = u.ambient_dim
     if g.rows != g.cols or g.rows != n:
         raise DimensionMismatch("pairing matrix must be square of the ambient dimension")
-    if not g.is_symmetric():
+    return _complement_int(n, scaled(g.entries)[1], [scaled(w)[1] for w in u.basis])
+
+
+def _complement_int(n: int, g: Sequence[int], xs: Iterable[Sequence[int]]) -> Subspace:
+    """The y with x^T G y = 0 for every integer vector x of ``xs``, the null
+    space of the rows G x, for the row-major n x n integer form G; raises
+    `NotSymmetricError` unless G is symmetric."""
+    if g != _transpose(g, n):
         raise NotSymmetricError("pairing matrix must be symmetric")
-    gn = scaled(g.entries)[1]
-    return _kernel_int([mat_vec(gn, n, n, enumerate(scaled(w)[1]), 0) for w in u.basis], n)
+    return _kernel_int([mat_vec(g, n, n, enumerate(x), 0) for x in xs], n)
 
 
 def map_image(m: Matrix, u: Subspace) -> Subspace:
@@ -576,10 +589,10 @@ def signature(g: Matrix) -> tuple[int, int]:
     """
     if g.rows != g.cols:
         raise NotSymmetricError("signature needs a square matrix")
-    if not g.is_symmetric():
-        raise NotSymmetricError("signature needs a symmetric matrix")
     n = g.rows
     flat = scaled(g.entries)[1]
+    if flat != _transpose(flat, n):
+        raise NotSymmetricError("signature needs a symmetric matrix")
     m = [flat[i * n : (i + 1) * n] for i in range(n)]
     pos = neg = 0
     flipped = False

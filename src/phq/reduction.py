@@ -35,12 +35,11 @@ from .linalg import (
     ZERO,
     DimensionMismatch,
     Matrix,
-    NotSymmetricError,
     Scaled,
     Subspace,
     Vector,
+    _complement_int,
     _gram_int,
-    _kernel_int,
     _solve_int,
     add_vec,
     bilinear,
@@ -100,19 +99,18 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     among the echelon basis of W and then pairwise sums of it.  A nonempty W
     is guaranteed for nilpotent input; anything else raises.
     """
-    n = p.dim
-    t = scaled_table(p.algebra.brackets)[1]
-    center = _center(t, n)
+    ints = _Integers(p)
+    center = _center(ints.t, ints.n)
     w = intersect(center, map_image(p.j, center))
     if w.dim == 0:
         raise EmptyIntersection("center ∩ j(center) is zero; input is outside the nilpotent case")
-    in_derived = intersect(w, _derived(t, n))
+    in_derived = intersect(w, _derived(ints.t, ints.n))
     if in_derived.dim > 0:
         return CentralPair(w, in_derived.basis[0], True)
     candidates = list(w.basis)
     candidates += [add_vec(u, v) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :]]
     for z in candidates:
-        if p.pairing(z, z) != 0:
+        if ints.norm(scaled(z)) != 0:
             return CentralPair(w, z, False)
     raise ReductionStuck(
         "all candidates in center ∩ j(center) are isotropic but none lies in the derived ideal"
@@ -155,12 +153,9 @@ class _Integers:
         return sum(map(mul, x[1], self.pairing_row(x)))
 
     def complement(self, xs: Sequence[Scaled]) -> Subspace:
-        """The y with phi(x, y) = 0 for every x in ``xs``, as
-        `orthogonal_complement` gives it: phi must be symmetric."""
-        n, g = self.n, self.g
-        if any(g[a * n + b] != g[b * n + a] for a in range(n) for b in range(a)):
-            raise NotSymmetricError("pairing matrix must be symmetric")
-        return _kernel_int([self.pairing_row(x) for x in xs], n)
+        """The y with phi(x, y) = 0 for every x in ``xs``, by the routine of
+        `orthogonal_complement`: phi must be symmetric."""
+        return _complement_int(self.n, self.g, [x for _, x in xs])
 
     def central(self, x: Scaled) -> bool:
         """ad(x) = 0, tested on the integer entries of ad(x) read off T."""

@@ -20,6 +20,8 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
+    _skew,
+    _transpose,
     add_vec,
     bilinear,
     dot,
@@ -105,7 +107,7 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
 
     # on G = dg * g, which has the symmetry and the rank of g
     _, gn = scaled(g.entries)
-    gtn = [x for c in range(n) for x in gn[c::n]]  # G^T
+    gtn = _transpose(gn, n)
     sym_fail = [] if gn == gtn else ["phi is not symmetric"]
     rank = len(eliminate([gn[r * n : (r + 1) * n] for r in range(n)], n)[1])
     nondeg_fail = [] if rank == n else [f"phi is degenerate (rank {rank} < {n})"]
@@ -170,7 +172,7 @@ def check_phq(p: PHQAlgebra) -> Report:
     """All axioms at once: Jacobi, complex structure, metric, compatibility.
 
     Compatibility is checked both as j^T phi j = phi and in the equivalent
-    skew form phi j = -j^T phi.
+    skew form j^T phi + phi j = 0 (`linalg._skew`).
     """
     jac = check_jacobi(p.algebra)
     try:
@@ -182,39 +184,17 @@ def check_phq(p: PHQAlgebra) -> Report:
         )
     quad = check_quadratic(p.algebra, p.phi)
 
-    # on J = dj * j and G = dg * phi: J^T G J = dj^2 G and G J = -J^T G
+    # on J = dj * j and G = dg * phi: J^T G J = dj^2 G and J^T G + G J = 0
     n = p.dim
     dj, jn = scaled(p.j.entries)
-    jtn = [x for c in range(n) for x in jn[c::n]]  # j^T
     _, gn = scaled(p.phi.entries)
-    gj = mat_mul(gn, n, n, jn, n, 0)
     compat_fail = []
-    if mat_mul(jtn, n, n, gj, n, 0) != [dj * dj * x for x in gn]:
+    gj = mat_mul(gn, n, n, jn, n, 0)
+    if mat_mul(_transpose(jn, n), n, n, gj, n, 0) != [dj * dj * x for x in gn]:
         compat_fail.append("phi(jx, jy) != phi(x, y)")
-    if gj != [-x for x in mat_mul(jtn, n, n, gn, n, 0)]:
+    if not _skew(jn, gn, n):
         compat_fail.append("j is not phi-skewsymmetric")
     return Report((jac, *complex_parts, *quad.parts, Check("J-compatible", tuple(compat_fail))))
-
-
-def kahler_form(p: PHQAlgebra) -> Matrix:
-    """Fundamental 2-form omega(x, y) = phi(x, jy), as the matrix phi @ j."""
-    return p.phi @ p.j
-
-
-def j_twisted_bracket(algebra: LieAlgebra, j: LinearMap) -> LieAlgebra:
-    """New algebra on the same space with bracket [x,y]' = [jx,y] + [x,jy].
-
-    When j is a complex structure of the input, the result is again a Lie
-    algebra (its Jacobi identity can be confirmed with `check_jacobi`).
-    """
-    n = algebra.dim
-    table = {}
-    for i in range(n):
-        # column k of ad(j e_i) + ad(e_i) j is [j e_i, e_k] + [e_i, j e_k]
-        row = algebra.adjoint(j.col(i)) + algebra.adjoint(unit_vector(n, i)) @ j
-        for k in range(i + 1, n):
-            table[i, k] = dict(enumerate(row.col(k)))
-    return LieAlgebra(algebra.basis_names, table)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ import json
 import pkgutil
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 import phq
 import phq.cli
 import phq.fileformat
-from phq import PHQAlgebra, build
+from phq import LieAlgebra, PHQAlgebra, build
 from phq.checks import PhqError
 from phq.cli import main
 from phq.fileformat import (
@@ -522,6 +524,26 @@ class TestCommands:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "digits" in err
+
+    def test_check_marks_a_residual_too_long_to_print(self, tmp_path, capsys):
+        # six table coefficients 1/P_k, each P_k of 1,000 digits and pairwise
+        # coprime: the Jacobi residual on (x1, Jx1, x2) is
+        # 1/(P0 P1) - 1/(P2 P3) + 1/(P4 P5) at Jx3, whose denominator of about
+        # 6,000 digits the interpreter does not convert to decimal
+        ps = [10**999 + d for d in (1, 3, 5, 7, 9, 13)]
+        assert all(gcd(a, b) == 1 for a, b in combinations(ps, 2))
+        table = {(1, 2): {3: 0}, (0, 3): {5: 1}, (0, 2): {4: 2}, (1, 4): {5: 3}, (0, 1): {3: 4}, (2, 3): {5: 5}}
+        core = build("L(4,2)")
+        algebra = LieAlgebra(
+            core.basis_names,
+            {pair: {k: Fraction(1, ps[c]) for k, c in col.items()} for pair, col in table.items()},
+        )
+        path = tmp_path / "long.alg"
+        path.write_text(serialize_algebra(PHQAlgebra(algebra, core.j, core.phi)))
+        assert main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "  - Jacobi fails on (x1, Jx1, x2): residual <long>*Jx3" in out.splitlines()
+        assert err == ""
 
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"

@@ -19,6 +19,8 @@ from phq import (
     vector,
 )
 
+from phq.lie import format_vector
+
 from oracles import naive_jacobi_violations, structure_tensor
 from strategies import matrices, vectors
 from test_catalog import ALL_LABELS
@@ -41,6 +43,16 @@ def tstar0():
 @pytest.fixture(scope="module")
 def tstar3():
     return tstar_kodaira(kodaira_cocycle_basis()[2])
+
+
+class TestFormatVector:
+    def test_marks_a_coefficient_too_long_to_print(self):
+        # Python 3.11 converts at most 4,300 digits of an int to decimal by
+        # default; a longer coefficient prints as <long> after its sign
+        big = 10**4400 + 1
+        assert format_vector([Fraction(1, big)], ["e1"]) == "<long>*e1"
+        v = [Fraction(-big, 3), Fraction(1), Fraction(-2, 3)]
+        assert format_vector(v, ["e1", "e2", "e3"]) == "-<long>*e1 +e2 -2/3*e3"
 
 
 class TestBracket:

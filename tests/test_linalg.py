@@ -212,6 +212,17 @@ class TestOrthogonalComplement:
         u = Subspace.span(4, [vector(x) for x in vs])
         assert orthogonal_complement(orthogonal_complement(u, g), g) == u
 
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(NotSymmetricError):
+            orthogonal_complement(Subspace.full(2), Matrix.from_rows([[0, 1], [0, 0]]))
+
+    def test_mixed_denominators(self):
+        # 1/3 and 2/5 scale to 5 and 6 over 15: the integers stay symmetric
+        g = Matrix.from_rows([[F(1, 3), F(2, 5)], [F(2, 5), 0]])
+        u = Subspace.span(2, [vector([1, 0])])
+        assert orthogonal_complement(u, g) == Subspace.span(2, [vector([6, -5])])
+        assert signature(g) == (1, 1)
+
 
 class TestSignature:
     def test_euclidean_plane(self):

@@ -20,8 +20,6 @@ from phq import (
     full_reduction,
     is_derivation,
     j_class,
-    j_twisted_bracket,
-    kahler_form,
     kodaira_thurston,
     kodaira_cocycle_basis,
     map_image,
@@ -186,39 +184,6 @@ class TestCheckPHQ:
         monkeypatch.setattr(Matrix, "rref", refuse)
         for p, report in zip(inputs, reports):
             assert check_phq(p) == report
-
-
-class TestKahlerForm:
-    def test_plane(self):
-        p = PHQAlgebra(LieAlgebra.abelian(2), ROT2, Matrix.identity(2))
-        assert kahler_form(p) == ROT2
-
-    def test_core_entry(self, core):
-        omega = kahler_form(core)
-        # omega(x1, Jx3) = phi(x1, j Jx3) = -phi(x1, x3) = -1
-        assert omega[0, 5] == Fraction(-1)
-
-    def test_antisymmetric_and_nondegenerate_on_catalog(self):
-        for name in ("L(4,2)", "Tstar0K", "TstarTheta3K", "R(4,2)"):
-            p = build(name)
-            omega = kahler_form(p)
-            assert omega.transpose() == -omega
-            assert omega.rank() == p.dim
-
-
-class TestTwistedBracket:
-    def test_abelian_stays_abelian(self):
-        t = j_twisted_bracket(LieAlgebra.abelian(2), ROT2)
-        assert t.derived_ideal().dim == 0
-
-    def test_carrier_twists_to_abelian(self):
-        k, j = kodaira_thurston()
-        assert j_twisted_bracket(k, j).derived_ideal().dim == 0
-
-    def test_core_twist_satisfies_jacobi(self, core):
-        twisted = j_twisted_bracket(core.algebra, core.j)
-        assert check_jacobi(twisted).ok
-        assert twisted.derived_ideal().dim > 0
 
 
 class TestJClass:
@@ -830,27 +795,6 @@ class TestSweepsAgainstOracles:
                             )
                 assert is_derivation(algebra, cand).failures == tuple(expected)
                 outcomes.add(bool(expected))
-        assert outcomes == {True, False}
-
-    def test_j_twisted_bracket(self):
-        outcomes = set()
-        for algebra, j, _ in self.INPUTS:
-            n, c, jm = algebra.dim, structure_tensor(algebra), entries(j)
-            expected = [
-                [
-                    [
-                        a + b
-                        for a, b in zip(
-                            naive_bracket(c, naive_apply(jm, unit(n, i)), list(unit(n, k))),
-                            naive_bracket(c, list(unit(n, i)), naive_apply(jm, unit(n, k))),
-                        )
-                    ]
-                    for k in range(n)
-                ]
-                for i in range(n)
-            ]
-            assert structure_tensor(j_twisted_bracket(algebra, j)) == expected
-            outcomes.add(any(any(any(v) for v in row) for row in expected))
         assert outcomes == {True, False}
 
     def test_witness_bracket_failures(self):

@@ -1,0 +1,64 @@
+"""Every public name of the library has a reader.
+
+A public module-level function or class of ``src/phq`` must be used by
+library code outside its own definition, named in backticks in the README,
+or wrapped by the benchmark (`perfbench/spans.py` ``SPANS``).  A name that
+meets none of these is dead public code, and this test names it.
+
+Uses are read with `ast`: a load of the name, or an attribute of that name,
+anywhere in ``src/phq`` except inside the definition itself.  Imports do not
+count, so the re-exports of ``phq/__init__`` keep nothing alive.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "perfbench"))
+from spans import SPANS  # noqa: E402
+
+SOURCES = sorted((ROOT / "src" / "phq").glob("*.py"))
+
+
+def _definitions():
+    """(module, name) of every public module-level function and class."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path.stem, node.name
+
+
+def _uses():
+    """(module, owner, name) for every name loaded in the library, where
+    owner is the module-level definition the load sits in, or None."""
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    yield path.stem, owner, node.id
+                elif isinstance(node, ast.Attribute):
+                    yield path.stem, owner, node.attr
+
+
+def _readme_names():
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.DOTALL)
+    return {name for span in re.findall(r"`([^`]+)`", text) for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_public_name_has_a_reader():
+    used = {}
+    for module, owner, name in _uses():
+        used.setdefault(name, set()).add((module, owner))
+    readme = _readme_names()
+    spans = {(layer, qual.split(".")[0]) for layer, quals in SPANS.items() for qual in quals}
+    unread = [
+        f"{module}.{name}"
+        for module, name in _definitions()
+        if not (used.get(name, set()) - {(module, name)})
+        and name not in readme
+        and (module, name) not in spans
+    ]
+    assert unread == []
