@@ -30,7 +30,6 @@ from .linalg import (
     is_zero_vec,
     mat_mul,
     scaled,
-    scaled_table,
     sparse_table,
     sub_vec,
     unit_vector,
@@ -130,11 +129,11 @@ def direct_sum(p: PHQAlgebra, q: PHQAlgebra) -> PHQAlgebra:
 
 def is_skewsymmetric(m: Matrix, g: Matrix) -> bool:
     """m^T g + g m = 0, i.e. g(mx, y) = -g(x, my), tested by `_skew` on the
-    integers d_m m and d_g g (`scaled`)."""
+    integers d_m m and d_g g (the ``_scaled`` of each)."""
     n = m.rows
     if not m.cols == g.rows == g.cols == n:
         raise DimensionMismatch(f"{m.rows}x{m.cols} map against a {g.rows}x{g.cols} form")
-    return _skew(scaled(m.entries)[1], scaled(g.entries)[1], n)
+    return _skew(m._scaled[1], g._scaled[1], n)
 
 
 def line_double_extension(base: QuadraticAlgebra, d: LinearMap) -> QuadraticAlgebra:
@@ -177,21 +176,21 @@ def validate_extension_data(
     Checks: d and f are phi-skewsymmetric derivations, f + j d commutes with
     j, and the adjoint of s0 equals the commutator f d - d f entrywise.
 
-    Each is an integer identity.  The table, j and phi are scaled once
-    (`scaled_table`, `scaled`): T = d_t [ , ], J = d_j j and G = d_g phi,
-    and d, f and s0 by their one common denominator c: D = c d, F = c f and
-    S = c s0.  Then D^T G + G D = 0 and the derivation identity of D on T
-    (`lie._derivation_failures`), and the same for F; [d_j F + J D, J] = 0,
-    which is c d_j [f + j d, j]; and c ad(S) = d_t (F D - D F), with ad(S)
-    read off T by `_ad_entries`.
+    Each is an integer identity.  The base's table, j and phi give their
+    integers (the ``_scaled`` of each): T = d_t [ , ], J = d_j j and
+    G = d_g phi; d, f and s0 are scaled by their one common denominator c:
+    D = c d, F = c f and S = c s0.  Then D^T G + G D = 0 and the derivation
+    identity of D on T (`lie._derivation_failures`), and the same for F;
+    [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
+    c ad(S) = d_t (F D - D F), with ad(S) read off T by `_ad_entries`.
     """
     s0v = vector(s0)
     n = base.dim
     if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
         return Check("extension data", ("shape mismatch with the base algebra",))
-    dt, t = scaled_table(base.algebra.brackets)
-    dj, jn = scaled(base.j.entries)
-    g = scaled(base.phi.entries)[1]
+    dt, t = base.algebra._scaled
+    dj, jn = base.j._scaled
+    g = base.phi._scaled[1]
     c, dfs = scaled(d.entries + f.entries + s0v)
     dn, fn, sn = dfs[: n * n], dfs[n * n : 2 * n * n], dfs[2 * n * n :]
     failures = []
@@ -491,7 +490,7 @@ def check_commutative(a: CommutativeAlgebra) -> Check:
             failures.append(f"associativity fails at ({i},{j},{k})")
         if left[i][j][k] != right[i][k][j]:
             failures.append(f"form invariance fails at ({i},{j},{k})")
-    fn = scaled(a.form.entries)[1]
+    fn = a.form._scaled[1]
     if fn != _transpose(fn, n):
         failures.append("form not symmetric")
     elif a.form.rank() != n:

@@ -10,19 +10,24 @@ U[a, b] = T(M e_a, e_b) built once by `_twisted`.  The Jacobi identity is a
 separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
 instead of rejected.
 
-The invariants run on the integer table d * brackets (`scaled_table`) and
-make Fractions only for their canonical bases: the center is the integer
-null space of the adjoint system that `solve_inner` solves, and the derived
-ideal, which is C1, and each later term of the lower central series are
-spans of integer vectors, all through the one elimination `linalg.eliminate`.
+An algebra scales its table to integers once, on first use, and keeps the
+pair (d, d * brackets) as ``_scaled``; every sweep and invariant here, in
+`structures`, `constructions` and `reduction` reads it and never mutates it.
+The invariants run on that integer table and make Fractions only for their
+canonical bases: the center is the integer null space of the adjoint system
+that `solve_inner` solves, and the derived ideal, which is C1, and each
+later term of the lower central series are spans of integer vectors, all
+through the one elimination `linalg.eliminate`.
 Each is a private function of one integer table (`_center`, `_derived`,
-`_series`), so a caller that needs several of them scales the table once.
+`_series`), so a caller that needs several of them hands each the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import sub
 from typing import Mapping, Sequence
 
@@ -42,7 +47,6 @@ from .linalg import (
     mat_vec,
     neg_vec,
     scaled,
-    scaled_table,
     sparse_table,
     vector,
     zero_vector,
@@ -93,6 +97,17 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.basis_names)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+        """The least common denominator d of the table's coefficients and the
+        table d * brackets with int coefficients, made on first use and kept.
+        Every reader leaves it as it is."""
+        d = lcm(*(c.denominator for col in self.brackets.values() for c in col.values()))
+        return d, {
+            pair: {k: c.numerator * (d // c.denominator) for k, c in col.items()}
+            for pair, col in self.brackets.items()
+        }
+
     @property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense read-only view: ``structure[i][j]`` is the bracket of basis
@@ -139,15 +154,15 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """The x with ad(x) = 0: the integer null space of the adjoint system."""
-        return _center(scaled_table(self.brackets)[1], self.dim)
+        return _center(self._scaled[1], self.dim)
 
     def derived_ideal(self) -> Subspace:
         """Span of all brackets of basis pairs."""
-        return _derived(scaled_table(self.brackets)[1], self.dim)
+        return _derived(self._scaled[1], self.dim)
 
     def lower_central_series(self) -> list[Subspace]:
         """C0 = g, C1 = `derived_ideal`, C(k+1) = [g, Ck]; see `_series`."""
-        t = scaled_table(self.brackets)[1]
+        t = self._scaled[1]
         return _series(t, self.dim, _derived(t, self.dim))
 
     def nilpotency_index(self) -> int | None:
@@ -162,8 +177,8 @@ class LieAlgebra:
 def _ad_entries(table: Mapping, x: Sequence, zero=ZERO) -> list:
     """Row-major entries of ad(x) read off a skew table, in one pass over its
     nonzero pairs: c = [e_a, e_b]_k adds x_a c at (k, b) and -x_b c at (k, a).
-    ``zero`` as in `bilinear`: `ZERO`, or 0 for a `scaled_table` and an
-    integer x."""
+    ``zero`` as in `bilinear`: `ZERO`, or 0 for the integer table
+    ``LieAlgebra._scaled`` and an integer x."""
     n = len(x)
     entries = [zero] * (n * n)
     for (a, b), col in table.items():
@@ -204,10 +219,10 @@ def _twisted(t: Mapping, m: Sequence[int], n: int) -> dict[tuple[int, int], list
 
 def _adjoint_rows(t: Mapping, n: int) -> dict[int, list[int]]:
     """The n^2 x n matrix A of x -> ad(x) read off the integer table
-    T = d * brackets (`scaled_table`): the nonzero rows of d * A by row
-    index.  A x is ``adjoint(x).entries``, so row k*n + b is entry (k, b):
-    c = [e_a, e_b]_k puts c in column a of row k*n + b and -c in column b of
-    row k*n + a."""
+    T = d * brackets (``LieAlgebra._scaled``): the nonzero rows of d * A by
+    row index.  A x is ``adjoint(x).entries``, so row k*n + b is entry
+    (k, b): c = [e_a, e_b]_k puts c in column a of row k*n + b and -c in
+    column b of row k*n + a."""
     rows: dict[int, list[int]] = {}
     for (a, b), col in t.items():
         for k, c in col.items():
@@ -258,13 +273,13 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
 
     Only the nonzero table pairs (a, b) contribute: each adds its term
     [e_i, [e_a, e_b]] to the residual of the sorted triple of (i, a, b).  The
-    sweep runs on the integer table T = d * brackets (`scaled_table`), so a
+    sweep runs on the integer table T = d * brackets (``_scaled``), so a
     residual it finds is d^2 times the Jacobi residual.  The term of
     c = T(e_a, e_b) is the sum of c_k T(e_i, e_k) over the `_ad_columns` k.
     """
     n = algebra.dim
     names = algebra.basis_names
-    d, t = scaled_table(algebra.brackets)
+    d, t = algebra._scaled
     columns = _ad_columns(t, n)
     residuals: dict[tuple[int, int, int], list[int]] = {}
     for (a, b), col in t.items():
@@ -291,14 +306,14 @@ def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
     """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs.
 
     `_derivation_failures` tests it on the integer table T = d_t * brackets
-    and M = d_m * m (`scaled_table`, `scaled`); both sides of the identity
+    and M = d_m * m (the ``_scaled`` of each); both sides of the identity
     scale by d_t d_m.
     """
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("derivation candidate must be square of the algebra dimension")
     names = algebra.basis_names
-    failing = _derivation_failures(scaled_table(algebra.brackets)[1], scaled(m.entries)[1], n)
+    failing = _derivation_failures(algebra._scaled[1], m._scaled[1], n)
     return Check(
         "derivation",
         tuple(f"derivation identity fails on ({names[i]}, {names[j]})" for i, j in failing),
@@ -332,11 +347,11 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
-    d, t = scaled_table(algebra.brackets)
+    d, t = algebra._scaled
     rows = _adjoint_rows(t, n)
     if any(e for i, e in enumerate(m.entries) if i not in rows):
         return None  # a nonzero entry where every adjoint has a zero
     # (d A) x = d m, scaled by the common denominator dm of m
-    dm, mn = scaled(m.entries)
+    dm, mn = m._scaled
     xs = _solve_int([[dm * e for e in row] + [d * mn[i]] for i, row in rows.items()], [1] * n, [1])
     return None if xs is None else xs[0]

@@ -10,10 +10,12 @@ Under that API the heavy loops run on integers.  One routine, `eliminate`,
 reduces integer rows fraction-free; the ranks, spans, null spaces, solves
 and subspace maps here and the invariants of `lie` all reach it, and each
 makes its Fractions once, at the end.  `signature` eliminates on integers
-too.  `scaled` and `scaled_table` give the least common denominator d of a
-matrix or a table and the integers d times its entries; the axiom sweeps of
-`lie` and `structures` contract those integers in one pass over the
-nonzeros, with `mat_vec` and `mat_mul` for the matrix products.  A form is
+too.  `scaled` gives the least common denominator d of a vector and the
+integers d times its entries.  A `Matrix` scales its entries once, on first
+use, and keeps the pair as ``_scaled``, as `lie.LieAlgebra` keeps its table's;
+every consumer reads those integers and never mutates them.  The axiom sweeps
+of `lie` and `structures` contract them in one pass over the nonzeros, with
+`mat_vec` and `mat_mul` for the matrix products.  A form is
 symmetric when its integers equal their `_transpose`, and `_skew` tests
 M^T G + G M = 0 on integers; every caller uses these two.  `bilinear`,
 `mat_vec` and `mat_mul` evaluate either scalar type, starting from the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -139,24 +142,14 @@ def scaled(values: Sequence[Fraction]) -> Scaled:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def scaled_table(table: SparseTable) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
-    """The least common denominator d of a sparse table's coefficients and
-    the table d * table, with int coefficients."""
-    d = lcm(*(c.denominator for col in table.values() for c in col.values()))
-    return d, {
-        pair: {k: c.numerator * (d // c.denominator) for k, c in col.items()}
-        for pair, col in table.items()
-    }
-
-
 def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool, zero=ZERO) -> Vector:
     """Value on coordinate vectors x and y of the map a sparse table stores
     (see `sparse_table` for what ``skew`` means).
 
     The loop runs over the supports of x and y and looks each pair up, so a
     bracket of basis vectors costs one lookup whatever the table's size.
-    ``zero`` is the zero of the scalars: `ZERO` for Fractions, 0 for a
-    `scaled_table` evaluated on integer vectors.
+    ``zero`` is the zero of the scalars: `ZERO` for Fractions, 0 for the
+    integer table ``LieAlgebra._scaled`` evaluated on integer vectors.
     """
     out = [zero] * len(x)
     ys = [(j, b) for j, b in enumerate(y) if b]
@@ -332,6 +325,13 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
+    @cached_property
+    def _scaled(self) -> Scaled:
+        """`scaled` of the entries, made on first use and kept: the least
+        common denominator d and the row-major integers d * entries.  Every
+        reader leaves the list as it is."""
+        return scaled(self.entries)
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns.
 
@@ -346,7 +346,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(out)), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots `eliminate` finds in the rows of ``_scaled``."""
+        ints, c = self._scaled[1], self.cols
+        return len(eliminate([ints[i * c : (i + 1) * c] for i in range(self.rows)], c)[1])
 
 
 def solve_linear(a: Matrix, b: Sequence) -> Vector | None:
@@ -508,9 +510,10 @@ class Subspace:
         return gram_restriction(g, self.basis).is_zero()
 
 
-# The subspace maps below scale each basis vector and each matrix to
-# integers (`scaled`) and go straight to `_span_int` and `_kernel_int`: a
-# span or a null space does not change when a vector is scaled.
+# The subspace maps below scale each basis vector to integers (`scaled`),
+# read each matrix's ``_scaled`` and go straight to `_span_int` and
+# `_kernel_int`: a span or a null space does not change when a vector is
+# scaled.
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -530,7 +533,7 @@ def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
     n = u.ambient_dim
     if g.rows != g.cols or g.rows != n:
         raise DimensionMismatch("pairing matrix must be square of the ambient dimension")
-    return _complement_int(n, scaled(g.entries)[1], [scaled(w)[1] for w in u.basis])
+    return _complement_int(n, g._scaled[1], [scaled(w)[1] for w in u.basis])
 
 
 def _complement_int(n: int, g: Sequence[int], xs: Iterable[Sequence[int]]) -> Subspace:
@@ -546,7 +549,7 @@ def map_image(m: Matrix, u: Subspace) -> Subspace:
     """Image of a subspace under a linear map."""
     if m.cols != u.ambient_dim:
         raise DimensionMismatch(f"{m.rows}x{m.cols} map on a subspace of ambient dim {u.ambient_dim}")
-    mn = scaled(m.entries)[1]
+    mn = m._scaled[1]
     return _span_int(m.rows, [mat_vec(mn, m.rows, m.cols, enumerate(scaled(b)[1]), 0) for b in u.basis])
 
 
@@ -555,7 +558,7 @@ def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
     vs = [vector(v) for v in vectors]
     if g.rows != g.cols or any(len(v) != g.rows for v in vs):
         raise DimensionMismatch("Gram matrix needs a square form and vectors of its dimension")
-    return _gram_int(g.rows, *scaled(g.entries), [scaled(v) for v in vs])
+    return _gram_int(g.rows, *g._scaled, [scaled(v) for v in vs])
 
 
 def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matrix:
@@ -577,7 +580,7 @@ def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matri
 def signature(g: Matrix) -> tuple[int, int]:
     """(positive, negative) inertia of a symmetric matrix, computed exactly.
 
-    Symmetric congruence elimination over the integers d * g (`scaled`): a
+    Symmetric congruence elimination over the integers d * g (``_scaled``): a
     nonzero diagonal entry p is pivoted away by the scaled Schur step
     m <- p * m - m_i m_i^T on the rest of the block, which is then divided by
     the gcd of its entries.  The rest is p times the true Schur complement,
@@ -590,7 +593,7 @@ def signature(g: Matrix) -> tuple[int, int]:
     if g.rows != g.cols:
         raise NotSymmetricError("signature needs a square matrix")
     n = g.rows
-    flat = scaled(g.entries)[1]
+    flat = g._scaled[1]
     if flat != _transpose(flat, n):
         raise NotSymmetricError("signature needs a symmetric matrix")
     m = [flat[i * n : (i + 1) * n] for i in range(n)]

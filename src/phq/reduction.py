@@ -8,8 +8,8 @@ drives an orthogonal split (`split_plane`).  `full_reduction` iterates to an
 abelian residue.  `analyze_skew_pair` normalizes a nilpotent skewsymmetric
 pair on a neutral four-dimensional base into its adapted form.
 
-Each inverse step scales the bracket table, j and phi to integers once
-(`_Integers`) and computes everything it reads from them over int: the
+Each inverse step reads the integers that the bracket table, j and phi keep
+(their ``_scaled``) and computes everything from them over int: the
 centrality of z and jz (no nonzero entry of the integer ad(z); the center is
 never built), the isotropic dual vector (`_isotropic_dual`, shared with
 `analyze_skew_pair`), the orthogonal complement, and in `_restrict` the
@@ -18,7 +18,8 @@ integer frame solve (`_coords`, also shared with `analyze_skew_pair`) and
 the Gram block B^T g B.  Each Fraction of the result is made once, at the
 end.  `ExtensionData` validates the extension data a plane step reads off,
 independently of how it was computed, as integer identities on the table,
-j, phi, D, F and s0 scaled once (`validate_extension_data`).
+j, phi, D, F and s0 (`validate_extension_data`); that scales the recovered
+base once, and the next step reads the same integers.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .linalg import (
     map_image,
     mat_vec,
     scaled,
-    scaled_table,
     signature,
     vector,
     zero_vector,
@@ -99,67 +99,48 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     among the echelon basis of W and then pairwise sums of it.  A nonempty W
     is guaranteed for nilpotent input; anything else raises.
     """
-    ints = _Integers(p)
-    center = _center(ints.t, ints.n)
+    t = p.algebra._scaled[1]
+    center = _center(t, p.dim)
     w = intersect(center, map_image(p.j, center))
     if w.dim == 0:
         raise EmptyIntersection("center ∩ j(center) is zero; input is outside the nilpotent case")
-    in_derived = intersect(w, _derived(ints.t, ints.n))
+    in_derived = intersect(w, _derived(t, p.dim))
     if in_derived.dim > 0:
         return CentralPair(w, in_derived.basis[0], True)
     candidates = list(w.basis)
     candidates += [add_vec(u, v) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :]]
     for z in candidates:
-        if ints.norm(scaled(z)) != 0:
+        if _norm(p, scaled(z)) != 0:
             return CentralPair(w, z, False)
     raise ReductionStuck(
         "all candidates in center ∩ j(center) are isotropic but none lies in the derived ideal"
     )
 
 
-class _Integers:
-    """The bracket table, j and phi of an n-dimensional PHQAlgebra scaled to
-    integers once: T = d * brackets (`scaled_table`), J = dj * j and
-    G = dg * phi (`scaled`).  The methods take and give `Scaled` pairs, or
-    integers where only a span, a sign or a zero test needs them."""
+# The helpers below take and give `Scaled` pairs, or integers where only a
+# sign or a zero test needs them, on T = d * brackets, J = dj * j, G = dg * phi.
 
-    __slots__ = ("n", "d", "t", "dj", "j", "dg", "g")
 
-    def __init__(self, p: PHQAlgebra):
-        self.n = p.dim
-        self.d, self.t = scaled_table(p.algebra.brackets)
-        self.dj, self.j = scaled(p.j.entries)
-        self.dg, self.g = scaled(p.phi.entries)
+def _vec(p: PHQAlgebra, v: Sequence) -> Scaled:
+    v = vector(v)
+    if len(v) != p.dim:
+        raise DimensionMismatch("vector must match the algebra dimension")
+    return scaled(v)
 
-    def vec(self, v: Sequence) -> Scaled:
-        v = vector(v)
-        if len(v) != self.n:
-            raise DimensionMismatch("vector must match the algebra dimension")
-        return scaled(v)
 
-    def bracket(self, x: Scaled, y: Scaled) -> Scaled:
-        return self.d * x[0] * y[0], bilinear(self.t, x[1], y[1], skew=True, zero=0)
+def _jmap(p: PHQAlgebra, x: Scaled) -> Scaled:
+    dj, jn = p.j._scaled
+    return dj * x[0], mat_vec(jn, p.dim, p.dim, enumerate(x[1]), 0)
 
-    def jmap(self, x: Scaled) -> Scaled:
-        return self.dj * x[0], mat_vec(self.j, self.n, self.n, enumerate(x[1]), 0)
 
-    def pairing_row(self, x: Scaled) -> list[int]:
-        """G x = dg * s * (phi x), the row of phi(x, .) times dg * s when
-        phi is symmetric."""
-        return mat_vec(self.g, self.n, self.n, enumerate(x[1]), 0)
+def _norm(p: PHQAlgebra, x: Scaled) -> int:
+    """dg * s^2 * phi(x, x), of the sign of phi(x, x)."""
+    return sum(map(mul, x[1], mat_vec(p.phi._scaled[1], p.dim, p.dim, enumerate(x[1]), 0)))
 
-    def norm(self, x: Scaled) -> int:
-        """dg * s^2 * phi(x, x), of the sign of phi(x, x)."""
-        return sum(map(mul, x[1], self.pairing_row(x)))
 
-    def complement(self, xs: Sequence[Scaled]) -> Subspace:
-        """The y with phi(x, y) = 0 for every x in ``xs``, by the routine of
-        `orthogonal_complement`: phi must be symmetric."""
-        return _complement_int(self.n, self.g, [x for _, x in xs])
-
-    def central(self, x: Scaled) -> bool:
-        """ad(x) = 0, tested on the integer entries of ad(x) read off T."""
-        return not any(_ad_entries(self.t, x[1], 0))
+def _central(p: PHQAlgebra, x: Scaled) -> bool:
+    """ad(x) = 0, tested on the integer entries of ad(x) read off T."""
+    return not any(_ad_entries(p.algebra._scaled[1], x[1], 0))
 
 
 def _unscaled(x: Scaled) -> Vector:
@@ -180,25 +161,27 @@ def _coords(n: int, frame: Sequence[Scaled], images: Sequence[Scaled], error: Ex
     return xs
 
 
-def _isotropic_dual(ints: _Integers, z: Scaled, zp: Scaled, error: Exception) -> Vector:
+def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled, error: Exception) -> Vector:
     """An isotropic v with phi(z, v) = 1 and phi(zp, v) = 0, for an isotropic
     z orthogonal to zp: the minimal-support solution v0 of the two linear
     conditions, moved along z until it is isotropic, v0 - phi(v0, v0) / 2 z,
     with each entry made once over the common denominator.  Raises ``error``
     if the conditions are inconsistent."""
-    n, dg = ints.n, ints.dg
-    rows = [ints.pairing_row(z) + [dg * z[0]], ints.pairing_row(zp) + [0]]
+    n = p.dim
+    dg, g = p.phi._scaled
+    # for the `Scaled` pair (s, x) of a vector u, G x is dg * s * phi(u, .)
+    rows = [mat_vec(g, n, n, enumerate(x), 0) + [e] for x, e in ((z[1], dg * z[0]), (zp[1], 0))]
     xs = _solve_int(rows, [1] * n, [1])
     if xs is None:
         raise error
     s, x = scaled(xs[0])
-    q = ints.norm((s, x))  # dg s^2 phi(v0, v0)
+    q = _norm(p, (s, x))  # dg s^2 phi(v0, v0)
     sz, zn = z
     return tuple(Fraction(2 * dg * s * sz * a - q * b, 2 * dg * s * s * sz) for a, b in zip(x, zn))
 
 
 def _restrict(
-    ints: _Integers,
+    p: PHQAlgebra,
     basis: Sequence[Scaled],
     drop: Sequence[Scaled] = (),
     extra: Sequence[tuple[Scaled, Scaled]] = (),
@@ -206,7 +189,7 @@ def _restrict(
     """Restriction of brackets, j and phi to the span of ``basis``.
 
     One integer frame solve in (drop..., basis...) gives the coordinates of
-    the brackets of the basis vectors, of their images under j and of the
+    the images under j of the basis vectors, of their brackets and of the
     brackets of the ``extra`` pairs.  Components along ``drop`` are
     discarded, but j must keep the span of ``basis``.  The metric is the
     Gram block B^T g B on integers.  Returns the restriction and the
@@ -214,27 +197,30 @@ def _restrict(
     """
     m, k = len(basis), len(drop)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    images = [ints.bracket(basis[a], basis[b]) for a, b in pairs]
-    images += [ints.jmap(x) for x in basis]
-    images += [ints.bracket(x, y) for x, y in extra]
+    d, t = p.algebra._scaled
+    images = [_jmap(p, x) for x in basis]
+    images += [
+        (d * x[0] * y[0], bilinear(t, x[1], y[1], skew=True, zero=0))
+        for x, y in [(basis[a], basis[b]) for a, b in pairs] + list(extra)
+    ]
     coords = _coords(
-        ints.n,
+        p.dim,
         [*drop, *basis],
         images,
         InvalidCentralElement("the restriction leaves the frame; the subspace is not invariant"),
     )
-    j_cols = coords[len(pairs) : len(pairs) + m]
-    if any(any(c[:k]) for c in j_cols):
+    if any(any(c[:k]) for c in coords[:m]):
         raise InvalidCentralElement("j does not keep the restricted subspace")
+    coords = [c[k:] for c in coords]
     restricted = PHQAlgebra(
         LieAlgebra(
             tuple(f"b{i + 1}" for i in range(m)),
-            {pair: dict(enumerate(c[k:])) for pair, c in zip(pairs, coords)},
+            {pair: dict(enumerate(c)) for pair, c in zip(pairs, coords[m:])},
         ),
-        Matrix.from_cols([c[k:] for c in j_cols], rows=m),
-        _gram_int(ints.n, ints.dg, ints.g, basis),
+        Matrix.from_cols(coords[:m], rows=m),
+        _gram_int(p.dim, *p.phi._scaled, basis),
     )
-    return restricted, [c[k:] for c in coords[len(pairs) + m :]]
+    return restricted, coords[m + len(pairs) :]
 
 
 def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
@@ -243,16 +229,15 @@ def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
     Returns the restriction to the orthogonal complement together with the
     sign of phi(z, z).
     """
-    ints = _Integers(p)
-    zs = ints.vec(z)
-    zps = ints.jmap(zs)
-    if not (ints.central(zs) and ints.central(zps)):
+    zs = _vec(p, z)
+    zps = _jmap(p, zs)
+    if not (_central(p, zs) and _central(p, zps)):
         raise InvalidCentralElement("z and jz must be central")
-    norm = ints.norm(zs)
+    norm = _norm(p, zs)
     if norm == 0:
         raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    complement = ints.complement([zs, zps]).basis
-    return _restrict(ints, [scaled(b) for b in complement])[0], (1 if norm > 0 else -1)
+    complement = _complement_int(p.dim, p.phi._scaled[1], [zs[1], zps[1]]).basis
+    return _restrict(p, [scaled(b) for b in complement])[0], (1 if norm > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -278,29 +263,28 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     isotropic; the recovered base is the orthogonal of span{z, jz, v, jv},
     and the extension data is read off the brackets with v and jv.
     """
-    ints = _Integers(p)
     z = vector(z)
-    zs = ints.vec(z)
-    if not (ints.central(zs) and _derived(ints.t, ints.n).contains(z)):
+    zs = _vec(p, z)
+    if not (_central(p, zs) and _derived(p.algebra._scaled[1], p.dim).contains(z)):
         raise InvalidCentralElement("z must lie in center ∩ derived")
-    zps = ints.jmap(zs)
-    if not ints.central(zps):
+    zps = _jmap(p, zs)
+    if not _central(p, zps):
         raise InvalidCentralElement("jz must be central")
-    if ints.norm(zs) != 0:
+    if _norm(p, zs) != 0:
         raise NonIsotropic("z must be isotropic")
 
     v = _isotropic_dual(
-        ints, zs, zps, InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
+        p, zs, zps, InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
     )
     vs = scaled(v)
-    vps = ints.jmap(vs)
+    vps = _jmap(p, vs)
 
-    basis = ints.complement([zs, zps, vs, vps]).basis
+    basis = _complement_int(p.dim, p.phi._scaled[1], [zs[1], zps[1], vs[1], vps[1]]).basis
     m = len(basis)
     bs = [scaled(b) for b in basis]
     # F, D and s0 are the base components of [v, x], [v', x] and [v, v'].
     extra = [(w, b) for w in (vs, vps) for b in bs] + [(vs, vps)]
-    base, ext = _restrict(ints, bs, drop=(zs, zps), extra=extra)
+    base, ext = _restrict(p, bs, drop=(zs, zps), extra=extra)
     data = ExtensionData(
         base,
         Matrix.from_cols(ext[m : 2 * m], rows=m),
@@ -409,10 +393,9 @@ def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
     if not ker_f.is_totally_isotropic(base.phi):
         raise HypothesisViolated("ker(F) is not totally isotropic")
 
-    ints = _Integers(base)
     u1 = ker_f.basis[0]
     ju1 = base.j.apply(u1)
-    u2 = _isotropic_dual(ints, scaled(u1), scaled(ju1), HypothesisViolated("no dual vector for u1"))
+    u2 = _isotropic_dual(base, scaled(u1), scaled(ju1), HypothesisViolated("no dual vector for u1"))
     ju2 = base.j.apply(u2)
     fu2, du2, fju2 = _coords(
         4,

@@ -25,13 +25,10 @@ from .linalg import (
     add_vec,
     bilinear,
     dot,
-    eliminate,
     gram_restriction,
     map_image,
     mat_mul,
     mat_vec,
-    scaled,
-    scaled_table,
     signature,
     sub_vec,
     unit_vector,
@@ -68,16 +65,16 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
     names = algebra.basis_names
-    # On J = dj * j and T = dt * brackets (`scaled`, `scaled_table`), j^2 = -I is
+    # On J = dj * j and T = dt * brackets (the ``_scaled`` of each), j^2 = -I is
     # J^2 = -dj^2 I.  With U[a][b] = T(J e_a, e_b) = sum_r J_ra T(e_r, e_b) built
     # once by `_twisted`, and T(e_a, J e_b) = -U[b][a],
     # dj^2 dt N(e_a, e_b) = dj^2 T(e_a, e_b) + J(U[a][b] - U[b][a]) - sum_s J_sb U[a][s].
-    dj, jn = scaled(j.entries)
+    dj, jn = j._scaled
     square_fail = []
     if mat_mul(jn, n, n, jn, n, 0) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
         square_fail.append("j^2 != -I")
 
-    dt, t = scaled_table(algebra.brackets)
+    dt, t = algebra._scaled
     jcols = [[(s, v) for s, v in enumerate(jn[b::n]) if v] for b in range(n)]
     u, zero = _twisted(t, jn, n), [0] * n
     torsion_fail = []
@@ -105,18 +102,18 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
         raise DimensionMismatch("metric must be square of the algebra dimension")
     names = algebra.basis_names
 
-    # on G = dg * g, which has the symmetry and the rank of g
-    _, gn = scaled(g.entries)
+    # on G = dg * g, which has the symmetry of g
+    gn = g._scaled[1]
     gtn = _transpose(gn, n)
     sym_fail = [] if gn == gtn else ["phi is not symmetric"]
-    rank = len(eliminate([gn[r * n : (r + 1) * n] for r in range(n)], n)[1])
+    rank = g.rank()
     nondeg_fail = [] if rank == n else [f"phi is degenerate (rank {rank} < {n})"]
 
     # phi([ei,ej], ek) + phi(ej, [ei,ek]) = 0 is entry (k, j) of
     # g ad(ei) + ad(ei)^T g, kept at skew[i][j * n + k].  Only the table pairs
     # that contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).
     # The sweep runs on G and T = dt * brackets, scaling every entry by dg * dt.
-    _, t = scaled_table(algebra.brackets)
+    t = algebra._scaled[1]
     skew = [[0] * (n * n) for _ in range(n)]
     for (a, b), col in t.items():
         left, right = mat_vec(gn, n, n, col.items(), 0), mat_vec(gtn, n, n, col.items(), 0)
@@ -186,8 +183,8 @@ def check_phq(p: PHQAlgebra) -> Report:
 
     # on J = dj * j and G = dg * phi: J^T G J = dj^2 G and J^T G + G J = 0
     n = p.dim
-    dj, jn = scaled(p.j.entries)
-    _, gn = scaled(p.phi.entries)
+    dj, jn = p.j._scaled
+    gn = p.phi._scaled[1]
     compat_fail = []
     gj = mat_mul(gn, n, n, jn, n, 0)
     if mat_mul(_transpose(jn, n), n, n, gj, n, 0) != [dj * dj * x for x in gn]:
@@ -256,10 +253,10 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
     basis choice does not matter.  The restricted form may be degenerate, in
     which case the (p, q) counts sum to less than the ideal's dimension.
     The center, the derived ideal and the lower central series, which starts
-    from that ideal, all read one integer table (`scaled_table`).
+    from that ideal, all read the algebra's one integer table (``_scaled``).
     """
     n = p.dim
-    t = scaled_table(p.algebra.brackets)[1]
+    t = p.algebra._scaled[1]
     derived = _derived(t, n)
     return Fingerprint(
         dim=n,

@@ -238,6 +238,34 @@ MALFORMED_RECIPES = {
 }
 
 
+def minimal(**fields) -> str:
+    """MINIMAL with ``fields`` replaced."""
+    return json.dumps({**json.loads(MINIMAL), **fields})
+
+
+# One malformed `.alg` text per ParseError branch of the algebra grammar that
+# the other tests leave out, and the exact message each gives.
+MALFORMED_ALGEBRAS = {
+    "not_object": ("[]", "algebra file must be a JSON object"),
+    "missing_field": (
+        json.dumps({k: v for k, v in json.loads(MINIMAL).items() if k != "phi"}),
+        "missing field 'phi'",
+    ),
+    "basis_length": (minimal(basis=["e1"]), "basis must list dim names"),
+    "brackets_object": (minimal(brackets={}), "brackets must be a list"),
+    "entry_fields": (minimal(brackets=[{"i": 0, "j": 1}]), "brackets[0]: needs fields i, j, coeffs"),
+    "duplicate": (
+        minimal(brackets=[{"i": 0, "j": 1, "coeffs": {"0": "1"}}, {"i": 0, "j": 1, "coeffs": {"1": "1"}}]),
+        "brackets[1]: duplicate bracket (0,1)",
+    ),
+    "coeffs_list": (minimal(brackets=[{"i": 0, "j": 1, "coeffs": []}]), "brackets[0]: coeffs must be an object"),
+    "coeff_index": (
+        minimal(brackets=[{"i": 0, "j": 1, "coeffs": {"2": "1"}}]),
+        "brackets[0]: coefficient index 2 out of range",
+    ),
+}
+
+
 class TestParsing:
     def test_minimal_abelian_file(self):
         p = parse_algebra_text(MINIMAL)
@@ -289,6 +317,29 @@ class TestParsing:
         with pytest.raises(BadRational):
             parse_algebra_text(json.dumps(doc))
 
+    def test_json_integer_scalars(self, tmp_path, capsys):
+        # every scalar of L42.alg written as a bare JSON integer
+        doc = json.loads((FIXTURES / "L42.alg").read_text())
+        for entry in doc["brackets"]:
+            entry["coeffs"] = {k: int(v) for k, v in entry["coeffs"].items()}
+        for name in ("J", "phi"):
+            doc[name] = [[int(v) for v in row] for row in doc[name]]
+        path = tmp_path / "ints.alg"
+        path.write_text(json.dumps(doc))
+        assert parse_path(path) == parse_path(FIXTURES / "L42.alg")
+        assert main(["check", str(FIXTURES / "L42.alg")]) == 0
+        expected = capsys.readouterr()
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("name", MALFORMED_ALGEBRAS)
+    def test_malformed_algebra_exits_2(self, tmp_path, capsys, name):
+        text, message = MALFORMED_ALGEBRAS[name]
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
     def test_broken_json_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_algebra_text("{\n  \"dim\": 2,,\n}")
@@ -318,6 +369,14 @@ class TestParsing:
         for path in recipes:
             recipe = parse_path(path)
             assert recipe.dim == recipe.evaluate().dim <= MAX_DIM
+
+    def test_direct_sum_recipe(self, tmp_path, capsys):
+        text = json.dumps({"op": "direct_sum", "args": [{"op": "L(4,2)"}, {"op": "abelian", "p": 2, "q": 0}]})
+        assert parse_recipe_text(text).dim == 8
+        path = tmp_path / "sum.recipe"
+        path.write_text(text)
+        assert main(["construct", str(path)]) == 0
+        assert capsys.readouterr().out == (FIXTURES / "L42_R20.alg").read_text(encoding="utf-8")
 
     def test_recipe_validation(self):
         with pytest.raises(ParseError):
@@ -544,6 +603,22 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert "  - Jacobi fails on (x1, Jx1, x2): residual <long>*Jx3" in out.splitlines()
         assert err == ""
+
+    def test_file_of_the_other_kind_exits_2(self, capsys):
+        recipe = str(FIXTURES / "lorentz_ext.recipe")
+        assert main(["check", recipe]) == 2
+        assert capsys.readouterr().err == f"parse error: {recipe}: expected an algebra file, got a recipe\n"
+        algebra = str(FIXTURES / "L42.alg")
+        assert main(["construct", algebra]) == 2
+        assert capsys.readouterr().err == f"parse error: {algebra}: expected a recipe file\n"
+
+    def test_reduce_refuses_a_failing_input(self, tmp_path, capsys):
+        path = tmp_path / "broken.alg"
+        path.write_text(json.dumps(BROKEN))
+        assert main(["reduce", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input fails the structure axioms; run 'check' for details\n"
 
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"

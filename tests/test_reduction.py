@@ -1,11 +1,16 @@
 import hashlib
+import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import phq.linalg
+import phq.reduction
 from phq import (
+    CentralPair,
     CommutativeAlgebra,
     HypothesisViolated,
     InvalidCentralElement,
@@ -26,6 +31,7 @@ from phq import (
     fingerprint,
     full_reduction,
     is_skewsymmetric,
+    parse_path,
     phq_double_extension,
     reduce_by_plane,
     signature,
@@ -36,8 +42,10 @@ from phq import (
     vector,
     verify_witness,
 )
+from phq.cli import main
 from phq.linalg import add_vec
 
+from conftest import FIXTURES
 from oracles import entries, naive_apply, naive_bracket, naive_pair, structure_tensor
 from test_catalog import ALL_LABELS
 from test_constructions import adapted_pair, lemma_adapted_base
@@ -321,6 +329,41 @@ class TestFullReduction:
                     assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
                 current = step.recovered
 
+    def test_split_branch(self, monkeypatch, capsys):
+        # no model reaches the split branch: offer the R(2,0) plane of
+        # L(4,2)+R(2,0), at e7, as the first central pair
+        real = phq.reduction.find_central_pair
+        calls = []
+
+        def split_first(p):
+            calls.append(p)
+            pair = real(p)
+            return CentralPair(pair.subspace, unit(p.dim, 6), False) if len(calls) == 1 else pair
+
+        monkeypatch.setattr(phq.reduction, "find_central_pair", split_first)
+        path = str(FIXTURES / "L42_R20.alg")
+        p = parse_path(path)
+        result = full_reduction(p)
+        lines = (
+            "step 1: split_plane sign=+ -> dim 6",
+            "step 2: plane_reduction -> dim 2",
+            "residue: dim 2, signature (2,0), abelian",
+        )
+        assert result.describe() == lines
+        assert [(s.kind, s.sign) for s in result.steps] == [("split_plane", 1), ("plane_reduction", None)]
+        assert signature(result.residue.phi) == (2, 0)
+        assert p.dim == result.residue.dim + 2 + 4 == 8
+
+        calls.clear()
+        assert main(["reduce", path]) == 0
+        assert capsys.readouterr().out.splitlines() == list(lines)
+        calls.clear()
+        assert main(["--format", "json", "reduce", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        step = doc["steps"][0]
+        assert (step["kind"], step["v"], step["sign"], step["recovered_dim"]) == ("split_plane", None, 1, 6)
+        assert [s["recovered_dim"] for s in doc["steps"]] == [6, 2] and doc["residue_dim"] == 2
+
     def test_choices_are_pinned_on_catalog(self):
         # which z and v each step picks, off the fixtures too: a change to
         # the candidate order, the norm test or the complement basis shows
@@ -375,6 +418,49 @@ class TestFullReduction:
             assert classify(p).label == label, name
         # the guard sees validate_extension_data called on its own too
         assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
+
+    def test_each_table_and_matrix_is_scaled_once(self, monkeypatch):
+        # however many checks, invariants and steps read an algebra's table
+        # or a matrix's entries as integers, each object is scaled once, by
+        # its own `_scaled`, and no reader mutates the integers it is handed
+        created = []  # every LieAlgebra and Matrix built during the run
+        filled = []  # the object of each computation of a `_scaled`
+        handed = []  # every argument of linalg.scaled
+        scale = phq.linalg.scaled
+        fresh = {cls: cls.__dict__["_scaled"].func for cls in (LieAlgebra, Matrix)}
+        for cls, func in fresh.items():
+
+            def recording(self, post_init=cls.__post_init__):
+                created.append(self)
+                post_init(self)
+
+            def counting(self, func=func):
+                filled.append(self)
+                return func(self)
+
+            monkeypatch.setattr(cls, "__post_init__", recording)
+            monkeypatch.setattr(cls.__dict__["_scaled"], "func", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phq") and getattr(module, "scaled", None) is scale:
+                monkeypatch.setattr(module, "scaled", lambda values: handed.append(values) or scale(values))
+
+        inputs = [build(name) for name in ALL_LABELS]
+        inputs += [PHQAlgebra(*transported(p, random.Random(1))) for p in inputs]
+        for p in inputs:
+            assert check_phq(p).ok
+            fingerprint(p)
+            full_reduction(p)
+            classify(p)
+
+        assert len({id(obj) for obj in filled}) == len(filled)
+        # a Matrix's entries reach linalg.scaled only through its `_scaled`
+        fills = Counter(id(m.entries) for m in filled if isinstance(m, Matrix))
+        calls = Counter(map(id, handed))
+        assert all(calls[id(m.entries)] == fills[id(m.entries)] for m in created if isinstance(m, Matrix))
+        assert any(isinstance(m, Matrix) for m in filled) and any(isinstance(a, LieAlgebra) for a in filled)
+        for obj in created:
+            if "_scaled" in vars(obj):
+                assert vars(obj)["_scaled"] == fresh[type(obj)](obj)
 
 
 class TestAnalyzeSkewPair:

@@ -260,34 +260,34 @@ class TestFingerprint:
             assert all(rows != p.dim**2 for rows, _ in shapes), (name, shapes)
 
     def test_one_integer_table_and_one_derived_ideal(self, monkeypatch):
-        # the center, the derived ideal and the series read one scaled table,
-        # and the series starts from the derived ideal fingerprint spanned
-        import phq.lie
-        import phq.structures
-
+        # the center, the derived ideal and the series read the one integer
+        # table of the input's algebra, and the series starts from the
+        # derived ideal fingerprint spanned
         scalings = []
-        scaled_table = phq.structures.scaled_table
+        table = LieAlgebra.__dict__["_scaled"]
+        scale = table.func
 
-        def counting(table):
-            scalings.append(1)
-            return scaled_table(table)
+        def counting(algebra):
+            scalings.append(algebra)
+            return scale(algebra)
 
         def refuse(self):
             raise AssertionError("fingerprint went through LieAlgebra.derived_ideal")
 
+        expected = [fingerprint(build(name)) for name in ALL_LABELS]
         inputs = [build(name) for name in ALL_LABELS]
-        expected = [fingerprint(p) for p in inputs]
-        monkeypatch.setattr(phq.structures, "scaled_table", counting)
-        monkeypatch.setattr(phq.lie, "scaled_table", counting)
+        monkeypatch.setattr(table, "func", counting)
         monkeypatch.setattr(LieAlgebra, "derived_ideal", refuse)
         for p, fp in zip(inputs, expected):
             scalings.clear()
             assert fingerprint(p) == fp
-            assert len(scalings) == 1
+            assert len(scalings) == 1 and scalings[0] is p.algebra
+            assert fingerprint(p) == fp
+            assert len(scalings) == 1  # the second call reads the kept table
 
     def test_reduction_fingerprint_and_solve_inner_never_reach_rref(self, monkeypatch):
         # solves, membership and the invariants all go through
-        # linalg.eliminate; Matrix.rref is left to Matrix.rank
+        # linalg.eliminate, and so does Matrix.rank; no library code reaches Matrix.rref
         inputs = [(name, build(name)) for name in ALL_LABELS]
         inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
         described = [full_reduction(p).describe() for _, p in inputs]
