@@ -197,7 +197,7 @@ def validate_extension_data(
     for name, m in (("D", dn), ("F", fn)):
         if not _skew(m, g, n):
             failures.append(f"{name} is not skewsymmetric for the base metric")
-        if _derivation_failures(t, m, n):
+        if _derivation_failures(base.algebra, m):
             failures.append(f"{name} is not a derivation of the base")
     a = [dj * x + y for x, y in zip(fn, mat_mul(jn, n, n, dn, n, 0))]
     if mat_mul(a, n, n, jn, n, 0) != mat_mul(jn, n, n, a, n, 0):

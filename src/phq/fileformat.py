@@ -150,6 +150,8 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         raise ParseError(f"dim {dim} is above the limit {MAX_DIM}")
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must list dim names")
+    if any("\ud800" <= c <= "\udfff" for name in basis for c in name):  # JSON admits lone surrogates
+        raise ParseError("basis names must be UTF-8 text, without lone surrogates")
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
     known: dict[str, Fraction] = {}
@@ -310,6 +312,8 @@ def parse_path(path: str | Path, fixtures_dir: str | Path | None = None):
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {p}: not UTF-8 text") from exc
     if p.suffix == ".recipe":
         return parse_recipe_text(text)
     return parse_algebra_text(text)

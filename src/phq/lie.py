@@ -18,8 +18,8 @@ canonical bases: the center is the integer null space of the adjoint system
 that `solve_inner` solves, and the derived ideal, which is C1, and each
 later term of the lower central series are spans of integer vectors, all
 through the one elimination `linalg.eliminate`.
-Each is a private function of one integer table (`_center`, `_derived`,
-`_series`), so a caller that needs several of them hands each the same table.
+The invariants, and the ``_columns`` the sweeps read, are computed once per
+algebra on first use and kept like ``_scaled``; every caller asks the algebra.
 """
 
 from __future__ import annotations
@@ -152,23 +152,61 @@ class LieAlgebra:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
         return Matrix(self.dim, self.dim, tuple(_ad_entries(self.brackets, xv)))
 
+    @cached_property
+    def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+        """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
+        brackets, from one pass over T = ``_scaled``: the column c of a pair
+        (a, b) is listed under b as (a, c) and under a as (b, -c)."""
+        columns: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(self.dim)]
+        for (a, b), col in self._scaled[1].items():
+            columns[b].append((a, list(col.items())))
+            columns[a].append((b, [(k, -c) for k, c in col.items()]))
+        return columns
+
+    @cached_property
+    def _center(self) -> Subspace:
+        """The null space of `_adjoint_rows`."""
+        return _kernel_int(_adjoint_rows(self).values(), self.dim)
+
+    @cached_property
+    def _derived(self) -> Subspace:
+        """The span of the columns of T."""
+        return _span_int(self.dim, [dense(col, self.dim, 0) for col in self._scaled[1].values()])
+
+    @cached_property
+    def _series(self) -> tuple[Subspace, ...]:
+        """C0 = g and C1 = ``_derived``; C(k+1) is the span of the columns of
+        ad(c) for c in a basis of Ck; stops at zero or when stationary.  Each
+        c is scaled to integers, the columns of ad(c) are written off T and
+        spanned at once by `eliminate`."""
+        n, t = self.dim, self._scaled[1]
+        series = [Subspace.full(n)]
+        nxt = self._derived
+        while nxt != series[-1]:
+            series.append(nxt)
+            if nxt.dim == 0:
+                break
+            ads = [_ad_entries(t, scaled(c)[1], 0) for c in nxt.basis]
+            nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
+        return tuple(series)
+
     def center(self) -> Subspace:
         """The x with ad(x) = 0: the integer null space of the adjoint system."""
-        return _center(self._scaled[1], self.dim)
+        return self._center
 
     def derived_ideal(self) -> Subspace:
         """Span of all brackets of basis pairs."""
-        return _derived(self._scaled[1], self.dim)
+        return self._derived
 
     def lower_central_series(self) -> list[Subspace]:
-        """C0 = g, C1 = `derived_ideal`, C(k+1) = [g, Ck]; see `_series`."""
-        t = self._scaled[1]
-        return _series(t, self.dim, _derived(t, self.dim))
+        """C0 = g, C1 = `derived_ideal`, C(k+1) = [g, Ck]; see ``_series``."""
+        return list(self._series)
 
     def nilpotency_index(self) -> int | None:
         """Smallest k with Ck = 0 (abelian algebras have index 1); None if the
         series stabilizes at a nonzero term."""
-        return _index(self.lower_central_series())
+        series = self.lower_central_series()
+        return len(series) - 1 if series[-1].dim == 0 else None
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -190,23 +228,12 @@ def _ad_entries(table: Mapping, x: Sequence, zero=ZERO) -> list:
     return entries
 
 
-def _ad_columns(t: Mapping, n: int) -> list[list[tuple[int, list[tuple[int, int]]]]]:
-    """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
-    brackets, from one pass over the integer table T: the column c of a pair
-    (a, b) is listed under b as (a, c) and under a as (b, -c)."""
-    columns: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]
-    for (a, b), col in t.items():
-        columns[b].append((a, list(col.items())))
-        columns[a].append((b, [(k, -c) for k, c in col.items()]))
-    return columns
-
-
-def _twisted(t: Mapping, m: Sequence[int], n: int) -> dict[tuple[int, int], list[int]]:
+def _twisted(algebra: LieAlgebra, m: Sequence[int]) -> dict[tuple[int, int], list[int]]:
     """U[a, b] = T(M e_a, e_b), the sum of M_ra T(e_r, e_b), for the integer
-    table T and the row-major integer n x n matrix M, built in one pass over
-    the nonzeros of M and `_ad_columns`; the pairs it never meets are zero
-    and left out."""
-    columns = _ad_columns(t, n)
+    table T of the algebra and the row-major integer n x n matrix M, built in
+    one pass over the nonzeros of M and the algebra's ``_columns``; the pairs
+    it never meets are zero and left out."""
+    n, columns = algebra.dim, algebra._columns
     u: dict[tuple[int, int], list[int]] = {}
     for a in range(n):
         for r, v in enumerate(m[a::n]):
@@ -217,49 +244,19 @@ def _twisted(t: Mapping, m: Sequence[int], n: int) -> dict[tuple[int, int], list
     return u
 
 
-def _adjoint_rows(t: Mapping, n: int) -> dict[int, list[int]]:
+def _adjoint_rows(algebra: LieAlgebra) -> dict[int, list[int]]:
     """The n^2 x n matrix A of x -> ad(x) read off the integer table
     T = d * brackets (``LieAlgebra._scaled``): the nonzero rows of d * A by
     row index.  A x is ``adjoint(x).entries``, so row k*n + b is entry
     (k, b): c = [e_a, e_b]_k puts c in column a of row k*n + b and -c in
     column b of row k*n + a."""
+    n = algebra.dim
     rows: dict[int, list[int]] = {}
-    for (a, b), col in t.items():
+    for (a, b), col in algebra._scaled[1].items():
         for k, c in col.items():
             rows.setdefault(k * n + b, [0] * n)[a] = c
             rows.setdefault(k * n + a, [0] * n)[b] = -c
     return rows
-
-
-def _center(t: Mapping, n: int) -> Subspace:
-    """The null space of `_adjoint_rows`."""
-    return _kernel_int(_adjoint_rows(t, n).values(), n)
-
-
-def _derived(t: Mapping, n: int) -> Subspace:
-    """The span of the columns of T."""
-    return _span_int(n, [dense(col, n, 0) for col in t.values()])
-
-
-def _series(t: Mapping, n: int, derived: Subspace) -> list[Subspace]:
-    """The lower central series from C1 = ``derived``: C(k+1) is the span of
-    the columns of ad(c) for c in a basis of Ck; stops at zero or when
-    stationary.  Each c is scaled to integers, the columns of ad(c) are
-    written off T and spanned at once by `eliminate`."""
-    series = [Subspace.full(n)]
-    nxt = derived
-    while nxt != series[-1]:
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-        ads = [_ad_entries(t, scaled(c)[1], 0) for c in nxt.basis]
-        nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
-    return series
-
-
-def _index(series: list[Subspace]) -> int | None:
-    """The nilpotency index a lower central series gives, or None."""
-    return len(series) - 1 if series[-1].dim == 0 else None
 
 
 def _names(names: Sequence[str] | int) -> tuple[str, ...]:
@@ -275,12 +272,12 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
     [e_i, [e_a, e_b]] to the residual of the sorted triple of (i, a, b).  The
     sweep runs on the integer table T = d * brackets (``_scaled``), so a
     residual it finds is d^2 times the Jacobi residual.  The term of
-    c = T(e_a, e_b) is the sum of c_k T(e_i, e_k) over the `_ad_columns` k.
+    c = T(e_a, e_b) is the sum of c_k T(e_i, e_k) over the ``_columns`` k.
     """
     n = algebra.dim
     names = algebra.basis_names
     d, t = algebra._scaled
-    columns = _ad_columns(t, n)
+    columns = algebra._columns
     residuals: dict[tuple[int, int, int], list[int]] = {}
     for (a, b), col in t.items():
         by_i: dict[int, list[int]] = {}  # i -> the residual of the triple of (i, a, b)
@@ -313,21 +310,22 @@ def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("derivation candidate must be square of the algebra dimension")
     names = algebra.basis_names
-    failing = _derivation_failures(algebra._scaled[1], m._scaled[1], n)
+    failing = _derivation_failures(algebra, m._scaled[1])
     return Check(
         "derivation",
         tuple(f"derivation identity fails on ({names[i]}, {names[j]})" for i, j in failing),
     )
 
 
-def _derivation_failures(t: Mapping, m: Sequence[int], n: int) -> list[tuple[int, int]]:
+def _derivation_failures(algebra: LieAlgebra, m: Sequence[int]) -> list[tuple[int, int]]:
     """The basis pairs i < j, sorted, on which the row-major integer n x n
-    matrix m breaks the derivation identity of the integer table t: the
-    defect M T(e_i, e_j) - T(M e_i, e_j) - T(e_i, M e_j) is not zero.  With
-    U = `_twisted` (t, m), it is M T(e_i, e_j) - U[i, j] + U[j, i], so only
-    the pairs of T and of U are visited.
+    matrix m breaks the derivation identity of the algebra's table T = ``_scaled``:
+    the defect M T(e_i, e_j) - T(M e_i, e_j) - T(e_i, M e_j) is not zero.  With
+    U = `_twisted` (algebra, m), it is M T(e_i, e_j) - U[i, j] + U[j, i], so
+    only the pairs of T and of U are visited.
     """
-    u, zero = _twisted(t, m, n), [0] * n
+    n, t = algebra.dim, algebra._scaled[1]
+    u, zero = _twisted(algebra, m), [0] * n
     failing = []
     for i, j in sorted({(min(pair), max(pair)) for pair in (*t, *u) if pair[0] != pair[1]}):
         twist = map(sub, u.get((i, j), zero), u.get((j, i), zero))
@@ -347,8 +345,8 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     n = algebra.dim
     if m.rows != n or m.cols != n:
         raise DimensionMismatch("target map must be square of the algebra dimension")
-    d, t = algebra._scaled
-    rows = _adjoint_rows(t, n)
+    d = algebra._scaled[0]
+    rows = _adjoint_rows(algebra)
     if any(e for i, e in enumerate(m.entries) if i not in rows):
         return None  # a nonzero entry where every adjoint has a zero
     # (d A) x = d m, scaled by the common denominator dm of m

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .checks import PhqError
 from .constructions import ExtensionData, validate_extension_data
-from .lie import LieAlgebra, _ad_entries, _center, _derived
+from .lie import LieAlgebra, _ad_entries
 from .linalg import (
     ZERO,
     DimensionMismatch,
@@ -99,12 +99,11 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     among the echelon basis of W and then pairwise sums of it.  A nonempty W
     is guaranteed for nilpotent input; anything else raises.
     """
-    t = p.algebra._scaled[1]
-    center = _center(t, p.dim)
+    center = p.algebra.center()
     w = intersect(center, map_image(p.j, center))
     if w.dim == 0:
         raise EmptyIntersection("center ∩ j(center) is zero; input is outside the nilpotent case")
-    in_derived = intersect(w, _derived(t, p.dim))
+    in_derived = intersect(w, p.algebra.derived_ideal())
     if in_derived.dim > 0:
         return CentralPair(w, in_derived.basis[0], True)
     candidates = list(w.basis)
@@ -265,7 +264,7 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     """
     z = vector(z)
     zs = _vec(p, z)
-    if not (_central(p, zs) and _derived(p.algebra._scaled[1], p.dim).contains(z)):
+    if not (_central(p, zs) and p.algebra.derived_ideal().contains(z)):
         raise InvalidCentralElement("z must lie in center ∩ derived")
     zps = _jmap(p, zs)
     if not _central(p, zps):

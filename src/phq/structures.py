@@ -15,7 +15,7 @@ from operator import sub
 from typing import Sequence
 
 from .checks import Check, PhqError, Report
-from .lie import LieAlgebra, LinearMap, _center, _derived, _index, _series, _twisted, check_jacobi, format_vector
+from .lie import LieAlgebra, LinearMap, _twisted, check_jacobi, format_vector
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -76,7 +76,7 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
 
     dt, t = algebra._scaled
     jcols = [[(s, v) for s, v in enumerate(jn[b::n]) if v] for b in range(n)]
-    u, zero = _twisted(t, jn, n), [0] * n
+    u, zero = _twisted(algebra, jn), [0] * n
     torsion_fail = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -253,16 +253,14 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
     basis choice does not matter.  The restricted form may be degenerate, in
     which case the (p, q) counts sum to less than the ideal's dimension.
     The center, the derived ideal and the lower central series, which starts
-    from that ideal, all read the algebra's one integer table (``_scaled``).
+    from that ideal, are the algebra's own, computed once and kept.
     """
-    n = p.dim
-    t = p.algebra._scaled[1]
-    derived = _derived(t, n)
+    derived = p.algebra.derived_ideal()
     return Fingerprint(
-        dim=n,
+        dim=p.dim,
         dim_derived=derived.dim,
-        dim_center=_center(t, n).dim,
-        nilpotency_index=_index(_series(t, n, derived)),
+        dim_center=p.algebra.center().dim,
+        nilpotency_index=p.algebra.nilpotency_index(),
         sig_phi=signature(p.phi),
         sig_phi_on_derived=signature(gram_restriction(p.phi, derived.basis)),
     )

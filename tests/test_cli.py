@@ -612,6 +612,22 @@ class TestCommands:
         assert main(["construct", algebra]) == 2
         assert capsys.readouterr().err == f"parse error: {algebra}: expected a recipe file\n"
 
+    @pytest.mark.parametrize("command, name", [("check", "bad.alg"), ("construct", "bad.recipe")])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + '{"op": "L(4,2)"}'.encode("utf-16-le"))  # UTF-16 with its BOM
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: cannot read {path}: not UTF-8 text\n"
+
+    def test_lone_surrogate_basis_name_exits_2(self, tmp_path, capsys):
+        # valid JSON that parses to a name no output stream can encode
+        path = tmp_path / "surrogate.alg"
+        path.write_text(json.dumps({**BROKEN, "basis": ["\ud800", "b", "c", "d"]}))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "parse error: basis names must be UTF-8 text, without lone surrogates\n"
+
     def test_reduce_refuses_a_failing_input(self, tmp_path, capsys):
         path = tmp_path / "broken.alg"
         path.write_text(json.dumps(BROKEN))

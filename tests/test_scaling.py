@@ -1,9 +1,15 @@
-"""Each algebra and each matrix scales itself to integers.
+"""Each algebra and each matrix scales itself to integers, and each algebra
+computes its own invariants.
 
 `LieAlgebra._scaled` and `Matrix._scaled` are the one place where a bracket
 table or a whole matrix is scaled by its least common denominator, and
 every other reader of those integers goes through them, so an object is
-scaled once however many checks, invariants and steps read it.
+scaled once however many checks, invariants and steps read it.  In the same
+way the center, the derived ideal, the lower central series and the ad
+columns are cached properties of `LieAlgebra` (``_center``, ``_derived``,
+``_series``, ``_columns``); a module-level function or import of one of
+them, or of the retired ``_ad_columns`` and ``_index``, would compute them
+a second way and is named here.
 
 Read with `ast` over ``src/phq``: a call ``scaled(<expr>.entries)`` outside
 `linalg.Matrix`, or a definition or import of a second holder of the same
@@ -17,6 +23,7 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "phq").glob("*.py"))
 RETIRED = {"scaled_table", "_Integers"}
+INVARIANTS = {"_ad_columns", "_center", "_derived", "_series", "_index"}
 
 
 def _matrix_nodes(tree):
@@ -54,4 +61,24 @@ def _findings():
 
 
 def test_only_the_owner_scales():
-    assert list(_findings()) == []
+    assert SOURCES and list(_findings()) == []
+
+
+def _module_level_invariants():
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            where = f"{path.stem}:{node.lineno}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name for a in node.names] + [a.name for a in node.names]
+            else:
+                continue
+            yield from (f"{where}: {name} at module level" for name in sorted(set(names) & INVARIANTS))
+
+
+def test_only_the_algebra_computes_its_invariants():
+    assert SOURCES and list(_module_level_invariants()) == []

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from phq import (
     check_jacobi,
     check_phq,
     check_quadratic,
+    classify,
     fingerprint,
     full_reduction,
     is_derivation,
@@ -263,27 +265,45 @@ class TestFingerprint:
         # the center, the derived ideal and the series read the one integer
         # table of the input's algebra, and the series starts from the
         # derived ideal fingerprint spanned
-        scalings = []
-        table = LieAlgebra.__dict__["_scaled"]
-        scale = table.func
-
-        def counting(algebra):
-            scalings.append(algebra)
-            return scale(algebra)
-
-        def refuse(self):
-            raise AssertionError("fingerprint went through LieAlgebra.derived_ideal")
-
         expected = [fingerprint(build(name)) for name in ALL_LABELS]
         inputs = [build(name) for name in ALL_LABELS]
-        monkeypatch.setattr(table, "func", counting)
-        monkeypatch.setattr(LieAlgebra, "derived_ideal", refuse)
+        computed = count_computations(monkeypatch, ("_scaled", "_derived"))
         for p, fp in zip(inputs, expected):
-            scalings.clear()
+            for calls in computed.values():
+                calls.clear()
             assert fingerprint(p) == fp
-            assert len(scalings) == 1 and scalings[0] is p.algebra
+            assert all(len(calls) == 1 and calls[0] is p.algebra for calls in computed.values())
             assert fingerprint(p) == fp
-            assert len(scalings) == 1  # the second call reads the kept table
+            assert all(len(calls) == 1 for calls in computed.values())  # the second call reads the kept ones
+            assert p.algebra.lower_central_series()[1] is p.algebra.derived_ideal()
+
+    def test_each_algebra_computes_each_invariant_once(self, monkeypatch):
+        # check_phq, fingerprint, full_reduction and classify ask the input's
+        # algebra, and each algebra a reduction recovers, for its invariants
+        # and ad columns; each is computed at most once per algebra
+        rng = random.Random(0)
+        inputs = [build(name) for name in ALL_LABELS]
+        inputs += [PHQAlgebra(*transported(p, rng)) for p in inputs]
+        names = ("_columns", "_center", "_derived", "_series")
+        computed = count_computations(monkeypatch, names)
+        for p in inputs:
+            assert check_phq(p).ok
+            fingerprint(p)
+            full_reduction(p)
+            classify(p)
+        assert computed["_series"] and computed["_columns"]
+        for name in names:
+            counts = Counter(map(id, computed[name]))  # the lists keep every algebra alive
+            assert max(counts.values()) == 1, name
+
+    def test_series_is_a_fresh_list(self):
+        algebra = build("TstarTheta3K").algebra
+        series = algebra.lower_central_series()
+        kept = list(series)
+        series.append(Subspace.zero(algebra.dim))
+        series[0] = series[1]
+        assert algebra.lower_central_series() == kept
+        assert algebra.nilpotency_index() == len(kept) - 1
 
     def test_reduction_fingerprint_and_solve_inner_never_reach_rref(self, monkeypatch):
         # solves, membership and the invariants all go through
@@ -370,6 +390,22 @@ def in_basis(p, cols, p_inv):
         Matrix.from_cols([naive_apply(p_inv, naive_apply(jm, col)) for col in cols]),
         Matrix.from_rows(congruent(entries(p.phi), [[col[a] for col in cols] for a in range(n)])),
     )
+
+
+def count_computations(monkeypatch, names):
+    """For each cached property of `LieAlgebra` in ``names``, the list of the
+    algebras it is computed for from now on, one entry per computation."""
+    computed = {}
+    for name in names:
+        prop = LieAlgebra.__dict__[name]
+        computed[name] = calls = []
+
+        def counting(algebra, func=prop.func, calls=calls):
+            calls.append(algebra)
+            return func(algebra)
+
+        monkeypatch.setattr(prop, "func", counting)
+    return computed
 
 
 def transported(p, rng):
