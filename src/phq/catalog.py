@@ -186,6 +186,8 @@ def classify(p: PHQAlgebra) -> Classification:
     """
     if p.dim > 8:
         raise DimensionTooLarge(f"classification covers dimension <= 8, got {p.dim}")
+    if p.dim == 0:
+        raise UnclassifiedFingerprint("the zero algebra (dimension 0) has no label")
     if not check_phq(p).ok:
         raise UnclassifiedFingerprint("input fails the structure axioms")
     fp = fingerprint(p)

@@ -23,6 +23,7 @@ from dataclasses import asdict
 from .catalog import classify
 from .checks import PhqError
 from .fileformat import ParseError, Recipe, parse_path, serialize_algebra
+from .lie import _scalar_text
 from .reduction import full_reduction
 from .structures import PHQAlgebra, check_phq, fingerprint
 
@@ -96,8 +97,8 @@ def cmd_reduce(args) -> int:
                 "steps": [
                     {
                         "kind": s.kind,
-                        "z": [str(c) for c in s.z],
-                        "v": [str(c) for c in s.v] if s.v is not None else None,
+                        "z": [_scalar_text(c) for c in s.z],
+                        "v": [_scalar_text(c) for c in s.v] if s.v is not None else None,
                         "sign": s.sign,
                         "recovered_dim": s.recovered.dim,
                     }

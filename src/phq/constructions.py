@@ -14,7 +14,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .checks import Check, PhqError, Report
-from .lie import LieAlgebra, LinearMap, _ad_entries, _derivation_failures, is_derivation
+from .lie import LieAlgebra, LinearMap, _derivation_failures, _twisted, is_derivation
 from .linalg import (
     ONE,
     ZERO,
@@ -182,13 +182,13 @@ def validate_extension_data(
     D = c d, F = c f and S = c s0.  Then D^T G + G D = 0 and the derivation
     identity of D on T (`lie._derivation_failures`), and the same for F;
     [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
-    c ad(S) = d_t (F D - D F), with ad(S) read off T by `_ad_entries`.
+    c ad(S) = d_t (F D - D F), with ad(S) read off T by `lie._twisted`.
     """
     s0v = vector(s0)
     n = base.dim
     if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
         return Check("extension data", ("shape mismatch with the base algebra",))
-    dt, t = base.algebra._scaled
+    dt = base.algebra._scaled[0]
     dj, jn = base.j._scaled
     g = base.phi._scaled[1]
     c, dfs = scaled(d.entries + f.entries + s0v)
@@ -199,11 +199,12 @@ def validate_extension_data(
             failures.append(f"{name} is not skewsymmetric for the base metric")
         if _derivation_failures(base.algebra, m):
             failures.append(f"{name} is not a derivation of the base")
-    a = [dj * x + y for x, y in zip(fn, mat_mul(jn, n, n, dn, n, 0))]
-    if mat_mul(a, n, n, jn, n, 0) != mat_mul(jn, n, n, a, n, 0):
+    a = [dj * x + y for x, y in zip(fn, mat_mul(jn, n, n, dn, n))]
+    if mat_mul(a, n, n, jn, n) != mat_mul(jn, n, n, a, n):
         failures.append("[F + J D, J] != 0")
-    fd, dfm = mat_mul(fn, n, n, dn, n, 0), mat_mul(dn, n, n, fn, n, 0)
-    if any(c * x != dt * (p - q) for x, p, q in zip(_ad_entries(t, sn, 0), fd, dfm)):
+    u, fd, dfm = _twisted(base.algebra, [sn]), mat_mul(fn, n, n, dn, n), mat_mul(dn, n, n, fn, n)
+    ad = [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
+    if any(c * x != dt * (p - q) for x, p, q in zip(ad, fd, dfm)):
         failures.append("ad(s0) != F D - D F")
     return Check("extension data", tuple(failures))
 

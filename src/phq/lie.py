@@ -2,11 +2,11 @@
 
 The structure tensor is stored sparse: ``brackets[i, j]`` (i < j) maps each
 basis index k to the nonzero coefficient of e_k in the bracket of basis
-elements i and j; the pairs j < i are implied by antisymmetry.  `adjoint`
-reads ad(x) off the table, and the lower central series is spanned by the
-columns of ad matrices.  The derivation identity of a map M is an integer
-contraction on the table, M T(e_a, e_b) - U[a, b] + U[b, a] = 0 with
-U[a, b] = T(M e_a, e_b) built once by `_twisted`.  The Jacobi identity is a
+elements i and j; the pairs j < i are implied by antisymmetry.  `_twisted`
+alone reads ad(x) off the integer table, for integer vectors x_a, as
+U[a, b] = T(x_a, e_b) = ad(x_a) e_b: `adjoint` takes its columns for one x,
+the lower central series spans them, and the derivation identity of M is
+M T(e_a, e_b) - U[a, b] + U[b, a] = 0 for x_a = M e_a.  The Jacobi identity is a
 separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
 instead of rejected.
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .checks import Check
 from .linalg import (
@@ -61,6 +61,14 @@ LinearMap = Matrix
 _LONG = "<long>"
 
 
+def _scalar_text(c) -> str:
+    """``str(c)``, or `_LONG` after the sign of c when c is too long for it."""
+    try:
+        return str(c)
+    except ValueError:  # the interpreter's int-to-str digit limit
+        return f"-{_LONG}" if c < 0 else _LONG
+
+
 def format_vector(v: Vector, names: Sequence[str]) -> str:
     terms = []
     for c, name in zip(v, names):
@@ -71,12 +79,7 @@ def format_vector(v: Vector, names: Sequence[str]) -> str:
         elif c == -1:
             terms.append(f"-{name}")
         else:
-            sign = "+" if c > 0 else "-"
-            try:
-                digits = str(abs(c))
-            except ValueError:  # the interpreter's int-to-str digit limit
-                digits = _LONG
-            terms.append(f"{sign}{digits}*{name}")
+            terms.append(f"{'+' if c > 0 else '-'}{_scalar_text(abs(c))}*{name}")
     if not terms:
         return "0"
     out = " ".join(terms)
@@ -146,11 +149,15 @@ class LieAlgebra:
         return bilinear(self.brackets, xv, yv, skew=True)
 
     def adjoint(self, x: Sequence) -> LinearMap:
-        """Matrix of y -> [x, y], read off the table by `_ad_entries`."""
+        """Matrix of y -> [x, y]: for x = X / s, the columns T(X, e_b) from
+        `_twisted`, each entry made once, as T(X, e_b)_k / (d s)."""
         xv = vector(x)
         if len(xv) != self.dim:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
-        return Matrix(self.dim, self.dim, tuple(_ad_entries(self.brackets, xv)))
+        n, (s, xn) = self.dim, scaled(xv)
+        d, u = self._scaled[0] * s, _twisted(self, [xn])
+        ad = [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
+        return Matrix(n, n, tuple(Fraction(e, d) if e else ZERO for e in ad))
 
     @cached_property
     def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
@@ -177,17 +184,16 @@ class LieAlgebra:
     def _series(self) -> tuple[Subspace, ...]:
         """C0 = g and C1 = ``_derived``; C(k+1) is the span of the columns of
         ad(c) for c in a basis of Ck; stops at zero or when stationary.  Each
-        c is scaled to integers, the columns of ad(c) are written off T and
-        spanned at once by `eliminate`."""
-        n, t = self.dim, self._scaled[1]
+        c is scaled to integers, `_twisted` writes the columns of every ad(c)
+        off T, and `eliminate` spans them at once."""
+        n = self.dim
         series = [Subspace.full(n)]
         nxt = self._derived
         while nxt != series[-1]:
             series.append(nxt)
             if nxt.dim == 0:
                 break
-            ads = [_ad_entries(t, scaled(c)[1], 0) for c in nxt.basis]
-            nxt = _span_int(n, [ad[j::n] for ad in ads for j in range(n)])
+            nxt = _span_int(n, _twisted(self, [scaled(c)[1] for c in nxt.basis]).values())
         return tuple(series)
 
     def center(self) -> Subspace:
@@ -212,31 +218,15 @@ class LieAlgebra:
         return not self.brackets
 
 
-def _ad_entries(table: Mapping, x: Sequence, zero=ZERO) -> list:
-    """Row-major entries of ad(x) read off a skew table, in one pass over its
-    nonzero pairs: c = [e_a, e_b]_k adds x_a c at (k, b) and -x_b c at (k, a).
-    ``zero`` as in `bilinear`: `ZERO`, or 0 for the integer table
-    ``LieAlgebra._scaled`` and an integer x."""
-    n = len(x)
-    entries = [zero] * (n * n)
-    for (a, b), col in table.items():
-        xa, xb = x[a], x[b]
-        if xa or xb:
-            for k, c in col.items():
-                entries[k * n + b] += xa * c
-                entries[k * n + a] -= xb * c
-    return entries
-
-
-def _twisted(algebra: LieAlgebra, m: Sequence[int]) -> dict[tuple[int, int], list[int]]:
-    """U[a, b] = T(M e_a, e_b), the sum of M_ra T(e_r, e_b), for the integer
-    table T of the algebra and the row-major integer n x n matrix M, built in
-    one pass over the nonzeros of M and the algebra's ``_columns``; the pairs
-    it never meets are zero and left out."""
+def _twisted(algebra: LieAlgebra, xs: Iterable[Sequence[int]]) -> dict[tuple[int, int], list[int]]:
+    """U[a, b] = T(x_a, e_b) = ad(x_a) e_b, the sum of x_ar T(e_r, e_b), for
+    the integer table T of the algebra and the integer vectors x_a of ``xs``,
+    built in one pass over their nonzeros and the algebra's ``_columns``; the
+    pairs it never meets are zero and left out."""
     n, columns = algebra.dim, algebra._columns
     u: dict[tuple[int, int], list[int]] = {}
-    for a in range(n):
-        for r, v in enumerate(m[a::n]):
+    for a, x in enumerate(xs):
+        for r, v in enumerate(x):
             for b, image in columns[r] if v else ():  # T(e_r, e_b) = -T(e_b, e_r)
                 acc = u.setdefault((a, b), [0] * n)
                 for k, c in image:
@@ -321,11 +311,11 @@ def _derivation_failures(algebra: LieAlgebra, m: Sequence[int]) -> list[tuple[in
     """The basis pairs i < j, sorted, on which the row-major integer n x n
     matrix m breaks the derivation identity of the algebra's table T = ``_scaled``:
     the defect M T(e_i, e_j) - T(M e_i, e_j) - T(e_i, M e_j) is not zero.  With
-    U = `_twisted` (algebra, m), it is M T(e_i, e_j) - U[i, j] + U[j, i], so
-    only the pairs of T and of U are visited.
+    U = `_twisted` of the columns M e_a, it is M T(e_i, e_j) - U[i, j] + U[j, i],
+    so only the pairs of T and of U are visited.
     """
     n, t = algebra.dim, algebra._scaled[1]
-    u, zero = _twisted(algebra, m), [0] * n
+    u, zero = _twisted(algebra, [m[a::n] for a in range(n)]), [0] * n
     failing = []
     for i, j in sorted({(min(pair), max(pair)) for pair in (*t, *u) if pair[0] != pair[1]}):
         twist = map(sub, u.get((i, j), zero), u.get((j, i), zero))

@@ -17,9 +17,9 @@ every consumer reads those integers and never mutates them.  The axiom sweeps
 of `lie` and `structures` contract them in one pass over the nonzeros, with
 `mat_vec` and `mat_mul` for the matrix products.  A form is
 symmetric when its integers equal their `_transpose`, and `_skew` tests
-M^T G + G M = 0 on integers; every caller uses these two.  `bilinear`,
-`mat_vec` and `mat_mul` evaluate either scalar type, starting from the
-``zero`` they are given.
+M^T G + G M = 0 on integers; every caller uses these two.  `mat_mul` and
+`@` multiply integers only; `bilinear` and `mat_vec` evaluate either scalar
+type, starting from the ``zero`` they are given.
 """
 
 from __future__ import annotations
@@ -191,17 +191,17 @@ def _transpose(m: Sequence, n: int) -> list:
 
 def _skew(m: Sequence[int], g: Sequence[int], n: int) -> bool:
     """M^T G + G M = 0 for row-major integer n x n matrices M and G."""
-    return not any(map(add, mat_mul(_transpose(m, n), n, n, g, n, 0), mat_mul(g, n, n, m, n, 0)))
+    return not any(map(add, mat_mul(_transpose(m, n), n, n, g, n), mat_mul(g, n, n, m, n)))
 
 
-def mat_mul(a: Sequence, rows: int, inner: int, b: Sequence, cols: int, zero=ZERO) -> list:
-    """Row-major product of the rows x inner matrix ``a`` and the inner x cols
-    matrix ``b``: row i sums a[i, k] * (row k of b) over the nonzeros a[i, k]
-    and the nonzeros of row k.  ``zero`` as in `bilinear`."""
+def mat_mul(a: Sequence[int], rows: int, inner: int, b: Sequence[int], cols: int) -> list[int]:
+    """Row-major product of the rows x inner integer matrix ``a`` and the
+    inner x cols integer matrix ``b``: row i sums a[i, k] * (row k of b) over
+    the nonzeros a[i, k] and the nonzeros of row k."""
     b_rows = [[(j, x) for j, x in enumerate(b[k * cols : (k + 1) * cols]) if x] for k in range(inner)]
     out = []
     for i in range(rows):
-        acc = [zero] * cols
+        acc = [0] * cols
         for f, row in zip(a[i * inner : (i + 1) * inner], b_rows):
             if f:
                 for j, x in row:
@@ -311,10 +311,12 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(s * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """`mat_mul` of the ``_scaled`` forms, each entry made once, as x / (d_a d_b)."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = mat_mul(self.entries, self.rows, self.cols, other.entries, other.cols)
-        return Matrix(self.rows, other.cols, tuple(out))
+        (da, a), (db, b) = self._scaled, other._scaled
+        d, out = da * db, mat_mul(a, self.rows, self.cols, b, other.cols)
+        return Matrix(self.rows, other.cols, tuple(Fraction(x, d) if x else ZERO for x in out))
 
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .checks import PhqError
 from .constructions import ExtensionData, validate_extension_data
-from .lie import LieAlgebra, _ad_entries
+from .lie import LieAlgebra, _twisted
 from .linalg import (
     ZERO,
     DimensionMismatch,
@@ -138,8 +138,8 @@ def _norm(p: PHQAlgebra, x: Scaled) -> int:
 
 
 def _central(p: PHQAlgebra, x: Scaled) -> bool:
-    """ad(x) = 0, tested on the integer entries of ad(x) read off T."""
-    return not any(_ad_entries(p.algebra._scaled[1], x[1], 0))
+    """ad(x) = 0, tested on the integer columns of ad(x) that `_twisted` reads off T."""
+    return not any(map(any, _twisted(p.algebra, [x[1]]).values()))
 
 
 def _unscaled(x: Scaled) -> Vector:

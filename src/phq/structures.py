@@ -67,16 +67,16 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     names = algebra.basis_names
     # On J = dj * j and T = dt * brackets (the ``_scaled`` of each), j^2 = -I is
     # J^2 = -dj^2 I.  With U[a][b] = T(J e_a, e_b) = sum_r J_ra T(e_r, e_b) built
-    # once by `_twisted`, and T(e_a, J e_b) = -U[b][a],
+    # once by `_twisted` from the columns J e_a, and T(e_a, J e_b) = -U[b][a],
     # dj^2 dt N(e_a, e_b) = dj^2 T(e_a, e_b) + J(U[a][b] - U[b][a]) - sum_s J_sb U[a][s].
     dj, jn = j._scaled
     square_fail = []
-    if mat_mul(jn, n, n, jn, n, 0) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
+    if mat_mul(jn, n, n, jn, n) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
         square_fail.append("j^2 != -I")
 
     dt, t = algebra._scaled
     jcols = [[(s, v) for s, v in enumerate(jn[b::n]) if v] for b in range(n)]
-    u, zero = _twisted(algebra, jn), [0] * n
+    u, zero = _twisted(algebra, [jn[a::n] for a in range(n)]), [0] * n
     torsion_fail = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -186,8 +186,8 @@ def check_phq(p: PHQAlgebra) -> Report:
     dj, jn = p.j._scaled
     gn = p.phi._scaled[1]
     compat_fail = []
-    gj = mat_mul(gn, n, n, jn, n, 0)
-    if mat_mul(_transpose(jn, n), n, n, gj, n, 0) != [dj * dj * x for x in gn]:
+    gj = mat_mul(gn, n, n, jn, n)
+    if mat_mul(_transpose(jn, n), n, n, gj, n) != [dj * dj * x for x in gn]:
         compat_fail.append("phi(jx, jy) != phi(x, y)")
     if not _skew(jn, gn, n):
         compat_fail.append("j is not phi-skewsymmetric")

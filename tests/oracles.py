@@ -42,6 +42,14 @@ def naive_apply(m, v):
     return [sum((m[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(m))]
 
 
+def naive_product(a, b):
+    """The product of nested-list matrices, one dot product per entry."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def naive_jacobi_violations(c):
     """All (i, j, k) with i<j<k where the Jacobi cycle does not vanish."""
     n = len(c)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +14,7 @@ import pytest
 import phq
 import phq.cli
 import phq.fileformat
-from phq import LieAlgebra, PHQAlgebra, build
+from phq import LieAlgebra, PHQAlgebra, UnclassifiedFingerprint, build, classify
 from phq.checks import PhqError
 from phq.cli import main
 from phq.fileformat import (
@@ -603,6 +604,42 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert "  - Jacobi fails on (x1, Jx1, x2): residual <long>*Jx3" in out.splitlines()
         assert err == ""
+
+    def test_json_reduce_marks_a_coefficient_too_long_to_print(self, capsys, monkeypatch):
+        # a coefficient of z or v with more digits than the interpreter
+        # converts to decimal is printed as `check` prints it, `<long>` after
+        # its sign, and the JSON stays valid
+        path = str(FIXTURES / "Tstar0K.alg")
+        assert main(["--format", "json", "reduce", path]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        long = Fraction(10**5000 + 1, 3)
+        reduce = phq.cli.full_reduction
+
+        def with_long_entries(p):
+            result = reduce(p)
+            first = result.steps[0]
+            step = dataclasses.replace(first, z=(long, *first.z[1:]), v=(-long, *first.v[1:]))
+            return dataclasses.replace(result, steps=(step, *result.steps[1:]))
+
+        monkeypatch.setattr(phq.cli, "full_reduction", with_long_entries)
+        assert main(["--format", "json", "reduce", path]) == 0
+        out, err = capsys.readouterr()
+        expected["steps"][0]["z"][0] = "<long>"
+        expected["steps"][0]["v"][0] = "-<long>"
+        assert json.loads(out) == expected
+        assert err == ""
+
+    def test_classify_names_the_zero_algebra(self, tmp_path, capsys):
+        path = tmp_path / "zero.alg"
+        path.write_text(json.dumps({"dim": 0, "basis": [], "brackets": [], "J": [], "phi": []}))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the zero algebra (dimension 0) has no label\n"
+        with pytest.raises(UnclassifiedFingerprint):
+            classify(parse_path(str(path)))
 
     def test_file_of_the_other_kind_exits_2(self, capsys):
         recipe = str(FIXTURES / "lorentz_ext.recipe")

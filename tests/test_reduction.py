@@ -30,6 +30,7 @@ from phq import (
     find_central_pair,
     fingerprint,
     full_reduction,
+    j_class,
     is_skewsymmetric,
     parse_path,
     phq_double_extension,
@@ -418,6 +419,52 @@ class TestFullReduction:
             assert classify(p).label == label, name
         # the guard sees validate_extension_data called on its own too
         assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
+
+    def test_products_and_ad_columns_multiply_only_ints(self, monkeypatch):
+        # `linalg.mat_mul` and `lie._twisted` multiply the integers that the
+        # tables and matrices keep, also behind `@` and `adjoint`, through
+        # the checks, the reductions, the certificates and `j_class`
+        import phq.catalog
+        import phq.constructions
+        import phq.lie
+        import phq.structures
+
+        inputs = [build(name) for name in ALL_LABELS]
+        inputs.append(PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0))))
+        seen = Counter()
+
+        def ints(*values):
+            return all(ints(*v) if isinstance(v, (list, tuple)) else type(v) is int for v in values)
+
+        def guarded_mat_mul(*args):
+            out = mat_mul(*args)
+            assert ints(args[0], args[3], out), "mat_mul met a non-int entry"
+            seen["mat_mul"] += 1
+            return out
+
+        def guarded_twisted(algebra, xs):
+            xs = list(xs)
+            u = twisted(algebra, xs)
+            assert ints(xs, *u.values()), "_twisted met a non-int entry"
+            seen["_twisted"] += 1
+            return u
+
+        mat_mul, twisted = phq.linalg.mat_mul, phq.lie._twisted
+        modules = (phq.linalg, phq.lie, phq.structures, phq.constructions, phq.reduction, phq.catalog)
+        for name, original, guarded in (("mat_mul", mat_mul, guarded_mat_mul), ("_twisted", twisted, guarded_twisted)):
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, guarded)
+        for p in inputs:
+            assert check_phq(p).ok
+            assert j_class(p.algebra, p.j).label in ("abelian,bi_invariant", "generic")
+            current = p
+            for step in full_reduction(p).steps:
+                if step.kind == "plane_reduction":
+                    rebuilt = phq_double_extension(step.extension_data)
+                    assert verify_witness(rebuilt, current, step.adapted_basis).ok
+                current = step.recovered
+        assert seen["mat_mul"] and seen["_twisted"]
 
     def test_each_table_and_matrix_is_scaled_once(self, monkeypatch):
         # however many checks, invariants and steps read an algebra's table

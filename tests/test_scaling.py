@@ -13,7 +13,8 @@ a second way and is named here.
 
 Read with `ast` over ``src/phq``: a call ``scaled(<expr>.entries)`` outside
 `linalg.Matrix`, or a definition or import of a second holder of the same
-integers (``scaled_table``, ``_Integers``), is named here.  A call on a sum
+integers (``scaled_table``, ``_Integers``), or of ``_ad_entries``, a second
+reader of ad(x) beside `lie._twisted`, is named here.  A call on a sum
 of several matrices' entries, as for D, F and s0 under one common
 denominator, is not a whole matrix and passes.
 """
@@ -22,7 +23,7 @@ import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "phq").glob("*.py"))
-RETIRED = {"scaled_table", "_Integers"}
+RETIRED = {"scaled_table", "_Integers", "_ad_entries"}
 INVARIANTS = {"_ad_columns", "_center", "_derived", "_series", "_index"}
 
 

@@ -45,6 +45,7 @@ from oracles import (
     naive_nijenhuis,
     naive_compatible,
     naive_nijenhuis_vanishes,
+    naive_product,
     naive_square_is_minus_identity,
     rank_oracle,
     signature_oracle,
@@ -763,11 +764,32 @@ class TestSweepsAgainstOracles:
             assert signature(m) == signature_oracle(m) == expected
 
     def test_adjoint(self):
-        for seed, (algebra, _, _) in enumerate(self.INPUTS):
+        self._adjoint(self.INPUTS, SWEEP_COEFFS)
+
+    def test_adjoint_coprime_denominators(self):
+        self._adjoint(self.COPRIME_INPUTS, MAP_COPRIME)
+
+    def test_adjoint_on_fully_dense_tables(self):
+        self._adjoint(self.DENSE_INPUTS, MAP_COPRIME)
+
+    @staticmethod
+    def _adjoint(inputs, coeffs):
+        for seed, (algebra, _, _) in enumerate(inputs):
             n, c = algebra.dim, structure_tensor(algebra)
-            s = random_vector(random.Random(seed), n)
+            rng = random.Random(seed)
+            s = vector([rng.choice(coeffs) for _ in range(n)])
             expected = [naive_bracket(c, list(s), list(unit(n, j))) for j in range(n)]
             assert entries(algebra.adjoint(s)) == [list(row) for row in zip(*expected)]
+
+    def test_products_with_coprime_denominators(self):
+        # j and phi of every input times a seeded rational matrix, on both
+        # sides, and times a rectangular one, against the naive product
+        for seed, (_, j, phi) in enumerate(self.INPUTS + self.COPRIME_INPUTS + self.DENSE_INPUTS):
+            n, rng = j.rows, random.Random(seed)
+            r = Matrix.from_rows([[rng.choice(MAP_COPRIME) for _ in range(n)] for _ in range(n)])
+            wide = Matrix.from_rows([[rng.choice(TABLE_COPRIME) for _ in range(3)] for _ in range(n)])
+            for a, b in ((j, r), (r, j), (phi, r), (r, phi), (j, phi), (j, wide), (wide.transpose(), phi)):
+                assert entries(a @ b) == naive_product(entries(a), entries(b))
 
     def test_lower_central_series(self):
         lengths = self._lower_central_series([a for a, _, _ in self.INPUTS] + triangular(SWEEP_COEFFS))
