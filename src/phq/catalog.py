@@ -205,7 +205,8 @@ def classify(p: PHQAlgebra) -> Classification:
 
 def verify_witness(a: PHQAlgebra, b: PHQAlgebra, w: LinearMap) -> Check:
     """Check that w is an invertible map a -> b (columns in b's coordinates)
-    intertwining brackets, the complex structures, and the metrics."""
+    intertwining brackets, the complex structures, and the metrics.  It
+    intertwines brackets when w ad(e_i) - ad(w e_i) w = 0 for every i."""
     failures = []
     if a.dim != b.dim:
         return Check("witness", ("dimensions differ",))

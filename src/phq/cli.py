@@ -1,16 +1,7 @@
-"""Command-line interface.
+"""The `phq` command line: check, invariants, classify, reduce, construct.
 
-Commands operate on `.alg` algebra files (`construct` takes a `.recipe`):
-
-    phq check FILE          verify every axiom, exit 0/1/2
-    phq invariants FILE     print the invariant fingerprint
-    phq classify FILE       identify the algebra (dimension <= 8)
-    phq reduce FILE         peel the algebra down to an abelian residue
-    phq construct RECIPE    evaluate a construction tree, print the algebra
-
-Exit codes: 0 success, 1 axiom failure or library error (`PhqError`), 2 parse
-error.  Output is deterministic; `--format json` selects machine-readable
-reports.
+README.md states its contract: the commands, the output formats and the
+exit codes.
 """
 
 from __future__ import annotations
@@ -88,8 +79,7 @@ def cmd_reduce(args) -> int:
     p = _load_algebra(args.file, args.fixtures_dir)
     report = check_phq(p)
     if not report.ok:
-        print("input fails the structure axioms; run 'check' for details", file=sys.stderr)
-        return EXIT_FAILURE
+        raise PhqError("input fails the structure axioms; run 'check' for details")
     result = full_reduction(p)
     if args.format == "json":
         _emit_json(

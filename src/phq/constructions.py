@@ -211,7 +211,8 @@ def validate_extension_data(
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """Input of the plane double extension; validated on construction."""
+    """Input of the plane double extension; `validate_extension_data`
+    checks it on construction."""
 
     base: PHQAlgebra
     d: LinearMap

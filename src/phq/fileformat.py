@@ -1,31 +1,7 @@
 """On-disk formats: `.alg` algebra files and `.recipe` construction files.
 
-Both formats are JSON.  Every scalar is an exact rational: a JSON integer or
-an ASCII string of the form ``-?[0-9]+(/[0-9]+)?`` ("p/q", or "p" when the
-denominator is one); decimals, exponents, underscores, signs other than a
-leading minus, whitespace and non-ASCII digits are rejected.  Indices are
-0-based; a coefficient key is an ASCII decimal ``0|[1-9][0-9]*``, as
-`serialize_algebra` writes it.  Matrices are row-major and act on
-coordinate columns: column c of "J" is the image of basis vector c.
-
-Algebra file::
-
-    {
-      "dim": 4,
-      "basis": ["x1", "x2", "x3", "x4"],
-      "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}],
-      "J": [["0","-1","0","0"], ["1","0","0","0"], ...],
-      "phi": [[...], ...]
-    }
-
-Bracket entries must have i < j (antisymmetry is implied).  Recipe files are
-expression trees (README.md lists the ops).  `parse_recipe_text` checks every
-field of every node and parses every scalar before anything is built, and
-`Recipe.dim` holds the dimension predicted from the tree.  A tree deeper than
-`MAX_RECIPE_DEPTH` nodes is rejected while parsing.  An algebra file with
-``dim`` above `MAX_DIM` is rejected, and `Recipe.evaluate` rejects a recipe
-whose predicted dimension is above it before building anything.  A number
-with more than `MAX_DIGITS` digits is rejected before any int is made of it.
+README.md states both formats and their bounds; this module parses them
+and writes the canonical `.alg` text.
 """
 
 from __future__ import annotations

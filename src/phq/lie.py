@@ -1,25 +1,13 @@
 """Lie algebras given by exact structure constants.
 
-The structure tensor is stored sparse: ``brackets[i, j]`` (i < j) maps each
-basis index k to the nonzero coefficient of e_k in the bracket of basis
-elements i and j; the pairs j < i are implied by antisymmetry.  `_twisted`
-alone reads ad(x) off the integer table, for integer vectors x_a, as
-U[a, b] = T(x_a, e_b) = ad(x_a) e_b: `adjoint` takes its columns for one x,
-the lower central series spans them, and the derivation identity of M is
-M T(e_a, e_b) - U[a, b] + U[b, a] = 0 for x_a = M e_a.  The Jacobi identity is a
+An algebra computes its center, derived ideal and lower central series, and
+the ``_columns`` the sweeps read, once, on first use, and keeps them like its
+integer table ``_scaled``; every caller asks the algebra.  Two functions read
+ad off that table: `_twisted` writes the columns of ad(x) for given integer
+vectors x, and `_adjoint_rows` the rows of the linear map x -> ad(x), the
+system of the center and of `solve_inner`.  The Jacobi identity is a
 separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
 instead of rejected.
-
-An algebra scales its table to integers once, on first use, and keeps the
-pair (d, d * brackets) as ``_scaled``; every sweep and invariant here, in
-`structures`, `constructions` and `reduction` reads it and never mutates it.
-The invariants run on that integer table and make Fractions only for their
-canonical bases: the center is the integer null space of the adjoint system
-that `solve_inner` solves, and the derived ideal, which is C1, and each
-later term of the lower central series are spans of integer vectors, all
-through the one elimination `linalg.eliminate`.
-The invariants, and the ``_columns`` the sweeps read, are computed once per
-algebra on first use and kept like ``_scaled``; every caller asks the algebra.
 """
 
 from __future__ import annotations
@@ -88,7 +76,9 @@ def format_vector(v: Vector, names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Basis names and the sparse bracket table ``brackets[i, j]`` (i < j)."""
+    """Basis names and the sparse bracket table: ``brackets[i, j]`` (i < j)
+    maps each index k to the nonzero coefficient of e_k in [e_i, e_j]; the
+    pairs j < i follow by antisymmetry."""
 
     basis_names: tuple[str, ...]
     brackets: SparseTable
@@ -103,8 +93,7 @@ class LieAlgebra:
     @cached_property
     def _scaled(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
         """The least common denominator d of the table's coefficients and the
-        table d * brackets with int coefficients, made on first use and kept.
-        Every reader leaves it as it is."""
+        table d * brackets with int coefficients, made on first use and kept."""
         d = lcm(*(c.denominator for col in self.brackets.values() for c in col.values()))
         return d, {
             pair: {k: c.numerator * (d // c.denominator) for k, c in col.items()}
@@ -114,7 +103,9 @@ class LieAlgebra:
     @property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense read-only view: ``structure[i][j]`` is the bracket of basis
-        elements i and j.  Computed on every access."""
+        elements i and j.  Computed on every access straight from the table,
+        not through `adjoint`, so the oracles can test `adjoint` against it;
+        the library never reads it."""
         n, zero = self.dim, zero_vector(self.dim)
         upper = {pair: dense(col, n) for pair, col in self.brackets.items()}
         return tuple(
@@ -142,7 +133,8 @@ class LieAlgebra:
         return cls(_names(names), brackets)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """Bilinear, antisymmetric evaluation of the structure tensor."""
+        """Bilinear, antisymmetric evaluation of the structure tensor, on
+        Fractions; no library path calls it."""
         xv, yv = vector(x), vector(y)
         if len(xv) != self.dim or len(yv) != self.dim:
             raise DimensionMismatch("bracket arguments must match the algebra dimension")
@@ -163,7 +155,9 @@ class LieAlgebra:
     def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
         brackets, from one pass over T = ``_scaled``: the column c of a pair
-        (a, b) is listed under b as (a, c) and under a as (b, -c)."""
+        (a, b) is listed under b as (a, c) and under a as (b, -c).  The Jacobi
+        sweep and `_twisted`, so the torsion sweep and every derivation test,
+        share it."""
         columns: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(self.dim)]
         for (a, b), col in self._scaled[1].items():
             columns[b].append((a, list(col.items())))
@@ -330,7 +324,8 @@ def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
     The unknown is the coordinate vector of s; the adjoint system has one
     equation per matrix entry of the adjoint.  The representative returned is
     the minimal-support solution for the fixed pivot order, so it is
-    reproducible; the full solution set is s + center.
+    reproducible; the full solution set is s + center.  The system is the
+    integer rows of `_adjoint_rows`, solved by `linalg._solve_int`.
     """
     n = algebra.dim
     if m.rows != n or m.cols != n:

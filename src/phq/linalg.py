@@ -1,25 +1,18 @@
 """Exact rational linear algebra: vectors, matrices, subspaces, signatures.
 
-Every scalar is a `fractions.Fraction`, so all results are exact and
-independent of evaluation order.  Subspaces are stored with a canonical
-reduced-row-echelon basis, which makes subspace equality a plain ``==``.
-Matrices act on coordinate columns: ``m.apply(v)`` is the image of the
-coordinate vector ``v``.
+A `Fraction` API sits over an integer kernel.  Every scalar the API takes or
+gives is a `fractions.Fraction`, so every result is exact and independent of
+evaluation order, but the heavy loops run on integers: the ranks, spans,
+null spaces and solves here and the invariants of `lie` all reach the one
+elimination routine, `eliminate`, and each makes its Fractions once, at the
+end.  The subspace maps `intersect`, `map_image`, `orthogonal_complement`
+and `gram_restriction` scale each basis vector with `scaled` and go straight
+to the integer span, null space or Gram product.
 
-Under that API the heavy loops run on integers.  One routine, `eliminate`,
-reduces integer rows fraction-free; the ranks, spans, null spaces, solves
-and subspace maps here and the invariants of `lie` all reach it, and each
-makes its Fractions once, at the end.  `signature` eliminates on integers
-too.  `scaled` gives the least common denominator d of a vector and the
-integers d times its entries.  A `Matrix` scales its entries once, on first
-use, and keeps the pair as ``_scaled``, as `lie.LieAlgebra` keeps its table's;
-every consumer reads those integers and never mutates them.  The axiom sweeps
-of `lie` and `structures` contract them in one pass over the nonzeros, with
-`mat_vec` and `mat_mul` for the matrix products.  A form is
-symmetric when its integers equal their `_transpose`, and `_skew` tests
-M^T G + G M = 0 on integers; every caller uses these two.  `mat_mul` and
-`@` multiply integers only; `bilinear` and `mat_vec` evaluate either scalar
-type, starting from the ``zero`` they are given.
+Each object is scaled once: a `Matrix`, and the bracket table of a
+`lie.LieAlgebra`, scales itself to integers on first use and keeps them as
+``_scaled``, and no reader mutates them, so `check_phq`, `fingerprint`,
+`classify` and the reduction steps all read one integer form of an input.
 """
 
 from __future__ import annotations
@@ -110,7 +103,9 @@ def is_zero_vec(u: Vector) -> bool:
 
 
 def sparse_table(entries: Mapping, n: int, skew: bool) -> SparseTable:
-    """Canonical copy of a sparse table on an n-dimensional space.
+    """Canonical copy of a sparse table on an n-dimensional space: the one
+    form of brackets, cocycle values and commutative products, each
+    evaluated by `bilinear`.
 
     Scalars are coerced with `frac`, zero coefficients and empty pairs are
     dropped, and pairs and coefficients are sorted, so equal maps give equal
@@ -149,7 +144,10 @@ def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool, zero=ZERO) ->
     The loop runs over the supports of x and y and looks each pair up, so a
     bracket of basis vectors costs one lookup whatever the table's size.
     ``zero`` is the zero of the scalars: `ZERO` for Fractions, 0 for the
-    integer table ``LieAlgebra._scaled`` evaluated on integer vectors.
+    integer table ``LieAlgebra._scaled`` evaluated on integer vectors.  On
+    Fractions it carries the traffic of `construct` through
+    `Cocycle.evaluate` (`check_cocycle`) and `CommutativeAlgebra.multiply`
+    (`check_commutative`).
     """
     out = [zero] * len(x)
     ys = [(j, b) for j, b in enumerate(y) if b]
@@ -174,7 +172,8 @@ def dense(col: Mapping[int, Fraction], n: int, zero=ZERO) -> Vector:
 def mat_vec(entries: Sequence, rows: int, cols: int, support: Iterable, zero=ZERO) -> list:
     """Image of a column under the row-major rows x cols matrix ``entries``:
     the sum of a * (column k) over the pairs (k, a) of ``support``, visiting
-    only the nonzeros of each column met.  ``zero`` as in `bilinear`."""
+    only the nonzeros of each column met.  ``zero`` as in `bilinear`.
+    `Matrix.apply` is this loop on Fractions."""
     out = [zero] * rows
     for k, a in support:
         if a:
@@ -185,12 +184,18 @@ def mat_vec(entries: Sequence, rows: int, cols: int, support: Iterable, zero=ZER
 
 
 def _transpose(m: Sequence, n: int) -> list:
-    """The transpose of the row-major n x n matrix ``m``."""
+    """The transpose of the row-major n x n matrix ``m``.  A form is
+    symmetric when its scaled integers equal their transpose, the one
+    symmetry test of `structures.check_quadratic`, `signature`,
+    `orthogonal_complement`, the reduction steps' complements and
+    `constructions.check_commutative`."""
     return [x for c in range(n) for x in m[c::n]]
 
 
 def _skew(m: Sequence[int], g: Sequence[int], n: int) -> bool:
-    """M^T G + G M = 0 for row-major integer n x n matrices M and G."""
+    """M^T G + G M = 0 for row-major integer n x n matrices M and G: the
+    skew test of `is_skewsymmetric`, of j in `check_phq` and of D and F in
+    `validate_extension_data`."""
     return not any(map(add, mat_mul(_transpose(m, n), n, n, g, n), mat_mul(g, n, n, m, n)))
 
 
@@ -212,7 +217,8 @@ def mat_mul(a: Sequence[int], rows: int, inner: int, b: Sequence[int], cols: int
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense exact matrix, row-major entries."""
+    """Dense exact matrix, row-major entries, acting on coordinate columns.
+    Products, sums, differences and `apply` skip zero entries."""
 
     rows: int
     cols: int
@@ -319,6 +325,13 @@ class Matrix:
         return Matrix(self.rows, other.cols, tuple(Fraction(x, d) if x else ZERO for x in out))
 
     def apply(self, v: Sequence) -> Vector:
+        """The image of the coordinate vector v, on Fractions: it carries the
+        traffic of `construct` (`check_cocycle`, `check_commutative`,
+        `phq_double_extension`), where scaling the operands of one call costs
+        more than Fraction arithmetic.  Integer wrappers for it and for
+        `LieAlgebra.bracket` slowed the in-process `construct` pass by 20-45%,
+        and coercing their outputs raised the `ladder_sparse` benchmark's
+        `construct_s` from 0.0100 to 0.0118 s (Python 3.11, 2 cores)."""
         v = vector(v)
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")
@@ -330,8 +343,7 @@ class Matrix:
     @cached_property
     def _scaled(self) -> Scaled:
         """`scaled` of the entries, made on first use and kept: the least
-        common denominator d and the row-major integers d * entries.  Every
-        reader leaves the list as it is."""
+        common denominator d and the row-major integers d * entries."""
         return scaled(self.entries)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
@@ -368,9 +380,11 @@ def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
     """The `solve_linear` solution for each right-hand side in ``bs``, from
     one `eliminate` of ``[a | b1 ... bk]``; None if any system is inconsistent.
 
-    The pivots inside ``a`` do not depend on the appended columns, so each
-    column gets the solution `solve_linear` gives it alone.  A pivot right of
-    ``a`` marks an inconsistent column and alters every column after it.
+    Each row is scaled to integers, and only the solution entries become
+    Fractions.  The pivots inside ``a`` do not depend on the appended
+    columns, so each column gets the solution `solve_linear` gives it alone.
+    A pivot right of ``a`` marks an inconsistent column and alters every
+    column after it.
     """
     bvs = [vector(b) for b in bs]
     for bv in bvs:
@@ -470,7 +484,8 @@ def kernel(a: Matrix) -> Subspace:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace with its canonical RREF basis (rows)."""
+    """A linear subspace with its canonical RREF basis (rows), so equal
+    subspaces compare equal with ``==``."""
 
     ambient_dim: int
     basis: tuple[Vector, ...]
@@ -512,12 +527,6 @@ class Subspace:
         return gram_restriction(g, self.basis).is_zero()
 
 
-# The subspace maps below scale each basis vector to integers (`scaled`),
-# read each matrix's ``_scaled`` and go straight to `_span_int` and
-# `_kernel_int`: a span or a null space does not change when a vector is
-# scaled.
-
-
 def intersect(u: Subspace, v: Subspace) -> Subspace:
     """Largest subspace contained in both."""
     if u.ambient_dim != v.ambient_dim:
@@ -541,7 +550,8 @@ def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
 def _complement_int(n: int, g: Sequence[int], xs: Iterable[Sequence[int]]) -> Subspace:
     """The y with x^T G y = 0 for every integer vector x of ``xs``, the null
     space of the rows G x, for the row-major n x n integer form G; raises
-    `NotSymmetricError` unless G is symmetric."""
+    `NotSymmetricError` unless G is symmetric.  `orthogonal_complement` and
+    the reduction steps call it."""
     if g != _transpose(g, n):
         raise NotSymmetricError("pairing matrix must be symmetric")
     return _kernel_int([mat_vec(g, n, n, enumerate(x), 0) for x in xs], n)
@@ -566,7 +576,9 @@ def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
 def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matrix:
     """Gram matrix of the n x n form gn / dg, gn row-major integers, on the
     vectors of the `Scaled` pairs (s, x) of ``vs``: entry (a, b) is
-    x_a . (gn x_b) / (dg s_a s_b), each made once."""
+    x_a . (gn x_b) / (dg s_a s_b), each made once.  Every Gram matrix is
+    formed here: `gram_restriction` (so the isotropy test of a subspace) and
+    the metric a reduction step restricts."""
     images = [mat_vec(gn, n, n, enumerate(x), 0) for _, x in vs]
     return Matrix(
         len(vs),

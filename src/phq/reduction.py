@@ -8,18 +8,11 @@ drives an orthogonal split (`split_plane`).  `full_reduction` iterates to an
 abelian residue.  `analyze_skew_pair` normalizes a nilpotent skewsymmetric
 pair on a neutral four-dimensional base into its adapted form.
 
-Each inverse step reads the integers that the bracket table, j and phi keep
-(their ``_scaled``) and computes everything from them over int: the
-centrality of z and jz (no nonzero entry of the integer ad(z); the center is
-never built), the isotropic dual vector (`_isotropic_dual`, shared with
-`analyze_skew_pair`), the orthogonal complement, and in `_restrict` the
-brackets and j-images of the frame vectors, their coordinates from one
-integer frame solve (`_coords`, also shared with `analyze_skew_pair`) and
-the Gram block B^T g B.  Each Fraction of the result is made once, at the
-end.  `ExtensionData` validates the extension data a plane step reads off,
-independently of how it was computed, as integer identities on the table,
-j, phi, D, F and s0 (`validate_extension_data`); that scales the recovered
-base once, and the next step reads the same integers.
+Each inverse step computes over int on the integers that the bracket
+table, j and phi keep, and makes each Fraction of its result once, at the
+end.  A recovered base is scaled once, when `ExtensionData` validates the
+data a plane step read off (independently of how the step computed it), and
+the next step reads the same integers.
 """
 
 from __future__ import annotations
@@ -138,7 +131,8 @@ def _norm(p: PHQAlgebra, x: Scaled) -> int:
 
 
 def _central(p: PHQAlgebra, x: Scaled) -> bool:
-    """ad(x) = 0, tested on the integer columns of ad(x) that `_twisted` reads off T."""
+    """ad(x) = 0, tested on the integer columns of ad(x) that `_twisted`
+    reads off T; the center is never built."""
     return not any(map(any, _twisted(p.algebra, [x[1]]).values()))
 
 
@@ -152,7 +146,7 @@ def _coords(n: int, frame: Sequence[Scaled], images: Sequence[Scaled], error: Ex
     an n-dimensional space, all `Scaled` pairs, from one integer solve of
     [frame | images]: x_c = y_c * s_c / den for the scale s_c of column c and
     the scale den of an image.  Raises ``error`` if any image leaves the
-    span of the frame."""
+    span of the frame.  `_restrict` and `analyze_skew_pair` share it."""
     rows = [[x[i] for _, x in frame] + [y[i] for _, y in images] for i in range(n)]
     xs = _solve_int(rows, [s for s, _ in frame], [den for den, _ in images])
     if xs is None:
@@ -165,7 +159,8 @@ def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled, error: Exception) -> V
     z orthogonal to zp: the minimal-support solution v0 of the two linear
     conditions, moved along z until it is isotropic, v0 - phi(v0, v0) / 2 z,
     with each entry made once over the common denominator.  Raises ``error``
-    if the conditions are inconsistent."""
+    if the conditions are inconsistent.  `reduce_by_plane` and
+    `analyze_skew_pair` share it."""
     n = p.dim
     dg, g = p.phi._scaled
     # for the `Scaled` pair (s, x) of a vector u, G x is dg * s * phi(u, .)

@@ -5,6 +5,11 @@ structure ``j`` (square matrix with j^2 = -I and vanishing torsion) and a
 metric ``phi`` (symmetric, nondegenerate, ad-invariant) satisfying the
 compatibility phi(jx, jy) = phi(x, y).  `fingerprint` collects the exact
 invariants used by the classifier.
+
+Every axiom sweep, `lie.check_jacobi` and the checks here, is one pass over
+the nonzeros of the integers the table, j and phi keep, T = d_t [ , ],
+J = d_j j and G = d_g phi; a failure prints the exact Fraction residual,
+the integer residual the sweep holds divided back once.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class OddDimension(PhqError, ValueError):
 
 
 def nijenhuis(algebra: LieAlgebra, j: LinearMap, x: Sequence, y: Sequence) -> Vector:
-    """Torsion [x,y] + j[jx,y] + j[x,jy] - [jx,jy] of a candidate j."""
+    """Torsion [x,y] + j[jx,y] + j[x,jy] - [jx,jy] of a candidate j, on
+    Fractions; no check calls it."""
     n = algebra.dim
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
@@ -57,7 +63,12 @@ def nijenhuis(algebra: LieAlgebra, j: LinearMap, x: Sequence, y: Sequence) -> Ve
 def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     """Verify j^2 = -I and vanishing torsion on all basis pairs.
 
-    Raises OddDimension for odd-dimensional algebras.
+    Raises OddDimension for odd-dimensional algebras.  On J and T, j^2 = -I
+    is J^2 = -d_j^2 I.  With U[a][b] = T(J e_a, e_b) = sum_r J_ra T(e_r, e_b),
+    built once by `lie._twisted` from the columns J e_a, and
+    T(e_a, J e_b) = -U[b][a], the torsion is d_j^2 d_t N(e_a, e_b) =
+    d_j^2 T(e_a, e_b) + J (U[a][b] - U[b][a]) - sum_s J_sb U[a][s], so the
+    sweep costs O(n^4) on a dense j; a failing pair divides it by d_j^2 d_t.
     """
     n = algebra.dim
     if n % 2 == 1:
@@ -65,10 +76,6 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
     names = algebra.basis_names
-    # On J = dj * j and T = dt * brackets (the ``_scaled`` of each), j^2 = -I is
-    # J^2 = -dj^2 I.  With U[a][b] = T(J e_a, e_b) = sum_r J_ra T(e_r, e_b) built
-    # once by `_twisted` from the columns J e_a, and T(e_a, J e_b) = -U[b][a],
-    # dj^2 dt N(e_a, e_b) = dj^2 T(e_a, e_b) + J(U[a][b] - U[b][a]) - sum_s J_sb U[a][s].
     dj, jn = j._scaled
     square_fail = []
     if mat_mul(jn, n, n, jn, n) != [-dj * dj if r == c else 0 for r in range(n) for c in range(n)]:
@@ -96,7 +103,13 @@ def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
 
 
 def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
-    """Verify that g is a symmetric, nondegenerate, ad-invariant pairing."""
+    """Verify that g is a symmetric, nondegenerate, ad-invariant pairing.
+
+    Ad-invariance means phi([x,y], z) + phi(y, [x,z]) = 0 with phi(x, y) =
+    `PHQAlgebra.pairing`, also when g is not symmetric.  Symmetry and the
+    rank (`Matrix.rank`) are read off G = d_g g.  The ad-invariance sweep
+    builds g ad(e_i) + ad(e_i)^T g from the table pairs that contain i.
+    """
     n = algebra.dim
     if g.rows != n or g.cols != n:
         raise DimensionMismatch("metric must be square of the algebra dimension")
@@ -109,10 +122,8 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
     rank = g.rank()
     nondeg_fail = [] if rank == n else [f"phi is degenerate (rank {rank} < {n})"]
 
-    # phi([ei,ej], ek) + phi(ej, [ei,ek]) = 0 is entry (k, j) of
-    # g ad(ei) + ad(ei)^T g, kept at skew[i][j * n + k].  Only the table pairs
-    # that contain i contribute, through phi([ea,eb], .) and phi(., [ea,eb]).
-    # The sweep runs on G and T = dt * brackets, scaling every entry by dg * dt.
+    # phi([ei,ej], ek) + phi(ej, [ei,ek]) is entry (k, j) of
+    # g ad(ei) + ad(ei)^T g, kept at skew[i][j * n + k] and scaled by dg * dt.
     t = algebra._scaled[1]
     skew = [[0] * (n * n) for _ in range(n)]
     for (a, b), col in t.items():
@@ -141,7 +152,8 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
 
 @dataclass(frozen=True)
 class PHQAlgebra:
-    """A Lie algebra with a compatible complex structure and invariant metric."""
+    """A Lie algebra with a compatible complex structure and invariant
+    metric; ``j`` and ``phi`` are dense `Matrix` values."""
 
     algebra: LieAlgebra
     j: LinearMap
@@ -168,8 +180,9 @@ class PHQAlgebra:
 def check_phq(p: PHQAlgebra) -> Report:
     """All axioms at once: Jacobi, complex structure, metric, compatibility.
 
-    Compatibility is checked both as j^T phi j = phi and in the equivalent
-    skew form j^T phi + phi j = 0 (`linalg._skew`).
+    Compatibility is checked on J = d_j j and G = d_g phi, both as the
+    integer product J^T G J = d_j^2 G and in the equivalent skew form
+    J^T G + G J = 0 (`linalg._skew`).
     """
     jac = check_jacobi(p.algebra)
     try:
@@ -181,7 +194,6 @@ def check_phq(p: PHQAlgebra) -> Report:
         )
     quad = check_quadratic(p.algebra, p.phi)
 
-    # on J = dj * j and G = dg * phi: J^T G J = dj^2 G and J^T G + G J = 0
     n = p.dim
     dj, jn = p.j._scaled
     gn = p.phi._scaled[1]
@@ -252,8 +264,6 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
     canonical echelon basis; signatures are congruence invariants, so the
     basis choice does not matter.  The restricted form may be degenerate, in
     which case the (p, q) counts sum to less than the ideal's dimension.
-    The center, the derived ideal and the lower central series, which starts
-    from that ideal, are the algebra's own, computed once and kept.
     """
     derived = p.algebra.derived_ideal()
     return Fingerprint(

@@ -202,6 +202,10 @@ class TestSeparation:
         assert not ev.separated
         assert "does not prove" in ev.describe()
 
+    def test_separated_pair_names_the_field(self):
+        ev = inequivalence_evidence(build("L(4,2)"), build("L(2,4)"))
+        assert ev.describe() == "differ at sig_phi: (4, 2) vs (2, 4)"
+
     def test_all_labels_pairwise_separated(self):
         # empirical completeness of the fingerprint at dimension <= 8
         fps = {name: fingerprint(build(name)).as_tuple() for name in ALL_LABELS}

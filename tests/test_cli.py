@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -517,6 +518,30 @@ class TestCommands:
         assert len(recorded) == 80
         assert script.snapshot() == recorded
 
+    def test_readme_examples_match_snapshot(self, tmp_path, monkeypatch, capsys):
+        # The shell examples of README.md, run from the repository root; the
+        # pipe's second command reads the first one's output from a file.
+        root = FIXTURES.parent
+        readme = (root / "README.md").read_text()
+        classify_example = "phq --fixtures-dir fixtures classify TstarTheta3K.alg\n"
+        pipe_example = "phq construct fixtures/lorentz_ext.recipe | phq classify /dev/stdin   # L(4,2)\n"
+        assert classify_example in readme and pipe_example in readme
+        recorded = json.loads((root / "tests" / "cli_snapshot.json").read_text())
+        monkeypatch.chdir(root)
+
+        def run(argv):
+            code = main(argv)
+            out = capsys.readouterr().out
+            return {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}, out
+
+        assert run(classify_example.split()[1:])[0] == recorded["text classify TstarTheta3K.alg"]
+        result, algebra_text = run(["construct", "fixtures/lorentz_ext.recipe"])
+        assert result == recorded["text construct lorentz_ext.recipe"]
+        piped = tmp_path / "stdin.alg"
+        piped.write_text(algebra_text)
+        result, out = run(["classify", str(piped)])
+        assert result["exit"] == 0 and out.splitlines()[0] == "L(4,2)"
+
     @pytest.mark.parametrize(
         "name, text",
         [
@@ -671,7 +696,7 @@ class TestCommands:
         assert main(["reduce", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "input fails the structure axioms; run 'check' for details\n"
+        assert err == "error: input fails the structure axioms; run 'check' for details\n"
 
     def test_check_garbage_exits_2(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.alg"

@@ -9,6 +9,7 @@ from phq import (
     CommutativeAlgebra,
     DimensionMismatch,
     ExtensionData,
+    InvalidAlgebraData,
     InvalidCocycle,
     InvalidDerivation,
     InvalidExtensionData,
@@ -92,6 +93,13 @@ class TestLineDoubleExtension:
         base = QuadraticAlgebra(LieAlgebra.abelian(2), Matrix.identity(2))
         with pytest.raises(InvalidDerivation):
             line_double_extension(base, Matrix.from_rows([[1, 0], [0, 0]]))
+
+    def test_rejects_skew_map_that_is_not_a_derivation(self):
+        # j of L(4,2) is phi-skew (compatibility), but no derivation of the core
+        core = build("L(4,2)")
+        base = QuadraticAlgebra(core.algebra, core.phi)
+        with pytest.raises(InvalidDerivation, match="^extension map is not a derivation$"):
+            line_double_extension(base, core.j)
 
     def test_definite_metric_admits_no_nonzero_nilpotent_skew(self):
         # skew maps for the euclidean plane are rotations a*J: nilpotent only at 0
@@ -445,6 +453,16 @@ class TestCotangentExtension:
         with pytest.raises(InvalidCocycle):
             tstar_extension(r6.algebra, r6.j, theta)
 
+    def test_rejects_cocycle_of_the_wrong_dimension(self):
+        carrier, j = kodaira_thurston()
+        with pytest.raises(InvalidCocycle, match="^cocycle dimension does not match the algebra$"):
+            tstar_extension(carrier, j, Cocycle.zero(6))
+
+    def test_rejects_carrier_map_that_is_not_complex(self):
+        carrier, _ = kodaira_thurston()
+        with pytest.raises(InvalidCocycle, match="^the carrier map is not a complex structure$"):
+            tstar_extension(carrier, Matrix.identity(4), Cocycle.zero(4))
+
     def test_untwisted_derived_ideal_is_totally_isotropic(self):
         out = tstar_kodaira()
         derived = out.algebra.derived_ideal()
@@ -464,6 +482,16 @@ class TestTensorAndComplexify:
     def test_truncated_poly_rejects_zero(self):
         with pytest.raises(InvalidParameter):
             truncated_poly(0)
+
+    def test_tensor_rejects_non_commutative_products(self):
+        # a b = b but b a = 0, so (a a) b = 0 differs from a (a b) = b too
+        skew = CommutativeAlgebra(("a", "b"), {(0, 1): {1: 1}}, Matrix.identity(2))
+        with pytest.raises(InvalidAlgebraData) as info:
+            tensor_construct(build("L(4,2)"), skew)
+        assert str(info.value) == (
+            "products not commutative at (0,1); products not commutative at (1,0); "
+            "associativity fails at (0,0,1)"
+        )
 
     def test_truncated_poly_small_cases(self):
         a1 = truncated_poly(1)

@@ -538,6 +538,12 @@ class TestAnalyzeSkewPair:
         with pytest.raises(HypothesisViolated):
             analyze_skew_pair(base, base.j, Matrix.zero(4))
 
+    def test_non_skew_map_rejected_with_the_failing_hypothesis(self):
+        # every map is a derivation of the abelian base, but the identity is not phi-skew
+        base = build("R(2,2)")
+        with pytest.raises(HypothesisViolated, match="^D is not skewsymmetric for the base metric$"):
+            analyze_skew_pair(base, Matrix.zero(4), Matrix.identity(4))
+
     def test_definite_base_rejected(self):
         base = build("R(4,0)")
         f, d = adapted_pair(1, 0)

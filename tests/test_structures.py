@@ -214,6 +214,25 @@ class TestJClass:
         assert check_jacobi(algebra).ok and check_complex(algebra, j).ok
         assert not j_class(algebra, j).bi_invariant
 
+    def test_complex_heisenberg_with_multiplication_by_i_is_bi_invariant(self):
+        # basis (x, ix, y, iy, z, iz), [x, y] = z extended complex-bilinearly
+        algebra = LieAlgebra.from_brackets(
+            ("x", "ix", "y", "iy", "z", "iz"),
+            {(0, 2): {4: 1}, (0, 3): {5: 1}, (1, 2): {5: 1}, (1, 3): {4: -1}},
+        )
+        j = Matrix.from_rows(
+            [
+                [0, -1, 0, 0, 0, 0],
+                [1, 0, 0, 0, 0, 0],
+                [0, 0, 0, -1, 0, 0],
+                [0, 0, 1, 0, 0, 0],
+                [0, 0, 0, 0, 0, -1],
+                [0, 0, 0, 0, 1, 0],
+            ]
+        )  # multiplication by i
+        assert check_jacobi(algebra).ok and check_complex(algebra, j).ok
+        assert j_class(algebra, j).label == "bi_invariant"
+
 
 class TestFingerprint:
     def test_core_row(self, core):
@@ -344,6 +363,13 @@ class TestSalamon:
 
     def test_twisted_cotangent_proper(self):
         assert salamon_check(build("TstarTheta3K")).ok
+
+    def test_non_nilpotent_plane_fails(self):
+        # [e1, e2] = e1: the derived ideal and its j-image fill the plane
+        p = PHQAlgebra(LieAlgebra.from_brackets(2, {(0, 1): {0: 1}}), ROT2, Matrix.identity(2))
+        check = salamon_check(p)
+        assert check.label == "derived + j(derived) is proper"
+        assert check.failures == ("[g,g] + j[g,g] has full dimension 2",)
 
 
 SWEEP_COEFFS = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
