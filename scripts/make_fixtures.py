@@ -2,7 +2,8 @@
 """Regenerate the shipped fixture files from the catalog builders.
 
 Run from the repository root:  python3 scripts/make_fixtures.py
-The output is deterministic, so regeneration leaves committed files intact.
+The output is deterministic, so regeneration leaves committed files intact;
+`tests/test_cli.py` compares `texts()` with the committed files.
 """
 
 from __future__ import annotations
@@ -43,13 +44,17 @@ RECIPES = {
 }
 
 
+def texts() -> dict[str, str]:
+    """``{filename: text}`` for every file of `fixtures/`."""
+    out = {filename: serialize_algebra(build(label)) for filename, label in ALGEBRAS.items()}
+    out.update((filename, json.dumps(tree, indent=2) + "\n") for filename, tree in RECIPES.items())
+    return out
+
+
 def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
-    for filename, label in ALGEBRAS.items():
-        (FIXTURES / filename).write_text(serialize_algebra(build(label)), encoding="utf-8")
-        print(f"wrote fixtures/{filename}  ({label})")
-    for filename, tree in RECIPES.items():
-        (FIXTURES / filename).write_text(json.dumps(tree, indent=2) + "\n", encoding="utf-8")
+    for filename, text in texts().items():
+        (FIXTURES / filename).write_text(text, encoding="utf-8")
         print(f"wrote fixtures/{filename}")
 
 

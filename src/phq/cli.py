@@ -23,93 +23,70 @@ EXIT_FAILURE = 1
 EXIT_PARSE = 2
 
 
-def _load_algebra(path: str, fixtures_dir: str | None) -> PHQAlgebra:
-    parsed = parse_path(path, fixtures_dir)
-    if isinstance(parsed, Recipe):
-        raise ParseError(f"{path}: expected an algebra file, got a recipe")
-    return parsed
-
-
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def cmd_check(args) -> int:
-    p = _load_algebra(args.file, args.fixtures_dir)
+def cmd_check(p: PHQAlgebra):
     report = check_phq(p)
-    if args.format == "json":
-        axioms = {part.label: {"ok": part.ok, "failures": part.failures} for part in report.parts}
-        _emit_json({"ok": report.ok, "axioms": axioms})
-    else:
-        for part in report.parts:
-            print(part.describe())
-    return EXIT_OK if report.ok else EXIT_FAILURE
+    axioms = {part.label: {"ok": part.ok, "failures": part.failures} for part in report.parts}
+    return report.ok, {"ok": report.ok, "axioms": axioms}, [part.describe() for part in report.parts]
 
 
-def cmd_invariants(args) -> int:
-    p = _load_algebra(args.file, args.fixtures_dir)
+def cmd_invariants(p: PHQAlgebra):
     fp = fingerprint(p)
-    if args.format == "json":
-        _emit_json(asdict(fp))
-    else:
-        print(fp.table_row())
-    return EXIT_OK
+    return True, asdict(fp), [fp.table_row()]
 
 
-def cmd_classify(args) -> int:
-    p = _load_algebra(args.file, args.fixtures_dir)
+def cmd_classify(p: PHQAlgebra):
     result = classify(p)
-    if args.format == "json":
-        _emit_json(
-            {
-                "label": str(result.label),
-                "fingerprint": asdict(result.fingerprint),
-                "reduction": list(result.reduction.describe()),
-            }
-        )
-    else:
-        print(str(result.label))
-        print(f"fingerprint: {result.fingerprint.table_row()}")
-        for line in result.reduction.describe():
-            print(line)
-    return EXIT_OK
+    steps = result.reduction.describe()
+    doc = {"label": str(result.label), "fingerprint": asdict(result.fingerprint), "reduction": steps}
+    return True, doc, [str(result.label), f"fingerprint: {result.fingerprint.table_row()}", *steps]
 
 
-def cmd_reduce(args) -> int:
-    p = _load_algebra(args.file, args.fixtures_dir)
-    report = check_phq(p)
-    if not report.ok:
+def cmd_reduce(p: PHQAlgebra):
+    if not check_phq(p).ok:
         raise PhqError("input fails the structure axioms; run 'check' for details")
     result = full_reduction(p)
+    steps = [
+        {
+            "kind": s.kind,
+            "z": [_scalar_text(c) for c in s.z],
+            "v": [_scalar_text(c) for c in s.v] if s.v is not None else None,
+            "sign": s.sign,
+            "recovered_dim": s.recovered.dim,
+        }
+        for s in result.steps
+    ]
+    return True, {"steps": steps, "residue_dim": result.residue.dim}, result.describe()
+
+
+# name -> (help, positional argument, command).  A command maps an algebra to
+# (ok, JSON document, text lines); `_run` prints one and returns 0 if ok, else 1.
+# construct, whose input is a recipe, has none: it always prints the `.alg` text.
+COMMANDS = {
+    "check": ("verify all axioms of an algebra file", "file", cmd_check),
+    "invariants": ("print the invariant fingerprint", "file", cmd_invariants),
+    "classify": ("identify an algebra of dimension <= 8", "file", cmd_classify),
+    "reduce": ("reduce to an abelian residue", "file", cmd_reduce),
+    "construct": ("evaluate a recipe, print the algebra", "recipe", None),
+}
+
+
+def _run(args) -> int:
+    command = COMMANDS[args.command][2]
+    parsed = parse_path(args.path, args.fixtures_dir)
+    if command is None:
+        if not isinstance(parsed, Recipe):
+            raise ParseError(f"{args.path}: expected a recipe file")
+        sys.stdout.write(serialize_algebra(parsed.evaluate()))
+        return EXIT_OK
+    if isinstance(parsed, Recipe):
+        raise ParseError(f"{args.path}: expected an algebra file, got a recipe")
+    ok, doc, lines = command(parsed)
     if args.format == "json":
-        _emit_json(
-            {
-                "steps": [
-                    {
-                        "kind": s.kind,
-                        "z": [_scalar_text(c) for c in s.z],
-                        "v": [_scalar_text(c) for c in s.v] if s.v is not None else None,
-                        "sign": s.sign,
-                        "recovered_dim": s.recovered.dim,
-                    }
-                    for s in result.steps
-                ],
-                "residue_dim": result.residue.dim,
-            }
-        )
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for line in result.describe():
+        for line in lines:
             print(line)
-    return EXIT_OK
-
-
-def cmd_construct(args) -> int:
-    parsed = parse_path(args.recipe, args.fixtures_dir)
-    if not isinstance(parsed, Recipe):
-        raise ParseError(f"{args.recipe}: expected a recipe file")
-    algebra = parsed.evaluate()
-    sys.stdout.write(serialize_algebra(algebra))
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,34 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory against which nonexistent input paths are resolved",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="verify all axioms of an algebra file")
-    p_check.add_argument("file")
-    p_check.set_defaults(func=cmd_check)
-
-    p_inv = sub.add_parser("invariants", help="print the invariant fingerprint")
-    p_inv.add_argument("file")
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_cls = sub.add_parser("classify", help="identify an algebra of dimension <= 8")
-    p_cls.add_argument("file")
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_red = sub.add_parser("reduce", help="reduce to an abelian residue")
-    p_red.add_argument("file")
-    p_red.set_defaults(func=cmd_reduce)
-
-    p_con = sub.add_parser("construct", help="evaluate a recipe, print the algebra")
-    p_con.add_argument("recipe")
-    p_con.set_defaults(func=cmd_construct)
+    for name, (help_text, positional, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text).add_argument("path", metavar=positional)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -221,7 +221,7 @@ def _recipe(
         return 6, lambda: lorentz_core(op == "L(4,2)")
     if op == "kodaira":
         if not carrier:
-            raise ParseError("the kodaira carrier has no metric; wrap it in 'tstar'")
+            raise ParseError(f"{where}: the kodaira carrier has no metric; wrap it in 'tstar'")
         return 4, None
     if op == "abelian":
         for name in ("p", "q"):
@@ -269,10 +269,10 @@ def _recipe(
     s0 = node.get("s0")
     if not isinstance(s0, list):
         raise ParseError(f"{where}: phq_ext needs vector 's0'")
-    d, f = _matrix(node["D"], n, "D"), _matrix(node["F"], n, "F")
+    d, f = _matrix(node["D"], n, f"{where}.D"), _matrix(node["F"], n, f"{where}.F")
     if len(s0) != n:
-        raise ParseError(f"s0 must have length {n}")
-    s0 = tuple(_rational(c, "s0") for c in s0)
+        raise ParseError(f"{where}: s0 must have length {n}")
+    s0 = tuple(_rational(c, f"{where}.s0[{pos}]") for pos, c in enumerate(s0))
     return n + 4, lambda: phq_double_extension(ExtensionData(build_base(), d, f, s0))
 
 

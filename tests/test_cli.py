@@ -44,20 +44,6 @@ MINIMAL = json.dumps(
     }
 )
 
-# The shipped `.alg` fixtures and the catalog labels they serialize.
-FIXTURE_LABELS = {
-    "L42.alg": "L(4,2)",
-    "L24.alg": "L(2,4)",
-    "Tstar0K.alg": "Tstar0K",
-    "TstarTheta3K.alg": "TstarTheta3K",
-    "R22.alg": "R(2,2)",
-    "L24_R02.alg": "L(2,4)+R(0,2)",
-    "L24_R20.alg": "L(2,4)+R(2,0)",
-    "L42_R02.alg": "L(4,2)+R(0,2)",
-    "L42_R20.alg": "L(4,2)+R(2,0)",
-}
-
-
 # A four-dimensional table that breaks Jacobi, j^2 = -I, the torsion,
 # ad-invariance and compatibility at once; symmetry and nondegeneracy hold.
 BROKEN = {
@@ -167,9 +153,9 @@ BROKEN_CHECK_JSON = """\
 BOOL_INDEX = '"brackets": [{{"i": {i}, "j": {j}, "coeffs": {{"1": "1"}}}}]'
 
 
-def load_snapshot_script():
-    path = FIXTURES.parent / "scripts" / "make_cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("make_cli_snapshot", path)
+def load_script(name: str):
+    path = FIXTURES.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -213,7 +199,7 @@ MALFORMED_RECIPES = {
     ),
     "direct_sum_one_arg": ({"op": "direct_sum", "args": [L42]}, "recipe: direct_sum needs at least two args"),
     "direct_sum_bad_arg": ({"op": "direct_sum", "args": [L42, {"op": "x"}]}, "recipe.args[1]: unknown op 'x'"),
-    "kodaira": ({"op": "kodaira"}, "the kodaira carrier has no metric; wrap it in 'tstar'"),
+    "kodaira": ({"op": "kodaira"}, "recipe: the kodaira carrier has no metric; wrap it in 'tstar'"),
     "theta_length": ({"op": "tstar", "theta": ["1", "0", "0"]}, "recipe: tstar needs a list of 4 coefficients"),
     "theta_float": (
         {**TSTAR, "theta": [0.5, "0", "0", "0"]},
@@ -223,14 +209,18 @@ MALFORMED_RECIPES = {
     "tstar_base": ({**TSTAR, "base": L42}, "recipe: tstar is defined over the kodaira carrier"),
     "ext_no_D": (ext(D=None), "recipe: phq_ext needs matrix 'D'"),
     "ext_no_s0": (ext(s0={}), "recipe: phq_ext needs vector 's0'"),
-    "ext_D_rows": (ext(D=[["x"]]), "D: expected 6 rows"),
-    "ext_F_row": (ext(F=ZERO6[:3] + [["0"] * 5] + ZERO6[4:]), "F: row 3 must have 6 entries"),
+    "ext_D_rows": (ext(D=[["x"]]), "recipe.D: expected 6 rows"),
+    "ext_F_row": (ext(F=ZERO6[:3] + [["0"] * 5] + ZERO6[4:]), "recipe.F: row 3 must have 6 entries"),
     "ext_D_scalar": (
         ext(D=ZERO6[:1] + [["0", "x", "0", "0", "0", "0"]] + ZERO6[2:]),
-        "D[1]: not a rational: 'x'",
+        "recipe.D[1]: not a rational: 'x'",
     ),
-    "ext_s0_length": (ext(s0=["0"] * 5), "s0 must have length 6"),
-    "ext_s0_scalar": (ext(s0=["0"] * 5 + ["1.0"]), "s0: not a rational: '1.0'"),
+    "ext_s0_length": (ext(s0=["0"] * 5), "recipe: s0 must have length 6"),
+    "ext_s0_scalar": (ext(s0=["0"] * 5 + ["1.0"]), "recipe.s0[5]: not a rational: '1.0'"),
+    "ext_nested_s0_length": (
+        {"op": "direct_sum", "args": [L42, ext(s0=["0"] * 5)]},
+        "recipe.args[1]: s0 must have length 6",
+    ),
     "tensor_k": ({"op": "tensor", "base": L42, "k": 0}, "recipe: tensor needs integer k >= 1"),
     "complexify_no_base": ({"op": "complexify"}, "recipe.base: each node needs an 'op' field"),
     "oversized": (
@@ -353,9 +343,12 @@ class TestParsing:
             assert parse_algebra_text(serialize_algebra(p)) == p
 
     def test_fixture_is_byte_exact(self):
-        for name, label in FIXTURE_LABELS.items():
-            shipped = (FIXTURES / name).read_text(encoding="utf-8")
-            assert shipped == serialize_algebra(build(label)), name
+        # Every file of fixtures/ is what scripts/make_fixtures.py writes, and
+        # no file is missing or extra.
+        texts = load_script("make_fixtures").texts()
+        assert sorted(path.name for path in FIXTURES.iterdir()) == sorted(texts)
+        for name, text in texts.items():
+            assert (FIXTURES / name).read_text(encoding="utf-8") == text, name
 
     def test_recipe_depth_limit(self):
         # Only parsed, never evaluated: no algebra is built.
@@ -513,7 +506,7 @@ class TestCommands:
     def test_fixture_commands_match_snapshot(self):
         # Exit code and stdout hash of all 80 fixture commands, recorded by
         # scripts/make_cli_snapshot.py; any byte of changed output fails here.
-        script = load_snapshot_script()
+        script = load_script("make_cli_snapshot")
         recorded = json.loads((FIXTURES.parent / "tests" / "cli_snapshot.json").read_text())
         assert len(recorded) == 80
         assert script.snapshot() == recorded
@@ -779,3 +772,52 @@ class TestErrors:
         with pytest.raises(ValueError, match="plain ValueError"):
             main(["invariants", str(FIXTURES / "L42.alg")])
         assert "error:" not in capsys.readouterr().err
+
+
+# The five commands in the order `phq --help` lists them, with their help
+# strings and positional arguments.
+COMMAND_HELP = [
+    ("check", "verify all axioms of an algebra file", "file"),
+    ("invariants", "print the invariant fingerprint", "file"),
+    ("classify", "identify an algebra of dimension <= 8", "file"),
+    ("reduce", "reduce to an abelian residue", "file"),
+    ("construct", "evaluate a recipe, print the algebra", "recipe"),
+]
+
+
+def exit_of(argv: list[str]) -> int:
+    """The exit code of a `main` call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestArgumentParser:
+    # Content, not bytes: argparse's wording changes between Python versions.
+    def test_help_lists_the_commands_in_order(self, capsys):
+        assert exit_of(["--help"]) == 0
+        names = [name for name, _, _ in COMMAND_HELP]
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        listed = [(row[0], row[1].strip()) for row in rows if len(row) == 2 and row[0] in names]
+        assert listed == [(name, text) for name, text, _ in COMMAND_HELP]
+
+    @pytest.mark.parametrize("name, positional", [(name, arg) for name, _, arg in COMMAND_HELP])
+    def test_command_help_names_its_positional(self, capsys, name, positional):
+        assert exit_of([name, "--help"]) == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.startswith(f"usage: phq {name} ") and usage.endswith(f" {positional}")
+
+    @pytest.mark.parametrize(
+        "argv, mention",
+        [
+            ([], "check,invariants,classify,reduce,construct"),
+            (["bogus"], "bogus"),
+            (["check"], "file"),
+            (["construct"], "recipe"),
+        ],
+        ids=["no_command", "unknown_command", "missing_file", "missing_recipe"],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, mention):
+        assert exit_of(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: phq") and mention in err
