@@ -16,10 +16,9 @@ cases up to dimension 8; no general isomorphism search is performed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 
-from .checks import Check, PhqError
+from .checks import Check, PhqError, Record
 from .constructions import (
     Cocycle,
     block_rotation,
@@ -52,8 +51,7 @@ _L_ATOMS = {"L(4,2)", "L(2,4)"}
 _T_ATOMS = {"Tstar0K", "TstarTheta3K"}
 
 
-@dataclass(frozen=True)
-class CatalogLabel:
+class CatalogLabel(Record):
     """Canonical (sorted) list of indecomposable factors."""
 
     factors: tuple[str, ...]
@@ -169,8 +167,7 @@ _FINGERPRINT_TABLE: dict[tuple, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     label: CatalogLabel
     fingerprint: Fingerprint
     reduction: ReductionResult
@@ -243,8 +240,7 @@ _EVIDENCE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class InequivalenceEvidence:
+class InequivalenceEvidence(Record):
     field: str | None
     value_a: object = None
     value_b: object = None

@@ -1,4 +1,5 @@
-"""The verdict types shared by the verification routines, and the error base.
+"""The verdict types shared by the verification routines, the error base,
+and `Record`, the base of every value type of the library.
 
 Checks never raise on mathematical failure; they collect human-readable
 violation messages so that a command-line run can show everything that is
@@ -8,7 +9,7 @@ wrong with a hand-entered algebra at once.  A `Check` is one named axiom; a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 
 class PhqError(Exception):
@@ -16,8 +17,92 @@ class PhqError(Exception):
     builtin base (mostly ``ValueError``), so callers may catch either."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Record:
+    """A frozen value whose fields are the annotations of its class, in order.
+
+    A class attribute named after a field is that field's default, and the
+    class keyword ``hidden`` names fields kept out of ``==``, ``hash`` and
+    ``repr``.  ``__init__`` takes the fields by position or keyword and then
+    runs ``__post_init__``, which may normalize a field through
+    ``object.__setattr__``.  Two records are equal when they have the same
+    class and equal shown fields, and hash as the tuple of those; assigning
+    or deleting an attribute raises `AttributeError`.  Instances keep a
+    ``__dict__``, so `functools.cached_property` works on them.  No code is
+    generated per class: the methods below serve every record, which keeps
+    class creation and the imports it would need out of each start of
+    ``phq``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        # the shown values of an instance __dict__; a bare value for one field
+        cls._get = itemgetter(*cls._shown)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        d = self.__dict__
+        for name, value in zip(fields, args):
+            d[name] = value
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that is not exactly positional."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} arguments but {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for key in kwargs:
+            if key not in cls._fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+        values.update(kwargs)
+        missing = [f for f in cls._fields if f not in values and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [values[f] if f in values else cls._defaults[f] for f in cls._fields]
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        """The tuple of the shown fields."""
+        key = self._get(self.__dict__)
+        return key if len(self._shown) > 1 else (key,)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._shown, self._key()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._get
+            return get(self.__dict__) == get(other.__dict__)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        inner = ", ".join(f"{name}={d[name]!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {self.__class__.__qualname__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__qualname__} is frozen")
+
+
+class Check(Record):
     """Outcome of one verification: empty ``failures`` means it passed."""
 
     label: str
@@ -37,8 +122,7 @@ class Check:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Outcome of several checks; ``report[label]`` is the part with that label."""
 
     parts: tuple[Check, ...]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .catalog import classify
 from .checks import PhqError
@@ -31,13 +30,13 @@ def cmd_check(p: PHQAlgebra):
 
 def cmd_invariants(p: PHQAlgebra):
     fp = fingerprint(p)
-    return True, asdict(fp), [fp.table_row()]
+    return True, fp._asdict(), [fp.table_row()]
 
 
 def cmd_classify(p: PHQAlgebra):
     result = classify(p)
     steps = result.reduction.describe()
-    doc = {"label": str(result.label), "fingerprint": asdict(result.fingerprint), "reduction": steps}
+    doc = {"label": str(result.label), "fingerprint": result.fingerprint._asdict(), "reduction": steps}
     return True, doc, [str(result.label), f"fingerprint: {result.fingerprint.table_row()}", *steps]
 
 

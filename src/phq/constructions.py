@@ -8,12 +8,11 @@ Every construction either validates its input eagerly or is total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
-from .checks import Check, PhqError, Report
+from .checks import Check, PhqError, Record, Report
 from .lie import LieAlgebra, LinearMap, _derivation_failures, _twisted, is_derivation
 from .linalg import (
     ONE,
@@ -60,8 +59,7 @@ class InvalidParameter(PhqError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticAlgebra:
+class QuadraticAlgebra(Record):
     """A Lie algebra with an invariant metric but no complex structure."""
 
     algebra: LieAlgebra
@@ -209,8 +207,7 @@ def validate_extension_data(
     return Check("extension data", tuple(failures))
 
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(Record):
     """Input of the plane double extension; `validate_extension_data`
     checks it on construction."""
 
@@ -276,8 +273,7 @@ def phq_double_extension(data: ExtensionData) -> PHQAlgebra:
     )
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Record):
     """An antisymmetric bilinear map into the dual: the sparse table
     ``values[i, j]`` (i < j) holds theta(ei, ej) in dual coordinates."""
 
@@ -449,8 +445,7 @@ def kodaira_cocycle_basis() -> tuple[Cocycle, Cocycle, Cocycle, Cocycle]:
     return theta1, theta2, theta3, theta4
 
 
-@dataclass(frozen=True)
-class CommutativeAlgebra:
+class CommutativeAlgebra(Record):
     """Associative commutative algebra with an invariant nondegenerate form.
 
     ``products[i, j]`` is the sparse product of basis elements i and j, for

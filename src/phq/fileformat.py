@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 from typing import Any, Callable
 
 from .catalog import abelian_with_signature, lorentz_core, tstar_kodaira
-from .checks import PhqError
+from .checks import PhqError, Record
 from .constructions import (
     Cocycle,
     ExtensionData,
@@ -186,14 +185,13 @@ def serialize_algebra(p: PHQAlgebra) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Record, hidden=("build",)):
     """Parsed construction tree: every field is checked, ``dim`` is the
     predicted dimension, and `evaluate` builds the algebra."""
 
     tree: dict
     dim: int
-    build: Callable[[], PHQAlgebra] = field(compare=False, repr=False)
+    build: Callable[[], PHQAlgebra]
 
     def evaluate(self) -> PHQAlgebra:
         if self.dim > MAX_DIM:

@@ -12,14 +12,13 @@ instead of rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .checks import Check
+from .checks import Check, Record
 from .linalg import (
     ZERO,
     DimensionMismatch,
@@ -74,8 +73,7 @@ def format_vector(v: Vector, names: Sequence[str]) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Basis names and the sparse bracket table: ``brackets[i, j]`` (i < j)
     maps each index k to the nonzero coefficient of e_k in [e_i, e_j]; the
     pairs j < i follow by antisymmetry."""

@@ -17,7 +17,6 @@ Each object is scaled once: a `Matrix`, and the bracket table of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -25,7 +24,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .checks import PhqError
+from .checks import PhqError, Record
 
 Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
@@ -215,8 +214,7 @@ def mat_mul(a: Sequence[int], rows: int, inner: int, b: Sequence[int], cols: int
     return out
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Dense exact matrix, row-major entries, acting on coordinate columns.
     Products, sums, differences and `apply` skip zero entries."""
 
@@ -482,8 +480,7 @@ def kernel(a: Matrix) -> Subspace:
     return _kernel_int([scaled(a.row(i))[1] for i in range(a.rows)], a.cols)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A linear subspace with its canonical RREF basis (rows), so equal
     subspaces compare equal with ``==``."""
 

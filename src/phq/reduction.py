@@ -17,14 +17,13 @@ the next step reads the same integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .checks import PhqError
+from .checks import PhqError, Record
 from .constructions import ExtensionData, validate_extension_data
-from .lie import LieAlgebra, _twisted
+from .lie import LieAlgebra, _twisted, format_vector
 from .linalg import (
     ZERO,
     DimensionMismatch,
@@ -50,13 +49,38 @@ from .linalg import (
 from .structures import PHQAlgebra
 
 
+def _span_text(vectors: Sequence[Vector], names: Sequence[str]) -> str:
+    """``span(v, ...)`` in basis names, or ``0``; a coefficient too long to
+    print shows as ``<long>`` (`format_vector`)."""
+    return f"span({', '.join(format_vector(v, names) for v in vectors)})" if vectors else "0"
+
+
 class EmptyIntersection(PhqError, ValueError):
-    pass
+    """W = center ∩ j(center) is zero, so the input is not nilpotent; carries
+    W as ``subspace`` and the ``center``."""
+
+    def __init__(self, subspace: Subspace, center: Subspace, names: Sequence[str]):
+        super().__init__(
+            f"W = center ∩ j(center) is zero, with center = {_span_text(center.basis, names)}; "
+            "input is outside the nilpotent case"
+        )
+        self.subspace = subspace
+        self.center = center
 
 
 class ReductionStuck(PhqError, RuntimeError):
     """Central j-pair exists but is neither of nonzero norm nor in the
-    derived ideal; outside the guaranteed cases."""
+    derived ideal; outside the guaranteed cases.  Carries W = center ∩
+    j(center) as ``subspace`` and the ``candidates`` tried for z."""
+
+    def __init__(self, subspace: Subspace, candidates: Sequence[Vector], names: Sequence[str]):
+        super().__init__(
+            f"all candidates in W = center ∩ j(center) = {_span_text(subspace.basis, names)} are "
+            "isotropic but none lies in the derived ideal; tried "
+            + ", ".join(format_vector(z, names) for z in candidates)
+        )
+        self.subspace = subspace
+        self.candidates = tuple(candidates)
 
 
 class InvalidCentralElement(PhqError, ValueError):
@@ -75,8 +99,7 @@ class HypothesisViolated(PhqError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CentralPair:
+class CentralPair(Record):
     """Witness of the dichotomy: W = center ∩ j(center) plus the chosen z."""
 
     subspace: Subspace
@@ -95,7 +118,7 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     center = p.algebra.center()
     w = intersect(center, map_image(p.j, center))
     if w.dim == 0:
-        raise EmptyIntersection("center ∩ j(center) is zero; input is outside the nilpotent case")
+        raise EmptyIntersection(w, center, p.basis_names)
     in_derived = intersect(w, p.algebra.derived_ideal())
     if in_derived.dim > 0:
         return CentralPair(w, in_derived.basis[0], True)
@@ -104,9 +127,7 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     for z in candidates:
         if _norm(p, scaled(z)) != 0:
             return CentralPair(w, z, False)
-    raise ReductionStuck(
-        "all candidates in center ∩ j(center) are isotropic but none lies in the derived ideal"
-    )
+    raise ReductionStuck(w, candidates, p.basis_names)
 
 
 # The helpers below take and give `Scaled` pairs, or integers where only a
@@ -234,8 +255,7 @@ def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
     return _restrict(p, [scaled(b) for b in complement])[0], (1 if norm > 0 else -1)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """One inverse step; `adapted_basis` maps re-built coordinates to input
     coordinates (for plane reductions it is the witness of the round trip)."""
 
@@ -296,8 +316,7 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     )
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     steps: tuple[ReductionStep, ...]
     residue: PHQAlgebra
 
@@ -344,8 +363,7 @@ def full_reduction(p: PHQAlgebra) -> ReductionResult:
     return ReductionResult(tuple(steps), current)
 
 
-@dataclass(frozen=True)
-class SkewPairReport:
+class SkewPairReport(Record):
     """Adapted form of a nilpotent skew pair on a neutral 4-dim base."""
 
     a: Fraction

@@ -14,12 +14,11 @@ the integer residual the sweep holds divided back once.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .checks import Check, PhqError, Report
+from .checks import Check, PhqError, Record, Report
 from .lie import LieAlgebra, LinearMap, _twisted, check_jacobi, format_vector
 from .linalg import (
     DimensionMismatch,
@@ -150,8 +149,7 @@ def check_quadratic(algebra: LieAlgebra, g: Matrix) -> Report:
     )
 
 
-@dataclass(frozen=True)
-class PHQAlgebra:
+class PHQAlgebra(Record):
     """A Lie algebra with a compatible complex structure and invariant
     metric; ``j`` and ``phi`` are dense `Matrix` values."""
 
@@ -206,8 +204,7 @@ def check_phq(p: PHQAlgebra) -> Report:
     return Report((jac, *complex_parts, *quad.parts, Check("J-compatible", tuple(compat_fail))))
 
 
-@dataclass(frozen=True)
-class JClassification:
+class JClassification(Record):
     abelian: bool
     bi_invariant: bool
 
@@ -234,8 +231,7 @@ def j_class(algebra: LieAlgebra, j: LinearMap) -> JClassification:
     )
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Isomorphism invariants used for the small-dimension classification."""
 
     dim: int
@@ -246,7 +242,7 @@ class Fingerprint:
     sig_phi_on_derived: tuple[int, int]
 
     def as_tuple(self):
-        return astuple(self)
+        return self._key()
 
     def table_row(self) -> str:
         """The five classification-table columns, pipe-separated."""

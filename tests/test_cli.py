@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -15,7 +14,7 @@ import pytest
 import phq
 import phq.cli
 import phq.fileformat
-from phq import LieAlgebra, PHQAlgebra, UnclassifiedFingerprint, build, classify
+from phq import LieAlgebra, PHQAlgebra, ReductionResult, ReductionStep, UnclassifiedFingerprint, build, classify
 from phq.checks import PhqError
 from phq.cli import main
 from phq.fileformat import (
@@ -636,8 +635,16 @@ class TestCommands:
         def with_long_entries(p):
             result = reduce(p)
             first = result.steps[0]
-            step = dataclasses.replace(first, z=(long, *first.z[1:]), v=(-long, *first.v[1:]))
-            return dataclasses.replace(result, steps=(step, *result.steps[1:]))
+            step = ReductionStep(
+                first.kind,
+                (long, *first.z[1:]),
+                (-long, *first.v[1:]),
+                first.sign,
+                first.recovered,
+                first.extension_data,
+                first.adapted_basis,
+            )
+            return ReductionResult((step, *result.steps[1:]), result.residue)
 
         monkeypatch.setattr(phq.cli, "full_reduction", with_long_entries)
         assert main(["--format", "json", "reduce", path]) == 0

@@ -12,6 +12,7 @@ import phq.reduction
 from phq import (
     CentralPair,
     CommutativeAlgebra,
+    EmptyIntersection,
     HypothesisViolated,
     InvalidCentralElement,
     LieAlgebra,
@@ -19,6 +20,7 @@ from phq import (
     NotDefinitePlane,
     NotSymmetricError,
     PHQAlgebra,
+    ReductionStuck,
     Subspace,
     analyze_skew_pair,
     build,
@@ -161,6 +163,44 @@ class TestFindCentralPair:
             pair = find_central_pair(p)
             assert pair.in_derived
             assert p.pairing(pair.z, pair.z) == 0
+
+    def test_empty_intersection_carries_w_and_the_center(self):
+        # aff(1) + R^2: the center span(e3, e4) is mapped onto span(e1, e2)
+        algebra = LieAlgebra(("e1", "e2", "e3", "e4"), {(0, 1): {1: 1}})
+        j = Matrix.from_cols([unit(4, 2), unit(4, 3), unit(4, 0), unit(4, 1)], rows=4)
+        with pytest.raises(EmptyIntersection) as info:
+            find_central_pair(PHQAlgebra(algebra, j, Matrix.identity(4)))
+        assert str(info.value) == (
+            "W = center ∩ j(center) is zero, with center = span(e3, e4); input is outside the nilpotent case"
+        )
+        assert info.value.subspace == Subspace.zero(4)
+        assert info.value.center == Subspace.span(4, [unit(4, 2), unit(4, 3)])
+
+    def test_reduction_stuck_carries_w_and_the_candidates(self):
+        # phi = 0 makes every candidate isotropic, and W = span(e1, e2) misses
+        # the derived ideal of the abelian algebra
+        j = Matrix.from_cols([(0, 1), (-1, 0)], rows=2)
+        with pytest.raises(ReductionStuck) as info:
+            find_central_pair(PHQAlgebra(LieAlgebra.abelian(2), j, Matrix.zero(2)))
+        assert str(info.value) == (
+            "all candidates in W = center ∩ j(center) = span(e1, e2) are isotropic but none lies "
+            "in the derived ideal; tried e1, e2, e1 +e2"
+        )
+        assert info.value.subspace == Subspace.full(2)
+        assert info.value.candidates == (unit(2, 0), unit(2, 1), vector([1, 1]))
+
+    def test_reduction_stuck_marks_a_coefficient_too_long_to_print(self):
+        # W = span(e3 + L e4) with L of 5,001 digits, which str() refuses
+        long = 10**5000
+        algebra = LieAlgebra(("e1", "e2", "e3", "e4"), {(0, 1): {2: 1}})
+        j = Matrix.from_cols([unit(4, 1), unit(4, 0), vector([0, 0, 1, long]), unit(4, 0)], rows=4)
+        with pytest.raises(ReductionStuck) as info:
+            find_central_pair(PHQAlgebra(algebra, j, Matrix.zero(4)))
+        assert str(info.value) == (
+            "all candidates in W = center ∩ j(center) = span(e3 +<long>*e4) are isotropic but none "
+            "lies in the derived ideal; tried e3 +<long>*e4"
+        )
+        assert info.value.candidates == (vector([0, 0, 1, long]),)
 
 
 class TestSplitPlane:
