@@ -9,7 +9,9 @@ wrong with a hand-entered algebra at once.  A `Check` is one named axiom; a
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter
+
+_setattr = object.__setattr__
 
 
 class PhqError(Exception):
@@ -42,16 +44,17 @@ class Record:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._shown = tuple(name for name in cls._fields if name not in hidden)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        # the shown values of an instance __dict__; a bare value for one field
-        cls._get = itemgetter(*cls._shown)
+        # the shown values of an instance, a bare value for one field
+        cls._get = attrgetter(*cls._shown)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        d = self.__dict__
+        # object.__setattr__ keeps the values inline: reading ``self.__dict__``
+        # here would make a dict for each instance and slow every field read
         for name, value in zip(fields, args):
-            d[name] = value
+            _setattr(self, name, value)
         self.__post_init__()
 
     @classmethod
@@ -75,7 +78,7 @@ class Record:
 
     def _key(self) -> tuple:
         """The tuple of the shown fields."""
-        key = self._get(self.__dict__)
+        key = self._get(self)
         return key if len(self._shown) > 1 else (key,)
 
     def _asdict(self) -> dict:
@@ -84,15 +87,14 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             get = self._get
-            return get(self.__dict__) == get(other.__dict__)
+            return get(self) == get(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self) -> str:
-        d = self.__dict__
-        inner = ", ".join(f"{name}={d[name]!r}" for name in self._shown)
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._shown, self._key()))
         return f"{self.__class__.__qualname__}({inner})"
 
     def __setattr__(self, name, value):
