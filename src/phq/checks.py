@@ -60,18 +60,13 @@ class Record:
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
         """The field values of a call that is not exactly positional."""
-        name = cls.__qualname__
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{name}() takes {len(cls._fields)} arguments but {len(args)} were given")
-        values = dict(zip(cls._fields, args))
-        for key in kwargs:
-            if key not in cls._fields or key in values:
-                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
-        values.update(kwargs)
-        missing = [f for f in cls._fields if f not in values and f not in cls._defaults]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        return [values[f] if f in values else cls._defaults[f] for f in cls._fields]
+        rest = cls._fields[len(args) :]
+        if len(args) > len(cls._fields) or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(cls._fields)}")
+        try:
+            return [*args, *[kwargs[f] if f in kwargs else cls._defaults[f] for f in rest]]
+        except KeyError as missing:
+            raise TypeError(f"{cls.__qualname__}() misses the field {missing}") from None
 
     def __post_init__(self):
         pass
