@@ -252,9 +252,9 @@ def test_cli_import_loads_every_layer_and_no_code_generators():
     # milliseconds of start-up and are not needed
     code = "import sys, phq.cli; print(' '.join(sorted(sys.modules)))"
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
-    ).stdout.split()
-    layers = {f"phq.{m}" for m in ("linalg", "lie", "structures", "reduction", "catalog", "constructions", "fileformat", "cli")}
-    assert layers <= set(out)
-    assert "dataclasses" not in out and "inspect" not in out
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    modules = set(out.stdout.split())
+    layers = ("linalg", "lie", "structures", "reduction", "catalog", "constructions", "fileformat", "cli")
+    assert {f"phq.{m}" for m in layers} <= modules
+    assert "dataclasses" not in modules and "inspect" not in modules
