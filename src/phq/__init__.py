@@ -1,111 +1,86 @@
 """Exact-arithmetic toolkit for nilpotent Lie algebras carrying a compatible
 complex structure and an invariant metric: construction, verification,
-reduction, and classification in dimension at most eight."""
+reduction, and classification in dimension at most eight.
 
-from .catalog import (
-    CatalogLabel,
-    Classification,
-    DimensionTooLarge,
-    InequivalenceEvidence,
-    UnclassifiedFingerprint,
-    UnknownLabel,
-    abelian_with_signature,
-    build,
-    classify,
-    inequivalence_evidence,
-    label,
-    lorentz_core,
-    tstar_kodaira,
-    verify_witness,
-)
-from .checks import Check, PhqError, Report
-from .constructions import (
-    Cocycle,
-    CommutativeAlgebra,
-    ExtensionData,
-    InvalidAlgebraData,
-    InvalidCocycle,
-    InvalidDerivation,
-    InvalidExtensionData,
-    InvalidParameter,
-    QuadraticAlgebra,
-    check_cocycle,
-    check_commutative,
-    complex_units,
-    complexify,
-    direct_sum,
-    is_skewsymmetric,
-    kodaira_cocycle_basis,
-    kodaira_thurston,
-    line_double_extension,
-    phq_double_extension,
-    swap_df,
-    tensor_construct,
-    truncated_poly,
-    tstar_extension,
-    validate_extension_data,
-)
-from .fileformat import (
-    BadRational,
-    IndexOutOfRange,
-    ParseError,
-    Recipe,
-    parse_algebra_text,
-    parse_path,
-    parse_recipe_text,
-    serialize_algebra,
-)
-from .lie import (
-    LieAlgebra,
-    LinearMap,
-    check_jacobi,
-    is_derivation,
-    solve_inner,
-)
-from .linalg import (
-    DimensionMismatch,
-    Matrix,
-    NotSymmetricError,
-    Subspace,
-    Vector,
-    frac,
-    gram_restriction,
-    intersect,
-    kernel,
-    map_image,
-    orthogonal_complement,
-    signature,
-    solve_linear,
-    vector,
-)
-from .reduction import (
-    CentralPair,
-    EmptyIntersection,
-    HypothesisViolated,
-    InvalidCentralElement,
-    NonIsotropic,
-    NotDefinitePlane,
-    ReductionResult,
-    ReductionStep,
-    ReductionStuck,
-    analyze_skew_pair,
-    find_central_pair,
-    full_reduction,
-    reduce_by_plane,
-    split_plane,
-)
-from .structures import (
-    Fingerprint,
-    JClassification,
-    OddDimension,
-    PHQAlgebra,
-    check_complex,
-    check_phq,
-    check_quadratic,
-    fingerprint,
-    j_class,
-    nijenhuis,
-    salamon_check,
-)
+``import phq`` executes no module of the package.  Each name below is
+resolved on first use (PEP 562) and then kept in this namespace.
+`constructions`, `reduction` and `catalog` are in ``sys.modules`` from the
+start, through `importlib.util.LazyLoader`, and run on the first read of one
+of their attributes, so a `phq` command that never reaches them never
+compiles them.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib.util as _util
+import sys as _sys
+from importlib import import_module as _import_module
+from threading import RLock as _RLock
+
+# module -> the names it exports here; each module is a name here too
+_EXPORTS = {
+    "catalog": (
+        "CatalogLabel Classification DimensionTooLarge InequivalenceEvidence UnclassifiedFingerprint "
+        "UnknownLabel abelian_with_signature build classify inequivalence_evidence label lorentz_core "
+        "tstar_kodaira verify_witness"
+    ),
+    "checks": "Check PhqError Report",
+    "constructions": (
+        "Cocycle CommutativeAlgebra ExtensionData InvalidAlgebraData InvalidCocycle InvalidDerivation "
+        "InvalidExtensionData InvalidParameter QuadraticAlgebra check_cocycle check_commutative "
+        "complex_units complexify direct_sum is_skewsymmetric kodaira_cocycle_basis kodaira_thurston "
+        "line_double_extension phq_double_extension swap_df tensor_construct truncated_poly "
+        "tstar_extension validate_extension_data"
+    ),
+    "fileformat": (
+        "BadRational IndexOutOfRange ParseError Recipe parse_algebra_text parse_path parse_recipe_text "
+        "serialize_algebra"
+    ),
+    "lie": "LieAlgebra LinearMap check_jacobi is_derivation solve_inner",
+    "linalg": (
+        "DimensionMismatch Matrix NotSymmetricError Subspace Vector frac gram_restriction intersect "
+        "kernel map_image orthogonal_complement signature solve_linear vector"
+    ),
+    "reduction": (
+        "CentralPair EmptyIntersection HypothesisViolated InvalidCentralElement NonIsotropic "
+        "NotDefinitePlane ReductionResult ReductionStep ReductionStuck analyze_skew_pair "
+        "find_central_pair full_reduction reduce_by_plane split_plane"
+    ),
+    "structures": (
+        "Fingerprint JClassification OddDimension PHQAlgebra check_complex check_phq check_quadratic "
+        "fingerprint j_class nijenhuis salamon_check"
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}
+__all__ = sorted(_OWNER)
+
+# Held while a module runs on first use.  `importlib.util._LazyModule`
+# (Python 3.11) takes no lock, and a second thread that reads a lazy module
+# while the first one runs it sees a half-filled namespace.
+_load_lock = _RLock()
+
+for _name in ("constructions", "reduction", "catalog"):
+    _spec = _util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _sys.modules[_spec.name] = _module = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def _load(module: str):
+    """The module ``phq.<module>``, executed.  `__getattr__`, `cli` and the
+    recipe builders of `fileformat` reach the lazy modules only through
+    here, so their first runs never overlap."""
+    with _load_lock:
+        return _import_module(f"{__name__}.{module}")
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _load(_OWNER[name])
+    value = module if name == _OWNER[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

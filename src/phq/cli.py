@@ -10,11 +10,10 @@ import argparse
 import json
 import sys
 
-from .catalog import classify
+from . import _load
 from .checks import PhqError
 from .fileformat import ParseError, Recipe, parse_path, serialize_algebra
 from .lie import _scalar_text
-from .reduction import full_reduction
 from .structures import PHQAlgebra, check_phq, fingerprint
 
 EXIT_OK = 0
@@ -34,7 +33,7 @@ def cmd_invariants(p: PHQAlgebra):
 
 
 def cmd_classify(p: PHQAlgebra):
-    result = classify(p)
+    result = _load("catalog").classify(p)
     steps = result.reduction.describe()
     doc = {"label": str(result.label), "fingerprint": result.fingerprint._asdict(), "reduction": steps}
     return True, doc, [str(result.label), f"fingerprint: {result.fingerprint.table_row()}", *steps]
@@ -43,7 +42,7 @@ def cmd_classify(p: PHQAlgebra):
 def cmd_reduce(p: PHQAlgebra):
     if not check_phq(p).ok:
         raise PhqError("input fails the structure axioms; run 'check' for details")
-    result = full_reduction(p)
+    result = _load("reduction").full_reduction(p)
     steps = [
         {
             "kind": s.kind,

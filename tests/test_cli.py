@@ -558,11 +558,10 @@ class TestCommands:
             raise AssertionError("an algebra was built from invalid input")
 
         monkeypatch.setattr(phq.cli, "check_phq", build_nothing)
-        for builder in (
-            "abelian_with_signature", "lorentz_core", "tstar_kodaira", "direct_sum",
-            "phq_double_extension", "tensor_construct", "complexify",
-        ):
-            monkeypatch.setattr(phq.fileformat, builder, build_nothing)
+        for builder in ("abelian_with_signature", "lorentz_core", "tstar_kodaira"):
+            monkeypatch.setattr(phq.catalog, builder, build_nothing)
+        for builder in ("direct_sum", "phq_double_extension", "tensor_construct", "complexify"):
+            monkeypatch.setattr(phq.constructions, builder, build_nothing)
         path = tmp_path / name
         path.write_text(text)
         command = "construct" if name.endswith(".recipe") else "check"
@@ -630,7 +629,7 @@ class TestCommands:
         assert main(["--format", "json", "reduce", path]) == 0
         expected = json.loads(capsys.readouterr().out)
         long = Fraction(10**5000 + 1, 3)
-        reduce = phq.cli.full_reduction
+        reduce = phq.reduction.full_reduction
 
         def with_long_entries(p):
             result = reduce(p)
@@ -646,7 +645,7 @@ class TestCommands:
             )
             return ReductionResult((step, *result.steps[1:]), result.residue)
 
-        monkeypatch.setattr(phq.cli, "full_reduction", with_long_entries)
+        monkeypatch.setattr(phq.reduction, "full_reduction", with_long_entries)
         assert main(["--format", "json", "reduce", path]) == 0
         out, err = capsys.readouterr()
         expected["steps"][0]["z"][0] = "<long>"
