@@ -249,13 +249,21 @@ def test_fingerprint_tuple_and_json_document(capsys):
 
 def test_cli_import_loads_every_layer_and_no_code_generators():
     # `perfbench` wraps functions of all eight layers once `phq.cli` is
-    # imported; `dataclasses` and `inspect` cost every child process a few
-    # milliseconds of start-up and are not needed
-    code = "import sys, phq.cli; print(' '.join(sorted(sys.modules)))"
+    # imported, reading each from `sys.modules`; there `catalog`,
+    # `constructions` and `reduction` are lazy modules, which run on that
+    # first read.  `dataclasses` and `inspect` cost every child process a
+    # few milliseconds of start-up and are not needed
+    code = (
+        "import sys, types, phq.cli; print(' '.join(sorted(sys.modules)));"
+        "print(' '.join(sorted(n for n, m in sys.modules.items() if n.startswith('phq')"
+        " and type(m) is not types.ModuleType)))"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    modules = set(out.stdout.split())
+    loaded, lazy = out.stdout.split("\n")[:2]
+    modules = set(loaded.split())
     layers = ("linalg", "lie", "structures", "reduction", "catalog", "constructions", "fileformat", "cli")
     assert {f"phq.{m}" for m in layers} <= modules
+    assert lazy.split() == ["phq.catalog", "phq.constructions", "phq.reduction"]
     assert "dataclasses" not in modules and "inspect" not in modules
