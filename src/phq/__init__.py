@@ -4,16 +4,18 @@ reduction, and classification in dimension at most eight.
 
 ``import phq`` executes no module of the package.  Each name below is
 resolved on first use (PEP 562) and then kept in this namespace.
-`constructions`, `reduction` and `catalog` are in ``sys.modules`` from the
-start, through `importlib.util.LazyLoader`, and run on the first read of one
-of their attributes, so a `phq` command that never reaches them never
+`constructions`, `reduction` and `catalog` are in ``sys.modules`` and in
+this namespace from the start, as modules that run on the first read of
+one of their attributes, so a `phq` command that never reaches them never
 compiles them.
 """
 
-import importlib.util as _util
 import sys as _sys
 from importlib import import_module as _import_module
+from importlib.util import find_spec as _find_spec
+from importlib.util import module_from_spec as _module_from_spec
 from threading import RLock as _RLock
+from types import ModuleType as _ModuleType
 
 # module -> the names it exports here; each module is a name here too
 _EXPORTS = {
@@ -52,31 +54,42 @@ _EXPORTS = {
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}
 __all__ = sorted(_OWNER)
 
-# Held while a module runs on first use.  `importlib.util._LazyModule`
-# (Python 3.11) takes no lock, and a second thread that reads a lazy module
-# while the first one runs it sees a half-filled namespace.
+
+class _LazyModule(_ModuleType):
+    """A module of this package that has not run yet.  The first read of any
+    of its attributes runs it under `_load_lock`, and only after the run
+    makes it a plain module, so a thread that reads it meanwhile, by any
+    path (an import statement, a name of `phq`, a command), waits for the
+    run instead of reading a half-filled namespace.  The modules of
+    `importlib.util.LazyLoader` take no lock and turn plain before they run.
+    ``type(module)`` tells whether a module ran without running it."""
+
+    def __getattribute__(self, name):
+        with _load_lock:
+            loader = _unrun.pop(self, None)
+            if loader is not None:
+                loader.exec_module(self)
+                self.__class__ = _ModuleType
+        return _ModuleType.__getattribute__(self, name)
+
+
+# reentrant, because running `catalog` runs `constructions` and `reduction`
 _load_lock = _RLock()
+_unrun = {}  # lazy module -> its loader, until it runs
 
 for _name in ("constructions", "reduction", "catalog"):
-    _spec = _util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = _util.LazyLoader(_spec.loader)
-    _sys.modules[_spec.name] = _module = _util.module_from_spec(_spec)
-    _spec.loader.exec_module(_module)
+    _spec = _find_spec(f"{__name__}.{_name}")
+    _module = _module_from_spec(_spec)
+    _module.__class__ = _LazyModule
+    _unrun[_module] = _spec.loader
+    _sys.modules[_spec.name] = globals()[_name] = _module
 del _name, _spec, _module
-
-
-def _load(module: str):
-    """The module ``phq.<module>``, executed.  `__getattr__`, `cli` and the
-    recipe builders of `fileformat` reach the lazy modules only through
-    here, so their first runs never overlap."""
-    with _load_lock:
-        return _import_module(f"{__name__}.{module}")
 
 
 def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = _load(_OWNER[name])
+    module = _import_module(f"{__name__}.{_OWNER[name]}")
     value = module if name == _OWNER[name] else getattr(module, name)
     globals()[name] = value
     return value

@@ -1,6 +1,5 @@
 """The verdict types shared by the verification routines, the error base,
-`Record`, the base of every value type of the library, and `cached`, which
-keeps a value a record makes on first use.
+and `Record`, the base of every value type of the library.
 
 Checks never raise on mathematical failure; they collect human-readable
 violation messages so that a command-line run can show everything that is
@@ -29,11 +28,11 @@ class Record:
     runs ``__post_init__``, which may normalize a field through
     ``object.__setattr__``.  Two records are equal when they have the same
     class and equal shown fields, and hash as the tuple of those; assigning
-    or deleting an attribute raises `AttributeError`.  Instances have no
-    ``__slots__``, so `cached` can keep a value made on first use on them.
-    No code is generated per class: the methods below serve every record,
-    which keeps class creation and the imports it would need out of each
-    start of ``phq``.
+    or deleting an attribute raises `AttributeError`.  Instances keep a
+    ``__dict__``, so `functools.cached_property` works on them.  No code is
+    generated per class: the methods below serve every record, which keeps
+    class creation and the imports it would need out of each start of
+    ``phq``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -98,31 +97,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {self.__class__.__qualname__} is frozen")
-
-
-class cached:
-    """`functools.cached_property` for records: ``func`` runs on the first
-    read of its name on an instance, and its value is kept as the instance's
-    attribute of that name.  The value is set with ``object.__setattr__``,
-    which keeps the instance's attributes inline; the write into
-    ``instance.__dict__`` that `functools.cached_property` makes moves them
-    to a dict and slows every later field read about twofold (Python 3.11).
-    No lock is taken: two threads that race both run ``func``, and compute
-    equal values."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.func(instance)
-        _setattr(instance, self.name, value)
-        return value
 
 
 class Check(Record):

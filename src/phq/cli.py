@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import _load
+from . import catalog, reduction
 from .checks import PhqError
 from .fileformat import ParseError, Recipe, parse_path, serialize_algebra
 from .lie import _scalar_text
@@ -33,7 +33,7 @@ def cmd_invariants(p: PHQAlgebra):
 
 
 def cmd_classify(p: PHQAlgebra):
-    result = _load("catalog").classify(p)
+    result = catalog.classify(p)
     steps = result.reduction.describe()
     doc = {"label": str(result.label), "fingerprint": result.fingerprint._asdict(), "reduction": steps}
     return True, doc, [str(result.label), f"fingerprint: {result.fingerprint.table_row()}", *steps]
@@ -42,7 +42,7 @@ def cmd_classify(p: PHQAlgebra):
 def cmd_reduce(p: PHQAlgebra):
     if not check_phq(p).ok:
         raise PhqError("input fails the structure axioms; run 'check' for details")
-    result = _load("reduction").full_reduction(p)
+    result = reduction.full_reduction(p)
     steps = [
         {
             "kind": s.kind,

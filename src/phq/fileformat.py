@@ -13,7 +13,7 @@ from functools import reduce
 from pathlib import Path
 from typing import Any, Callable
 
-from . import _load
+from . import catalog, constructions
 from .checks import PhqError, Record
 from .lie import LieAlgebra
 from .linalg import Matrix
@@ -206,7 +206,7 @@ def _recipe(
         raise ParseError(f"{where}: each node needs an 'op' field")
     op = node["op"]
     if op in ("L(4,2)", "L(2,4)"):
-        return 6, lambda: _load("catalog").lorentz_core(op == "L(4,2)")
+        return 6, lambda: catalog.lorentz_core(op == "L(4,2)")
     if op == "kodaira":
         if not carrier:
             raise ParseError(f"{where}: the kodaira carrier has no metric; wrap it in 'tstar'")
@@ -218,14 +218,14 @@ def _recipe(
         p, q = node["p"], node["q"]
         if p % 2 or q % 2 or p + q == 0:
             raise ParseError(f"{where}: abelian needs even p and q, not both zero")
-        return p + q, lambda: _load("catalog").abelian_with_signature(p, q)
+        return p + q, lambda: catalog.abelian_with_signature(p, q)
     if op == "direct_sum":
         args = node.get("args")
         if not isinstance(args, list) or len(args) < 2:
             raise ParseError(f"{where}: direct_sum needs at least two args")
         parts = [_recipe(sub, f"{where}.args[{pos}]", depth + 1) for pos, sub in enumerate(args)]
         return sum(n for n, _ in parts), lambda: reduce(
-            _load("constructions").direct_sum, (build() for _, build in parts)
+            constructions.direct_sum, (build() for _, build in parts)
         )
     if op == "tstar":
         theta = node.get("theta")
@@ -238,9 +238,8 @@ def _recipe(
             raise ParseError(f"{where}: tstar is defined over the kodaira carrier")
 
         def build():
-            constructions = _load("constructions")
             terms = (th.scale(c) for c, th in zip(coeffs, constructions.kodaira_cocycle_basis()) if c)
-            return _load("catalog").tstar_kodaira(sum(terms, constructions.Cocycle.zero(4)))
+            return catalog.tstar_kodaira(sum(terms, constructions.Cocycle.zero(4)))
 
         return 8, build
     if op not in ("phq_ext", "tensor", "complexify"):
@@ -248,17 +247,12 @@ def _recipe(
     # phq_ext, tensor and complexify each take one base
     n, build_base = _recipe(node.get("base"), f"{where}.base", depth + 1)
     if op == "complexify":
-        return 2 * n, lambda: _load("constructions").complexify(build_base())
+        return 2 * n, lambda: constructions.complexify(build_base())
     if op == "tensor":
         k = node.get("k")
         if not _integer(k) or k < 1:
             raise ParseError(f"{where}: tensor needs integer k >= 1")
-
-        def build():
-            constructions = _load("constructions")
-            return constructions.tensor_construct(build_base(), constructions.truncated_poly(k))
-
-        return n * k, build
+        return n * k, lambda: constructions.tensor_construct(build_base(), constructions.truncated_poly(k))
     for name in ("D", "F"):
         if not isinstance(node.get(name), list):
             raise ParseError(f"{where}: phq_ext needs matrix {name!r}")
@@ -269,12 +263,9 @@ def _recipe(
     if len(s0) != n:
         raise ParseError(f"{where}: s0 must have length {n}")
     s0 = tuple(_rational(c, f"{where}.s0[{pos}]") for pos, c in enumerate(s0))
-
-    def build():
-        constructions = _load("constructions")
-        return constructions.phq_double_extension(constructions.ExtensionData(build_base(), d, f, s0))
-
-    return n + 4, build
+    return n + 4, lambda: constructions.phq_double_extension(
+        constructions.ExtensionData(build_base(), d, f, s0)
+    )
 
 
 def parse_path(path: str | Path, fixtures_dir: str | Path | None = None):

@@ -13,11 +13,12 @@ instead of rejected.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .checks import Check, Record, cached
+from .checks import Check, Record
 from .linalg import (
     ZERO,
     DimensionMismatch,
@@ -87,7 +88,7 @@ class LieAlgebra(Record):
     def dim(self) -> int:
         return len(self.basis_names)
 
-    @cached
+    @cached_property
     def _scaled(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
         """The least common denominator d of the table's coefficients and the
         table d * brackets with int coefficients, made on first use and kept."""
@@ -148,7 +149,7 @@ class LieAlgebra(Record):
         ad = [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
         return Matrix(n, n, tuple(Fraction(e, d) if e else ZERO for e in ad))
 
-    @cached
+    @cached_property
     def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
         brackets, from one pass over T = ``_scaled``: the column c of a pair
@@ -161,17 +162,17 @@ class LieAlgebra(Record):
             columns[a].append((b, [(k, -c) for k, c in col.items()]))
         return columns
 
-    @cached
+    @cached_property
     def _center(self) -> Subspace:
         """The null space of `_adjoint_rows`."""
         return _kernel_int(_adjoint_rows(self).values(), self.dim)
 
-    @cached
+    @cached_property
     def _derived(self) -> Subspace:
         """The span of the columns of T."""
         return _span_int(self.dim, [dense(col, self.dim, 0) for col in self._scaled[1].values()])
 
-    @cached
+    @cached_property
     def _series(self) -> tuple[Subspace, ...]:
         """C0 = g and C1 = ``_derived``; C(k+1) is the span of the columns of
         ad(c) for c in a basis of Ck; stops at zero or when stationary.  Each

@@ -18,12 +18,13 @@ Each object is scaled once: a `Matrix`, and the bracket table of a
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .checks import PhqError, Record, cached
+from .checks import PhqError, Record
 
 Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
@@ -337,7 +338,7 @@ class Matrix(Record):
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    @cached
+    @cached_property
     def _scaled(self) -> Scaled:
         """`scaled` of the entries, made on first use and kept: the least
         common denominator d and the row-major integers d * entries."""

@@ -140,11 +140,20 @@ algebra, recipe = parse_path("fixtures/TstarTheta3K.alg"), parse_path("fixtures/
 barrier = threading.Barrier(8, timeout=60)
 sys.setswitchinterval(1e-5)
 results = [None] * 8
+rotate = int(sys.argv[1])
 
 
-# the three library paths to a lazy module: a recipe's builders, a command
-# and a name of the package
+def imported():
+    from phq.catalog import classify
+    from phq.reduction import full_reduction
+
+    return repr((classify(algebra), full_reduction(algebra)))
+
+
+# the paths to a lazy module: an import statement, a recipe's builders, a
+# command and a name of the package
 PATHS = (
+    imported,
     lambda: serialize_algebra(recipe.evaluate()),
     lambda: repr(cmd_classify(algebra)),
     lambda: repr(phq.classify(algebra)),
@@ -153,7 +162,7 @@ PATHS = (
 
 def results_of(i):
     try:
-        return [PATHS[(i + k) % 3]() for k in range(3)]
+        return [PATHS[(rotate * i + k) % 4]() for k in range(4)]
     except Exception as exc:
         return repr(exc)
 
@@ -174,7 +183,10 @@ print("same" if results == serial else f"threads {results}\\nserial {serial}")
 """
 
 
-def test_first_loads_from_eight_threads_return_the_serial_results():
-    proc = child([], THREADS)
+# rotate 0: every thread's first step is the import statement; rotate 1:
+# the threads start on different paths
+@pytest.mark.parametrize("rotate", [0, 1])
+def test_first_loads_from_eight_threads_return_the_serial_results(rotate):
+    proc = child([str(rotate)], THREADS)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == "same\n"

@@ -1,9 +1,9 @@
 """The record classes of the library: frozen values compared by their fields.
 
-Every non-exception class of ``phq`` but `Record` and `cached` is a record.
-Its fields are fixed at construction, ``==`` and ``hash`` follow the tuple
-of its fields, another class never compares equal, assigning or deleting an
-attribute raises `AttributeError`, and ``repr`` is ``Name(field=value, ...)``.  `Recipe`
+Every non-exception class of ``phq`` is a record.  Its fields are fixed at
+construction, ``==`` and ``hash`` follow the tuple of its fields, another
+class never compares equal, assigning or deleting an attribute raises
+`AttributeError`, and ``repr`` is ``Name(field=value, ...)``.  `Recipe`
 keeps its ``build`` closure out of ``==``, ``hash`` and ``repr``.
 """
 
@@ -123,8 +123,7 @@ def test_every_class_of_the_library_is_listed():
         namespace = vars(getattr(phq, module))
         for name, value in namespace.items():
             if isinstance(value, type) and value.__module__ == f"phq.{module}":
-                # the base and the descriptor `cached` of the records are no records
-                if not issubclass(value, BaseException) and name not in ("Record", "cached"):
+                if not issubclass(value, BaseException) and name != "Record":
                     found.add(name)
     assert found == set(FIELDS)
 
