@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 
+from . import reduction
 from .checks import Check, PhqError, Record
 from .constructions import (
     Cocycle,
@@ -29,7 +30,6 @@ from .constructions import (
 )
 from .lie import LieAlgebra, LinearMap
 from .linalg import Matrix, is_zero_vec, unit_vector
-from .reduction import ReductionResult, full_reduction
 from .structures import Fingerprint, PHQAlgebra, check_phq, fingerprint
 
 
@@ -47,8 +47,26 @@ class UnclassifiedFingerprint(PhqError, ValueError):
 
 _ATOM_ORDER = {"L": 0, "T": 1, "R": 2}
 _R_ATOM = re.compile(r"^R\((\d+),(\d+)\)$")
-_L_ATOMS = {"L(4,2)", "L(2,4)"}
-_T_ATOMS = {"Tstar0K", "TstarTheta3K"}
+# the builder of each model but R(p,q), whose factors `_signature` reads;
+# each looks its function up when called, so a patched or traced one runs
+_MODELS = {
+    "L(4,2)": lambda: lorentz_core(True),
+    "L(2,4)": lambda: lorentz_core(False),
+    "Tstar0K": lambda: tstar_kodaira(),
+    "TstarTheta3K": lambda: tstar_kodaira(kodaira_cocycle_basis()[2]),
+}
+
+
+def _signature(atom: str) -> tuple[int, int]:
+    """(p, q) of an abelian factor ``R(p,q)``; any other text, and a
+    signature that is odd or zero, raises `UnknownLabel`."""
+    m = _R_ATOM.match(atom)
+    if not m:
+        raise UnknownLabel(f"unknown factor {atom!r}")
+    p, q = int(m.group(1)), int(m.group(2))
+    if p % 2 or q % 2 or p == q == 0:
+        raise UnknownLabel(f"abelian factor needs even nonzero signature: {atom}")
+    return p, q
 
 
 class CatalogLabel(Record):
@@ -60,15 +78,8 @@ class CatalogLabel(Record):
         if not self.factors:
             raise UnknownLabel("a label needs at least one factor")
         for atom in self.factors:
-            if atom in _L_ATOMS or atom in _T_ATOMS:
-                continue
-            m = _R_ATOM.match(atom)
-            if m:
-                pq = (int(m.group(1)), int(m.group(2)))
-                if pq == (0, 0) or pq[0] % 2 or pq[1] % 2:
-                    raise UnknownLabel(f"abelian factor needs even nonzero signature: {atom}")
-                continue
-            raise UnknownLabel(f"unknown factor {atom!r}")
+            if atom not in _MODELS:
+                _signature(atom)
         ordered = tuple(sorted(self.factors, key=lambda a: (_ATOM_ORDER[a[0]], a)))
         object.__setattr__(self, "factors", ordered)
 
@@ -131,26 +142,14 @@ def tstar_kodaira(theta: Cocycle | None = None) -> PHQAlgebra:
     return tstar_extension(algebra, j, theta if theta is not None else Cocycle.zero(4))
 
 
-def _build_atom(atom: str) -> PHQAlgebra:
-    if atom == "L(4,2)":
-        return lorentz_core(True)
-    if atom == "L(2,4)":
-        return lorentz_core(False)
-    if atom == "Tstar0K":
-        return tstar_kodaira()
-    if atom == "TstarTheta3K":
-        return tstar_kodaira(kodaira_cocycle_basis()[2])
-    m = _R_ATOM.match(atom)
-    if m:
-        return abelian_with_signature(int(m.group(1)), int(m.group(2)))
-    raise UnknownLabel(f"unknown factor {atom!r}")
-
-
 def build(lab: CatalogLabel | str) -> PHQAlgebra:
     """The exact model algebra for a label (factors summed in canonical order)."""
     if isinstance(lab, str):
         lab = CatalogLabel.parse(lab)
-    return reduce(direct_sum, (_build_atom(atom) for atom in lab.factors))
+    return reduce(
+        direct_sum,
+        (_MODELS[a]() if a in _MODELS else abelian_with_signature(*_signature(a)) for a in lab.factors),
+    )
 
 
 # Fingerprint rows of every non-abelian case in dimension at most 8, keyed by
@@ -170,7 +169,7 @@ _FINGERPRINT_TABLE: dict[tuple, str] = {
 class Classification(Record):
     label: CatalogLabel
     fingerprint: Fingerprint
-    reduction: ReductionResult
+    reduction: reduction.ReductionResult
 
 
 def classify(p: PHQAlgebra) -> Classification:
@@ -190,7 +189,7 @@ def classify(p: PHQAlgebra) -> Classification:
     fp = fingerprint(p)
     if fp.nilpotency_index is None:
         raise UnclassifiedFingerprint("input is not nilpotent")
-    steps = full_reduction(p)
+    steps = reduction.full_reduction(p)
     if fp.dim_derived == 0:
         pq = fp.sig_phi
         return Classification(label(f"R({pq[0]},{pq[1]})"), fp, steps)

@@ -22,12 +22,11 @@ class PhqError(Exception):
 class Record:
     """A frozen value whose fields are the annotations of its class, in order.
 
-    A class attribute named after a field is that field's default, and the
-    class keyword ``hidden`` names fields kept out of ``==``, ``hash`` and
-    ``repr``.  ``__init__`` takes the fields by position or keyword and then
-    runs ``__post_init__``, which may normalize a field through
+    A class attribute named after a field is that field's default.
+    ``__init__`` takes the fields by position or keyword and then runs
+    ``__post_init__``, which may normalize a field through
     ``object.__setattr__``.  Two records are equal when they have the same
-    class and equal shown fields, and hash as the tuple of those; assigning
+    class and equal fields, and hash as the tuple of those; assigning
     or deleting an attribute raises `AttributeError`.  Instances keep a
     ``__dict__``, so `functools.cached_property` works on them.  No code is
     generated per class: the methods below serve every record, which keeps
@@ -36,16 +35,14 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
-    _shown: tuple[str, ...] = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._shown = tuple(name for name in cls._fields if name not in hidden)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        # the shown values of an instance, a bare value for one field
-        cls._get = attrgetter(*cls._shown)
+        # the field values of an instance, a bare value for one field
+        cls._get = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -72,12 +69,12 @@ class Record:
         pass
 
     def _key(self) -> tuple:
-        """The tuple of the shown fields."""
+        """The tuple of the fields."""
         key = self._get(self)
-        return key if len(self._shown) > 1 else (key,)
+        return key if len(self._fields) > 1 else (key,)
 
     def _asdict(self) -> dict:
-        return dict(zip(self._shown, self._key()))
+        return dict(zip(self._fields, self._key()))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -89,7 +86,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._shown, self._key()))
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
         return f"{self.__class__.__qualname__}({inner})"
 
     def __setattr__(self, name, value):

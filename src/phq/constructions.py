@@ -313,9 +313,6 @@ class Cocycle(Record):
                 acc[k] = acc.get(k, ZERO) + c
         return Cocycle(self.dim, total)
 
-    def __neg__(self) -> "Cocycle":
-        return self.scale(-1)
-
 
 def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
     """Three conditions on a dual-valued antisymmetric 2-form.

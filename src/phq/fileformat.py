@@ -175,23 +175,25 @@ def serialize_algebra(p: PHQAlgebra) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-class Recipe(Record, hidden=("build",)):
+class Recipe(Record):
     """Parsed construction tree: every field is checked, ``dim`` is the
     predicted dimension, and `evaluate` builds the algebra."""
 
     tree: dict
     dim: int
-    build: Callable[[], PHQAlgebra]
 
     def evaluate(self) -> PHQAlgebra:
-        if self.dim > MAX_DIM:
-            raise ParseError(f"recipe builds an algebra of dimension {self.dim}, above {MAX_DIM}")
-        return self.build()
+        """Walk the tree again, as parsing did, and build what that walk
+        returns, bounded by the dimension that walk gives."""
+        dim, build = _recipe(self.tree, "recipe")
+        if dim > MAX_DIM:
+            raise ParseError(f"recipe builds an algebra of dimension {dim}, above {MAX_DIM}")
+        return build()
 
 
 def parse_recipe_text(text: str) -> Recipe:
     doc = _load_json(text)
-    return Recipe(doc, *_recipe(doc, "recipe"))
+    return Recipe(doc, _recipe(doc, "recipe")[0])
 
 
 def _recipe(
@@ -206,7 +208,7 @@ def _recipe(
         raise ParseError(f"{where}: each node needs an 'op' field")
     op = node["op"]
     if op in ("L(4,2)", "L(2,4)"):
-        return 6, lambda: catalog.lorentz_core(op == "L(4,2)")
+        return 6, lambda: catalog.build(op)
     if op == "kodaira":
         if not carrier:
             raise ParseError(f"{where}: the kodaira carrier has no metric; wrap it in 'tstar'")

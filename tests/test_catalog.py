@@ -60,6 +60,27 @@ class TestLabels:
         with pytest.raises(UnknownLabel):
             CatalogLabel.parse("R(1,1)")
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: CatalogLabel(()), "a label needs at least one factor"),
+            (lambda: build("R(1,1)"), "abelian factor needs even nonzero signature: R(1,1)"),
+            (lambda: build("R(0,0)"), "abelian factor needs even nonzero signature: R(0,0)"),
+            (lambda: build("L(3,3)"), "unknown factor 'L(3,3)'"),
+            (lambda: build("R(2,0)+R(2)"), "unknown factor 'R(2)'"),
+            (lambda: abelian_with_signature(1, 1), "signature (1,1) must have even nonzero entries"),
+            (lambda: abelian_with_signature(0, 0), "signature (0,0) must have even nonzero entries"),
+        ],
+        ids=[
+            "empty", "odd_signature", "zero_signature", "unknown", "unknown_beside_known",
+            "odd_abelian", "zero_abelian",
+        ],
+    )
+    def test_messages(self, make, message):
+        with pytest.raises(UnknownLabel) as info:
+            make()
+        assert str(info.value) == message
+
 
 class TestBuild:
     def test_core_metric_value(self):
@@ -147,6 +168,18 @@ class TestWitness:
     def test_scaled_map_is_not_isometry(self):
         core = build("L(4,2)")
         assert not verify_witness(core, core, Matrix.identity(6).scale(2)).ok
+
+    @pytest.mark.parametrize(
+        "a, w, failure",
+        [
+            ("R(2,0)", Matrix.identity(4), "dimensions differ"),
+            ("R(2,2)", Matrix.identity(3), "witness matrix has the wrong shape"),
+            ("R(2,2)", Matrix.zero(4, 3), "witness matrix has the wrong shape"),
+        ],
+        ids=["dimensions", "square_shape", "columns"],
+    )
+    def test_shape_failures(self, a, w, failure):
+        assert verify_witness(build(a), build("R(2,2)"), w).failures == (failure,)
 
     def test_wrong_bracket_detected(self):
         a = build("Tstar0K")

@@ -380,6 +380,14 @@ class TestParsing:
         )
         assert recipe.evaluate() == build("TstarTheta3K")
 
+    def test_evaluate_bounds_and_builds_the_tree_it_holds(self):
+        # `evaluate` walks the tree again, whatever dimension the record holds
+        recipe = parse_recipe_text('{"op": "L(4,2)"}')
+        grown = type(recipe)({"op": "tensor", "k": 100000, "base": recipe.tree}, recipe.dim)
+        with pytest.raises(ParseError, match=f"dimension 600000, above {MAX_DIM}"):
+            grown.evaluate()
+        assert type(recipe)({"op": "L(2,4)"}, recipe.dim).evaluate() == build("L(2,4)")
+
     @pytest.mark.parametrize("name", MALFORMED_RECIPES)
     def test_malformed_recipe_message(self, name):
         recipe, message = MALFORMED_RECIPES[name]

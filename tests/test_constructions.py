@@ -29,6 +29,7 @@ from phq import (
     fingerprint,
     full_reduction,
     gram_restriction,
+    is_skewsymmetric,
     kodaira_cocycle_basis,
     kodaira_thurston,
     line_double_extension,
@@ -140,6 +141,33 @@ def adapted_pair(a, b) -> tuple[Matrix, Matrix]:
 
 
 class TestValidateExtensionData:
+    @pytest.mark.parametrize(
+        "d, f, s0",
+        [
+            (Matrix.zero(3), Matrix.zero(4), (0, 0, 0, 0)),
+            (Matrix.zero(4), Matrix.zero(4, 3), (0, 0, 0, 0)),
+            (Matrix.zero(4), Matrix.zero(4), (0, 0, 0)),
+        ],
+        ids=["d", "f", "s0"],
+    )
+    def test_shape_mismatch(self, d, f, s0):
+        check = validate_extension_data(build("R(2,2)"), d, f, s0)
+        assert check.failures == ("shape mismatch with the base algebra",)
+
+    @pytest.mark.parametrize(
+        "m, g, message",
+        [
+            (Matrix.zero(3), Matrix.identity(4), "3x3 map against a 4x4 form"),
+            (Matrix.zero(4, 3), Matrix.identity(4), "4x3 map against a 4x4 form"),
+            (Matrix.zero(4), Matrix.zero(4, 3), "4x4 map against a 4x3 form"),
+        ],
+        ids=["map", "map_columns", "form"],
+    )
+    def test_skewsymmetry_needs_matching_shapes(self, m, g, message):
+        with pytest.raises(DimensionMismatch) as info:
+            is_skewsymmetric(m, g)
+        assert str(info.value) == message
+
     def test_trivial_data_passes(self):
         base = build("R(2,2)")
         assert validate_extension_data(base, Matrix.zero(4), Matrix.zero(4), unit(4, 0)).ok

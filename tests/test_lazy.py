@@ -71,15 +71,49 @@ def snapshot(key):
 
 @pytest.mark.parametrize(
     "command, skipped",
-    [("check", LAZY), ("invariants", LAZY), ("reduce", ("catalog",)), ("classify", ())],
+    [
+        ("check", LAZY),
+        ("invariants", LAZY),
+        ("reduce", ("catalog",)),
+        ("classify", ()),
+        ("construct", ("reduction",)),
+    ],
 )
 def test_a_command_runs_only_the_layers_it_reaches(command, skipped):
-    proc = child([command, "fixtures/TstarTheta3K.alg"], COMMAND.format(layers=LAYERS))
-    expected = snapshot(f"text {command} TstarTheta3K.alg")
+    name = "tstar_theta3.recipe" if command == "construct" else "TstarTheta3K.alg"
+    proc = child([command, f"fixtures/{name}"], COMMAND.format(layers=LAYERS))
+    expected = snapshot(f"text {command} {name}")
     assert proc.returncode == expected["exit"]
     assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
     ran = proc.stderr.decode().split()
     assert sorted(ran) == sorted(m for m in LAYERS if m not in skipped)
+
+
+# Runs `phq construct` on each fixture recipe in one process, then prints
+# whether `reduction` has run.
+CONSTRUCT_ALL = """
+import hashlib, io, sys, types
+from contextlib import redirect_stdout
+import phq.cli
+for name in sys.argv[1:]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = phq.cli.main(["construct", "fixtures/" + name])
+    print(name, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(type(sys.modules["phq.reduction"]) is types.ModuleType)
+"""
+
+
+def test_construct_never_runs_reduction():
+    names = sorted(path.name for path in FIXTURES.glob("*.recipe"))
+    assert len(names) == 4
+    proc = child(names, CONSTRUCT_ALL)
+    assert proc.returncode == 0, proc.stderr.decode()
+    *lines, ran = proc.stdout.decode().splitlines()
+    for line, name in zip(lines, names, strict=True):
+        expected = snapshot(f"text construct {name}")
+        assert line == f"{name} {expected['exit']} {expected['sha256']}"
+    assert ran == "False"
 
 
 def test_traced_launcher_wraps_the_lazy_layers():

@@ -23,7 +23,7 @@ from phq import (
     vector,
 )
 
-from phq.linalg import solve_linear_many
+from phq.linalg import add_vec, dot, solve_linear_many, sub_vec
 
 from oracles import (
     entries,
@@ -89,6 +89,72 @@ class TestSparseTable:
         with pytest.raises(PhqError) as info:
             make()
         assert isinstance(info.value, DimensionMismatch)
+
+
+I2, I3, Z2 = Matrix.identity(2), Matrix.identity(3), Subspace.zero(2)
+DIFFERENT_AMBIENTS = "subspaces in different ambient spaces"
+
+
+class TestShapeGuards:
+    # each shape guard of the module, with the error it raises and its text
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: add_vec((1,), (1, 2)), DimensionMismatch, "vector lengths 1 and 2"),
+            (lambda: sub_vec((1,), (1, 2)), DimensionMismatch, "vector lengths 1 and 2"),
+            (lambda: dot((1, 2), (1,)), DimensionMismatch, "vector lengths 2 and 1"),
+            (lambda: Matrix(-1, 0, ()), DimensionMismatch, "negative matrix shape"),
+            (lambda: Matrix(2, 2, (F(1),)), DimensionMismatch, "2x2 matrix needs 4 entries, got 1"),
+            (lambda: Matrix.from_rows([[1], [1, 2]]), DimensionMismatch, "ragged rows"),
+            (
+                lambda: Matrix.from_rows([]),
+                DimensionMismatch,
+                "empty from_rows needs an explicit column count",
+            ),
+            (lambda: Matrix.from_cols([[1], [1, 2]]), DimensionMismatch, "ragged columns"),
+            (lambda: Matrix.from_cols([]), DimensionMismatch, "empty from_cols needs an explicit row count"),
+            (lambda: I2 + I3, DimensionMismatch, "2x2 vs 3x3"),
+            (lambda: I2 @ I3, DimensionMismatch, "2x2 @ 3x3"),
+            (lambda: I2.apply((1,)), DimensionMismatch, "2x2 applied to length-1 vector"),
+            (lambda: I2[2, 0], IndexError, "(2,0) out of range for 2x2"),
+            (
+                lambda: solve_linear_many(I2, [(1, 2), (1,)]),
+                DimensionMismatch,
+                "matrix has 2 rows, rhs has length 1",
+            ),
+            (lambda: Subspace.span(2, [[1]]), DimensionMismatch, "vector of length 1 in ambient dim 2"),
+            (lambda: Z2.contains((1,)), DimensionMismatch, "vector/ambient dimension mismatch"),
+            (lambda: Z2.sum_with(Subspace.zero(3)), DimensionMismatch, DIFFERENT_AMBIENTS),
+            (lambda: intersect(Z2, Subspace.zero(3)), DimensionMismatch, DIFFERENT_AMBIENTS),
+            (
+                lambda: orthogonal_complement(Z2, I3),
+                DimensionMismatch,
+                "pairing matrix must be square of the ambient dimension",
+            ),
+            (lambda: map_image(I3, Z2), DimensionMismatch, "3x3 map on a subspace of ambient dim 2"),
+            (
+                lambda: gram_restriction(I2, [[1]]),
+                DimensionMismatch,
+                "Gram matrix needs a square form and vectors of its dimension",
+            ),
+            (lambda: signature(Matrix.zero(2, 3)), NotSymmetricError, "signature needs a square matrix"),
+            (
+                lambda: signature(Matrix.from_rows([[0, 1], [0, 0]])),
+                NotSymmetricError,
+                "signature needs a symmetric matrix",
+            ),
+        ],
+        ids=[
+            "add_vec", "sub_vec", "dot", "negative_shape", "entry_count", "ragged_rows", "empty_rows",
+            "ragged_cols", "empty_cols", "add", "matmul", "apply", "getitem", "solve_linear_many",
+            "span", "contains", "sum_with", "intersect", "orthogonal_complement", "map_image",
+            "gram_restriction", "signature_square", "signature_symmetric",
+        ],
+    )
+    def test_each_guard_names_the_mismatch(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestSolveLinear:

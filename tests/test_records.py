@@ -3,8 +3,7 @@
 Every non-exception class of ``phq`` is a record.  Its fields are fixed at
 construction, ``==`` and ``hash`` follow the tuple of its fields, another
 class never compares equal, assigning or deleting an attribute raises
-`AttributeError`, and ``repr`` is ``Name(field=value, ...)``.  `Recipe`
-keeps its ``build`` closure out of ``==``, ``hash`` and ``repr``.
+`AttributeError`, and ``repr`` is ``Name(field=value, ...)``.
 """
 
 import hashlib
@@ -44,7 +43,7 @@ from phq.reduction import SkewPairReport
 
 from conftest import FIXTURES
 
-# the fields of each record in order; those after "|" stay out of ==, hash and repr
+# the fields of each record in order
 FIELDS = {
     "Check": "label failures",
     "Report": "parts",
@@ -65,18 +64,14 @@ FIELDS = {
     "CatalogLabel": "factors",
     "Classification": "label fingerprint reduction",
     "InequivalenceEvidence": "field value_a value_b",
-    "Recipe": "tree dim | build",
+    "Recipe": "tree dim",
 }
 
 MODULES = ("checks", "linalg", "lie", "structures", "constructions", "reduction", "catalog", "fileformat")
 
 
 def fields(name):
-    return FIELDS[name].replace("|", "").split()
-
-
-def shown(name):
-    return FIELDS[name].split("|")[0].split()
+    return FIELDS[name].split()
 
 
 @cache
@@ -137,7 +132,7 @@ def test_equality_and_hash_follow_the_fields(name):
     same, by_keyword = cls(*values), cls(**dict(zip(fields(name), values)))
     assert same == a and by_keyword == a and not same != a
     assert a != b and not a == b
-    key = tuple(getattr(a, f) for f in shown(name))
+    key = tuple(getattr(a, f) for f in fields(name))
     try:
         expected = hash(key)
     except TypeError:
@@ -150,7 +145,7 @@ def test_equality_and_hash_follow_the_fields(name):
 @pytest.mark.parametrize("name", FIELDS)
 def test_another_class_compares_unequal(name):
     a = samples()[name][0]
-    key = tuple(getattr(a, f) for f in shown(name))
+    key = tuple(getattr(a, f) for f in fields(name))
     assert a.__eq__(key) is NotImplemented and a != key
     others = [pair[0] for other, pair in samples().items() if other != name]
     assert all(a.__eq__(o) is NotImplemented and a != o for o in others)
@@ -174,7 +169,7 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 @pytest.mark.parametrize("name", FIELDS)
 def test_repr_names_the_shown_fields(name):
     for a in samples()[name]:
-        inner = ", ".join(f"{f}={getattr(a, f)!r}" for f in shown(name))
+        inner = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields(name))
         assert repr(a) == f"{name}({inner})"
 
 
@@ -210,11 +205,15 @@ def test_repr_strings():
     }
 
 
-def test_recipe_ignores_its_build():
+def test_no_record_holds_a_callable():
+    for name, pair in samples().items():
+        for a in pair:
+            assert not any(callable(getattr(a, f)) for f in fields(name)), name
+    # a recipe is its tree and dimension; `evaluate` builds from the tree
     recipe = samples()["Recipe"][0]
-    other = type(recipe)(recipe.tree, recipe.dim, lambda: None)
-    assert other == recipe and repr(other) == repr(recipe)
-    assert other.build is not recipe.build
+    with pytest.raises(TypeError):
+        type(recipe)(recipe.tree, recipe.dim, lambda: None)
+    assert type(recipe)(recipe.tree, recipe.dim).evaluate() == build("TstarTheta3K")
 
 
 def test_fields_with_defaults():
