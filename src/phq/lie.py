@@ -101,9 +101,9 @@ class LieAlgebra(Record):
     @property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense read-only view: ``structure[i][j]`` is the bracket of basis
-        elements i and j.  Computed on every access straight from the table,
-        not through `adjoint`, so the oracles can test `adjoint` against it;
-        the library never reads it."""
+        elements i and j, made on every access from the table, not through
+        `adjoint`.  Never read by the library; read by `tests/oracles.py`, to
+        test `adjoint`, and `perfbench/spans.py`'s `lie.structure_nonzeros`."""
         n, zero = self.dim, zero_vector(self.dim)
         upper = {pair: dense(col, n) for pair, col in self.brackets.items()}
         return tuple(

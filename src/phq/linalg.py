@@ -548,7 +548,7 @@ def _complement_int(n: int, g: Sequence[int], xs: Iterable[Sequence[int]]) -> Su
     """The y with x^T G y = 0 for every integer vector x of ``xs``, the null
     space of the rows G x, for the row-major n x n integer form G; raises
     `NotSymmetricError` unless G is symmetric.  `orthogonal_complement` and
-    the reduction steps call it."""
+    `reduction._choose`, for the complement basis of a step, call it."""
     if g != _transpose(g, n):
         raise NotSymmetricError("pairing matrix must be symmetric")
     return _kernel_int([mat_vec(g, n, n, enumerate(x), 0) for x in xs], n)

@@ -108,37 +108,49 @@ class CentralPair(Record):
 
 
 def find_central_pair(p: PHQAlgebra) -> CentralPair:
-    """W = center ∩ j(center), plus a deterministic choice of z in W.
-
-    Preference order: the first echelon basis vector of W ∩ derived (such a z
-    is automatically isotropic); otherwise the first vector of nonzero norm
-    among the echelon basis of W and then pairwise sums of it.  A nonempty W
-    is guaranteed for nilpotent input; anything else raises.
-    """
+    """W = center ∩ j(center), plus the first admissible z of the candidates
+    that `_choose` offers: one in W ∩ derived (so isotropic, the derived
+    ideal being the orthogonal of the center) drives a plane reduction, one
+    of nonzero norm a split.  A nonempty W is guaranteed for nilpotent
+    input; anything else raises."""
     center = p.algebra.center()
     w = intersect(center, map_image(p.j, center))
     if w.dim == 0:
         raise EmptyIntersection(w, center, p.basis_names)
     in_derived = intersect(w, p.algebra.derived_ideal())
-    if in_derived.dim > 0:
-        return CentralPair(w, in_derived.basis[0], True)
-    candidates = list(w.basis)
-    candidates += [add_vec(u, v) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :]]
+    candidates = _choose(p, "z", w, in_derived)
     for z in candidates:
-        if _norm(p, scaled(z)) != 0:
+        if in_derived.contains(z):
+            return CentralPair(w, z, True)
+        if _phi(p, scaled(z), scaled(z)) != 0:
             return CentralPair(w, z, False)
     raise ReductionStuck(w, candidates, p.basis_names)
 
 
+def _choose(p: PHQAlgebra, what: str, *given):
+    """Every choice of an inverse step, made here and nowhere else: a step is
+    valid for any admissible z, isotropic dual v and complement basis
+    (Medina–Revoy 1985), and the steps check z and v.  ``what`` is one of
+    - ``"z"``, given W and W ∩ derived: the candidates in order of
+      preference, the first echelon vector of W ∩ derived if that is not
+      zero, else the echelon basis of W and then its pairwise sums;
+    - ``"v"``, given the `Scaled` z and jz: `_isotropic_dual`'s solution;
+    - ``"basis"``, given the `Scaled` vectors of the plane a step removes:
+      the echelon basis (`_complement_int`) of their orthogonal complement.
+    """
+    if what == "z":
+        w, in_derived = given
+        if in_derived.dim > 0:
+            return [in_derived.basis[0]]
+        return [*w.basis, *(add_vec(u, v) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :])]
+    if what == "v":
+        error = InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
+        return _isotropic_dual(p, *given, error)
+    return _complement_int(p.dim, p.phi._scaled[1], [x for _, x in given]).basis
+
+
 # The helpers below take and give `Scaled` pairs, or integers where only a
 # sign or a zero test needs them, on T = d * brackets, J = dj * j, G = dg * phi.
-
-
-def _vec(p: PHQAlgebra, v: Sequence) -> Scaled:
-    v = vector(v)
-    if len(v) != p.dim:
-        raise DimensionMismatch("vector must match the algebra dimension")
-    return scaled(v)
 
 
 def _jmap(p: PHQAlgebra, x: Scaled) -> Scaled:
@@ -146,9 +158,10 @@ def _jmap(p: PHQAlgebra, x: Scaled) -> Scaled:
     return dj * x[0], mat_vec(jn, p.dim, p.dim, enumerate(x[1]), 0)
 
 
-def _norm(p: PHQAlgebra, x: Scaled) -> int:
-    """dg * s^2 * phi(x, x), of the sign of phi(x, x)."""
-    return sum(map(mul, x[1], mat_vec(p.phi._scaled[1], p.dim, p.dim, enumerate(x[1]), 0)))
+def _phi(p: PHQAlgebra, x: Scaled, y: Scaled) -> int:
+    """dg * s * t * phi(y, x) for the pairs (s, x) and (t, y), of the sign of
+    phi(y, x); with y = x, of the sign of the norm."""
+    return sum(map(mul, y[1], mat_vec(p.phi._scaled[1], p.dim, p.dim, enumerate(x[1]), 0)))
 
 
 def _central(p: PHQAlgebra, x: Scaled) -> bool:
@@ -180,8 +193,8 @@ def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled, error: Exception) -> V
     z orthogonal to zp: the minimal-support solution v0 of the two linear
     conditions, moved along z until it is isotropic, v0 - phi(v0, v0) / 2 z,
     with each entry made once over the common denominator.  Raises ``error``
-    if the conditions are inconsistent.  `reduce_by_plane` and
-    `analyze_skew_pair` share it."""
+    if the conditions are inconsistent.  The solver behind the reduction's
+    choice of v (`_choose`) and behind `analyze_skew_pair`'s u2."""
     n = p.dim
     dg, g = p.phi._scaled
     # for the `Scaled` pair (s, x) of a vector u, G x is dg * s * phi(u, .)
@@ -189,9 +202,9 @@ def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled, error: Exception) -> V
     xs = _solve_int(rows, [1] * n, [1])
     if xs is None:
         raise error
-    s, x = scaled(xs[0])
-    q = _norm(p, (s, x))  # dg s^2 phi(v0, v0)
-    sz, zn = z
+    v0 = scaled(xs[0])
+    q = _phi(p, v0, v0)  # dg s^2 phi(v0, v0)
+    (s, x), (sz, zn) = v0, z
     return tuple(Fraction(2 * dg * s * sz * a - q * b, 2 * dg * s * s * sz) for a, b in zip(x, zn))
 
 
@@ -238,21 +251,32 @@ def _restrict(
     return restricted, coords[m + len(pairs) :]
 
 
+def _central_plane(p: PHQAlgebra, z: Vector, derived: bool) -> tuple[Scaled, Scaled, int]:
+    """z, jz and the norm of z (`_phi`) for the vector z, after the test,
+    shared by both steps, that z and jz are central and, for a plane
+    reduction (``derived``), that z lies in the derived ideal."""
+    if len(z) != p.dim:
+        raise DimensionMismatch("vector must match the algebra dimension")
+    zs = scaled(z)
+    zps = _jmap(p, zs)
+    both = "z and jz must be central"
+    if not _central(p, zs) or derived and not p.algebra.derived_ideal().contains(z):
+        raise InvalidCentralElement("z must lie in center ∩ derived" if derived else both)
+    if not _central(p, zps):
+        raise InvalidCentralElement("jz must be central" if derived else both)
+    return zs, zps, _phi(p, zs, zs)
+
+
 def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
     """Remove the definite j-invariant central plane spanned by z and jz.
 
-    Returns the restriction to the orthogonal complement together with the
-    sign of phi(z, z).
+    Returns the restriction to the orthogonal complement, in the basis that
+    `_choose` picks, together with the sign of phi(z, z).
     """
-    zs = _vec(p, z)
-    zps = _jmap(p, zs)
-    if not (_central(p, zs) and _central(p, zps)):
-        raise InvalidCentralElement("z and jz must be central")
-    norm = _norm(p, zs)
+    zs, zps, norm = _central_plane(p, vector(z), False)
     if norm == 0:
         raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    complement = _complement_int(p.dim, p.phi._scaled[1], [zs[1], zps[1]]).basis
-    return _restrict(p, [scaled(b) for b in complement])[0], (1 if norm > 0 else -1)
+    return _restrict(p, [scaled(b) for b in _choose(p, "basis", zs, zps)])[0], (1 if norm > 0 else -1)
 
 
 class ReductionStep(Record):
@@ -272,48 +296,32 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     """Invert the plane double extension at an isotropic central z.
 
     Requires z in center ∩ derived with jz central (such z are isotropic
-    because the derived ideal is the orthogonal of the center).  Constructs
-    the dual vector v with phi(z,v) = 1, phi(jz,v) = 0, corrected to be
-    isotropic; the recovered base is the orthogonal of span{z, jz, v, jv},
-    and the extension data is read off the brackets with v and jv.
+    because the derived ideal is the orthogonal of the center).  Takes from
+    `_choose` the dual v, checked to be isotropic with phi(z,v) = 1 and
+    phi(jz,v) = 0, and the basis of the recovered base, the orthogonal of
+    span{z, jz, v, jv}; the extension data is read off the brackets with v
+    and jv.
     """
     z = vector(z)
-    zs = _vec(p, z)
-    if not (_central(p, zs) and p.algebra.derived_ideal().contains(z)):
-        raise InvalidCentralElement("z must lie in center ∩ derived")
-    zps = _jmap(p, zs)
-    if not _central(p, zps):
-        raise InvalidCentralElement("jz must be central")
-    if _norm(p, zs) != 0:
+    zs, zps, norm = _central_plane(p, z, True)
+    if norm != 0:
         raise NonIsotropic("z must be isotropic")
-
-    v = _isotropic_dual(
-        p, zs, zps, InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
-    )
+    v = _choose(p, "v", zs, zps)
     vs = scaled(v)
     vps = _jmap(p, vs)
-
-    basis = _complement_int(p.dim, p.phi._scaled[1], [zs[1], zps[1], vs[1], vps[1]]).basis
+    basis = _choose(p, "basis", zs, zps, vs, vps)
+    # tested after the basis, whose choice rejects a phi that is not symmetric
+    if _phi(p, vs, vs) or _phi(p, zps, vs) or _phi(p, zs, vs) != p.phi._scaled[0] * zs[0] * vs[0]:
+        raise HypothesisViolated("v must be isotropic, with phi(z, v) = 1 and phi(jz, v) = 0")
     m = len(basis)
     bs = [scaled(b) for b in basis]
     # F, D and s0 are the base components of [v, x], [v', x] and [v, v'].
     extra = [(w, b) for w in (vs, vps) for b in bs] + [(vs, vps)]
     base, ext = _restrict(p, bs, drop=(zs, zps), extra=extra)
-    data = ExtensionData(
-        base,
-        Matrix.from_cols(ext[m : 2 * m], rows=m),
-        Matrix.from_cols(ext[:m], rows=m),
-        ext[2 * m],
-    )
-    return ReductionStep(
-        kind="plane_reduction",
-        z=z,
-        v=v,
-        sign=None,
-        recovered=base,
-        extension_data=data,
-        adapted_basis=Matrix.from_cols([z, _unscaled(zps), *basis, _unscaled(vps), v], rows=p.dim),
-    )
+    f, d = (Matrix.from_cols(ext[a : a + m], rows=m) for a in (0, m))
+    data = ExtensionData(base, d, f, ext[2 * m])
+    adapted = Matrix.from_cols([z, _unscaled(zps), *basis, _unscaled(vps), v], rows=p.dim)
+    return ReductionStep("plane_reduction", z, v, None, base, data, adapted)
 
 
 class ReductionResult(Record):
@@ -349,15 +357,7 @@ def full_reduction(p: PHQAlgebra) -> ReductionResult:
             step = reduce_by_plane(current, pair.z)
         else:
             rest, sign = split_plane(current, pair.z)
-            step = ReductionStep(
-                kind="split_plane",
-                z=pair.z,
-                v=None,
-                sign=sign,
-                recovered=rest,
-                extension_data=None,
-                adapted_basis=None,
-            )
+            step = ReductionStep("split_plane", pair.z, None, sign, rest, None, None)
         steps.append(step)
         current = step.recovered
     return ReductionResult(tuple(steps), current)

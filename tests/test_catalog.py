@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import phq.catalog
 from phq import (
     CatalogLabel,
     DimensionTooLarge,
@@ -142,6 +144,16 @@ class TestClassify:
             Matrix.identity(2),
         )
         with pytest.raises(UnclassifiedFingerprint):
+            classify(p)
+
+    def test_a_fingerprint_without_a_row_is_named(self, monkeypatch):
+        # every valid nilpotent input of dimension <= 8 has a row, so this
+        # guard is reached only with a row taken out of the table
+        p = build("TstarTheta3K")
+        row = fingerprint(p).as_tuple()
+        monkeypatch.delitem(phq.catalog._FINGERPRINT_TABLE, row)
+        message = f"no classification row matches {row}"
+        with pytest.raises(UnclassifiedFingerprint, match=f"^{re.escape(message)}$"):
             classify(p)
 
     def test_non_nilpotent_input_rejected(self):

@@ -311,6 +311,10 @@ class TestCocycles:
         assert rep["cyclic"].ok and rep["2-cocycle"].ok
         assert not rep["J-compatible"].ok
 
+    def test_sum_needs_one_dimension(self):
+        with pytest.raises(DimensionMismatch, match="^cocycle dimensions differ$"):
+            Cocycle.zero(4) + Cocycle.zero(6)
+
     @pytest.mark.parametrize(
         "theta, j",
         [

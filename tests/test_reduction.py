@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -28,6 +30,7 @@ from phq import (
     check_phq,
     check_quadratic,
     classify,
+    complexify,
     direct_sum,
     find_central_pair,
     fingerprint,
@@ -133,6 +136,111 @@ REDUCTION_PINS = {
     "L(2,4)+R(2,0)@2": "734e2ba780b2043e48044cabfef19907e13c531a82d9764f4c09d7b6493de418",
     "L(2,4)+R(0,2)@2": "734e2ba780b2043e48044cabfef19907e13c531a82d9764f4c09d7b6493de418",
 }
+
+# sha256 of repr([(adapted_basis, recovered) for each step]) on the same
+# inputs: a new rule for the complement basis (or for z or v) changes these,
+# and must re-record them on purpose
+BASIS_PINS = {
+    "L(4,2)": "3949c2e80b4fcd5e4457ce5699c965e6e71ec9614fa9c08d8dc73a8bf315cf25",
+    "L(2,4)": "fbdc300b2cfe04a4222d7a8334ddc6a87309c2d31774c1b11b1e2f21bd1e181e",
+    "Tstar0K": "49d0eb61918747ecdfd6a11544a5611bc6ad935a067d034c106dbd41e4a4ea8a",
+    "TstarTheta3K": "11a95e49cd2d01e8ef393b2019e10f00a5843ffc33045cc9af50fef83c12b844",
+    "L(4,2)+R(2,0)": "be9a88c31e8c35a6f5475d5bf84652dd923bd58398745511d395bd8e5caef55c",
+    "L(4,2)+R(0,2)": "37c1019c49e7fb78f06355ec52a55c91154cfc8c1ba7bff91b320f8dc61cf30a",
+    "L(2,4)+R(2,0)": "8c80cdd88c51108067b3db613187d702c007ad3f217f75effd44d30148f58914",
+    "L(2,4)+R(0,2)": "3269dc5abd3223b322e9ec1d48ad24521301d18a64e15cb584acb216bd29909d",
+    "L(4,2)@0": "f0e38648ffe2c20abb026cf330dc993fdd97fac7083697cfefecceeacfb49677",
+    "L(2,4)@0": "bcad06e8fd74c89d636f8f3d37e722bc2e4cfadaeb360e9a49e779aae1d16889",
+    "Tstar0K@0": "a4717a2cedef070ab4601a9a72f160d1946422ec38045b21efa8f1a914553cfa",
+    "TstarTheta3K@0": "77895a7b701eeabe3a04d746c8a881d0b7a5902505a1d6dbf6d474a7b6c061be",
+    "L(4,2)+R(2,0)@0": "e6c94e0285b72d44fded2d0897d54006db49a1f54a31c7b3e7f4e07ee44e903f",
+    "L(4,2)+R(0,2)@0": "7c2327b184e48668f04b627aa89939c8343fd6bde91646f1af179a1f3f18209f",
+    "L(2,4)+R(2,0)@0": "34d7e59aa6eb7e94d7c769449b9864c1b055bb99896865f11c03f284616523af",
+    "L(2,4)+R(0,2)@0": "73a207f726700b7d29e24e2a0812c73cd11fbe9e0e3b73922abd7f71b01d6989",
+    "L(4,2)@1": "c31b28447d3eef53d3667532f3abb11c1e865c8287313e051027f5edf43c3d35",
+    "L(2,4)@1": "2eb1212667d18c4cde58ef3c69a873f88c511755863b9ebdf31487c25943cd64",
+    "Tstar0K@1": "7cad815ab0635784d014a866d4b09e4e32fe045d7bfb0b5a84525e2afbe8ff20",
+    "TstarTheta3K@1": "84b929193995597d6ac6ebc350c673dd0709dc4fedced46cdba67c358077ab78",
+    "L(4,2)+R(2,0)@1": "6b36343da0814fdc2a055c5363491ae293ed04328273c80de50d746462839ec9",
+    "L(4,2)+R(0,2)@1": "7faf2c80dd3269a77cf4fd6ce0efb920ff5e3a5a6c4025c4f8b5e49a42c5f4c2",
+    "L(2,4)+R(2,0)@1": "b4e76892f20979f32373a7b78be468077ae5ea9fe97a6c026fc5e4120c992379",
+    "L(2,4)+R(0,2)@1": "5bc857ee1185d0e16fdad69db7061d09f120bf001aec6ad6329d6bad4af254fd",
+    "L(4,2)@2": "4e3e515553652667cbd542ef90ef4cdd1ffcff496147a484e16a43456636eca8",
+    "L(2,4)@2": "5427067fd4ae77f575e2357f919b401b9d7f2a3828d5cbe0a3e136f7a23dad61",
+    "Tstar0K@2": "40c2b46c7e33c87b020420ff3941d58f1674606d73bd0d0c5ce50effaa178468",
+    "TstarTheta3K@2": "0dac68237a8ead111a762f885a5b265483a1b8894ef8c7e26e114a2222752c67",
+    "L(4,2)+R(2,0)@2": "71f3e19739c3f80b1c8229f90d2d0e15b7003f8b9ee3da9d30ba95eb99bc38b6",
+    "L(4,2)+R(0,2)@2": "7d7b1871f8a3707960702dafb522f27b4f053117c169db3be7ea3713345fcaa4",
+    "L(2,4)+R(2,0)@2": "d6884d20b15499e770fc6ad56e3b485f00dad46e26e91121347e8e7d614f5b76",
+    "L(2,4)+R(0,2)@2": "18d9355ed50d0b2d1de3f0c066da3ecfeb9e059f945824a0e639ddcd95c98707",
+}
+
+CHOOSE = phq.reduction._choose
+
+
+def generic_z(p, what, *given):
+    """The policy, with z = b1 + 2 b2 + ... + k bk over the echelon basis of
+    W ∩ [g,g] in place of b1."""
+    if what == "z" and given[1].dim:
+        b = given[1].basis
+        return [tuple(sum(k * x[i] for k, x in enumerate(b, start=1)) for i in range(p.dim))]
+    return CHOOSE(p, what, *given)
+
+
+def shuffled_basis(p, what, *given):
+    """The policy, with the complement basis shuffled and then changed by a
+    unit upper bidiagonal integer matrix: b_i + c_i b_(i+1), c_i in ±1, ±2."""
+    out = CHOOSE(p, what, *given)
+    if what == "basis":
+        rng = random.Random(len(out))
+        b = list(out)
+        rng.shuffle(b)
+        steps = [(x, y, rng.choice((-2, -1, 1, 2))) for x, y in zip(b, b[1:])]
+        out = [tuple(a + k * c for a, c in zip(x, y)) for x, y, k in steps] + b[-1:]
+    return out
+
+
+def moved_v(shift):
+    """The policy, with v moved to v + shift(p, z, jz, v)."""
+
+    def policy(p, what, *given):
+        out = CHOOSE(p, what, *given)
+        if what == "v":
+            z, jz = ([Fraction(a, s) for a in x] for s, x in given)
+            out = tuple(map(add, out, shift(p, z, jz, out)))
+        return out
+
+    return policy
+
+
+def split_first(p, what, *given):
+    """The policy, with z preferring the candidates of nonzero norm, so that a
+    definite central plane is split off before any plane reduction."""
+    out = CHOOSE(p, what, *given)
+    if what == "z":
+        out = [z for z in CHOOSE(p, "z", given[0], Subspace.zero(p.dim)) if p.pairing(z, z)] + out
+    return out
+
+
+def assert_valid_chain(p, result, name):
+    """Every plane step of ``result`` is witnessed by its double extension,
+    every split leaves a valid algebra whose signature plus the removed
+    plane's is the one it came from, and the dimensions add up."""
+    current = p
+    for step in result.steps:
+        if step.kind == "plane_reduction":
+            rebuilt = phq_double_extension(step.extension_data)
+            assert fingerprint(rebuilt) == fingerprint(current), name
+            assert verify_witness(rebuilt, current, step.adapted_basis).ok, name
+        else:
+            assert check_phq(step.recovered).ok, name
+            pos, neg = signature(step.recovered.phi)
+            plane = (2, 0) if step.sign > 0 else (0, 2)
+            assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
+        current = step.recovered
+    splits = sum(s.kind == "split_plane" for s in result.steps)
+    assert p.dim == result.residue.dim + 2 * splits + 4 * (len(result.steps) - splits), name
+    assert result.residue.algebra.is_abelian(), name
 
 
 class TestFindCentralPair:
@@ -323,6 +431,21 @@ class TestReduceByPlane:
         with pytest.raises(InvalidCentralElement, match="^jz must be central$"):
             reduce_by_plane(p, unit(6, 4))
 
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            lambda p, z, jz, v: z,  # norm 2
+            lambda p, z, jz, v: v,  # phi(z, 2v) = 2
+            lambda p, z, jz, v: p.j.apply(v),  # phi(jz, jv) = phi(z, v) = 1
+        ],
+        ids=["norm", "phi_z", "phi_jz"],
+    )
+    def test_rejects_a_dual_that_breaks_one_condition(self, monkeypatch, shift):
+        monkeypatch.setattr(phq.reduction, "_choose", moved_v(shift))
+        message = "v must be isotropic, with phi(z, v) = 1 and phi(jz, v) = 0"
+        with pytest.raises(HypothesisViolated, match=f"^{re.escape(message)}$"):
+            reduce_by_plane(build("L(4,2)"), unit(6, 4))
+
 
 class TestFullReduction:
     def test_abelian_has_no_steps(self):
@@ -356,19 +479,48 @@ class TestFullReduction:
         # plane step is witnessed, every split leaves a valid algebra whose
         # signature plus the removed plane's is the one it came from
         for name, p in catalog_inputs():
-            result = full_reduction(p)
-            current = p
-            for step in result.steps:
-                if step.kind == "plane_reduction":
-                    rebuilt = phq_double_extension(step.extension_data)
-                    assert fingerprint(rebuilt) == fingerprint(current), name
-                    assert verify_witness(rebuilt, current, step.adapted_basis).ok, name
-                else:
-                    assert check_phq(step.recovered).ok, name
-                    pos, neg = signature(step.recovered.phi)
-                    plane = (2, 0) if step.sign > 0 else (0, 2)
-                    assert (pos + plane[0], neg + plane[1]) == signature(current.phi), name
-                current = step.recovered
+            assert_valid_chain(p, full_reduction(p), name)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            generic_z,
+            shuffled_basis,
+            moved_v(lambda p, z, jz, v: [Fraction(-2, 3) * c for c in jz]),
+            split_first,
+        ],
+        ids=["generic_z", "shuffled_basis", "v_plus_a_jz", "split_first"],
+    )
+    def test_any_admissible_choice_gives_a_valid_chain(self, monkeypatch, policy):
+        # a step is valid for any admissible z, v and complement basis: with
+        # another policy the steps change but every one of them still checks
+        inputs = [(name, build(name)) for name in (*NONABELIAN, "R(2,2)", "R(2,4)")]
+        inputs += [(f"complexify({name})", complexify(build(name))) for name in ("L(4,2)", "TstarTheta3K")]
+        default = [full_reduction(p) for _, p in inputs]
+        monkeypatch.setattr(phq.reduction, "_choose", policy)
+        results = [full_reduction(p) for _, p in inputs]
+        for (name, p), result in zip(inputs, results):
+            assert_valid_chain(p, result, name)
+        assert results != default
+        splits = any(s.kind == "split_plane" for r in results for s in r.steps)
+        assert splits == (policy is split_first)
+
+    def test_full_reduction_calls_the_steps_by_their_module_names(self, monkeypatch):
+        # perfbench/spans.py times these three by wrapping the module
+        # attributes; a full_reduction that went around one would read 0
+        # calls there with no other test failing
+        reached = Counter()
+        for name in ("find_central_pair", "reduce_by_plane", "split_plane"):
+
+            def counted(*args, real=getattr(phq.reduction, name), name=name):
+                reached[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(phq.reduction, name, counted)
+        monkeypatch.setattr(phq.reduction, "_choose", split_first)
+        result = full_reduction(parse_path(str(FIXTURES / "L42_R20.alg")))
+        assert [s.kind for s in result.steps] == ["split_plane", "plane_reduction"]
+        assert reached == {"find_central_pair": 2, "split_plane": 1, "reduce_by_plane": 1}
 
     def test_split_branch(self, monkeypatch, capsys):
         # no model reaches the split branch: offer the R(2,0) plane of
@@ -406,12 +558,15 @@ class TestFullReduction:
         assert [s["recovered_dim"] for s in doc["steps"]] == [6, 2] and doc["residue_dim"] == 2
 
     def test_choices_are_pinned_on_catalog(self):
-        # which z and v each step picks, off the fixtures too: a change to
-        # the candidate order, the norm test or the complement basis shows
+        # which z and v each step picks, off the fixtures too, and the basis
+        # it writes the recovered algebra in: a change to the candidate
+        # order, the norm test or the complement basis shows
         for key, p in catalog_inputs():
             steps = full_reduction(p).steps
             r = repr([(s.kind, s.z, s.v, s.sign, s.recovered.dim) for s in steps])
             assert hashlib.sha256(r.encode()).hexdigest() == REDUCTION_PINS[key], key
+            r = repr([(s.adapted_basis, s.recovered) for s in steps])
+            assert hashlib.sha256(r.encode()).hexdigest() == BASIS_PINS[key], key
 
     def test_dense_transport_of_the_dim24_rung(self):
         # tensor(TstarTheta3K, k=3) in a seeded dense basis reduces as the
