@@ -26,17 +26,16 @@ _EXPORTS = {
     ),
     "checks": "Check PhqError Report",
     "constructions": (
-        "Cocycle CommutativeAlgebra ExtensionData InvalidAlgebraData InvalidCocycle InvalidDerivation "
-        "InvalidExtensionData InvalidParameter QuadraticAlgebra check_cocycle check_commutative "
-        "complex_units complexify direct_sum is_skewsymmetric kodaira_cocycle_basis kodaira_thurston "
-        "line_double_extension phq_double_extension swap_df tensor_construct truncated_poly "
+        "Cocycle CommutativeAlgebra ExtensionData InvalidAlgebraData InvalidCocycle InvalidExtensionData "
+        "InvalidParameter check_cocycle check_commutative complex_units complexify direct_sum "
+        "kodaira_cocycle_basis kodaira_thurston phq_double_extension tensor_construct truncated_poly "
         "tstar_extension validate_extension_data"
     ),
     "fileformat": (
         "BadRational IndexOutOfRange ParseError Recipe parse_algebra_text parse_path parse_recipe_text "
         "serialize_algebra"
     ),
-    "lie": "LieAlgebra LinearMap check_jacobi is_derivation solve_inner",
+    "lie": "LieAlgebra LinearMap check_jacobi",
     "linalg": (
         "DimensionMismatch Matrix NotSymmetricError Subspace Vector frac gram_restriction intersect "
         "kernel map_image orthogonal_complement signature solve_linear vector"

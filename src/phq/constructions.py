@@ -1,7 +1,7 @@
 """Forward constructions of metric Lie algebras with complex structures.
 
-Covers orthogonal direct sums, the one-line and the four-dimensional (plane)
-double extensions, cotangent-type extensions twisted by a cyclic 2-cocycle,
+Covers orthogonal direct sums, the four-dimensional (plane) double
+extension, cotangent-type extensions twisted by a cyclic 2-cocycle,
 tensoring with an invariant-form commutative algebra, and complexification.
 Every construction either validates its input eagerly or is total.
 """
@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .checks import Check, PhqError, Record, Report
-from .lie import LieAlgebra, LinearMap, _derivation_failures, _twisted, is_derivation
+from .lie import LieAlgebra, LinearMap, _derivation_failures, _twisted
 from .linalg import (
     ONE,
     ZERO,
@@ -37,10 +37,6 @@ from .linalg import (
 from .structures import PHQAlgebra, check_complex
 
 
-class InvalidDerivation(PhqError, ValueError):
-    pass
-
-
 class InvalidExtensionData(PhqError, ValueError):
     def __init__(self, report: Check):
         super().__init__("; ".join(report.failures))
@@ -57,17 +53,6 @@ class InvalidAlgebraData(PhqError, ValueError):
 
 class InvalidParameter(PhqError, ValueError):
     pass
-
-
-class QuadraticAlgebra(Record):
-    """A Lie algebra with an invariant metric but no complex structure."""
-
-    algebra: LieAlgebra
-    phi: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
 
 
 def _unique_names(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -122,47 +107,6 @@ def direct_sum(p: PHQAlgebra, q: PHQAlgebra) -> PHQAlgebra:
         LieAlgebra(names, {**p.algebra.brackets, **_shifted_table(q.algebra.brackets, n)}),
         _square(n + m, {**_block(p.j, 0), **_block(q.j, n)}),
         _square(n + m, {**_block(p.phi, 0), **_block(q.phi, n)}),
-    )
-
-
-def is_skewsymmetric(m: Matrix, g: Matrix) -> bool:
-    """m^T g + g m = 0, i.e. g(mx, y) = -g(x, my), tested by `_skew` on the
-    integers d_m m and d_g g (the ``_scaled`` of each)."""
-    n = m.rows
-    if not m.cols == g.rows == g.cols == n:
-        raise DimensionMismatch(f"{m.rows}x{m.cols} map against a {g.rows}x{g.cols} form")
-    return _skew(m._scaled[1], g._scaled[1], n)
-
-
-def line_double_extension(base: QuadraticAlgebra, d: LinearMap) -> QuadraticAlgebra:
-    """Central line plus derivation line over a quadratic algebra.
-
-    New basis (z, base..., v) with [x, y] = [x, y]_0 + phi_0(dx, y) z and
-    [v, x] = dx; the pairing gains the single hyperbolic coupling
-    phi(z, v) = 1.  Requires d to be a phi_0-skewsymmetric derivation.
-    """
-    g0, phi0 = base.algebra, base.phi
-    n = g0.dim
-    if not is_skewsymmetric(d, phi0):
-        raise InvalidDerivation("extension map is not skewsymmetric for the metric")
-    drep = is_derivation(g0, d)
-    if not drep.ok:
-        raise InvalidDerivation("extension map is not a derivation")
-
-    names = _unique_names(("z",), _unique_names(g0.basis_names, ("v",)))
-    total = n + 2
-    z, v = 0, n + 1
-
-    table = _shifted_table(g0.brackets, 1)
-    for i in range(n):
-        phi_di = phi0.apply(d.col(i))
-        for j in range(i + 1, n):
-            table.setdefault((1 + i, 1 + j), {})[z] = phi_di[j]
-        table[1 + i, v] = _shift(d.col(i), 1, -ONE)
-
-    return QuadraticAlgebra(
-        LieAlgebra(names, table),
-        _square(total, {(z, v): ONE, (v, z): ONE, **_block(phi0, 1)}),
     )
 
 
@@ -223,11 +167,6 @@ class ExtensionData(Record):
             raise InvalidExtensionData(report)
 
 
-def swap_df(data: ExtensionData) -> ExtensionData:
-    """The equivalent extension datum (D1, F1) = (-F, D) with the same s0."""
-    return ExtensionData(data.base, -data.f, data.d, data.s0)
-
-
 def phq_double_extension(data: ExtensionData) -> PHQAlgebra:
     """Four-dimensional double extension by a hyperbolic plane pair.
 
@@ -286,13 +225,6 @@ class Cocycle(Record):
     @classmethod
     def zero(cls, dim: int) -> "Cocycle":
         return cls(dim, {})
-
-    @classmethod
-    def from_values(
-        cls, dim: int, entries: Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
-    ) -> "Cocycle":
-        """Sparse constructor: {(i, j): {k: value of theta(ei, ej) on ek}} with i < j."""
-        return cls(dim, entries)
 
     def evaluate(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear value theta(x, y) as a dual coordinate vector."""
@@ -435,10 +367,10 @@ def kodaira_thurston() -> tuple[LieAlgebra, LinearMap]:
 def kodaira_cocycle_basis() -> tuple[Cocycle, Cocycle, Cocycle, Cocycle]:
     """The four independent cyclic cocycles on the Kodaira-Thurston carrier,
     tabulated by their nonzero values."""
-    theta1 = Cocycle.from_values(4, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
-    theta2 = Cocycle.from_values(4, {(0, 1): {3: 1}, (0, 3): {1: -1}, (1, 3): {0: 1}})
-    theta3 = Cocycle.from_values(4, {(0, 2): {3: 1}, (0, 3): {2: -1}, (2, 3): {0: 1}})
-    theta4 = Cocycle.from_values(4, {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}})
+    theta1 = Cocycle(4, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
+    theta2 = Cocycle(4, {(0, 1): {3: 1}, (0, 3): {1: -1}, (1, 3): {0: 1}})
+    theta3 = Cocycle(4, {(0, 2): {3: 1}, (0, 3): {2: -1}, (2, 3): {0: 1}})
+    theta4 = Cocycle(4, {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}})
     return theta1, theta2, theta3, theta4
 
 

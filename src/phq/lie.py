@@ -5,9 +5,9 @@ the ``_columns`` the sweeps read, once, on first use, and keeps them like its
 integer table ``_scaled``; every caller asks the algebra.  Two functions read
 ad off that table: `_twisted` writes the columns of ad(x) for given integer
 vectors x, and `_adjoint_rows` the rows of the linear map x -> ad(x), the
-system of the center and of `solve_inner`.  The Jacobi identity is a
-separate check (`check_jacobi`) so that hand-entered tables can be diagnosed
-instead of rejected.
+system of the center.  The Jacobi identity is a separate check
+(`check_jacobi`) so that hand-entered tables can be diagnosed instead of
+rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .linalg import (
     Subspace,
     Vector,
     _kernel_int,
-    _solve_int,
     _span_int,
     bilinear,
     dense,
@@ -281,24 +280,6 @@ def check_jacobi(algebra: LieAlgebra) -> Check:
     return Check("Jacobi", tuple(failures))
 
 
-def is_derivation(algebra: LieAlgebra, m: LinearMap) -> Check:
-    """Check m[x,y] = [m x, y] + [x, m y] on all basis pairs.
-
-    `_derivation_failures` tests it on the integer table T = d_t * brackets
-    and M = d_m * m (the ``_scaled`` of each); both sides of the identity
-    scale by d_t d_m.
-    """
-    n = algebra.dim
-    if m.rows != n or m.cols != n:
-        raise DimensionMismatch("derivation candidate must be square of the algebra dimension")
-    names = algebra.basis_names
-    failing = _derivation_failures(algebra, m._scaled[1])
-    return Check(
-        "derivation",
-        tuple(f"derivation identity fails on ({names[i]}, {names[j]})" for i, j in failing),
-    )
-
-
 def _derivation_failures(algebra: LieAlgebra, m: Sequence[int]) -> list[tuple[int, int]]:
     """The basis pairs i < j, sorted, on which the row-major integer n x n
     matrix m breaks the derivation identity of the algebra's table T = ``_scaled``:
@@ -314,25 +295,3 @@ def _derivation_failures(algebra: LieAlgebra, m: Sequence[int]) -> list[tuple[in
         if any(map(sub, mat_vec(m, n, n, t.get((i, j), {}).items(), 0), twist)):
             failing.append((i, j))
     return failing
-
-
-def solve_inner(algebra: LieAlgebra, m: LinearMap) -> Vector | None:
-    """Some s with adjoint(s) = m, or None.
-
-    The unknown is the coordinate vector of s; the adjoint system has one
-    equation per matrix entry of the adjoint.  The representative returned is
-    the minimal-support solution for the fixed pivot order, so it is
-    reproducible; the full solution set is s + center.  The system is the
-    integer rows of `_adjoint_rows`, solved by `linalg._solve_int`.
-    """
-    n = algebra.dim
-    if m.rows != n or m.cols != n:
-        raise DimensionMismatch("target map must be square of the algebra dimension")
-    d = algebra._scaled[0]
-    rows = _adjoint_rows(algebra)
-    if any(e for i, e in enumerate(m.entries) if i not in rows):
-        return None  # a nonzero entry where every adjoint has a zero
-    # (d A) x = d m, scaled by the common denominator dm of m
-    dm, mn = m._scaled
-    xs = _solve_int([[dm * e for e in row] + [d * mn[i]] for i, row in rows.items()], [1] * n, [1])
-    return None if xs is None else xs[0]

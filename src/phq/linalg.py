@@ -193,7 +193,7 @@ def _transpose(m: Sequence, n: int) -> list:
 
 def _skew(m: Sequence[int], g: Sequence[int], n: int) -> bool:
     """M^T G + G M = 0 for row-major integer n x n matrices M and G: the
-    skew test of `is_skewsymmetric`, of j in `check_phq` and of D and F in
+    skew test of j in `check_phq` and of D and F in
     `validate_extension_data`."""
     return not any(map(add, mat_mul(_transpose(m, n), n, n, g, n), mat_mul(g, n, n, m, n)))
 

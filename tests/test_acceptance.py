@@ -148,7 +148,7 @@ def test_criterion_4_cocycles():
     # cyclic (and even closed) perturbations that break only the complex
     # compatibility are rejected: deterministic witness plus random samples
     plane6 = build("R(6,0)")
-    bad = Cocycle.from_values(6, {(0, 2): {4: 1}, (0, 4): {2: -1}, (2, 4): {0: 1}})
+    bad = Cocycle(6, {(0, 2): {4: 1}, (0, 4): {2: -1}, (2, 4): {0: 1}})
     report = check_cocycle(plane6.algebra, plane6.j, bad)
     assert report["cyclic"].ok and report["2-cocycle"].ok and not report["J-compatible"].ok
 
@@ -162,7 +162,7 @@ def test_criterion_4_cocycles():
                 entries_map.setdefault((a, b), {})[c] = coeff
                 entries_map.setdefault((a, c), {})[b] = -coeff
                 entries_map.setdefault((b, c), {})[a] = coeff
-        theta = Cocycle.from_values(6, entries_map)
+        theta = Cocycle(6, entries_map)
         report = check_cocycle(plane6.algebra, plane6.j, theta)
         assert report["cyclic"].ok and report["2-cocycle"].ok
         if not report["J-compatible"].ok:

@@ -26,24 +26,29 @@ from spans import SPANS_MARK  # noqa: E402
 LAYERS = ("linalg", "lie", "structures", "reduction", "catalog", "constructions", "fileformat", "cli")
 LAZY = ("catalog", "constructions", "reduction")
 
-# `phq.__all__` before the lazy package: each name must still import
+# `phq.__all__`: each name must import
 NAMES = """
 BadRational CatalogLabel CentralPair Check Classification Cocycle CommutativeAlgebra
 DimensionMismatch DimensionTooLarge EmptyIntersection ExtensionData Fingerprint
 HypothesisViolated IndexOutOfRange InequivalenceEvidence InvalidAlgebraData
-InvalidCentralElement InvalidCocycle InvalidDerivation InvalidExtensionData InvalidParameter
-JClassification LieAlgebra LinearMap Matrix NonIsotropic NotDefinitePlane NotSymmetricError
-OddDimension PHQAlgebra ParseError PhqError QuadraticAlgebra Recipe ReductionResult
-ReductionStep ReductionStuck Report Subspace UnclassifiedFingerprint UnknownLabel Vector
-abelian_with_signature analyze_skew_pair build catalog check_cocycle check_commutative
-check_complex check_jacobi check_phq check_quadratic checks classify complex_units complexify
-constructions direct_sum fileformat find_central_pair fingerprint frac full_reduction
-gram_restriction inequivalence_evidence intersect is_derivation is_skewsymmetric j_class kernel
-kodaira_cocycle_basis kodaira_thurston label lie linalg line_double_extension lorentz_core
+InvalidCentralElement InvalidCocycle InvalidExtensionData InvalidParameter JClassification
+LieAlgebra LinearMap Matrix NonIsotropic NotDefinitePlane NotSymmetricError OddDimension
+PHQAlgebra ParseError PhqError Recipe ReductionResult ReductionStep ReductionStuck Report
+Subspace UnclassifiedFingerprint UnknownLabel Vector abelian_with_signature analyze_skew_pair
+build catalog check_cocycle check_commutative check_complex check_jacobi check_phq
+check_quadratic checks classify complex_units complexify constructions direct_sum fileformat
+find_central_pair fingerprint frac full_reduction gram_restriction inequivalence_evidence
+intersect j_class kernel kodaira_cocycle_basis kodaira_thurston label lie linalg lorentz_core
 map_image nijenhuis orthogonal_complement parse_algebra_text parse_path parse_recipe_text
 phq_double_extension reduce_by_plane reduction salamon_check serialize_algebra signature
-solve_inner solve_linear split_plane structures swap_df tensor_construct truncated_poly
-tstar_extension tstar_kodaira validate_extension_data vector verify_witness
+solve_linear split_plane structures tensor_construct truncated_poly tstar_extension
+tstar_kodaira validate_extension_data vector verify_witness
+""".split()
+
+# names the package once exported and no longer has
+REMOVED = """
+InvalidDerivation QuadraticAlgebra is_derivation is_skewsymmetric line_double_extension
+solve_inner swap_df
 """.split()
 
 # Runs `phq.cli.main` on the arguments, then writes to stderr, as its last
@@ -147,21 +152,31 @@ try:
     phq.no_such_name
 except AttributeError as exc:
     out["error"] = str(exc)
+out["removed"] = {}
+for name in sys.argv[1:]:
+    caught = []
+    for statement in (f"getattr(phq, {name!r})", f"from phq import {name}"):
+        try:
+            exec(statement, {"phq": phq})
+        except (AttributeError, ImportError) as exc:
+            caught.append(type(exc).__name__)
+    out["removed"][name] = caught
 print(json.dumps(out))
 """
 
 
 def test_every_name_of_the_package_imports():
-    proc = child([], REEXPORTS)
+    proc = child(REMOVED, REEXPORTS)
     assert proc.returncode == 0, proc.stderr.decode()
     out = json.loads(proc.stdout)
-    assert len(NAMES) == 101
+    assert len(NAMES) == 94 and not set(NAMES) & set(REMOVED)
     # nothing runs on `import phq`; the three lazy modules are registered
     assert out["lazy"] == [f"phq.{m}" for m in sorted(LAZY)] and out["ran"] == []
     assert out["all"] == sorted(NAMES)
     assert set(NAMES) <= set(out["dir"])
     assert out["star"] == sorted(NAMES) and out["same"]
     assert out["error"] == "module 'phq' has no attribute 'no_such_name'"
+    assert out["removed"] == {name: ["AttributeError", "ImportError"] for name in REMOVED}
 
 
 THREADS = """

@@ -10,16 +10,14 @@ from phq import (
     Subspace,
     build,
     check_jacobi,
-    is_derivation,
     orthogonal_complement,
-    solve_inner,
     tstar_kodaira,
     kodaira_cocycle_basis,
     kodaira_thurston,
     vector,
 )
 
-from phq.lie import format_vector
+from phq.lie import _derivation_failures, format_vector
 
 from oracles import naive_jacobi_violations, structure_tensor
 from strategies import matrices, vectors
@@ -178,44 +176,19 @@ class TestSeriesAndIdeals:
 
 class TestDerivations:
     def test_zero_map_is_derivation(self, core):
-        assert is_derivation(core.algebra, Matrix.zero(6)).ok
+        assert _derivation_failures(core.algebra, Matrix.zero(6)._scaled[1]) == []
 
     @given(matrices(3, 3))
     def test_any_map_is_derivation_of_abelian(self, m):
-        assert is_derivation(LieAlgebra.abelian(3), m).ok
+        assert _derivation_failures(LieAlgebra.abelian(3), m._scaled[1]) == []
 
     def test_adjoints_are_derivations(self, core, tstar3):
         for p in (core, tstar3):
             n = p.dim
             for i in range(n):
-                assert is_derivation(p.algebra, p.algebra.adjoint(unit(n, i))).ok
+                ad = p.algebra.adjoint(unit(n, i))
+                assert _derivation_failures(p.algebra, ad._scaled[1]) == []
 
     def test_non_derivation_detected(self, core):
         m = Matrix.identity(6)
-        assert not is_derivation(core.algebra, m).ok
-
-
-class TestSolveInner:
-    def test_zero_map(self, core):
-        s = solve_inner(core.algebra, Matrix.zero(6))
-        assert s == vector([0] * 6)
-
-    def test_recovers_adjoint_up_to_center(self, core):
-        target = core.algebra.adjoint(unit(6, 2))
-        s = solve_inner(core.algebra, target)
-        assert s is not None
-        assert core.algebra.adjoint(s) == target
-        diff = vector([a - b for a, b in zip(s, unit(6, 2))])
-        assert core.algebra.center().contains(diff)
-
-    def test_abelian_has_no_nonzero_inner_derivations(self):
-        a = LieAlgebra.abelian(2)
-        m = Matrix.from_rows([[0, 1], [0, 0]])
-        assert solve_inner(a, m) is None
-
-    def test_round_trip_through_adjoint(self, tstar3):
-        n = tstar3.dim
-        for i in range(n):
-            target = tstar3.algebra.adjoint(unit(n, i))
-            s = solve_inner(tstar3.algebra, target)
-            assert s is not None and tstar3.algebra.adjoint(s) == target
+        assert _derivation_failures(core.algebra, m._scaled[1])

@@ -79,8 +79,8 @@ class TestSparseTable:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: Cocycle.from_values(4, {(1, 0): {2: 1}}),
-            lambda: Cocycle.from_values(4, {(0, 1): {7: 1}}),
+            lambda: Cocycle(4, {(1, 0): {2: 1}}),
+            lambda: Cocycle(4, {(0, 1): {7: 1}}),
             lambda: LieAlgebra.from_brackets(3, {(0, 5): {1: 1}}),
         ],
         ids=["skew_pair_i_above_j", "target_out_of_range", "index_out_of_range"],

@@ -38,7 +38,6 @@ from phq import (
     truncated_poly,
 )
 from phq.cli import main
-from phq.constructions import QuadraticAlgebra
 from phq.reduction import SkewPairReport
 
 from conftest import FIXTURES
@@ -53,7 +52,6 @@ FIELDS = {
     "PHQAlgebra": "algebra j phi",
     "JClassification": "abelian bi_invariant",
     "Fingerprint": "dim dim_derived dim_center nilpotency_index sig_phi sig_phi_on_derived",
-    "QuadraticAlgebra": "algebra phi",
     "ExtensionData": "base d f s0",
     "Cocycle": "dim values",
     "CommutativeAlgebra": "basis_names products form",
@@ -91,12 +89,8 @@ def samples():
         "PHQAlgebra": (l42, l24),
         "JClassification": (JClassification(True, False), j_class(l42.algebra, l42.j)),
         "Fingerprint": (fingerprint(l42), fingerprint(l24)),
-        "QuadraticAlgebra": (
-            QuadraticAlgebra(LieAlgebra.abelian(2), Matrix.identity(2)),
-            QuadraticAlgebra(l42.algebra, l42.phi),
-        ),
         "ExtensionData": (data, r24.steps[0].extension_data),
-        "Cocycle": (Cocycle.zero(2), Cocycle.from_values(4, {(0, 1): {2: 1}})),
+        "Cocycle": (Cocycle.zero(2), Cocycle(4, {(0, 1): {2: 1}})),
         "CommutativeAlgebra": (truncated_poly(2), truncated_poly(3)),
         "CentralPair": (find_central_pair(l42), find_central_pair(build("Tstar0K"))),
         "ReductionStep": (r42.steps[0], r24.steps[0]),

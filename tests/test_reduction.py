@@ -36,7 +36,6 @@ from phq import (
     fingerprint,
     full_reduction,
     j_class,
-    is_skewsymmetric,
     parse_path,
     phq_double_extension,
     reduce_by_plane,
@@ -893,17 +892,13 @@ class TestExtensionDataAgainstOracle:
     ]
 
     def test_failures_match_the_oracle(self):
-        # the report, failure by failure and in order, and is_skewsymmetric
-        # of D and F, whose verdicts the oracle's report holds
+        # the report, failure by failure and in order
         seen = set()
         for data in self.DATA:
             inner = [(pair, None)] if (pair := inner_pair(data)) else []
             for (base, d, f, s0), target in [((data.base, data.d, data.f, data.s0), None), *perturbations(data), *inner]:
                 expected = naive_extension_failures(base, d, f, s0)
                 assert validate_extension_data(base, d, f, s0).failures == expected
-                for name, m in (("D", d), ("F", f)):
-                    skew = f"{name} is not skewsymmetric for the base metric" not in expected
-                    assert is_skewsymmetric(m, base.phi) == skew
                 if target is not None:
                     assert target in expected
                 seen.update(expected)

@@ -1,4 +1,5 @@
-"""Every public name of the library has a reader.
+"""Every public name of the library has a reader, and every name the
+README's Library tour gives is real.
 
 A public module-level function or class of ``src/phq`` must be used by
 library code outside its own definition, named in backticks in the README,
@@ -11,6 +12,7 @@ count, so the re-exports of ``phq/__init__`` keep nothing alive.
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -62,3 +64,21 @@ def test_every_public_name_has_a_reader():
         and (module, name) not in spans
     ]
     assert unread == []
+
+
+# words in the tour's backticks that are not names of its module
+TOUR_WORDS = {"hash", "repr", "phq"}
+
+
+def test_the_library_tour_names_real_code():
+    # the other direction: each name a `phq.<module>` bullet of the README's
+    # Library tour gives in backticks is an attribute of that module
+    tour = re.findall(r"^- `phq\.(\w+)`:(.*)$", (ROOT / "README.md").read_text(), flags=re.MULTILINE)
+    assert len(tour) == 9
+    missing = [
+        f"{module}.{span}"
+        for module, line in tour
+        for span in re.findall(r"`(\w+)`", line)
+        if span not in TOUR_WORDS and not hasattr(importlib.import_module(f"phq.{module}"), span)
+    ]
+    assert missing == []
