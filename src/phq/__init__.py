@@ -26,10 +26,9 @@ _EXPORTS = {
     ),
     "checks": "Check PhqError Report",
     "constructions": (
-        "Cocycle CommutativeAlgebra ExtensionData InvalidAlgebraData InvalidCocycle InvalidExtensionData "
-        "InvalidParameter check_cocycle check_commutative complex_units complexify direct_sum "
-        "kodaira_cocycle_basis kodaira_thurston phq_double_extension tensor_construct truncated_poly "
-        "tstar_extension validate_extension_data"
+        "Cocycle CommutativeAlgebra InvalidAlgebraData InvalidCocycle InvalidParameter check_cocycle "
+        "check_commutative complex_units complexify direct_sum kodaira_cocycle_basis kodaira_thurston "
+        "phq_double_extension tensor_construct truncated_poly tstar_extension"
     ),
     "fileformat": (
         "BadRational IndexOutOfRange ParseError Recipe parse_algebra_text parse_path parse_recipe_text "
@@ -46,8 +45,9 @@ _EXPORTS = {
         "find_central_pair full_reduction reduce_by_plane split_plane"
     ),
     "structures": (
-        "Fingerprint JClassification OddDimension PHQAlgebra check_complex check_phq check_quadratic "
-        "fingerprint j_class nijenhuis salamon_check"
+        "ExtensionData Fingerprint InvalidExtensionData JClassification OddDimension PHQAlgebra "
+        "check_complex check_phq check_quadratic fingerprint j_class nijenhuis salamon_check "
+        "validate_extension_data"
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}
@@ -72,7 +72,7 @@ class _LazyModule(_ModuleType):
         return _ModuleType.__getattribute__(self, name)
 
 
-# reentrant, because running `catalog` runs `constructions` and `reduction`
+# reentrant, because a module's loader reads its attributes while it runs it
 _load_lock = _RLock()
 _unrun = {}  # lazy module -> its loader, until it runs
 

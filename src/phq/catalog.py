@@ -10,7 +10,9 @@ Labels are orthogonal-sum decompositions into the six indecomposable models:
     TstarTheta3K  the cotangent extension twisted by the third basis cocycle
 
 Classification keys on the exact invariant fingerprint, which separates all
-cases up to dimension 8; no general isomorphism search is performed.
+cases up to dimension 8; no general isomorphism search is performed.  The
+builders of `constructions` and `reduction.full_reduction` are read at call
+time, so classifying an algebra never runs `constructions`.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ from __future__ import annotations
 import re
 from functools import reduce
 
-from . import reduction
+from . import constructions, reduction
 from .checks import Check, PhqError, Record
-from .constructions import (
-    Cocycle,
-    block_rotation,
-    direct_sum,
-    kodaira_cocycle_basis,
-    kodaira_thurston,
-    tstar_extension,
-)
 from .lie import LieAlgebra, LinearMap
 from .linalg import Matrix, is_zero_vec, unit_vector
 from .structures import Fingerprint, PHQAlgebra, check_phq, fingerprint
@@ -53,7 +47,7 @@ _MODELS = {
     "L(4,2)": lambda: lorentz_core(True),
     "L(2,4)": lambda: lorentz_core(False),
     "Tstar0K": lambda: tstar_kodaira(),
-    "TstarTheta3K": lambda: tstar_kodaira(kodaira_cocycle_basis()[2]),
+    "TstarTheta3K": lambda: tstar_kodaira(constructions.kodaira_cocycle_basis()[2]),
 }
 
 
@@ -101,7 +95,7 @@ def abelian_with_signature(p: int, q: int) -> PHQAlgebra:
     if p % 2 or q % 2 or (p == 0 and q == 0):
         raise UnknownLabel(f"signature ({p},{q}) must have even nonzero entries")
     phi = Matrix.diagonal([1] * p + [-1] * q)
-    return PHQAlgebra(LieAlgebra.abelian(p + q), block_rotation(p + q), phi)
+    return PHQAlgebra(LieAlgebra.abelian(p + q), constructions.block_rotation(p + q), phi)
 
 
 def lorentz_core(positive: bool = True) -> PHQAlgebra:
@@ -133,13 +127,13 @@ def lorentz_core(positive: bool = True) -> PHQAlgebra:
             [0, sign, 0, 0, 0, 0],
         ]
     )
-    return PHQAlgebra(algebra, block_rotation(6), phi)
+    return PHQAlgebra(algebra, constructions.block_rotation(6), phi)
 
 
-def tstar_kodaira(theta: Cocycle | None = None) -> PHQAlgebra:
+def tstar_kodaira(theta: constructions.Cocycle | None = None) -> PHQAlgebra:
     """Cotangent extension of the Kodaira-Thurston carrier by ``theta``."""
-    algebra, j = kodaira_thurston()
-    return tstar_extension(algebra, j, theta if theta is not None else Cocycle.zero(4))
+    theta = theta if theta is not None else constructions.Cocycle.zero(4)
+    return constructions.tstar_extension(*constructions.kodaira_thurston(), theta)
 
 
 def build(lab: CatalogLabel | str) -> PHQAlgebra:
@@ -147,7 +141,7 @@ def build(lab: CatalogLabel | str) -> PHQAlgebra:
     if isinstance(lab, str):
         lab = CatalogLabel.parse(lab)
     return reduce(
-        direct_sum,
+        constructions.direct_sum,
         (_MODELS[a]() if a in _MODELS else abelian_with_signature(*_signature(a)) for a in lab.factors),
     )
 

@@ -3,7 +3,10 @@
 Covers orthogonal direct sums, the four-dimensional (plane) double
 extension, cotangent-type extensions twisted by a cyclic 2-cocycle,
 tensoring with an invariant-form commutative algebra, and complexification.
-Every construction either validates its input eagerly or is total.
+Every construction either validates its input eagerly or is total.  The
+plane double extension takes its datum as a `structures.ExtensionData`,
+which `reduction` reads back, so only `construct`, `catalog.build` and
+recipes run this module.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
+from . import structures
 from .checks import Check, PhqError, Record, Report
-from .lie import LieAlgebra, LinearMap, _derivation_failures, _twisted
+from .lie import LieAlgebra, LinearMap
 from .linalg import (
     ONE,
     ZERO,
@@ -21,26 +25,17 @@ from .linalg import (
     Matrix,
     SparseTable,
     Vector,
-    _skew,
     _transpose,
     add_vec,
     bilinear,
     frac,
     is_zero_vec,
-    mat_mul,
-    scaled,
     sparse_table,
     sub_vec,
     unit_vector,
     vector,
 )
 from .structures import PHQAlgebra, check_complex
-
-
-class InvalidExtensionData(PhqError, ValueError):
-    def __init__(self, report: Check):
-        super().__init__("; ".join(report.failures))
-        self.report = report
 
 
 class InvalidCocycle(PhqError, ValueError):
@@ -110,64 +105,7 @@ def direct_sum(p: PHQAlgebra, q: PHQAlgebra) -> PHQAlgebra:
     )
 
 
-def validate_extension_data(
-    base: PHQAlgebra, d: LinearMap, f: LinearMap, s0: Sequence
-) -> Check:
-    """All hypotheses for the plane double extension, as a report.
-
-    Checks: d and f are phi-skewsymmetric derivations, f + j d commutes with
-    j, and the adjoint of s0 equals the commutator f d - d f entrywise.
-
-    Each is an integer identity.  The base's table, j and phi give their
-    integers (the ``_scaled`` of each): T = d_t [ , ], J = d_j j and
-    G = d_g phi; d, f and s0 are scaled by their one common denominator c:
-    D = c d, F = c f and S = c s0.  Then D^T G + G D = 0 and the derivation
-    identity of D on T (`lie._derivation_failures`), and the same for F;
-    [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
-    c ad(S) = d_t (F D - D F), with ad(S) read off T by `lie._twisted`.
-    """
-    s0v = vector(s0)
-    n = base.dim
-    if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
-        return Check("extension data", ("shape mismatch with the base algebra",))
-    dt = base.algebra._scaled[0]
-    dj, jn = base.j._scaled
-    g = base.phi._scaled[1]
-    c, dfs = scaled(d.entries + f.entries + s0v)
-    dn, fn, sn = dfs[: n * n], dfs[n * n : 2 * n * n], dfs[2 * n * n :]
-    failures = []
-    for name, m in (("D", dn), ("F", fn)):
-        if not _skew(m, g, n):
-            failures.append(f"{name} is not skewsymmetric for the base metric")
-        if _derivation_failures(base.algebra, m):
-            failures.append(f"{name} is not a derivation of the base")
-    a = [dj * x + y for x, y in zip(fn, mat_mul(jn, n, n, dn, n))]
-    if mat_mul(a, n, n, jn, n) != mat_mul(jn, n, n, a, n):
-        failures.append("[F + J D, J] != 0")
-    u, fd, dfm = _twisted(base.algebra, [sn]), mat_mul(fn, n, n, dn, n), mat_mul(dn, n, n, fn, n)
-    ad = [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
-    if any(c * x != dt * (p - q) for x, p, q in zip(ad, fd, dfm)):
-        failures.append("ad(s0) != F D - D F")
-    return Check("extension data", tuple(failures))
-
-
-class ExtensionData(Record):
-    """Input of the plane double extension; `validate_extension_data`
-    checks it on construction."""
-
-    base: PHQAlgebra
-    d: LinearMap
-    f: LinearMap
-    s0: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "s0", vector(self.s0))
-        report = validate_extension_data(self.base, self.d, self.f, self.s0)
-        if not report.ok:
-            raise InvalidExtensionData(report)
-
-
-def phq_double_extension(data: ExtensionData) -> PHQAlgebra:
+def phq_double_extension(data: structures.ExtensionData) -> PHQAlgebra:
     """Four-dimensional double extension by a hyperbolic plane pair.
 
     New basis, in this normative order: (z, z', base..., v', v).  Brackets:

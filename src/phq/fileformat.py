@@ -17,7 +17,7 @@ from . import catalog, constructions
 from .checks import PhqError, Record
 from .lie import LieAlgebra
 from .linalg import Matrix
-from .structures import PHQAlgebra
+from .structures import ExtensionData, PHQAlgebra
 
 
 class ParseError(PhqError, ValueError):
@@ -265,9 +265,7 @@ def _recipe(
     if len(s0) != n:
         raise ParseError(f"{where}: s0 must have length {n}")
     s0 = tuple(_rational(c, f"{where}.s0[{pos}]") for pos, c in enumerate(s0))
-    return n + 4, lambda: constructions.phq_double_extension(
-        constructions.ExtensionData(build_base(), d, f, s0)
-    )
+    return n + 4, lambda: constructions.phq_double_extension(ExtensionData(build_base(), d, f, s0))
 
 
 def parse_path(path: str | Path, fixtures_dir: str | Path | None = None):

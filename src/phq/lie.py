@@ -4,10 +4,10 @@ An algebra computes its center, derived ideal and lower central series, and
 the ``_columns`` the sweeps read, once, on first use, and keeps them like its
 integer table ``_scaled``; every caller asks the algebra.  Two functions read
 ad off that table: `_twisted` writes the columns of ad(x) for given integer
-vectors x, and `_adjoint_rows` the rows of the linear map x -> ad(x), the
-system of the center.  The Jacobi identity is a separate check
-(`check_jacobi`) so that hand-entered tables can be diagnosed instead of
-rejected.
+vectors x (`_ad_matrix` lays one out as a matrix), and `_adjoint_rows` the
+rows of the linear map x -> ad(x), the system of the center.  The Jacobi
+identity is a separate check (`check_jacobi`) so that hand-entered tables
+can be diagnosed instead of rejected.
 """
 
 from __future__ import annotations
@@ -138,15 +138,14 @@ class LieAlgebra(Record):
         return bilinear(self.brackets, xv, yv, skew=True)
 
     def adjoint(self, x: Sequence) -> LinearMap:
-        """Matrix of y -> [x, y]: for x = X / s, the columns T(X, e_b) from
-        `_twisted`, each entry made once, as T(X, e_b)_k / (d s)."""
+        """Matrix of y -> [x, y]: for x = X / s, the integer matrix of
+        `_ad_matrix`, each entry made once, as T(X, e_b)_k / (d s)."""
         xv = vector(x)
         if len(xv) != self.dim:
             raise DimensionMismatch("adjoint argument must match the algebra dimension")
         n, (s, xn) = self.dim, scaled(xv)
-        d, u = self._scaled[0] * s, _twisted(self, [xn])
-        ad = [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
-        return Matrix(n, n, tuple(Fraction(e, d) if e else ZERO for e in ad))
+        d = self._scaled[0] * s
+        return Matrix(n, n, tuple(Fraction(e, d) if e else ZERO for e in _ad_matrix(self, xn)))
 
     @cached_property
     def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
@@ -223,6 +222,12 @@ def _twisted(algebra: LieAlgebra, xs: Iterable[Sequence[int]]) -> dict[tuple[int
                 for k, c in image:
                     acc[k] -= v * c
     return u
+
+
+def _ad_matrix(algebra: LieAlgebra, x: Sequence[int]) -> list[int]:
+    """Row-major integer ad(x) of an integer x: entry k*n + b is T(x, e_b)_k (`_twisted`)."""
+    n, u = algebra.dim, _twisted(algebra, [x])
+    return [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
 
 
 def _adjoint_rows(algebra: LieAlgebra) -> dict[int, list[int]]:

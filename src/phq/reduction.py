@@ -22,7 +22,6 @@ from operator import mul
 from typing import Sequence
 
 from .checks import PhqError, Record
-from .constructions import ExtensionData, validate_extension_data
 from .lie import LieAlgebra, _twisted, format_vector
 from .linalg import (
     ZERO,
@@ -46,7 +45,7 @@ from .linalg import (
     vector,
     zero_vector,
 )
-from .structures import PHQAlgebra
+from .structures import ExtensionData, PHQAlgebra, validate_extension_data
 
 
 def _span_text(vectors: Sequence[Vector], names: Sequence[str]) -> str:

@@ -9,7 +9,9 @@ invariants used by the classifier.
 Every axiom sweep, `lie.check_jacobi` and the checks here, is one pass over
 the nonzeros of the integers the table, j and phi keep, T = d_t [ , ],
 J = d_j j and G = d_g phi; a failure prints the exact Fraction residual,
-the integer residual the sweep holds divided back once.
+the integer residual the sweep holds divided back once.  So is
+`validate_extension_data`, the check of the datum `ExtensionData` (D, F, s0)
+that a plane double extension builds from and a reduction step reads back.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from operator import sub
 from typing import Sequence
 
 from .checks import Check, PhqError, Record, Report
-from .lie import LieAlgebra, LinearMap, _twisted, check_jacobi, format_vector
+from .lie import LieAlgebra, LinearMap, check_jacobi, format_vector
+from .lie import _ad_matrix, _derivation_failures, _twisted
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -33,6 +36,7 @@ from .linalg import (
     map_image,
     mat_mul,
     mat_vec,
+    scaled,
     signature,
     sub_vec,
     unit_vector,
@@ -202,6 +206,62 @@ def check_phq(p: PHQAlgebra) -> Report:
     if not _skew(jn, gn, n):
         compat_fail.append("j is not phi-skewsymmetric")
     return Report((jac, *complex_parts, *quad.parts, Check("J-compatible", tuple(compat_fail))))
+
+
+class InvalidExtensionData(PhqError, ValueError):
+    def __init__(self, report: Check):
+        super().__init__("; ".join(report.failures))
+        self.report = report
+
+
+def validate_extension_data(base: PHQAlgebra, d: LinearMap, f: LinearMap, s0: Sequence) -> Check:
+    """All hypotheses for the plane double extension, as a report.
+
+    Checks: d and f are phi-skewsymmetric derivations, f + j d commutes with
+    j, and the adjoint of s0 equals the commutator f d - d f entrywise.
+
+    Each is an integer identity on the base's T, J and G (as every sweep
+    here); d, f and s0 are scaled by their one common denominator c:
+    D = c d, F = c f and S = c s0.  Then D^T G + G D = 0 and the derivation
+    identity of D on T (`lie._derivation_failures`), and the same for F;
+    [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
+    c ad(S) = d_t (F D - D F), with ad(S) read off T by `lie._ad_matrix`.
+    """
+    s0v, n = vector(s0), base.dim
+    if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
+        return Check("extension data", ("shape mismatch with the base algebra",))
+    dt, (dj, jn), g = base.algebra._scaled[0], base.j._scaled, base.phi._scaled[1]
+    c, dfs = scaled(d.entries + f.entries + s0v)
+    dn, fn, sn = dfs[: n * n], dfs[n * n : 2 * n * n], dfs[2 * n * n :]
+    failures = []
+    for name, m in (("D", dn), ("F", fn)):
+        if not _skew(m, g, n):
+            failures.append(f"{name} is not skewsymmetric for the base metric")
+        if _derivation_failures(base.algebra, m):
+            failures.append(f"{name} is not a derivation of the base")
+    a = [dj * x + y for x, y in zip(fn, mat_mul(jn, n, n, dn, n))]
+    if mat_mul(a, n, n, jn, n) != mat_mul(jn, n, n, a, n):
+        failures.append("[F + J D, J] != 0")
+    fd, dfm = mat_mul(fn, n, n, dn, n), mat_mul(dn, n, n, fn, n)
+    if any(c * x != dt * (p - q) for x, p, q in zip(_ad_matrix(base.algebra, sn), fd, dfm)):
+        failures.append("ad(s0) != F D - D F")
+    return Check("extension data", tuple(failures))
+
+
+class ExtensionData(Record):
+    """Input of the plane double extension; `validate_extension_data`
+    checks it on construction."""
+
+    base: PHQAlgebra
+    d: LinearMap
+    f: LinearMap
+    s0: Vector
+
+    def __post_init__(self):
+        object.__setattr__(self, "s0", vector(self.s0))
+        report = validate_extension_data(self.base, self.d, self.f, self.s0)
+        if not report.ok:
+            raise InvalidExtensionData(report)
 
 
 class JClassification(Record):

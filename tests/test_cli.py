@@ -1,8 +1,10 @@
+import errno
 import hashlib
 import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pkgutil
 import random
 from fractions import Fraction
@@ -687,6 +689,12 @@ class TestCommands:
         path.write_bytes(b"\xff\xfe" + '{"op": "L(4,2)"}'.encode("utf-16-le"))  # UTF-16 with its BOM
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"parse error: cannot read {path}: not UTF-8 text\n"
+
+    def test_directory_exits_2(self, capsys):
+        path = str(FIXTURES)
+        assert main(["check", path]) == 2
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+        assert capsys.readouterr().err == f"parse error: cannot read {path}: {reason}\n"
 
     def test_lone_surrogate_basis_name_exits_2(self, tmp_path, capsys):
         # valid JSON that parses to a name no output stream can encode

@@ -79,8 +79,8 @@ def snapshot(key):
     [
         ("check", LAZY),
         ("invariants", LAZY),
-        ("reduce", ("catalog",)),
-        ("classify", ()),
+        ("reduce", ("catalog", "constructions")),
+        ("classify", ("constructions",)),
         ("construct", ("reduction",)),
     ],
 )
@@ -161,6 +161,12 @@ for name in sys.argv[1:]:
         except (AttributeError, ImportError) as exc:
             caught.append(type(exc).__name__)
     out["removed"][name] = caught
+# one home per name: the plane datum and its check live in `structures` only
+from phq.structures import ExtensionData, InvalidExtensionData, validate_extension_data
+try:
+    from phq.constructions import ExtensionData
+except ImportError as exc:
+    out["moved"] = type(exc).__name__
 print(json.dumps(out))
 """
 
@@ -177,6 +183,7 @@ def test_every_name_of_the_package_imports():
     assert out["star"] == sorted(NAMES) and out["same"]
     assert out["error"] == "module 'phq' has no attribute 'no_such_name'"
     assert out["removed"] == {name: ["AttributeError", "ImportError"] for name in REMOVED}
+    assert out["moved"] == "ImportError"
 
 
 THREADS = """

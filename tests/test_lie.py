@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phq import (
+    DimensionMismatch,
     LieAlgebra,
     Matrix,
     Subspace,
@@ -51,6 +52,25 @@ class TestFormatVector:
         assert format_vector([Fraction(1, big)], ["e1"]) == "<long>*e1"
         v = [Fraction(-big, 3), Fraction(1), Fraction(-2, 3)]
         assert format_vector(v, ["e1", "e2", "e3"]) == "-<long>*e1 +e2 -2/3*e3"
+
+
+    def test_zero_vector_is_0(self):
+        assert format_vector([Fraction(0)] * 3, ["e1", "e2", "e3"]) == "0"
+
+
+class TestShapeGuards:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda a: a.bracket((1,), (1, 0)), "bracket arguments must match the algebra dimension"),
+            (lambda a: a.bracket((1, 0), (1, 0, 0)), "bracket arguments must match the algebra dimension"),
+            (lambda a: a.adjoint((1, 0, 0)), "adjoint argument must match the algebra dimension"),
+        ],
+        ids=["bracket_x", "bracket_y", "adjoint"],
+    )
+    def test_wrong_length_raises(self, make, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            make(LieAlgebra.abelian(2))
 
 
 class TestBracket:

@@ -210,6 +210,21 @@ def test_no_record_holds_a_callable():
     assert type(recipe)(recipe.tree, recipe.dim).evaluate() == build("TstarTheta3K")
 
 
+@pytest.mark.parametrize(
+    "verdict, passed",
+    [
+        (Check("a"), True),
+        (Check("a", ("x",)), False),
+        (Report((Check("a"), Check("b"))), True),
+        (Report((Check("a"), Check("b", ("x",)))), False),
+    ],
+    ids=["check_ok", "check_fails", "report_ok", "report_fails"],
+)
+def test_a_verdict_is_true_exactly_when_it_passes(verdict, passed):
+    assert bool(verdict) is passed
+    assert verdict.ok is passed
+
+
 def test_fields_with_defaults():
     assert Check("a").failures == ()
     assert InequivalenceEvidence(None) == InequivalenceEvidence(None, None, None)

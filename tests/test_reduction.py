@@ -14,11 +14,13 @@ import phq.reduction
 from phq import (
     CentralPair,
     CommutativeAlgebra,
+    DimensionMismatch,
     EmptyIntersection,
     HypothesisViolated,
     InvalidCentralElement,
     LieAlgebra,
     Matrix,
+    NonIsotropic,
     NotDefinitePlane,
     NotSymmetricError,
     PHQAlgebra,
@@ -36,6 +38,7 @@ from phq import (
     fingerprint,
     full_reduction,
     j_class,
+    kodaira_thurston,
     parse_path,
     phq_double_extension,
     reduce_by_plane,
@@ -350,6 +353,27 @@ class TestSplitPlane:
         p = build("Tstar0K")
         with pytest.raises(NotDefinitePlane):
             split_plane(p, unit(8, 2))
+
+    # on the Kodaira-Thurston algebra with its block rotation j, z = x3 is
+    # central and derived and jz = x4 is central, so the metric decides
+    @pytest.mark.parametrize(
+        "phi, z, error, message",
+        [
+            (Matrix.identity(4), (1, 0), DimensionMismatch, "vector must match the algebra dimension"),
+            (Matrix.identity(4), unit(4, 2), NonIsotropic, "z must be isotropic"),
+            (
+                Matrix.zero(4),
+                unit(4, 2),
+                InvalidCentralElement,
+                "no dual vector for z: metric degenerate on the pair",
+            ),
+        ],
+        ids=["wrong_length", "identity_metric", "zero_metric"],
+    )
+    def test_guards_on_the_kodaira_thurston_algebra(self, phi, z, error, message):
+        p = PHQAlgebra(*kodaira_thurston(), phi)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            reduce_by_plane(p, z)
 
     def test_rejects_noncentral_vector(self):
         p = build("L(4,2)")

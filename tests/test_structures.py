@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import sympy
 from hypothesis import given
 
 from phq import (
+    DimensionMismatch,
     LieAlgebra,
     Matrix,
     OddDimension,
@@ -94,6 +96,29 @@ class TestNijenhuis:
         jx, jy = core.j.apply(x), core.j.apply(y)
         assert nijenhuis(core.algebra, core.j, jx, jy) == tuple(-c for c in n)
         assert nijenhuis(core.algebra, core.j, jx, y) == tuple(-c for c in core.j.apply(n))
+
+
+class TestShapeGuards:
+    # each shape guard of the module, with the error it raises and its text
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PHQAlgebra(LieAlgebra.abelian(4), ROT2, Matrix.identity(4)), "j must be 4x4"),
+            (lambda: check_complex(LieAlgebra.abelian(4), ROT2), "j must be square of the algebra dimension"),
+            (
+                lambda: check_quadratic(LieAlgebra.abelian(4), Matrix.identity(2)),
+                "metric must be square of the algebra dimension",
+            ),
+            (
+                lambda: nijenhuis(LieAlgebra.abelian(4), ROT2, unit(4, 0), unit(4, 1)),
+                "j must be square of the algebra dimension",
+            ),
+        ],
+        ids=["phq_algebra_j", "check_complex", "check_quadratic", "nijenhuis"],
+    )
+    def test_wrong_shape_raises(self, make, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            make()
 
 
 class TestCheckComplex:
