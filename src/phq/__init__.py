@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "reduction": (
         "CentralPair EmptyIntersection HypothesisViolated InvalidCentralElement NonIsotropic "
-        "NotDefinitePlane ReductionResult ReductionStep ReductionStuck analyze_skew_pair "
-        "find_central_pair full_reduction reduce_by_plane split_plane"
+        "NotDefinitePlane ReductionResult ReductionStep ReductionStuck find_central_pair full_reduction "
+        "reduce_by_plane split_plane"
     ),
     "structures": (
         "ExtensionData Fingerprint InvalidExtensionData JClassification OddDimension PHQAlgebra "

@@ -42,22 +42,32 @@ class IndexOutOfRange(ParseError):
 MAX_RECIPE_DEPTH = 32
 # Largest dimension of an `.alg` file or of the algebra a recipe builds.
 MAX_DIM = 64
-# Most digits of any integer in a file (Python makes no int of over 4,300).
+# Most digits of any integer in a file.
 MAX_DIGITS = 1000
+# Digits per `int` call: under 640, the smallest limit `sys.set_int_max_str_digits` admits.
+_CHUNK = 600
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
-def _digits(literal: str, what: str) -> str:
-    if len(literal.lstrip("-")) > MAX_DIGITS:
+def _int(literal: str, what: str) -> int:
+    """The int of a decimal literal, ``-?[0-9]+``, of at most `MAX_DIGITS`
+    digits, made in chunks of `_CHUNK` digits, so that the interpreter's
+    digit limit, however it is set, never refuses it."""
+    digits = literal.lstrip("-")
+    if len(digits) > MAX_DIGITS:
         raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
-    return literal
+    n = 0
+    for i in range(0, len(digits), _CHUNK):
+        part = digits[i : i + _CHUNK]
+        n = n * 10 ** len(part) + int(part)
+    return -n if literal.startswith("-") else n
 
 
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text, parse_int=lambda literal: int(_digits(literal, "a JSON integer")))
+        return json.loads(text, parse_int=lambda literal: _int(literal, "a JSON integer"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError as exc:
@@ -76,7 +86,7 @@ def _rational(value: Any, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            return Fraction(*(int(_digits(part, f"{where}: a scalar")) for part in value.split("/")))
+            return Fraction(*(_int(part, f"{where}: a scalar") for part in value.split("/")))
         except ZeroDivisionError as exc:
             raise BadRational(f"{where}: not a rational: {value!r}") from exc
     raise BadRational(f"{where}: not a rational: {value!r}")
@@ -149,9 +159,10 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         for key, val in coeffs.items():
             if not _INDEX.fullmatch(key):
                 raise ParseError(f"{where}: bad coefficient index {key!r}")
-            k = int(_digits(key, f"{where}: a coefficient index"))
+            k = _int(key, f"{where}: a coefficient index")
             if not 0 <= k < dim:
-                raise IndexOutOfRange(f"{where}: coefficient index {k} out of range")
+                # the key, not k: `_INDEX` keeps it canonical, and str(k) may exceed the digit limit
+                raise IndexOutOfRange(f"{where}: coefficient index {key} out of range")
             parsed[k] = scalar(val, f"{where}.coeffs[{key}]")
         sparse[(i, j)] = parsed
     algebra = LieAlgebra.from_brackets(tuple(basis), sparse)

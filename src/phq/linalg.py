@@ -335,9 +335,6 @@ class Matrix(Record):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")
         return tuple(mat_vec(self.entries, self.rows, self.cols, enumerate(v)))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     @cached_property
     def _scaled(self) -> Scaled:
         """`scaled` of the entries, made on first use and kept: the least
@@ -519,9 +516,6 @@ class Subspace(Record):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces in different ambient spaces")
         return Subspace.span(self.ambient_dim, self.basis + other.basis)
-
-    def is_totally_isotropic(self, g: Matrix) -> bool:
-        return gram_restriction(g, self.basis).is_zero()
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

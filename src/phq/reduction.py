@@ -4,9 +4,8 @@ A nilpotent algebra with a compatible complex structure and invariant metric
 always has a nonzero intersection W of its center with the image of the
 center under j.  A vector of W inside the derived ideal drives the inverse
 of the plane double extension (`reduce_by_plane`); a vector of nonzero norm
-drives an orthogonal split (`split_plane`).  `full_reduction` iterates to an
-abelian residue.  `analyze_skew_pair` normalizes a nilpotent skewsymmetric
-pair on a neutral four-dimensional base into its adapted form.
+drives an orthogonal split (`split_plane`).  Both steps return a
+`ReductionStep`, and `full_reduction` iterates them to an abelian residue.
 
 Each inverse step computes over int on the integers that the bracket
 table, j and phi keep, and makes each Fraction of its result once, at the
@@ -24,7 +23,6 @@ from typing import Sequence
 from .checks import PhqError, Record
 from .lie import LieAlgebra, _twisted, format_vector
 from .linalg import (
-    ZERO,
     DimensionMismatch,
     Matrix,
     Scaled,
@@ -36,16 +34,13 @@ from .linalg import (
     add_vec,
     bilinear,
     intersect,
-    is_zero_vec,
-    kernel,
     map_image,
     mat_vec,
     scaled,
     signature,
     vector,
-    zero_vector,
 )
-from .structures import ExtensionData, PHQAlgebra, validate_extension_data
+from .structures import ExtensionData, PHQAlgebra
 
 
 def _span_text(vectors: Sequence[Vector], names: Sequence[str]) -> str:
@@ -143,8 +138,7 @@ def _choose(p: PHQAlgebra, what: str, *given):
             return [in_derived.basis[0]]
         return [*w.basis, *(add_vec(u, v) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :])]
     if what == "v":
-        error = InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
-        return _isotropic_dual(p, *given, error)
+        return _isotropic_dual(p, *given)
     return _complement_int(p.dim, p.phi._scaled[1], [x for _, x in given]).basis
 
 
@@ -174,33 +168,20 @@ def _unscaled(x: Scaled) -> Vector:
     return tuple(Fraction(a, x[0]) for a in x[1])
 
 
-def _coords(n: int, frame: Sequence[Scaled], images: Sequence[Scaled], error: Exception) -> list[Vector]:
-    """Coordinates of the ``images`` in the independent columns ``frame`` of
-    an n-dimensional space, all `Scaled` pairs, from one integer solve of
-    [frame | images]: x_c = y_c * s_c / den for the scale s_c of column c and
-    the scale den of an image.  Raises ``error`` if any image leaves the
-    span of the frame.  `_restrict` and `analyze_skew_pair` share it."""
-    rows = [[x[i] for _, x in frame] + [y[i] for _, y in images] for i in range(n)]
-    xs = _solve_int(rows, [s for s, _ in frame], [den for den, _ in images])
-    if xs is None:
-        raise error
-    return xs
-
-
-def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled, error: Exception) -> Vector:
+def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled) -> Vector:
     """An isotropic v with phi(z, v) = 1 and phi(zp, v) = 0, for an isotropic
     z orthogonal to zp: the minimal-support solution v0 of the two linear
     conditions, moved along z until it is isotropic, v0 - phi(v0, v0) / 2 z,
-    with each entry made once over the common denominator.  Raises ``error``
-    if the conditions are inconsistent.  The solver behind the reduction's
-    choice of v (`_choose`) and behind `analyze_skew_pair`'s u2."""
+    with each entry made once over the common denominator.  Raises
+    `InvalidCentralElement` if the conditions are inconsistent.  The solver
+    behind the reduction's choice of v (`_choose`)."""
     n = p.dim
     dg, g = p.phi._scaled
     # for the `Scaled` pair (s, x) of a vector u, G x is dg * s * phi(u, .)
     rows = [mat_vec(g, n, n, enumerate(x), 0) + [e] for x, e in ((z[1], dg * z[0]), (zp[1], 0))]
     xs = _solve_int(rows, [1] * n, [1])
     if xs is None:
-        raise error
+        raise InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
     v0 = scaled(xs[0])
     q = _phi(p, v0, v0)  # dg s^2 phi(v0, v0)
     (s, x), (sz, zn) = v0, z
@@ -215,12 +196,14 @@ def _restrict(
 ) -> tuple[PHQAlgebra, list[Vector]]:
     """Restriction of brackets, j and phi to the span of ``basis``.
 
-    One integer frame solve in (drop..., basis...) gives the coordinates of
-    the images under j of the basis vectors, of their brackets and of the
-    brackets of the ``extra`` pairs.  Components along ``drop`` are
-    discarded, but j must keep the span of ``basis``.  The metric is the
-    Gram block B^T g B on integers.  Returns the restriction and the
-    ``basis`` coordinates of the ``extra`` brackets.
+    One integer solve of [frame | images], for the frame (drop..., basis...),
+    gives the coordinates of the images under j of the basis vectors, of
+    their brackets and of the brackets of the ``extra`` pairs, all `Scaled`
+    pairs: x_c = y_c * s_c / den for the scale s_c of column c and the scale
+    den of an image.  Components along ``drop`` are discarded, but j must
+    keep the span of ``basis``.  The metric is the Gram block B^T g B on
+    integers.  Returns the restriction and the ``basis`` coordinates of the
+    ``extra`` brackets.
     """
     m, k = len(basis), len(drop)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
@@ -230,12 +213,11 @@ def _restrict(
         (d * x[0] * y[0], bilinear(t, x[1], y[1], skew=True, zero=0))
         for x, y in [(basis[a], basis[b]) for a, b in pairs] + list(extra)
     ]
-    coords = _coords(
-        p.dim,
-        [*drop, *basis],
-        images,
-        InvalidCentralElement("the restriction leaves the frame; the subspace is not invariant"),
-    )
+    frame = [*drop, *basis]
+    rows = [[x[i] for _, x in frame] + [y[i] for _, y in images] for i in range(p.dim)]
+    coords = _solve_int(rows, [s for s, _ in frame], [den for den, _ in images])
+    if coords is None:
+        raise InvalidCentralElement("the restriction leaves the frame; the subspace is not invariant")
     if any(any(c[:k]) for c in coords[:m]):
         raise InvalidCentralElement("j does not keep the restricted subspace")
     coords = [c[k:] for c in coords]
@@ -266,18 +248,6 @@ def _central_plane(p: PHQAlgebra, z: Vector, derived: bool) -> tuple[Scaled, Sca
     return zs, zps, _phi(p, zs, zs)
 
 
-def split_plane(p: PHQAlgebra, z: Vector) -> tuple[PHQAlgebra, int]:
-    """Remove the definite j-invariant central plane spanned by z and jz.
-
-    Returns the restriction to the orthogonal complement, in the basis that
-    `_choose` picks, together with the sign of phi(z, z).
-    """
-    zs, zps, norm = _central_plane(p, vector(z), False)
-    if norm == 0:
-        raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    return _restrict(p, [scaled(b) for b in _choose(p, "basis", zs, zps)])[0], (1 if norm > 0 else -1)
-
-
 class ReductionStep(Record):
     """One inverse step; `adapted_basis` maps re-built coordinates to input
     coordinates (for plane reductions it is the witness of the round trip)."""
@@ -289,6 +259,20 @@ class ReductionStep(Record):
     recovered: PHQAlgebra
     extension_data: ExtensionData | None
     adapted_basis: Matrix | None
+
+
+def split_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
+    """Remove the definite j-invariant central plane spanned by z and jz.
+
+    The step's ``recovered`` is the restriction to the orthogonal complement,
+    in the basis that `_choose` picks, and its ``sign`` that of phi(z, z).
+    """
+    z = vector(z)
+    zs, zps, norm = _central_plane(p, z, False)
+    if norm == 0:
+        raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
+    rest = _restrict(p, [scaled(b) for b in _choose(p, "basis", zs, zps)])[0]
+    return ReductionStep("split_plane", z, None, 1 if norm > 0 else -1, rest, None, None)
 
 
 def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
@@ -352,78 +336,8 @@ def full_reduction(p: PHQAlgebra) -> ReductionResult:
     current = p
     while not current.algebra.is_abelian():
         pair = find_central_pair(current)
-        if pair.in_derived:
-            step = reduce_by_plane(current, pair.z)
-        else:
-            rest, sign = split_plane(current, pair.z)
-            step = ReductionStep("split_plane", pair.z, None, sign, rest, None, None)
+        step = (reduce_by_plane if pair.in_derived else split_plane)(current, pair.z)
         steps.append(step)
         current = step.recovered
     return ReductionResult(tuple(steps), current)
 
-
-class SkewPairReport(Record):
-    """Adapted form of a nilpotent skew pair on a neutral 4-dim base."""
-
-    a: Fraction
-    b: Fraction
-    kernel_f: Subspace
-    adapted_basis: tuple[Vector, Vector, Vector, Vector]  # (u1, ju1, u2, ju2)
-
-
-def analyze_skew_pair(base: PHQAlgebra, f: Matrix, d: Matrix) -> SkewPairReport:
-    """Check the structure of a nilpotent skew pair with f != 0 on a neutral
-    four-dimensional base and extract its adapted constants.
-
-    Verifies ker(f) = j(ker f) = im(f), two-dimensional and totally
-    isotropic; then picks u1 in ker(f), builds the isotropic dual u2 with
-    phi(u1, u2) = 1 and phi(ju1, u2) = 0, and reads off the constants
-    f(u2) = a ju1 (a != 0) and d(u2) = b ju1, with d vanishing on ker(f).
-    """
-    if base.dim != 4 or signature(base.phi) != (2, 2):
-        raise HypothesisViolated("base must be four-dimensional of neutral signature")
-    # With s0 = 0 the report's ad(s0) = F D - D F is the condition [F, D] = 0.
-    report = validate_extension_data(base, d, f, zero_vector(4))
-    if not report.ok:
-        raise HypothesisViolated("; ".join(report.failures))
-    for name, m in (("F", f), ("D", d)):
-        power = m
-        for _ in range(4):
-            power = power @ m
-        if not power.is_zero():
-            raise HypothesisViolated(f"{name} is not nilpotent")
-    if f.is_zero():
-        raise HypothesisViolated("F must be nonzero")
-
-    ker_f = kernel(f)
-    if ker_f.dim != 2:
-        raise HypothesisViolated(f"ker(F) has dimension {ker_f.dim}, expected 2")
-    image = Subspace.span(4, [f.col(i) for i in range(4)])
-    if map_image(base.j, ker_f) != ker_f or image != ker_f:
-        raise HypothesisViolated("ker(F) = j(ker F) = im(F) fails")
-    if not ker_f.is_totally_isotropic(base.phi):
-        raise HypothesisViolated("ker(F) is not totally isotropic")
-
-    u1 = ker_f.basis[0]
-    ju1 = base.j.apply(u1)
-    u2 = _isotropic_dual(base, scaled(u1), scaled(ju1), HypothesisViolated("no dual vector for u1"))
-    ju2 = base.j.apply(u2)
-    fu2, du2, fju2 = _coords(
-        4,
-        [scaled(x) for x in (u1, ju1, u2, ju2)],
-        [scaled(f.apply(u2)), scaled(d.apply(u2)), scaled(f.apply(ju2))],
-        HypothesisViolated("adapted frame is degenerate"),
-    )
-    if fu2[0] != 0 or fu2[2] != 0 or fu2[3] != 0:
-        raise HypothesisViolated("F(u2) is not a multiple of ju1")
-    if du2[0] != 0 or du2[2] != 0 or du2[3] != 0:
-        raise HypothesisViolated("D(u2) is not a multiple of ju1")
-    a = fu2[1]
-    b = du2[1]
-    if a == 0:
-        raise HypothesisViolated("the constant a vanishes although F != 0")
-    if fju2 != (-a, ZERO, ZERO, ZERO):
-        raise HypothesisViolated("F(ju2) != -a u1")
-    if not (is_zero_vec(d.apply(u1)) and is_zero_vec(d.apply(ju1))):
-        raise HypothesisViolated("D does not vanish on ker(F)")
-    return SkewPairReport(a, b, ker_f, (u1, ju1, u2, ju2))

@@ -32,6 +32,7 @@ from phq.fileformat import (
 )
 
 from conftest import FIXTURES
+from test_lazy import child
 from test_structures import transported
 
 
@@ -610,6 +611,32 @@ class TestCommands:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "digits" in err
+
+    # PYTHONINTMAXSTRDIGITS is 4,300 by default; 640 is the least it admits,
+    # and 0 lifts it
+    @pytest.mark.parametrize("limit", ["640", "0"])
+    def test_parsing_does_not_depend_on_the_digit_limit(self, tmp_path, limit):
+        text = (FIXTURES / "L42.alg").read_text()
+        doc = json.loads(text)
+        doc["phi"][0][0] = "1" + "0" * 700
+        phi, integer, index, scalar = (tmp_path / f"{name}.alg" for name in ("phi", "integer", "index", "scalar"))
+        phi.write_text(json.dumps(doc))
+        integer.write_text(text.replace('"2": "1"', '"2": 1' + "0" * 700, 1))
+        index.write_text(text.replace('"2": "1"', '"1' + "0" * 700 + '": "1"', 1))
+        scalar.write_text(text.replace('"2": "1"', '"2": "1' + "0" * 1000 + '"', 1))
+
+        check = ["-m", "phq.cli", "check"]
+        default, limited = (child([*check, str(phi)], PYTHONINTMAXSTRDIGITS=n) for n in ("4300", limit))
+        assert (limited.returncode, limited.stdout, limited.stderr) == (default.returncode, default.stdout, b"")
+        assert default.returncode == 1 and b"J-compatible: FAIL" in default.stdout
+        code = f"import phq; print(phq.parse_path({str(integer)!r}).algebra.brackets[(0, 1)][2] == 10**700)"
+        assert child([], code, PYTHONINTMAXSTRDIGITS=limit).stdout == b"True\n"
+        for path, error in (
+            (index, "brackets[0]: coefficient index 1" + "0" * 700 + " out of range"),
+            (scalar, "brackets[0].coeffs[2]: a scalar has more than 1000 digits"),
+        ):
+            proc = child([*check, str(path)], PYTHONINTMAXSTRDIGITS=limit)
+            assert (proc.returncode, proc.stderr) == (2, f"parse error: {error}\n".encode())
 
     def test_check_marks_a_residual_too_long_to_print(self, tmp_path, capsys):
         # six table coefficients 1/P_k, each P_k of 1,000 digits and pairwise

@@ -116,7 +116,7 @@ class TestJacobi:
 class TestAdjoint:
     def test_abelian_adjoint_is_zero(self):
         a = LieAlgebra.abelian(3)
-        assert a.adjoint(vector([1, 2, 3])).is_zero()
+        assert not any(a.adjoint(vector([1, 2, 3])).entries)
 
     def test_core_adjoint_columns(self, core):
         ad = core.algebra.adjoint(unit(6, 0))
@@ -127,7 +127,7 @@ class TestAdjoint:
 
     def test_central_element_has_zero_adjoint(self):
         k, _ = kodaira_thurston()
-        assert k.adjoint(unit(4, 2)).is_zero()
+        assert not any(k.adjoint(unit(4, 2)).entries)
 
 
 class TestSeriesAndIdeals:

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -38,7 +37,6 @@ from phq import (
     truncated_poly,
 )
 from phq.cli import main
-from phq.reduction import SkewPairReport
 
 from conftest import FIXTURES
 
@@ -58,7 +56,6 @@ FIELDS = {
     "CentralPair": "subspace z in_derived",
     "ReductionStep": "kind z v sign recovered extension_data adapted_basis",
     "ReductionResult": "steps residue",
-    "SkewPairReport": "a b kernel_f adapted_basis",
     "CatalogLabel": "factors",
     "Classification": "label fingerprint reduction",
     "InequivalenceEvidence": "field value_a value_b",
@@ -79,7 +76,6 @@ def samples():
     r42, r24 = full_reduction(l42), full_reduction(l24)
     data = r42.steps[0].extension_data
     recipe = parse_recipe_text((FIXTURES / "tstar_theta3.recipe").read_text())
-    u = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     return {
         "Check": (Check("a", ("x",)), Check("a")),
         "Report": (Report((Check("a"),)), Report(())),
@@ -95,10 +91,6 @@ def samples():
         "CentralPair": (find_central_pair(l42), find_central_pair(build("Tstar0K"))),
         "ReductionStep": (r42.steps[0], r24.steps[0]),
         "ReductionResult": (r42, r24),
-        "SkewPairReport": (
-            SkewPairReport(Fraction(1), Fraction(0), Subspace.zero(4), (u, u, u, u)),
-            SkewPairReport(Fraction(1), Fraction(1), Subspace.zero(4), (u, u, u, u)),
-        ),
         "CatalogLabel": (CatalogLabel(("R(0,2)", "L(4,2)")), CatalogLabel(("L(4,2)",))),
         "Classification": (classify(l42), classify(l24)),
         "InequivalenceEvidence": (InequivalenceEvidence("dim", 4, 6), InequivalenceEvidence(None)),

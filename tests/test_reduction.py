@@ -26,7 +26,6 @@ from phq import (
     PHQAlgebra,
     ReductionStuck,
     Subspace,
-    analyze_skew_pair,
     build,
     check_commutative,
     check_phq,
@@ -37,12 +36,16 @@ from phq import (
     find_central_pair,
     fingerprint,
     full_reduction,
+    gram_restriction,
     j_class,
+    kernel,
     kodaira_thurston,
+    map_image,
     parse_path,
     phq_double_extension,
     reduce_by_plane,
     signature,
+    solve_linear,
     split_plane,
     tensor_construct,
     truncated_poly,
@@ -215,6 +218,16 @@ def moved_v(shift):
     return policy
 
 
+def moved_basis(p, what, *given):
+    """The policy, with the first complement vector b moved to b + z: j(b + z)
+    has the component jz, outside the complement."""
+    out = CHOOSE(p, what, *given)
+    if what == "basis":
+        s, z = given[0]
+        out = [tuple(a + Fraction(c, s) for a, c in zip(out[0], z)), *out[1:]]
+    return out
+
+
 def split_first(p, what, *given):
     """The policy, with z preferring the candidates of nonzero norm, so that a
     definite central plane is split off before any plane reduction."""
@@ -316,18 +329,20 @@ class TestFindCentralPair:
 class TestSplitPlane:
     def test_split_positive_plane_from_mixed_abelian(self):
         p = build("R(2,4)")
-        rest, sign = split_plane(p, unit(6, 0))
-        assert sign == 1
-        assert rest.dim == 4
-        assert signature(rest.phi) == (0, 4)
-        assert check_phq(rest).ok
+        step = split_plane(p, unit(6, 0))
+        assert (step.kind, step.z, step.sign) == ("split_plane", unit(6, 0), 1)
+        assert step.v is step.extension_data is step.adapted_basis is None
+        assert step.recovered.dim == 4
+        assert signature(step.recovered.phi) == (0, 4)
+        assert check_phq(step.recovered).ok
 
     def test_split_factor_from_sum(self):
         p = build("L(4,2)+R(2,0)")
         # basis order: core first, then the positive plane at indices 6, 7
-        rest, sign = split_plane(p, unit(8, 6))
-        assert sign == 1
-        assert fingerprint(rest) == fingerprint(build("L(4,2)"))
+        step = split_plane(p, unit(8, 6))
+        assert step.sign == 1
+        assert step.v is step.extension_data is step.adapted_basis is None
+        assert fingerprint(step.recovered) == fingerprint(build("L(4,2)"))
 
     def test_split_on_dense_copies(self):
         # a central j-pair vector of nonzero norm in a random basis: the rest
@@ -338,10 +353,12 @@ class TestSplitPlane:
                 p = PHQAlgebra(*transported(build(name), random.Random(seed)))
                 w = find_central_pair(p).subspace.basis
                 z = next(x for x in [*w, *map(add_vec, w, w[1:])] if p.pairing(x, x))
-                rest, sign = split_plane(p, z)
+                step = split_plane(p, z)
+                assert step.v is step.extension_data is step.adapted_basis is None
+                rest = step.recovered
                 assert rest.dim == p.dim - 2 and check_phq(rest).ok, (name, seed)
                 pos, neg = signature(rest.phi)
-                plane = (2, 0) if sign > 0 else (0, 2)
+                plane = (2, 0) if step.sign > 0 else (0, 2)
                 assert (pos + plane[0], neg + plane[1]) == signature(p.phi), (name, seed)
 
     def test_rejects_nonsymmetric_metric(self):
@@ -396,7 +413,7 @@ def test_mixed_denominators_pass_every_symmetry_test():
     assert check_quadratic(p.algebra, p.phi).ok
     w = find_central_pair(p).subspace.basis
     z = next(x for x in [*w, *map(add_vec, w, w[1:])] if p.pairing(x, x))
-    assert split_plane(p, z)[0].dim == 6
+    assert split_plane(p, z).recovered.dim == 6
     assert reduce_by_plane(p, find_central_pair(p).z).recovered.dim == 4
     form = Matrix.from_rows([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), 0]])
     assert check_commutative(CommutativeAlgebra(("a", "a^2"), truncated_poly(2).products, form)).ok
@@ -414,7 +431,7 @@ class TestReduceByPlane:
         assert step.recovered.dim == 4
         assert signature(step.recovered.phi) == (0, 4)
         data = step.extension_data
-        assert data.d.is_zero() and data.f.is_zero()
+        assert not any(data.d.entries) and not any(data.f.entries)
         # s0 is the image of x2, of norm -1 in the negated metric
         assert step.recovered.pairing(data.s0, data.s0) == Fraction(-1)
         rebuilt = phq_double_extension(data)
@@ -427,8 +444,8 @@ class TestReduceByPlane:
         assert step.recovered.dim == 4
         assert signature(step.recovered.phi) == (2, 2)
         data = step.extension_data
-        assert not data.f.is_zero()
-        assert data.d.is_zero()
+        assert any(data.f.entries)
+        assert not any(data.d.entries)
         assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
         assert fingerprint(phq_double_extension(data)) == fingerprint(p)
 
@@ -468,6 +485,21 @@ class TestReduceByPlane:
         message = "v must be isotropic, with phi(z, v) = 1 and phi(jz, v) = 0"
         with pytest.raises(HypothesisViolated, match=f"^{re.escape(message)}$"):
             reduce_by_plane(build("L(4,2)"), unit(6, 4))
+
+    # a split removes no frame vector, so jz leaves its frame; a plane step
+    # keeps z and jz in its frame, and j(b + z) has a component along jz
+    @pytest.mark.parametrize(
+        "step, name, z, message",
+        [
+            (split_plane, "L(4,2)+R(2,0)", unit(8, 6), "the restriction leaves the frame; the subspace is not invariant"),
+            (reduce_by_plane, "L(4,2)", unit(6, 4), "j does not keep the restricted subspace"),
+        ],
+        ids=["split_plane", "reduce_by_plane"],
+    )
+    def test_rejects_a_basis_that_j_does_not_keep(self, monkeypatch, step, name, z, message):
+        monkeypatch.setattr(phq.reduction, "_choose", moved_basis)
+        with pytest.raises(InvalidCentralElement, match=f"^{re.escape(message)}$"):
+            step(build(name), z)
 
 
 class TestFullReduction:
@@ -728,53 +760,71 @@ class TestFullReduction:
                 assert vars(obj)["_scaled"] == fresh[type(obj)](obj)
 
 
-class TestAnalyzeSkewPair:
-    def test_adapted_form_read_back(self):
-        base = lemma_adapted_base()
-        f, d = adapted_pair(1, 0)
-        report = analyze_skew_pair(base, f, d)
-        assert (report.a, report.b) == (1, 0)
-        assert report.kernel_f == Subspace.span(4, [unit(4, 0), unit(4, 1)])
-        assert report.kernel_f.is_totally_isotropic(base.phi)
+def first_plane_datum(name, seed=None):
+    """The extension data of the first step of `full_reduction` on ``name``,
+    in its recipe basis or, given a seed, in a `transported` copy."""
+    p = build(name) if seed is None else PHQAlgebra(*transported(build(name), random.Random(seed)))
+    return full_reduction(p).steps[0].extension_data
 
-    def test_zero_map_rejected(self):
-        base = lemma_adapted_base()
-        with pytest.raises(HypothesisViolated):
-            analyze_skew_pair(base, Matrix.zero(4), Matrix.zero(4))
 
-    def test_pair_with_nonzero_b(self):
-        base = lemma_adapted_base()
-        f, d = adapted_pair(1, 1)
-        report = analyze_skew_pair(base, f, d)
-        assert (report.a, report.b) == (1, 1)
-        # ker(F) inside ker(D)
-        for v in report.kernel_f.basis:
-            assert d.apply(v) == vector([0, 0, 0, 0])
+@pytest.mark.parametrize(
+    "name, seed, read_back",
+    [
+        pytest.param(name, seed, None, id=name if seed is None else f"{name}@{seed}")
+        for name in ("Tstar0K", "TstarTheta3K")
+        for seed in (None, 1, 2, 3)
+    ]
+    + [
+        pytest.param(None, None, (a, b), id=f"adapted({a},{b})")
+        for a, b in ((1, 0), (1, 1), (Fraction(5, 2), Fraction(-2, 3)))
+    ],
+)
+def test_the_adapted_pair_lemma(name, seed, read_back):
+    # the paper's dim-8 lemma on the plane steps that meet its hypotheses, and
+    # on the adapted form, whose constants it reads back; a depends on the
+    # basis, so only its existence is asserted on the plane steps
+    if read_back is None:
+        data = first_plane_datum(name, seed)
+        base, d, f = data.base, data.d, data.f
+    else:
+        base, (f, d) = lemma_adapted_base(), adapted_pair(*read_back)
+    assert base.dim == 4 and signature(base.phi) == (2, 2)
+    assert not any((f @ f @ f @ f).entries) and not any((d @ d @ d @ d).entries)
+    ker = kernel(f)
+    assert ker.dim == 2 and map_image(base.j, ker) == ker == Subspace.span(4, [f.col(i) for i in range(4)])
+    assert not any(gram_restriction(base.phi, ker.basis).entries)
+    u1 = ker.basis[0]
+    ju1 = base.j.apply(u1)
+    assert not any(d.apply(u1) + d.apply(ju1))
+    # u2: phi(u1, u2) = 1 and phi(ju1, u2) = 0, moved along u1 to be isotropic
+    v0 = solve_linear(Matrix.from_rows([base.phi.apply(u1), base.phi.apply(ju1)]), (1, 0))
+    u2 = tuple(x - base.pairing(v0, v0) / 2 * y for x, y in zip(v0, u1))
+    (a,) = solve_linear(Matrix.from_cols([ju1]), f.apply(u2))
+    (b,) = solve_linear(Matrix.from_cols([ju1]), d.apply(u2))
+    assert a != 0 and f.apply(base.j.apply(u2)) == tuple(-a * x for x in u1)
+    assert read_back is None or (a, b) == read_back
 
-    def test_non_nilpotent_map_rejected(self):
-        base = build("R(2,2)")
-        with pytest.raises(HypothesisViolated):
-            analyze_skew_pair(base, base.j, Matrix.zero(4))
 
-    def test_non_skew_map_rejected_with_the_failing_hypothesis(self):
-        # every map is a derivation of the abelian base, but the identity is not phi-skew
-        base = build("R(2,2)")
-        with pytest.raises(HypothesisViolated, match="^D is not skewsymmetric for the base metric$"):
-            analyze_skew_pair(base, Matrix.zero(4), Matrix.identity(4))
-
-    def test_definite_base_rejected(self):
-        base = build("R(4,0)")
-        f, d = adapted_pair(1, 0)
-        with pytest.raises(HypothesisViolated):
-            analyze_skew_pair(base, f, d)
-
-    def test_rank_and_kernel_constraints(self):
-        base = lemma_adapted_base()
-        f, d = adapted_pair(Fraction(5, 2), Fraction(-2, 3))
-        report = analyze_skew_pair(base, f, d)
-        assert report.a == Fraction(5, 2)
-        assert report.b == Fraction(-2, 3)
-        assert report.kernel_f.dim == 2
+def test_the_lemma_hypotheses_fail_on_the_other_labels():
+    # (dim, signature) of the base and whether F != 0, on the first plane
+    # step in the recipe basis and three transports: four bases are not
+    # neutral of dimension 4, and two neutral ones have F = 0
+    facts = {
+        name: {
+            (data.base.dim, signature(data.base.phi), any(data.f.entries))
+            for data in (first_plane_datum(name, seed) for seed in (None, 1, 2, 3))
+        }
+        for name in NONABELIAN
+        if name not in ("Tstar0K", "TstarTheta3K")
+    }
+    assert facts == {
+        "L(4,2)": {(2, (2, 0), False)},
+        "L(2,4)": {(2, (0, 2), False)},
+        "L(4,2)+R(2,0)": {(4, (4, 0), False)},
+        "L(4,2)+R(0,2)": {(4, (2, 2), False)},
+        "L(2,4)+R(2,0)": {(4, (2, 2), False)},
+        "L(2,4)+R(0,2)": {(4, (0, 4), False)},
+    }
 
 
 def naive_skew(m, g):
@@ -879,7 +929,7 @@ def perturbations(data):
         out.append(((base, d, f, moved), "ad(s0) != F D - D F"))
     candidates = [skew_rank_two(g, a, b, Fraction(1, 5)) for a, b in pairs]
     candidates += [elementary(n, a, b, Fraction(1, 5)) for a in range(n) for b in range(n)]
-    y = next(y for y in (x + j @ x @ j for x in candidates) if not y.is_zero())
+    y = next(y for y in (x + j @ x @ j for x in candidates) if any(y.entries))
     out.append(((base, d, f + y, s0), "[F + J D, J] != 0"))
     out.append(((base, d + j @ y, f + y, s0), "ad(s0) != F D - D F"))
     return out
