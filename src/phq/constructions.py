@@ -26,14 +26,11 @@ from .linalg import (
     SparseTable,
     Vector,
     _transpose,
-    add_vec,
     bilinear,
+    dense,
     frac,
-    is_zero_vec,
+    scaled,
     sparse_table,
-    sub_vec,
-    unit_vector,
-    vector,
 )
 from .structures import PHQAlgebra, check_complex
 
@@ -73,14 +70,23 @@ def _shifted_table(table: SparseTable, offset: int) -> SparseTable:
 
 def _block(m: Matrix, offset: int) -> dict[tuple[int, int], Fraction]:
     """The nonzero entries of m, moved ``offset`` places along the diagonal."""
-    return {
-        (offset + r, offset + c): m[r, c] for r in range(m.rows) for c in range(m.cols) if m[r, c]
-    }
+    c = m.cols
+    return {(offset + i // c, offset + i % c): x for i, x in enumerate(m.entries) if x}
+
+
+def _integers(table: SparseTable) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+    """`scaled` of a cocycle's values or an algebra's products: d and the table d * entries."""
+    d, flat = scaled([c for col in table.values() for c in col.values()])
+    ints = iter(flat)
+    return d, {pair: {k: next(ints) for k in col} for pair, col in table.items()}
 
 
 def _square(n: int, entries: Mapping[tuple[int, int], Fraction]) -> Matrix:
     """The n x n matrix with the given (row, column) entries and zeros elsewhere."""
-    return Matrix(n, n, tuple(entries.get((r, c), ZERO) for r in range(n) for c in range(n)))
+    out = [ZERO] * (n * n)
+    for (r, c), x in entries.items():
+        out[r * n + c] = x
+    return Matrix(n, n, tuple(out))
 
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
@@ -164,10 +170,6 @@ class Cocycle(Record):
     def zero(cls, dim: int) -> "Cocycle":
         return cls(dim, {})
 
-    def evaluate(self, x: Sequence, y: Sequence) -> Vector:
-        """Bilinear value theta(x, y) as a dual coordinate vector."""
-        return bilinear(self.values, vector(x), vector(y), skew=True)
-
     def scale(self, s) -> "Cocycle":
         s = frac(s)
         scaled = {pair: {k: s * c for k, c in col.items()} for pair, col in self.values.items()}
@@ -195,54 +197,48 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
         theta(x,y)z = theta(jx,jy)z + theta(jy,jz)x + theta(jz,jx)y
         on all basis triples.
 
-    theta is evaluated once on each pair of basis vectors and once on each
-    pair of their images under j; (a) and (c) are read from those two tables.
+    Checked on integers, as `check_phq`, on T = d_t brackets, Θ = d_θ theta
+    and J = d_j j: (a) on entries of Θ, (b) times d_t d_θ, and (c) as
+    d_j^2 Θ(e_i,e_b)_k = Θ(Je_i,Je_b)_k + Θ(Je_b,Je_k)_i + Θ(Je_k,Je_i)_b.
     """
     n = algebra.dim
     if theta.dim != n:
         raise DimensionMismatch("cocycle dimension does not match the algebra")
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
-    names = algebra.basis_names
-    units = [unit_vector(n, i) for i in range(n)]
-    jcols = [j.col(c) for c in range(n)]
-    t = [[theta.evaluate(x, y) for y in units] for x in units]
-    tj = [[theta.evaluate(x, y) for y in jcols] for x in jcols]
-    triples = list(product(range(n), repeat=3))
+    names, t, columns = algebra.basis_names, algebra._scaled[1], algebra._columns
+    values, (dj, jn) = _integers(theta.values)[1], j._scaled
+    th = [[[0] * n for _ in range(n)] for _ in range(n)]  # th[a][b] = Θ(e_a, e_b)
+    for (a, b), col in values.items():
+        for k, c in col.items():
+            th[a][b][k], th[b][a][k] = c, -c
+    jcols = [jn[c::n] for c in range(n)]
+    tj = [[bilinear(values, x, y, skew=True, zero=0) for y in jcols] for x in jcols]
 
-    cyclic_fail = [
-        f"theta({names[i]},{names[b]}){names[k]} != theta({names[b]},{names[k]}){names[i]}"
-        for i, b, k in triples
-        if t[i][b][k] != t[b][k][i]
-    ]
+    def d_theta(i: int, b: int, k: int) -> list[int]:
+        # e_x . f = -f o ad(e_x), so entry w is f(T(e_w, e_x)): the ad columns of e_x
+        out = [0] * n
+        for x, f, s in ((i, th[b][k], 1), (b, th[i][k], -1), (k, th[i][b], 1)):
+            for w, image in columns[x]:
+                out[w] += s * sum(f[m] * c for m, c in image)
+        for x, y, z, s in ((i, b, k, -1), (i, k, b, 1), (b, k, i, -1)):  # -Θ(T(e_i, e_b), e_k), ...
+            for a, c in t.get((x, y), {}).items():
+                out = [o + s * c * v for o, v in zip(out, th[a][z])]
+        return out
 
-    ads = [algebra.adjoint(u) for u in units]
-    # the coadjoint action of e_i on a functional f is -f o ad(e_i) = -ad(e_i)^T f
-    coads = [-ad.transpose() for ad in ads]
-    cocycle_fail = []
-    for i, b, k in combinations(range(n), 3):
-        term = coads[i].apply(t[b][k])
-        term = sub_vec(term, coads[b].apply(t[i][k]))
-        term = add_vec(term, coads[k].apply(t[i][b]))
-        term = sub_vec(term, theta.evaluate(ads[i].col(b), units[k]))
-        term = add_vec(term, theta.evaluate(ads[i].col(k), units[b]))
-        term = sub_vec(term, theta.evaluate(ads[b].col(k), units[i]))
-        if not is_zero_vec(term):
-            cocycle_fail.append(f"d theta != 0 on ({names[i]}, {names[b]}, {names[k]})")
-
-    compat_fail = [
-        f"J-compatibility fails on ({names[i]}, {names[b]}, {names[k]})"
-        for i, b, k in triples
-        if t[i][b][k] != tj[i][b][k] + tj[b][k][i] + tj[k][i][b]
-    ]
-
-    return Report(
-        (
-            Check("cyclic", tuple(cyclic_fail)),
-            Check("2-cocycle", tuple(cocycle_fail)),
-            Check("J-compatible", tuple(compat_fail)),
-        )
+    every = list(product(range(n), repeat=3))
+    conditions = (
+        ("cyclic", "theta({0},{1}){2} != theta({1},{2}){0}", every,
+         lambda i, b, k: th[i][b][k] != th[b][k][i]),
+        ("2-cocycle", "d theta != 0 on ({0}, {1}, {2})", combinations(range(n), 3),
+         lambda i, b, k: any(d_theta(i, b, k))),
+        ("J-compatible", "J-compatibility fails on ({0}, {1}, {2})", every,
+         lambda i, b, k: dj * dj * th[i][b][k] != tj[i][b][k] + tj[b][k][i] + tj[k][i][b]),
     )
+    return Report(tuple(
+        Check(label, tuple(text.format(*(names[x] for x in ijk)) for ijk in triples if fails(*ijk)))
+        for label, text, triples, fails in conditions
+    ))
 
 
 def tstar_extension(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> PHQAlgebra:
@@ -330,32 +326,30 @@ class CommutativeAlgebra(Record):
     def dim(self) -> int:
         return len(self.basis_names)
 
-    def multiply(self, x: Sequence, y: Sequence) -> Vector:
-        return bilinear(self.products, vector(x), vector(y), skew=False)
-
 
 def check_commutative(a: CommutativeAlgebra) -> Check:
     """Commutativity, associativity, nondegeneracy, and B(ab,c) = B(b,ac),
-    read from the products of basis vectors, each computed once."""
+    in one sweep on P = d_p products and G = d_b B (``form._scaled``): each
+    side of associativity is d_p^2 times its product, each side of
+    invariance d_p d_b times its form, and each basis product is read once."""
     n = a.dim
-    units = [unit_vector(n, i) for i in range(n)]
-    prod = [[a.multiply(x, y) for y in units] for x in units]
-    # B(e_k, e_i e_j) is entry k of left[i][j], B(e_i e_k, e_j) entry j of right[i][k]
-    form_t = a.form.transpose()
-    left = [[a.form.apply(p) for p in row] for row in prod]
-    right = [[form_t.apply(p) for p in row] for row in prod]
+    p, g = _integers(a.products)[1], a.form._scaled[1]
+    cols = [[p.get((i, j), {}) for j in range(n)] for i in range(n)]
+    prod = [[dense(col, n, 0) for col in row] for row in cols]
     failures = [
         f"products not commutative at ({i},{j})"
         for i, j in product(range(n), repeat=2)
         if prod[i][j] != prod[j][i]
     ]
     for i, j, k in product(range(n), repeat=3):
-        if a.multiply(prod[i][j], units[k]) != a.multiply(units[i], prod[j][k]):
+        ij_k = [sum(c * prod[m][k][s] for m, c in cols[i][j].items()) for s in range(n)]
+        i_jk = [sum(c * prod[i][m][s] for m, c in cols[j][k].items()) for s in range(n)]
+        if ij_k != i_jk:
             failures.append(f"associativity fails at ({i},{j},{k})")
-        if left[i][j][k] != right[i][k][j]:
+        left = sum(g[k * n + m] * c for m, c in cols[i][j].items())  # G(e_k, P(e_i, e_j))
+        if left != sum(c * g[m * n + j] for m, c in cols[i][k].items()):  # G(P(e_i, e_k), e_j)
             failures.append(f"form invariance fails at ({i},{j},{k})")
-    fn = a.form._scaled[1]
-    if fn != _transpose(fn, n):
+    if g != _transpose(g, n):
         failures.append("form not symmetric")
     elif a.form.rank() != n:
         failures.append("form degenerate")

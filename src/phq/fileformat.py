@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from . import catalog, constructions
 from .checks import PhqError, Record
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _scalar_text
 from .linalg import Matrix
 from .structures import ExtensionData, PHQAlgebra
 
@@ -122,7 +122,7 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
     if not _integer(dim) or dim < 0:
         raise ParseError("dim must be a nonnegative integer")
     if dim > MAX_DIM:
-        raise ParseError(f"dim {dim} is above the limit {MAX_DIM}")
+        raise ParseError(f"dim {_scalar_text(dim)} is above the limit {MAX_DIM}")
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must list dim names")
     if any("\ud800" <= c <= "\udfff" for name in basis for c in name):  # JSON admits lone surrogates
@@ -170,20 +170,30 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
 
 
 def serialize_algebra(p: PHQAlgebra) -> str:
-    """Canonical text for an algebra; `parse_algebra_text` inverts it exactly."""
+    """Canonical text for an algebra; `parse_algebra_text` inverts it exactly.
+
+    The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the fields dim,
+    basis, brackets (i, j, coeffs), J and phi, written here since with an
+    indent `json` leaves its C encoder; names go through `json`'s escaper.
+    """
     n = p.dim
-    brackets = [
-        {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in col.items()}}
-        for (i, j), col in p.algebra.brackets.items()
-    ]
-    doc = {
-        "dim": n,
-        "basis": list(p.basis_names),
-        "brackets": brackets,
-        "J": [[str(p.j[i, j]) for j in range(n)] for i in range(n)],
-        "phi": [[str(p.phi[i, j]) for j in range(n)] for i in range(n)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+
+    def block(parts: list[str], depth: int, ends: str = "[]") -> str:
+        # an array or object of encoded parts at nesting depth, one per line
+        inner = "\n" + "  " * (depth + 1)
+        return f"{ends[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * depth}{ends[1]}" if parts else ends
+
+    def matrix(m: Matrix) -> str:
+        e = [f'"{x!s}"' if x else '"0"' for x in m.entries]
+        return block([block(e[r * n : (r + 1) * n], 2) for r in range(n)], 1)
+
+    brackets = []
+    for (i, j), col in p.algebra.brackets.items():
+        coeffs = block([f'"{k}": "{c!s}"' for k, c in col.items()], 3, "{}")
+        brackets.append(block([f'"i": {i}', f'"j": {j}', f'"coeffs": {coeffs}'], 2, "{}"))
+    names = block([json.encoder.encode_basestring_ascii(name) for name in p.basis_names], 1)
+    fields = [f'"dim": {n}', f'"basis": {names}', f'"brackets": {block(brackets, 1)}']
+    return block([*fields, f'"J": {matrix(p.j)}', f'"phi": {matrix(p.phi)}'], 0, "{}") + "\n"
 
 
 class Recipe(Record):
@@ -198,7 +208,7 @@ class Recipe(Record):
         returns, bounded by the dimension that walk gives."""
         dim, build = _recipe(self.tree, "recipe")
         if dim > MAX_DIM:
-            raise ParseError(f"recipe builds an algebra of dimension {dim}, above {MAX_DIM}")
+            raise ParseError(f"recipe builds an algebra of dimension {_scalar_text(dim)}, above {MAX_DIM}")
         return build()
 
 

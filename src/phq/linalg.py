@@ -143,10 +143,9 @@ def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool, zero=ZERO) ->
     The loop runs over the supports of x and y and looks each pair up, so a
     bracket of basis vectors costs one lookup whatever the table's size.
     ``zero`` is the zero of the scalars: `ZERO` for Fractions, 0 for the
-    integer table ``LieAlgebra._scaled`` evaluated on integer vectors.  On
-    Fractions it carries the traffic of `construct` through
-    `Cocycle.evaluate` (`check_cocycle`) and `CommutativeAlgebra.multiply`
-    (`check_commutative`).
+    integer tables, as ``LieAlgebra._scaled`` and `check_cocycle`'s scaled
+    cocycle, evaluated on integer vectors.  On Fractions it serves
+    `LieAlgebra.bracket` and `nijenhuis`.
     """
     out = [zero] * len(x)
     ys = [(j, b) for j, b in enumerate(y) if b]
@@ -323,13 +322,10 @@ class Matrix(Record):
         return Matrix(self.rows, other.cols, tuple(Fraction(x, d) if x else ZERO for x in out))
 
     def apply(self, v: Sequence) -> Vector:
-        """The image of the coordinate vector v, on Fractions: it carries the
-        traffic of `construct` (`check_cocycle`, `check_commutative`,
-        `phq_double_extension`), where scaling the operands of one call costs
-        more than Fraction arithmetic.  Integer wrappers for it and for
-        `LieAlgebra.bracket` slowed the in-process `construct` pass by 20-45%,
-        and coercing their outputs raised the `ladder_sparse` benchmark's
-        `construct_s` from 0.0100 to 0.0118 s (Python 3.11, 2 cores)."""
+        """The image of the coordinate vector v, on Fractions, for callers that
+        apply a matrix to a few vectors: `phq_double_extension`, `nijenhuis`
+        and `PHQAlgebra.pairing`.  Scaling the operands of one such call
+        costs more than the Fraction arithmetic; the sweeps read ``_scaled``."""
         v = vector(v)
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")

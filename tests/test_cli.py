@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -344,6 +345,40 @@ class TestParsing:
             p = build(name)
             assert parse_algebra_text(serialize_algebra(p)) == p
 
+    def test_writer_gives_the_bytes_of_json_dumps(self):
+        # serialize_algebra writes the text itself; it must be what json.dumps
+        # gives for the document built from the public fields
+        def dumped(p):
+            n = p.dim
+            doc = {
+                "dim": n,
+                "basis": list(p.basis_names),
+                "brackets": [
+                    {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in col.items()}}
+                    for (i, j), col in p.algebra.brackets.items()
+                ],
+                "J": [[str(p.j[r, c]) for c in range(n)] for r in range(n)],
+                "phi": [[str(p.phi[r, c]) for c in range(n)] for r in range(n)],
+            }
+            return json.dumps(doc, indent=2) + "\n"
+
+        from inputs import LADDER, recipe_text  # perfbench/, on the path through test_lazy
+        from test_catalog import ALL_LABELS
+
+        odd = PHQAlgebra(
+            LieAlgebra(('q"\\\x01', "é\U0001d524"), {(0, 1): {0: Fraction(-3, 7), 1: Fraction(-1, 2)}}),
+            phq.Matrix.from_rows([[0, -1], [1, 0]]),
+            phq.Matrix.from_rows([[Fraction(-2, 3), 0], [0, 5]]),
+        )
+        algebras = [parse_path(path) for path in sorted(FIXTURES.glob("*.alg"))]
+        algebras += [build(name) for name in ALL_LABELS]
+        algebras += [parse_recipe_text(recipe_text(tree)).evaluate() for tree in LADDER.values()]
+        algebras += [PHQAlgebra(LieAlgebra((), {}), phq.Matrix(0, 0, ()), phq.Matrix(0, 0, ())), odd]
+        for p in algebras:
+            assert serialize_algebra(p) == dumped(p), p.basis_names
+        assert '"q\\"\\\\\\u0001"' in serialize_algebra(odd)
+        assert parse_algebra_text(serialize_algebra(odd)) == odd
+
     def test_fixture_is_byte_exact(self):
         # Every file of fixtures/ is what scripts/make_fixtures.py writes, and
         # no file is missing or extra.
@@ -637,6 +672,31 @@ class TestCommands:
         ):
             proc = child([*check, str(path)], PYTHONINTMAXSTRDIGITS=limit)
             assert (proc.returncode, proc.stderr) == (2, f"parse error: {error}\n".encode())
+
+    def test_an_oversized_recipe_dimension_too_long_to_print_is_a_parse_error(self, tmp_path, capsys):
+        # five nested tensors with k of 1,000 digits predict a dimension of
+        # about 5,000 digits, more than the default limit of 4,300 converts
+        node = '{"op": "L(4,2)"}'
+        for _ in range(5):
+            node = '{"op": "tensor", "base": ' + node + ', "k": 1' + "0" * 999 + "}"
+        path = tmp_path / "huge.recipe"
+        path.write_text(node)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["construct", str(path)]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "parse error: recipe builds an algebra of dimension <long>, above 64\n")
+
+    def test_an_oversized_file_dimension_too_long_to_print_is_a_parse_error(self, tmp_path):
+        # a 701-digit dim parses under the least digit limit, 640, and the
+        # message marks it as `check` marks a long coefficient
+        path = tmp_path / "huge.alg"
+        path.write_text('{"dim": 1' + "0" * 700 + ', "basis": [], "brackets": [], "J": [], "phi": []}')
+        proc = child(["-m", "phq.cli", "check", str(path)], PYTHONINTMAXSTRDIGITS="640")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"parse error: dim <long> is above the limit 64\n")
 
     def test_check_marks_a_residual_too_long_to_print(self, tmp_path, capsys):
         # six table coefficients 1/P_k, each P_k of 1,000 digits and pairwise

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import phq
 from phq import (
     Cocycle,
     CommutativeAlgebra,
@@ -40,6 +41,7 @@ from phq import (
     verify_witness,
 )
 
+from test_structures import transported
 from oracles import (
     cocycle_tensor,
     entries,
@@ -212,15 +214,16 @@ class TestCocycles:
     def test_all_four_basis_cocycles_pass(self):
         k, j = kodaira_thurston()
         for theta in kodaira_cocycle_basis():
-            rep = check_cocycle(k, j, theta)
-            assert rep["cyclic"].ok and rep["2-cocycle"].ok and rep["J-compatible"].ok
+            # and in a basis where the table, j and theta all have denominators
+            for rep in (check_cocycle(k, j, theta), check_cocycle(*rescaled(k, j, theta, SCALES))):
+                assert rep["cyclic"].ok and rep["2-cocycle"].ok and rep["J-compatible"].ok
 
     def test_tabulated_values(self):
         t1, t2, t3, t4 = kodaira_cocycle_basis()
-        assert t3.evaluate(unit(4, 0), unit(4, 2)) == unit(4, 3)  # theta3(x1,x3) = x4*
-        assert t3.evaluate(unit(4, 2), unit(4, 3)) == unit(4, 0)  # theta3(x3,x4) = x1*
-        assert t4.evaluate(unit(4, 1), unit(4, 2)) == unit(4, 3)  # theta4(x2,x3) = x4*
-        assert t1.evaluate(unit(4, 2), unit(4, 3)) == vector([0, 0, 0, 0])  # theta1(x3,x4) = 0
+        assert t3.values[0, 2] == {3: 1}  # theta3(x1,x3) = x4*
+        assert t3.values[2, 3] == {0: 1}  # theta3(x3,x4) = x1*
+        assert t4.values[1, 2] == {3: 1}  # theta4(x2,x3) = x4*
+        assert (2, 3) not in t1.values  # theta1(x3,x4) = 0
 
     def test_single_value_fails_cyclicity(self):
         k, j = kodaira_thurston()
@@ -257,14 +260,14 @@ class TestCocycles:
             check_cocycle(k, jk if j is None else j, kodaira_cocycle_basis()[2] if theta is None else theta)
 
     def test_values_are_read_once(self, monkeypatch):
-        # theta on the n^2 basis pairs and on their n^2 j-images, plus the
-        # three bracket terms of each 2-cocycle triple: 2n^2 + 3 C(n, 3)
+        # the values are read off the table; theta is evaluated only on the
+        # n^2 pairs of columns of j, not per triple
         calls = []
-        evaluate = Cocycle.evaluate
-        monkeypatch.setattr(Cocycle, "evaluate", lambda self, x, y: calls.append(1) or evaluate(self, x, y))
+        bilinear = phq.constructions.bilinear
+        monkeypatch.setattr(phq.constructions, "bilinear", lambda *a, **kw: calls.append(1) or bilinear(*a, **kw))
         k, j = kodaira_thurston()
         assert check_cocycle(k, j, kodaira_cocycle_basis()[2]).ok
-        assert len(calls) <= 2 * 4**2 + 3 * 4 == 44
+        assert len(calls) == 4**2
 
     def test_cyclic_but_not_cocycle(self):
         core = build("L(4,2)")
@@ -294,10 +297,30 @@ def random_theta(rng, n, three_form):
     return Cocycle(n, values)
 
 
+SCALES = (Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 1)
+
+
+def rescaled(algebra, j, theta, d):
+    """The carrier and cocycle in the basis d_a e_a: [e_a, e_b]_c and j_rc
+    pick up d_a d_b / d_c and d_c / d_r, theta(e_a, e_b)_c picks up
+    d_a d_b d_c, and a valid theta stays valid."""
+    n = algebra.dim
+    brackets = {
+        (a, b): {c: d[a] * d[b] / d[c] * x for c, x in col.items()} for (a, b), col in algebra.brackets.items()
+    }
+    jm = Matrix.from_rows([[j[r, c] * d[c] / d[r] for c in range(n)] for r in range(n)])
+    values = {(a, b): {c: d[a] * d[b] * d[c] * x for c, x in col.items()} for (a, b), col in theta.values.items()}
+    return LieAlgebra(algebra.basis_names, brackets), jm, Cocycle(n, values)
+
+
 def cocycle_inputs():
     kodaira = kodaira_thurston()
-    carriers = [kodaira] + [(p.algebra, p.j) for p in (build("R(6,0)"), build("L(4,2)"))]
+    # rational brackets and j: a generic transport, and a rescaled carrier
+    # whose valid cocycles pass J-compatibility only with the factor d_j^2
+    transport = transported(build("L(4,2)"), random.Random(3))[:2]
+    carriers = [kodaira] + [(p.algebra, p.j) for p in (build("R(6,0)"), build("L(4,2)"))] + [transport]
     out = [(*kodaira, theta) for theta in kodaira_cocycle_basis()]
+    out += [rescaled(*kodaira, theta, SCALES) for theta in kodaira_cocycle_basis()]
     for seed in range(12):
         rng = random.Random(seed)
         for algebra, j in carriers:
@@ -305,15 +328,19 @@ def cocycle_inputs():
     return out
 
 
+# a second denominator, so that d_p and d_b are not always the one denominator 2
+PRODUCT_COEFFS = COEFFS + (Fraction(2, 3),)
+
+
 def random_commutative(rng, symmetric, form):
     n = 3
     products = {}
     for i in range(n):
         for j in range(i if symmetric else 0, n):
-            products[i, j] = {k: rng.choice(COEFFS) for k in range(n)}
+            products[i, j] = {k: rng.choice(PRODUCT_COEFFS) for k in range(n)}
             if symmetric:
                 products[j, i] = products[i, j]
-    rows = [[rng.choice(COEFFS) for _ in range(n)] for _ in range(n)]
+    rows = [[rng.choice(PRODUCT_COEFFS) for _ in range(n)] for _ in range(n)]
     if form == "symmetric":
         rows = [[rows[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
     elif form == "zero":
@@ -454,12 +481,11 @@ class TestTensorAndComplexify:
 
     def test_truncated_poly_small_cases(self):
         a1 = truncated_poly(1)
-        assert a1.multiply(unit(1, 0), unit(1, 0)) == vector([0])
+        assert a1.products == {}
         assert a1.form[0, 0] == 1
 
         a2 = truncated_poly(2)
-        assert a2.multiply(unit(2, 0), unit(2, 0)) == unit(2, 1)  # a*a = a^2
-        assert a2.multiply(unit(2, 0), unit(2, 1)) == vector([0, 0])
+        assert a2.products == {(0, 0): {1: 1}}  # a*a = a^2, and a*a^2 = 0
         assert a2.form[0, 1] == 1 and a2.form[0, 0] == 0 and a2.form[1, 1] == 0
 
         a3 = truncated_poly(3)
@@ -492,7 +518,7 @@ class TestTensorAndComplexify:
     def test_complex_units_algebra(self):
         a = complex_units()
         assert check_commutative(a).ok
-        assert a.multiply(unit(2, 1), unit(2, 1)) == vector([-1, 0])
+        assert a.products[1, 1] == {0: -1}
 
     def test_complexify_positive_plane_is_neutral(self):
         out = complexify(build("R(2,0)"))
