@@ -22,8 +22,8 @@ from functools import reduce
 
 from . import constructions, reduction
 from .checks import Check, PhqError, Record
-from .lie import LieAlgebra, LinearMap
-from .linalg import Matrix, is_zero_vec, unit_vector
+from .lie import LieAlgebra, LinearMap, _mapped
+from .linalg import Matrix, _transpose, mat_mul, mat_vec
 from .structures import Fingerprint, PHQAlgebra, check_phq, fingerprint
 
 
@@ -195,29 +195,28 @@ def classify(p: PHQAlgebra) -> Classification:
 
 def verify_witness(a: PHQAlgebra, b: PHQAlgebra, w: LinearMap) -> Check:
     """Check that w is an invertible map a -> b (columns in b's coordinates)
-    intertwining brackets, the complex structures, and the metrics.  It
-    intertwines brackets when w ad(e_i) - ad(w e_i) w = 0 for every i."""
-    failures = []
-    if a.dim != b.dim:
-        return Check("witness", ("dimensions differ",))
-    if w.rows != a.dim or w.cols != a.dim:
-        return Check("witness", ("witness matrix has the wrong shape",))
-    if w.rank() != a.dim:
-        failures.append("witness is not invertible")
-    if w @ a.j != b.j @ w:
-        failures.append("witness does not intertwine the complex structures")
-    if w.transpose() @ b.phi @ w != a.phi:
-        failures.append("witness is not an isometry")
+    intertwining brackets, the complex structures, and the metrics, as
+    integer identities on the ``_scaled`` forms, W = d_w w and so on:
+    d_ja J_b W = d_jb W J_a, d_ga W^T G_b W = d_w^2 d_gb G_a and, for i < k,
+    d_w d_tb W T_a(e_i, e_k) = d_ta T_b(W e_i, W e_k) (`lie._mapped`)."""
     n = a.dim
-    for i in range(n):
-        # column j is w[e_i, e_j] - [w e_i, w e_j]
-        defect = w @ a.algebra.adjoint(unit_vector(n, i)) - b.algebra.adjoint(w.col(i)) @ w
-        for j in range(i + 1, n):
-            if not is_zero_vec(defect.col(j)):
-                failures.append(
-                    f"witness does not intertwine the bracket at "
-                    f"({a.basis_names[i]}, {a.basis_names[j]})"
-                )
+    if n != b.dim:
+        return Check("witness", ("dimensions differ",))
+    if w.rows != n or w.cols != n:
+        return Check("witness", ("witness matrix has the wrong shape",))
+    failures = [] if w.rank() == n else ["witness is not invertible"]
+    (dw, wn), (dja, ja), (djb, jb) = w._scaled, a.j._scaled, b.j._scaled
+    if [djb * x for x in mat_mul(wn, n, n, ja, n)] != [dja * x for x in mat_mul(jb, n, n, wn, n)]:
+        failures.append("witness does not intertwine the complex structures")
+    (dga, ga), (dgb, gb) = a.phi._scaled, b.phi._scaled
+    pulled = mat_mul(_transpose(wn, n), n, n, mat_mul(gb, n, n, wn, n), n)
+    if [dga * x for x in pulled] != [dw * dw * dgb * x for x in ga]:
+        failures.append("witness is not an isometry")
+    (dta, ta), dtb, names = a.algebra._scaled, b.algebra._scaled[0], a.basis_names
+    for (i, k), bracket in _mapped(b.algebra, wn).items():
+        image = mat_vec(wn, n, n, ta.get((i, k), {}).items(), 0)
+        if any(dw * dtb * x != dta * y for x, y in zip(image, bracket)):
+            failures.append(f"witness does not intertwine the bracket at ({names[i]}, {names[k]})")
     return Check("witness", tuple(failures))
 
 

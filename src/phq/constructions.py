@@ -25,11 +25,11 @@ from .linalg import (
     Matrix,
     SparseTable,
     Vector,
+    _scaled_sparse,
     _transpose,
     bilinear,
     dense,
     frac,
-    scaled,
     sparse_table,
 )
 from .structures import PHQAlgebra, check_complex
@@ -72,13 +72,6 @@ def _block(m: Matrix, offset: int) -> dict[tuple[int, int], Fraction]:
     """The nonzero entries of m, moved ``offset`` places along the diagonal."""
     c = m.cols
     return {(offset + i // c, offset + i % c): x for i, x in enumerate(m.entries) if x}
-
-
-def _integers(table: SparseTable) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
-    """`scaled` of a cocycle's values or an algebra's products: d and the table d * entries."""
-    d, flat = scaled([c for col in table.values() for c in col.values()])
-    ints = iter(flat)
-    return d, {pair: {k: next(ints) for k in col} for pair, col in table.items()}
 
 
 def _square(n: int, entries: Mapping[tuple[int, int], Fraction]) -> Matrix:
@@ -207,13 +200,13 @@ def check_cocycle(algebra: LieAlgebra, j: LinearMap, theta: Cocycle) -> Report:
     if j.rows != n or j.cols != n:
         raise DimensionMismatch("j must be square of the algebra dimension")
     names, t, columns = algebra.basis_names, algebra._scaled[1], algebra._columns
-    values, (dj, jn) = _integers(theta.values)[1], j._scaled
+    values, (dj, jn) = _scaled_sparse(theta.values)[1], j._scaled
     th = [[[0] * n for _ in range(n)] for _ in range(n)]  # th[a][b] = Θ(e_a, e_b)
     for (a, b), col in values.items():
         for k, c in col.items():
             th[a][b][k], th[b][a][k] = c, -c
     jcols = [jn[c::n] for c in range(n)]
-    tj = [[bilinear(values, x, y, skew=True, zero=0) for y in jcols] for x in jcols]
+    tj = [[bilinear(values, x, y, zero=0) for y in jcols] for x in jcols]
 
     def d_theta(i: int, b: int, k: int) -> list[int]:
         # e_x . f = -f o ad(e_x), so entry w is f(T(e_w, e_x)): the ad columns of e_x
@@ -333,7 +326,7 @@ def check_commutative(a: CommutativeAlgebra) -> Check:
     side of associativity is d_p^2 times its product, each side of
     invariance d_p d_b times its form, and each basis product is read once."""
     n = a.dim
-    p, g = _integers(a.products)[1], a.form._scaled[1]
+    p, g = _scaled_sparse(a.products)[1], a.form._scaled[1]
     cols = [[p.get((i, j), {}) for j in range(n)] for i in range(n)]
     prod = [[dense(col, n, 0) for col in row] for row in cols]
     failures = [

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from . import catalog, constructions
 from .checks import PhqError, Record
-from .lie import LieAlgebra, _scalar_text
+from .lie import _CHUNK, LieAlgebra, _exact_text, _scalar_text
 from .linalg import Matrix
 from .structures import ExtensionData, PHQAlgebra
 
@@ -44,8 +44,6 @@ MAX_RECIPE_DEPTH = 32
 MAX_DIM = 64
 # Most digits of any integer in a file.
 MAX_DIGITS = 1000
-# Digits per `int` call: under 640, the smallest limit `sys.set_int_max_str_digits` admits.
-_CHUNK = 600
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX = re.compile(r"0|[1-9][0-9]*")
@@ -184,12 +182,12 @@ def serialize_algebra(p: PHQAlgebra) -> str:
         return f"{ends[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * depth}{ends[1]}" if parts else ends
 
     def matrix(m: Matrix) -> str:
-        e = [f'"{x!s}"' if x else '"0"' for x in m.entries]
+        e = [f'"{_exact_text(x)}"' if x else '"0"' for x in m.entries]
         return block([block(e[r * n : (r + 1) * n], 2) for r in range(n)], 1)
 
     brackets = []
     for (i, j), col in p.algebra.brackets.items():
-        coeffs = block([f'"{k}": "{c!s}"' for k, c in col.items()], 3, "{}")
+        coeffs = block([f'"{k}": "{_exact_text(c)}"' for k, c in col.items()], 3, "{}")
         brackets.append(block([f'"i": {i}', f'"j": {j}', f'"coeffs": {coeffs}'], 2, "{}"))
     names = block([json.encoder.encode_basestring_ascii(name) for name in p.basis_names], 1)
     fields = [f'"dim": {n}', f'"basis": {names}', f'"brackets": {block(brackets, 1)}']

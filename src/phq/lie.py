@@ -2,57 +2,72 @@
 
 An algebra computes its center, derived ideal and lower central series, and
 the ``_columns`` the sweeps read, once, on first use, and keeps them like its
-integer table ``_scaled``; every caller asks the algebra.  Two functions read
-ad off that table: `_twisted` writes the columns of ad(x) for given integer
-vectors x (`_ad_matrix` lays one out as a matrix), and `_adjoint_rows` the
-rows of the linear map x -> ad(x), the system of the center.  The Jacobi
-identity is a separate check (`check_jacobi`) so that hand-entered tables
-can be diagnosed instead of rejected.
+integer table ``_scaled``; every caller asks the algebra.  Ad is read off
+that table, never made in Fractions: `_twisted` writes the columns of ad(x)
+for given integer vectors x (`_ad_matrix` lays one out as a matrix), and
+`_adjoint_rows` the rows of the linear map x -> ad(x), the system of the
+center.  The Jacobi identity is a separate check (`check_jacobi`) so that
+hand-entered tables can be diagnosed instead of rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .checks import Check, Record
 from .linalg import (
-    ZERO,
     DimensionMismatch,
     Matrix,
     SparseTable,
     Subspace,
     Vector,
     _kernel_int,
+    _scaled_sparse,
     _span_int,
     bilinear,
     dense,
     mat_vec,
-    neg_vec,
     scaled,
     sparse_table,
     vector,
-    zero_vector,
 )
 
 # A linear endomorphism in the algebra's basis; columns are basis images.
 LinearMap = Matrix
 
 
-# Printed, after its sign, for a coefficient with more digits than the
-# interpreter converts to decimal (4,300 by default from Python 3.11 on).
-_LONG = "<long>"
+# Printed, after its sign, for a coefficient whose numerator or denominator
+# has more than 4,300 digits, the interpreter's default int-to-str limit.
+_LONG, _LONG_BOUND = "<long>", 10**4300
+# Digits per conversion: under 640, the smallest limit the interpreter admits.
+_CHUNK = 600
+
+
+def _exact_text(c) -> str:
+    """``str(c)`` of an int or Fraction c, whatever the interpreter's digit
+    limit: an integer it refuses is converted `_CHUNK` digits at a time."""
+    try:
+        return str(c)
+    except ValueError:
+        n, d = c.numerator, c.denominator
+        if d != 1:
+            return f"{_exact_text(n)}/{_exact_text(d)}"
+    chunks, m = [], abs(n)
+    while m >= 10**_CHUNK:
+        m, low = divmod(m, 10**_CHUNK)
+        chunks.append(f"{low:0{_CHUNK}d}")
+    return ("-" if n < 0 else "") + str(m) + "".join(reversed(chunks))
 
 
 def _scalar_text(c) -> str:
-    """``str(c)``, or `_LONG` after the sign of c when c is too long for it."""
-    try:
-        return str(c)
-    except ValueError:  # the interpreter's int-to-str digit limit
+    """`_exact_text` of c, or `_LONG` after the sign of c when its numerator
+    or denominator reaches `_LONG_BOUND`, tested without converting it."""
+    if abs(c.numerator) >= _LONG_BOUND or c.denominator >= _LONG_BOUND:
         return f"-{_LONG}" if c < 0 else _LONG
+    return _exact_text(c)
 
 
 def format_vector(v: Vector, names: Sequence[str]) -> str:
@@ -89,29 +104,22 @@ class LieAlgebra(Record):
 
     @cached_property
     def _scaled(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
-        """The least common denominator d of the table's coefficients and the
-        table d * brackets with int coefficients, made on first use and kept."""
-        d = lcm(*(c.denominator for col in self.brackets.values() for c in col.values()))
-        return d, {
-            pair: {k: c.numerator * (d // c.denominator) for k, c in col.items()}
-            for pair, col in self.brackets.items()
-        }
+        """`linalg._scaled_sparse` of the table, d and d * brackets, made on first use and kept."""
+        return _scaled_sparse(self.brackets)
 
     @property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
         """Dense read-only view: ``structure[i][j]`` is the bracket of basis
         elements i and j, made on every access from the table, not through
-        `adjoint`.  Never read by the library; read by `tests/oracles.py`, to
-        test `adjoint`, and `perfbench/spans.py`'s `lie.structure_nonzeros`."""
-        n, zero = self.dim, zero_vector(self.dim)
-        upper = {pair: dense(col, n) for pair, col in self.brackets.items()}
-        return tuple(
-            tuple(
-                upper.get((i, j), zero) if i <= j else neg_vec(upper.get((j, i), zero))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        `_twisted`.  Never read by the library; read by `tests/oracles.py`,
+        to test `_ad_matrix` and the sweeps, and `perfbench/spans.py`'s
+        `lie.structure_nonzeros`."""
+        n, t = self.dim, self.brackets
+
+        def bracket(i: int, j: int) -> Vector:
+            return dense(t.get((i, j)) or {k: -c for k, c in t.get((j, i), {}).items()}, n)
+
+        return tuple(tuple(bracket(i, j) for j in range(n)) for i in range(n))
 
     @classmethod
     def abelian(cls, names: Sequence[str] | int) -> "LieAlgebra":
@@ -135,25 +143,15 @@ class LieAlgebra(Record):
         xv, yv = vector(x), vector(y)
         if len(xv) != self.dim or len(yv) != self.dim:
             raise DimensionMismatch("bracket arguments must match the algebra dimension")
-        return bilinear(self.brackets, xv, yv, skew=True)
-
-    def adjoint(self, x: Sequence) -> LinearMap:
-        """Matrix of y -> [x, y]: for x = X / s, the integer matrix of
-        `_ad_matrix`, each entry made once, as T(X, e_b)_k / (d s)."""
-        xv = vector(x)
-        if len(xv) != self.dim:
-            raise DimensionMismatch("adjoint argument must match the algebra dimension")
-        n, (s, xn) = self.dim, scaled(xv)
-        d = self._scaled[0] * s
-        return Matrix(n, n, tuple(Fraction(e, d) if e else ZERO for e in _ad_matrix(self, xn)))
+        return bilinear(self.brackets, xv, yv)
 
     @cached_property
     def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
         brackets, from one pass over T = ``_scaled``: the column c of a pair
         (a, b) is listed under b as (a, c) and under a as (b, -c).  The Jacobi
-        sweep and `_twisted`, so the torsion sweep and every derivation test,
-        share it."""
+        sweep, `j_class` and `_twisted`, so the torsion sweep and every
+        derivation test, share it."""
         columns: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(self.dim)]
         for (a, b), col in self._scaled[1].items():
             columns[b].append((a, list(col.items())))
@@ -230,12 +228,20 @@ def _ad_matrix(algebra: LieAlgebra, x: Sequence[int]) -> list[int]:
     return [u[0, b][k] if (0, b) in u else 0 for k in range(n) for b in range(n)]
 
 
+def _mapped(algebra: LieAlgebra, m: Sequence[int]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """V[a, b] = T(M e_a, M e_b), a < b, for a row-major integer n x n matrix
+    M: `bilinear` on the integer table, as `reduction._restrict` brackets."""
+    n, t = algebra.dim, algebra._scaled[1]
+    cols = [m[c::n] for c in range(n)]
+    return {(a, b): bilinear(t, cols[a], cols[b], zero=0) for a in range(n) for b in range(a + 1, n)}
+
+
 def _adjoint_rows(algebra: LieAlgebra) -> dict[int, list[int]]:
     """The n^2 x n matrix A of x -> ad(x) read off the integer table
     T = d * brackets (``LieAlgebra._scaled``): the nonzero rows of d * A by
-    row index.  A x is ``adjoint(x).entries``, so row k*n + b is entry
-    (k, b): c = [e_a, e_b]_k puts c in column a of row k*n + b and -c in
-    column b of row k*n + a."""
+    row index.  A x is the row-major `_ad_matrix` of x, so row k*n + b is
+    entry (k, b): c = [e_a, e_b]_k puts c in column a of row k*n + b and -c
+    in column b of row k*n + a."""
     n = algebra.dim
     rows: dict[int, list[int]] = {}
     for (a, b), col in algebra._scaled[1].items():

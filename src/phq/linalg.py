@@ -67,10 +67,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(frac(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -87,24 +83,16 @@ def sub_vec(u: Vector, v: Vector) -> Vector:
     return tuple(a - b if b else a for a, b in zip(u, v))
 
 
-def neg_vec(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def is_zero_vec(u: Vector) -> bool:
-    return all(a == 0 for a in u)
-
-
 def sparse_table(entries: Mapping, n: int, skew: bool) -> SparseTable:
     """Canonical copy of a sparse table on an n-dimensional space: the one
-    form of brackets, cocycle values and commutative products, each
-    evaluated by `bilinear`.
+    form of brackets, cocycle values and commutative products, each scaled
+    to integers by `_scaled_sparse`; `bilinear` evaluates the skew ones.
 
     Scalars are coerced with `frac`, zero coefficients and empty pairs are
     dropped, and pairs and coefficients are sorted, so equal maps give equal
@@ -136,15 +124,26 @@ def scaled(values: Sequence[Fraction]) -> Scaled:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool, zero=ZERO) -> Vector:
-    """Value on coordinate vectors x and y of the map a sparse table stores
-    (see `sparse_table` for what ``skew`` means).
+def _scaled_sparse(table: SparseTable) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+    """The least common denominator d of a sparse table's coefficients and
+    the table d * entries with int coefficients: ``LieAlgebra._scaled``, a
+    cocycle's values and an algebra's products."""
+    d = lcm(*(c.denominator for col in table.values() for c in col.values()))
+    return d, {
+        pair: {k: c.numerator * (d // c.denominator) for k, c in col.items()}
+        for pair, col in table.items()
+    }
+
+
+def bilinear(table: SparseTable, x: Vector, y: Vector, zero=ZERO) -> Vector:
+    """Value on coordinate vectors x and y of the antisymmetric map a skew
+    sparse table stores (see `sparse_table`).
 
     The loop runs over the supports of x and y and looks each pair up, so a
     bracket of basis vectors costs one lookup whatever the table's size.
     ``zero`` is the zero of the scalars: `ZERO` for Fractions, 0 for the
-    integer tables, as ``LieAlgebra._scaled`` and `check_cocycle`'s scaled
-    cocycle, evaluated on integer vectors.  On Fractions it serves
+    integer tables of `_scaled_sparse` on integer vectors (`lie._mapped`,
+    `reduction._restrict` and `check_cocycle`).  On Fractions it serves
     `LieAlgebra.bracket` and `nijenhuis`.
     """
     out = [zero] * len(x)
@@ -153,7 +152,7 @@ def bilinear(table: SparseTable, x: Vector, y: Vector, skew: bool, zero=ZERO) ->
         if not a:
             continue
         for j, b in ys:
-            flip = skew and i > j
+            flip = i > j
             col = table.get((j, i) if flip else (i, j))
             if col:
                 s = -a * b if flip else a * b
@@ -507,11 +506,6 @@ class Subspace(Record):
             raise DimensionMismatch("vector/ambient dimension mismatch")
         rows = [scaled(b)[1] for b in (*self.basis, w)]
         return len(eliminate(rows, self.ambient_dim)[1]) == self.dim
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspaces in different ambient spaces")
-        return Subspace.span(self.ambient_dim, self.basis + other.basis)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -210,7 +210,7 @@ def _restrict(
     d, t = p.algebra._scaled
     images = [_jmap(p, x) for x in basis]
     images += [
-        (d * x[0] * y[0], bilinear(t, x[1], y[1], skew=True, zero=0))
+        (d * x[0] * y[0], bilinear(t, x[1], y[1], zero=0))
         for x, y in [(basis[a], basis[b]) for a, b in pairs] + list(extra)
     ]
     frame = [*drop, *basis]

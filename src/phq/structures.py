@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .checks import Check, PhqError, Record, Report
 from .lie import LieAlgebra, LinearMap, check_jacobi, format_vector
-from .lie import _ad_matrix, _derivation_failures, _twisted
+from .lie import _ad_matrix, _derivation_failures, _mapped, _twisted
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -31,15 +31,15 @@ from .linalg import (
     _transpose,
     add_vec,
     bilinear,
+    dense,
     dot,
+    eliminate,
     gram_restriction,
-    map_image,
     mat_mul,
     mat_vec,
     scaled,
     signature,
     sub_vec,
-    unit_vector,
     vector,
 )
 
@@ -58,9 +58,9 @@ def nijenhuis(algebra: LieAlgebra, j: LinearMap, x: Sequence, y: Sequence) -> Ve
     jx, jy = j.apply(xv), j.apply(yv)
     t = algebra.brackets
     # j is linear, so j[jx,y] + j[x,jy] is one application of j
-    twisted = j.apply(add_vec(bilinear(t, jx, yv, skew=True), bilinear(t, xv, jy, skew=True)))
-    out = add_vec(bilinear(t, xv, yv, skew=True), twisted)
-    return sub_vec(out, bilinear(t, jx, jy, skew=True))
+    twisted = j.apply(add_vec(bilinear(t, jx, yv), bilinear(t, xv, jy)))
+    out = add_vec(bilinear(t, xv, yv), twisted)
+    return sub_vec(out, bilinear(t, jx, jy))
 
 
 def check_complex(algebra: LieAlgebra, j: LinearMap) -> Report:
@@ -281,13 +281,20 @@ class JClassification(Record):
 
 def j_class(algebra: LieAlgebra, j: LinearMap) -> JClassification:
     """Test [jx,jy] = [x,y] (abelian) and [jx,y] = j[x,y] (bi-invariant)
-    on all ordered basis pairs, as ad(j e_a) j = ad(e_a) and
-    ad(j e_a) = j ad(e_a) for every a; both can hold together only on
-    abelian algebras."""
+    on all ordered basis pairs; for j^2 = -I both can hold together only on
+    abelian algebras.  On T and J = d_j j (``_scaled``) they are
+    T(J e_a, J e_b) = d_j^2 T(e_a, e_b) (`lie._mapped`, on the pairs a < b,
+    which antisymmetry extends) and T(J e_a, e_b) = J T(e_a, e_b)
+    (`lie._twisted`, and J applied to the ``_columns``)."""
     n = algebra.dim
-    ads = [(algebra.adjoint(unit_vector(n, a)), algebra.adjoint(j.col(a))) for a in range(n)]
+    if j.rows != n or j.cols != n:
+        raise DimensionMismatch("j must be square of the algebra dimension")
+    (dj, jn), t, zero = j._scaled, algebra._scaled[1], [0] * n
+    v, u = _mapped(algebra, jn), _twisted(algebra, [jn[a::n] for a in range(n)])
+    jt = {(a, b): mat_vec(jn, n, n, image, 0) for b, col in enumerate(algebra._columns) for a, image in col}
     return JClassification(
-        all(ad_j @ j == ad for ad, ad_j in ads), all(ad_j == j @ ad for ad, ad_j in ads)
+        all(x == tuple(dj * dj * c for c in dense(t.get(pair, {}), n, 0)) for pair, x in v.items()),
+        all(u.get(pair, zero) == jt.get(pair, zero) for pair in {*u, *jt}),
     )
 
 
@@ -333,12 +340,11 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
 
 
 def salamon_check(p: PHQAlgebra) -> Check:
-    """For nilpotent input, verify dim([g,g] + j[g,g]) < dim(g)."""
-    derived = p.algebra.derived_ideal()
-    total = derived.sum_with(map_image(p.j, derived))
-    if total.dim < p.dim:
-        return Check("derived + j(derived) is proper", ())
-    return Check(
-        "derived + j(derived) is proper",
-        (f"[g,g] + j[g,g] has full dimension {total.dim}",),
-    )
+    """For nilpotent input, verify dim([g,g] + j[g,g]) < dim(g): the rank of
+    the integer vectors x and J x, J = ``j._scaled``, for the scaled basis x
+    of the derived ideal."""
+    n, jn = p.dim, p.j._scaled[1]
+    xs = [scaled(b)[1] for b in p.algebra.derived_ideal().basis]
+    dim = len(eliminate([*xs, *(mat_vec(jn, n, n, enumerate(x), 0) for x in xs)], n)[1])
+    failures = (f"[g,g] + j[g,g] has full dimension {dim}",) if dim == n else ()
+    return Check("derived + j(derived) is proper", failures)

@@ -124,6 +124,47 @@ def naive_square_is_minus_identity(j):
     return all(sq[i][l] == (-1 if i == l else 0) for i in range(n) for l in range(n))
 
 
+def naive_witness_failures(a, b, w):
+    """The failure messages of a witness w from a to b (columns in b's
+    coordinates), in the order `verify_witness` gives them: a shape failure
+    alone, else invertibility, j_b w = w j_a, w^T phi_b w = phi_a, and
+    w[e_i, e_k] = [w e_i, w e_k] for each pair i < k."""
+    n = a.dim
+    if n != b.dim:
+        return ["dimensions differ"]
+    if (w.rows, w.cols) != (n, n):
+        return ["witness matrix has the wrong shape"]
+    wm = entries(w)
+    wt = [list(row) for row in zip(*wm)]
+    failures = []
+    if rank_oracle(w) != n:
+        failures.append("witness is not invertible")
+    if naive_product(wm, entries(a.j)) != naive_product(entries(b.j), wm):
+        failures.append("witness does not intertwine the complex structures")
+    if naive_product(naive_product(wt, entries(b.phi)), wm) != entries(a.phi):
+        failures.append("witness is not an isometry")
+    ca, cb = structure_tensor(a.algebra), structure_tensor(b.algebra)
+    for i in range(n):
+        for k in range(i + 1, n):
+            if naive_apply(wm, ca[i][k]) != naive_bracket(cb, wt[i], wt[k]):
+                names = a.basis_names
+                failures.append(f"witness does not intertwine the bracket at ({names[i]}, {names[k]})")
+    return failures
+
+
+def naive_j_class(c, j):
+    """(abelian, bi_invariant) of the map j (nested lists) on the algebra of
+    structure tensor c: [jx, jy] = [x, y] and [jx, y] = j[x, y] on every
+    ordered basis pair."""
+    n = len(c)
+    units = [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
+    js = [naive_apply(j, u) for u in units]
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    abelian = all(naive_bracket(c, js[a], js[b]) == c[a][b] for a, b in pairs)
+    bi_invariant = all(naive_bracket(c, js[a], units[b]) == naive_apply(j, c[a][b]) for a, b in pairs)
+    return abelian, bi_invariant
+
+
 def cocycle_tensor(theta) -> list[list[list[Fraction]]]:
     """Dense theta[a][b][k] = theta(ea, eb)(ek) from the sparse i < j table."""
     n = theta.dim

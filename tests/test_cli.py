@@ -673,6 +673,57 @@ class TestCommands:
             proc = child([*check, str(path)], PYTHONINTMAXSTRDIGITS=limit)
             assert (proc.returncode, proc.stderr) == (2, f"parse error: {error}\n".encode())
 
+    # what each printer gives, in a child: `format_vector` around the bound of
+    # 4,300 digits, `_scalar_text` past it, `serialize_algebra` of a
+    # 5,001-digit coefficient and of 1,000-digit ones read back, and the
+    # fuzz test's writer on 10**MAX_DIGITS
+    PRINTERS = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, "tests")
+from phq import LieAlgebra, PHQAlgebra, build, parse_algebra_text, serialize_algebra
+from phq.lie import _scalar_text, format_vector
+from test_cli_fuzz import MAX_DIGITS, _dumps
+edge, big, core = 10**4300 - 1, 10**4300, build("L(4,2)")
+print(format_vector([Fraction(edge, 7), Fraction(-1, big), Fraction(-edge)], ["a", "b", "c"]))
+print(_scalar_text(-big), _scalar_text(Fraction(1, big)), _scalar_text(big + 1))
+for c, digits in (
+    (Fraction(10**5000 + 1, 3), "1" + "0" * 4999 + "1/3"),
+    (Fraction(-(10**999) - 7, 10**999 + 3), "-1" + "0" * 998 + "7/1" + "0" * 998 + "3"),
+):
+    p = PHQAlgebra(LieAlgebra(core.basis_names, {(0, 1): {2: c}}), core.j, core.phi)
+    text = serialize_algebra(p)
+    print(f'"2": "{digits}"' in text, len(text), abs(c) < 2 and parse_algebra_text(text) == p)
+print(_dumps([10**MAX_DIGITS, {"k": -(10**MAX_DIGITS)}]))
+"""
+
+    @pytest.mark.parametrize("limit", ["640", "0"])
+    def test_printing_does_not_depend_on_the_digit_limit(self, tmp_path, limit):
+        # a number prints as <long> past 4,300 digits and in full below,
+        # whatever the interpreter's limit; `check` marks a long residual
+        default, limited = (child([], self.PRINTERS, PYTHONINTMAXSTRDIGITS=n) for n in ("4300", limit))
+        assert (limited.returncode, limited.stdout, limited.stderr) == (0, default.stdout, b"")
+        lines = limited.stdout.decode().splitlines()
+        edge = "9" * 4300
+        assert lines[0] == f"{edge}/7*a -<long>*b -{edge}*c"
+        assert lines[1] == "-<long> <long> <long>"
+        assert lines[2].startswith("True ") and lines[2].endswith(" False")
+        assert lines[3].startswith("True ") and lines[3].endswith(" True")
+        digits = "1" + "0" * 1000
+        assert lines[4] == f'[{digits}, {{"k": -{digits}}}]'
+        ps = [10**999 + d for d in (1, 3, 5, 7, 9, 13)]
+        table = {(1, 2): {3: 0}, (0, 3): {5: 1}, (0, 2): {4: 2}, (1, 4): {5: 3}, (0, 1): {3: 4}, (2, 3): {5: 5}}
+        core = build("L(4,2)")
+        algebra = LieAlgebra(
+            core.basis_names,
+            {pair: {k: Fraction(1, ps[c]) for k, c in col.items()} for pair, col in table.items()},
+        )
+        path = tmp_path / "long.alg"
+        path.write_text(serialize_algebra(PHQAlgebra(algebra, core.j, core.phi)))
+        proc = child(["-m", "phq.cli", "check", str(path)], PYTHONINTMAXSTRDIGITS=limit)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert "  - Jacobi fails on (x1, Jx1, x2): residual <long>*Jx3" in proc.stdout.decode().splitlines()
+
     def test_an_oversized_recipe_dimension_too_long_to_print_is_a_parse_error(self, tmp_path, capsys):
         # five nested tensors with k of 1,000 digits predict a dimension of
         # about 5,000 digits, more than the default limit of 4,300 converts
@@ -692,11 +743,14 @@ class TestCommands:
 
     def test_an_oversized_file_dimension_too_long_to_print_is_a_parse_error(self, tmp_path):
         # a 701-digit dim parses under the least digit limit, 640, and the
-        # message marks it as `check` marks a long coefficient
+        # message gives all its digits, as under any other limit: only a
+        # number of more than 4,300 digits prints as <long>
         path = tmp_path / "huge.alg"
         path.write_text('{"dim": 1' + "0" * 700 + ', "basis": [], "brackets": [], "J": [], "phi": []}')
-        proc = child(["-m", "phq.cli", "check", str(path)], PYTHONINTMAXSTRDIGITS="640")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"parse error: dim <long> is above the limit 64\n")
+        message = b"parse error: dim 1" + b"0" * 700 + b" is above the limit 64\n"
+        for limit in ("640", "0"):
+            proc = child(["-m", "phq.cli", "check", str(path)], PYTHONINTMAXSTRDIGITS=limit)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
 
     def test_check_marks_a_residual_too_long_to_print(self, tmp_path, capsys):
         # six table coefficients 1/P_k, each P_k of 1,000 digits and pairwise

@@ -62,6 +62,20 @@ def _mutate(doc, rng: random.Random):
     return doc
 
 
+def _dumps(node) -> str:
+    """``json.dumps(node)``, with every int written 600 digits at a time, so
+    that no digit limit of the interpreter (640 at least) refuses
+    ``10**MAX_DIGITS``."""
+    if isinstance(node, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_dumps, node)) + "]"
+    if type(node) is not int or abs(node) < 10**600:
+        return json.dumps(node)
+    high, low = divmod(abs(node), 10**600)
+    return ("-" if node < 0 else "") + _dumps(high) + f"{low:0600d}"
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -80,7 +94,7 @@ def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path):
     for n in range(MUTANTS):
         suffix, doc = docs[n % len(docs)]
         path = tmp_path / f"mutant{n}{suffix}"
-        text = json.dumps(_mutate(doc, rng))
+        text = _dumps(_mutate(doc, rng))
         path.write_text(text)
         for command in COMMANDS[suffix]:
             for fmt in ("text", "json"):

@@ -11,6 +11,7 @@ import pytest
 
 import phq.linalg
 import phq.reduction
+import phq.structures
 from phq import (
     CentralPair,
     CommutativeAlgebra,
@@ -44,6 +45,7 @@ from phq import (
     parse_path,
     phq_double_extension,
     reduce_by_plane,
+    salamon_check,
     signature,
     solve_linear,
     split_plane,
@@ -638,8 +640,9 @@ class TestFullReduction:
                 assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
 
     def test_steps_stay_on_the_integer_kernel(self, monkeypatch):
-        # a reduction or a classify evaluates no bracket and takes no adjoint
-        # in Fractions, and validate_extension_data multiplies no Matrix
+        # a reduction or a classify evaluates no bracket in Fractions,
+        # validate_extension_data multiplies no Matrix, and the witness, the
+        # j-class and the Salamon check add, subtract, scale or multiply none
         inputs = [(name, build(name)) for name in ALL_LABELS]
         inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
         expected = [(full_reduction(p).describe(), classify(p).label) for _, p in inputs]
@@ -648,31 +651,49 @@ class TestFullReduction:
         def refuse(self, x, y):
             raise AssertionError("LieAlgebra.bracket was reached")
 
-        def refuse_adjoint(self, x):
-            raise AssertionError("LieAlgebra.adjoint was reached")
+        refused = {
+            "__matmul__": {"validate_extension_data", "verify_witness", "j_class", "salamon_check"},
+            "__add__": {"verify_witness", "j_class", "salamon_check"},
+            "__sub__": {"verify_witness", "j_class", "salamon_check"},
+            "scale": {"verify_witness", "j_class", "salamon_check"},
+        }
 
-        matmul = Matrix.__matmul__
+        def guard(name, method):
+            def guarded(self, *args):
+                frame = sys._getframe(1)
+                while frame is not None:
+                    if frame.f_code.co_name in refused[name]:
+                        raise AssertionError(f"Matrix.{name} was reached in {frame.f_code.co_name}")
+                    frame = frame.f_back
+                return method(self, *args)
 
-        def guarded(self, other):
-            frame = sys._getframe(1)
-            while frame is not None:
-                if frame.f_code.co_name == "validate_extension_data":
-                    raise AssertionError("Matrix.__matmul__ was reached in validate_extension_data")
-                frame = frame.f_back
-            return matmul(self, other)
+            return guarded
 
         monkeypatch.setattr(LieAlgebra, "bracket", refuse)
-        monkeypatch.setattr(LieAlgebra, "adjoint", refuse_adjoint)
-        monkeypatch.setattr(Matrix, "__matmul__", guarded)
+        for name in refused:
+            monkeypatch.setattr(Matrix, name, guard(name, getattr(Matrix, name)))
         for (name, p), (lines, label) in zip(inputs, expected):
-            assert full_reduction(p).describe() == lines, name
+            result = full_reduction(p)
+            assert result.describe() == lines, name
             assert classify(p).label == label, name
+            assert j_class(p.algebra, p.j).label in ("abelian,bi_invariant", "generic"), name
+            assert salamon_check(p).ok, name
+            current = p
+            for step in result.steps:
+                if step.kind == "plane_reduction":
+                    rebuilt = phq_double_extension(step.extension_data)
+                    assert verify_witness(rebuilt, current, step.adapted_basis).ok, name
+                current = step.recovered
         # the guard sees validate_extension_data called on its own too
         assert validate_extension_data(data.base, data.d, data.f, data.s0).ok
+        # and it fires: a Matrix product inside a guarded verdict is refused
+        with pytest.raises(AssertionError, match="__matmul__ was reached in j_class"):
+            monkeypatch.setattr(phq.structures, "_mapped", lambda algebra, m: Matrix.identity(1) @ Matrix.identity(1))
+            j_class(inputs[0][1].algebra, inputs[0][1].j)
 
     def test_products_and_ad_columns_multiply_only_ints(self, monkeypatch):
         # `linalg.mat_mul` and `lie._twisted` multiply the integers that the
-        # tables and matrices keep, also behind `@` and `adjoint`, through
+        # tables and matrices keep, also behind `@`, through
         # the checks, the reductions, the certificates and `j_class`
         import phq.catalog
         import phq.constructions

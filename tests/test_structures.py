@@ -2,11 +2,13 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 from hypothesis import given
 
+import phq.lie
 from phq import (
     DimensionMismatch,
     LieAlgebra,
@@ -27,6 +29,7 @@ from phq import (
     kodaira_cocycle_basis,
     map_image,
     nijenhuis,
+    phq_double_extension,
     salamon_check,
     signature,
     tstar_kodaira,
@@ -34,7 +37,7 @@ from phq import (
     verify_witness,
 )
 from phq.catalog import _FINGERPRINT_TABLE
-from phq.lie import _derivation_failures, format_vector
+from phq.lie import _ad_matrix, _derivation_failures, format_vector
 
 from oracles import (
     entries,
@@ -44,9 +47,11 @@ from oracles import (
     naive_jacobi_violations,
     naive_nijenhuis,
     naive_compatible,
+    naive_j_class,
     naive_nijenhuis_vanishes,
     naive_product,
     naive_square_is_minus_identity,
+    naive_witness_failures,
     rank_oracle,
     signature_oracle,
     structure_tensor,
@@ -113,8 +118,9 @@ class TestShapeGuards:
                 lambda: nijenhuis(LieAlgebra.abelian(4), ROT2, unit(4, 0), unit(4, 1)),
                 "j must be square of the algebra dimension",
             ),
+            (lambda: j_class(LieAlgebra.abelian(4), ROT2), "j must be square of the algebra dimension"),
         ],
-        ids=["phq_algebra_j", "check_complex", "check_quadratic", "nijenhuis"],
+        ids=["phq_algebra_j", "check_complex", "check_quadratic", "nijenhuis", "j_class"],
     )
     def test_wrong_shape_raises(self, make, message):
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
@@ -279,12 +285,9 @@ class TestFingerprint:
 
     def test_invariants_stay_on_the_integer_kernel(self, monkeypatch):
         # the center and the lower central series are read off the integer
-        # table: no adjoint in Fractions, and no n^2 x n system reaches rref
+        # table: no n^2 x n system reaches rref
         inputs = [(name, build(name)) for name in ALL_LABELS]
         inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
-
-        def refuse(self, x):
-            raise AssertionError("fingerprint went through adjoint")
 
         shapes = []
         rref = Matrix.rref
@@ -293,7 +296,6 @@ class TestFingerprint:
             shapes.append((self.rows, self.cols))
             return rref(self)
 
-        monkeypatch.setattr(LieAlgebra, "adjoint", refuse)
         monkeypatch.setattr(Matrix, "rref", recording)
         for name, p in inputs:
             shapes.clear()
@@ -375,7 +377,7 @@ class TestSalamon:
 
     def test_core_sum_is_four_dimensional(self, core):
         derived = core.algebra.derived_ideal()
-        total = derived.sum_with(map_image(core.j, derived))
+        total = Subspace.span(6, derived.basis + map_image(core.j, derived).basis)
         assert total == Subspace.span(
             6, [unit(6, 2), unit(6, 3), unit(6, 4), unit(6, 5)]
         )
@@ -816,12 +818,18 @@ class TestSweepsAgainstOracles:
 
     @staticmethod
     def _adjoint(inputs, coeffs):
+        # `_ad_matrix` of x = X / s is d_t s ad(x), row-major
         for seed, (algebra, _, _) in enumerate(inputs):
             n, c = algebra.dim, structure_tensor(algebra)
             rng = random.Random(seed)
-            s = vector([rng.choice(coeffs) for _ in range(n)])
-            expected = [naive_bracket(c, list(s), list(unit(n, j))) for j in range(n)]
-            assert entries(algebra.adjoint(s)) == [list(row) for row in zip(*expected)]
+            x = [Fraction(rng.choice(coeffs)) for _ in range(n)]
+            s = lcm(*(v.denominator for v in x))
+            ad = _ad_matrix(algebra, [int(v * s) for v in x])
+            expected = [naive_bracket(c, x, list(unit(n, j))) for j in range(n)]
+            d = algebra._scaled[0] * s
+            assert [[Fraction(e, d) for e in ad[k * n : (k + 1) * n]] for k in range(n)] == [
+                list(row) for row in zip(*expected)
+            ]
 
     def test_products_with_coprime_denominators(self):
         # j and phi of every input times a seeded rational matrix, on both
@@ -933,17 +941,130 @@ class TestSweepsAgainstOracles:
         assert {(True, True), (False, False)} <= outcomes
 
     def test_structure_tensor_does_not_read_the_adjoint(self, monkeypatch):
-        # the oracles compare `adjoint` against `structure`, so the latter
-        # must read the table by itself
+        # the oracles compare `_ad_matrix` and the sweeps against
+        # `structure`, so the latter must read the table by itself
         algebra = self.INPUTS[1][0]
         expected = structure_tensor(algebra)
 
-        def refuse(self, x):
-            raise AssertionError("structure went through adjoint")
+        def refuse(*args):
+            raise AssertionError("structure went through ad")
 
-        monkeypatch.setattr(LieAlgebra, "adjoint", refuse)
+        for name in ("_ad_matrix", "_twisted", "_mapped", "_adjoint_rows"):
+            monkeypatch.setattr(phq.lie, name, refuse)
         assert structure_tensor(algebra) == expected
         n = algebra.dim
         for (a, b), col in algebra.brackets.items():
             assert expected[a][b] == [col.get(k, 0) for k in range(n)]
             assert expected[b][a] == [-col.get(k, 0) for k in range(n)]
+
+
+# The ten catalog labels the benchmark transports: the eight non-abelian rows
+# of the dimension <= 8 table and two abelian ones.
+TEN_LABELS = (
+    "L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K", "L(2,4)+R(0,2)",
+    "L(2,4)+R(2,0)", "L(4,2)+R(0,2)", "L(4,2)+R(2,0)", "R(2,2)", "R(2,4)",
+)
+BUMPS = (1, -1, 2, Fraction(1, 3), Fraction(-7, 4))
+
+
+def labels_and_transports():
+    """Each of the ten labels in its recipe basis and in one `transported` basis."""
+    out = []
+    for seed, name in enumerate(TEN_LABELS):
+        p = build(name)
+        out += [p, PHQAlgebra(*transported(p, random.Random(seed)))]
+    return out
+
+
+def plane_steps(inputs):
+    """(a, b, w) for each plane step of each input's reduction: the double
+    extension a of the step's datum, the algebra b it reduced, and the
+    adapted basis w, a witness from a to b."""
+    steps = []
+    for p in inputs:
+        current = p
+        for step in full_reduction(p).steps:
+            if step.kind == "plane_reduction":
+                steps.append((phq_double_extension(step.extension_data), current, step.adapted_basis))
+            current = step.recovered
+    return steps
+
+
+def bumped(m, rng):
+    """m with one seeded entry changed."""
+    e = list(m.entries)
+    e[rng.randrange(len(e))] += rng.choice(BUMPS)
+    return Matrix(m.rows, m.cols, tuple(e))
+
+
+def broken_witnesses(a, b, w, rng):
+    """Nine seeded breakages of a witness: one entry of w, of either j or of
+    either phi changed, w scaled, w made singular, and two wrong shapes."""
+    n = a.dim
+    cols = [w.col(i) for i in range(n)]
+    i, k = rng.sample(range(n), 2)
+    singular = [cols[k] if c == i else col for c, col in enumerate(cols)]
+    other = build("R(2,2)") if n != 4 else build("R(2,4)")
+    return [
+        (a, b, bumped(w, rng)),
+        (PHQAlgebra(a.algebra, bumped(a.j, rng), a.phi), b, w),
+        (a, PHQAlgebra(b.algebra, bumped(b.j, rng), b.phi), w),
+        (PHQAlgebra(a.algebra, a.j, bumped(a.phi, rng)), b, w),
+        (a, PHQAlgebra(b.algebra, b.j, bumped(b.phi, rng)), w),
+        (a, b, w.scale(rng.choice((-1, 2, Fraction(1, 2))))),
+        (a, b, Matrix.from_cols(singular)),
+        (a, b, Matrix.from_cols(cols[:-1], rows=n)),
+        (a, other, w),
+    ]
+
+
+class TestWitnessAndJClassAgainstOracles:
+    """`verify_witness` and `j_class` against `naive_witness_failures` and
+    `naive_j_class`: every message, in order, and both flags."""
+
+    INPUTS = labels_and_transports()
+
+    def test_witness_failures_match_the_oracle(self):
+        steps = plane_steps(self.INPUTS)
+        assert len(steps) == 16
+        cases = list(steps)
+        for seed, step in enumerate(steps):
+            cases += broken_witnesses(*step, random.Random(seed))
+        assert len(cases) - len(steps) >= 100
+        seen = Counter()
+        for a, b, w in cases:
+            expected = naive_witness_failures(a, b, w)
+            assert list(verify_witness(a, b, w).failures) == expected
+            seen.update(re.sub(r" at \(.*", "", f) for f in expected)
+            seen["ok"] += not expected
+        assert set(seen) == {
+            "ok",
+            "dimensions differ",
+            "witness matrix has the wrong shape",
+            "witness is not invertible",
+            "witness does not intertwine the complex structures",
+            "witness is not an isometry",
+            "witness does not intertwine the bracket",
+        }
+
+    def test_j_class_matches_the_oracle(self):
+        inputs = [(p.algebra, p.j) for p in self.INPUTS] + [kodaira_thurston()]
+        outcomes = Counter()
+        for seed, (algebra, j) in enumerate(inputs):
+            n, rng = algebra.dim, random.Random(seed)
+
+            def rand(density):
+                return Matrix.from_rows(
+                    [[rng.choice(BUMPS) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+                )
+
+            candidates = [j, j.scale(-1), bumped(j, rng), rand(1.0), rand(0.2), rand(0.1)]
+            candidates += [Matrix.identity(n).scale(rng.choice(BUMPS)), Matrix.zero(n)]
+            c = structure_tensor(algebra)
+            for m in candidates:
+                expected = naive_j_class(c, entries(m))
+                cls = j_class(algebra, m)
+                assert (cls.abelian, cls.bi_invariant) == expected
+                outcomes[expected] += 1
+        assert sum(outcomes.values()) >= 160
+        assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
