@@ -22,7 +22,7 @@ from functools import reduce
 
 from . import constructions, reduction
 from .checks import Check, PhqError, Record
-from .lie import LieAlgebra, LinearMap, _mapped
+from .lie import _CHUNK, LieAlgebra, LinearMap, _mapped
 from .linalg import Matrix, _transpose, mat_mul, mat_vec
 from .structures import Fingerprint, PHQAlgebra, check_phq, fingerprint
 
@@ -40,7 +40,8 @@ class UnclassifiedFingerprint(PhqError, ValueError):
 
 
 _ATOM_ORDER = {"L": 0, "T": 1, "R": 2}
-_R_ATOM = re.compile(r"^R\((\d+),(\d+)\)$")
+# p and q in ASCII decimal without leading zeros, as `fileformat._INDEX`: one spelling per label
+_R_ATOM = re.compile(r"R\((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)")
 # the builder of each model but R(p,q), whose factors `_signature` reads;
 # each looks its function up when called, so a patched or traced one runs
 _MODELS = {
@@ -52,11 +53,14 @@ _MODELS = {
 
 
 def _signature(atom: str) -> tuple[int, int]:
-    """(p, q) of an abelian factor ``R(p,q)``; any other text, and a
-    signature that is odd or zero, raises `UnknownLabel`."""
-    m = _R_ATOM.match(atom)
+    """(p, q) of an abelian factor ``R(p,q)``; any other text, an entry of
+    more than `_CHUNK` digits, and a signature that is odd or zero, raise
+    `UnknownLabel`."""
+    m = _R_ATOM.fullmatch(atom)
     if not m:
         raise UnknownLabel(f"unknown factor {atom!r}")
+    if max(map(len, m.groups())) > _CHUNK:
+        raise UnknownLabel(f"abelian factor has a signature entry of more than {_CHUNK} digits")
     p, q = int(m.group(1)), int(m.group(2))
     if p % 2 or q % 2 or p == q == 0:
         raise UnknownLabel(f"abelian factor needs even nonzero signature: {atom}")

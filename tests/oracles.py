@@ -5,6 +5,7 @@ on plain nested lists of Fractions with naive triple loops, and the
 signature oracle goes through sympy's exact characteristic polynomial with
 Descartes' sign-change rule (valid because symmetric matrices have all-real
 spectra).  Any disagreement with the library is a bug in one of the two.
+`change_basis` is the one change of basis of the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ def structure_tensor(algebra) -> list[list[list[Fraction]]]:
     n = algebra.dim
     c = algebra.structure  # rebuilt on every access: read it once
     return [[[c[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def unit_rows(n):
+    """The n unit vectors e_0, ..., e_(n-1) as lists of Fractions."""
+    return [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
 
 
 def naive_bracket(c, x, y):
@@ -50,19 +56,35 @@ def naive_product(a, b):
     ]
 
 
+def congruent(m, p):
+    """P^T M P for square lists of Fractions."""
+    n = len(m)
+    mp = [[sum(m[a][k] * p[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    return [[sum(p[k][a] * mp[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+
+
+def change_basis(c, j, phi, p, p_inv):
+    """The structure tensor c, the map j and the form phi in the basis of the
+    columns of P (``p``, with inverse ``p_inv``): the bracket table
+    {(a, b): P^-1 [P e_a, P e_b]} over a < b, P^-1 j P and P^T phi P."""
+    n = len(c)
+    cols = [[row[b] for row in p] for b in range(n)]
+    table = {
+        (a, b): naive_apply(p_inv, naive_bracket(c, cols[a], cols[b])) for a in range(n) for b in range(a + 1, n)
+    }
+    return table, naive_product(p_inv, naive_product(j, p)), congruent(phi, p)
+
+
 def naive_jacobi_violations(c):
     """All (i, j, k) with i<j<k where the Jacobi cycle does not vanish."""
-    n = len(c)
+    n, e = len(c), unit_rows(len(c))
     bad = []
     for i in range(n):
-        ei = [Fraction(int(t == i)) for t in range(n)]
         for j in range(i + 1, n):
-            ej = [Fraction(int(t == j)) for t in range(n)]
             for k in range(j + 1, n):
-                ek = [Fraction(int(t == k)) for t in range(n)]
-                term1 = naive_bracket(c, ei, c[j][k])
-                term2 = naive_bracket(c, ej, c[k][i])
-                term3 = naive_bracket(c, ek, c[i][j])
+                term1 = naive_bracket(c, e[i], c[j][k])
+                term2 = naive_bracket(c, e[j], c[k][i])
+                term3 = naive_bracket(c, e[k], c[i][j])
                 if any(a + b + d != 0 for a, b, d in zip(term1, term2, term3)):
                     bad.append((i, j, k))
     return bad
@@ -77,14 +99,8 @@ def naive_nijenhuis(c, j, x, y):
 
 
 def naive_nijenhuis_vanishes(c, j):
-    n = len(c)
-    for a in range(n):
-        ea = [Fraction(int(t == a)) for t in range(n)]
-        for b in range(a + 1, n):
-            eb = [Fraction(int(t == b)) for t in range(n)]
-            if any(t != 0 for t in naive_nijenhuis(c, j, ea, eb)):
-                return False
-    return True
+    n, e = len(c), unit_rows(len(c))
+    return not any(any(naive_nijenhuis(c, j, e[a], e[b])) for a in range(n) for b in range(a + 1, n))
 
 
 def naive_pair(g, x, y):
@@ -95,27 +111,19 @@ def naive_pair(g, x, y):
 
 
 def naive_ad_invariant(c, g):
-    n = len(c)
-    for i in range(n):
-        ei = [Fraction(int(t == i)) for t in range(n)]
-        for j in range(n):
-            ej = [Fraction(int(t == j)) for t in range(n)]
-            for k in range(n):
-                ek = [Fraction(int(t == k)) for t in range(n)]
-                if naive_pair(g, c[i][j], ek) + naive_pair(g, ej, c[i][k]) != 0:
-                    return False
-    return True
+    n, e = len(c), unit_rows(len(c))
+    return all(
+        naive_pair(g, c[i][j], e[k]) + naive_pair(g, e[j], c[i][k]) == 0
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
 
 
 def naive_compatible(g, j):
-    n = len(g)
-    for a in range(n):
-        ea = [Fraction(int(t == a)) for t in range(n)]
-        for b in range(n):
-            eb = [Fraction(int(t == b)) for t in range(n)]
-            if naive_pair(g, naive_apply(j, ea), naive_apply(j, eb)) != naive_pair(g, ea, eb):
-                return False
-    return True
+    n, e = len(g), unit_rows(len(g))
+    images = [naive_apply(j, u) for u in e]
+    return all(naive_pair(g, images[a], images[b]) == naive_pair(g, e[a], e[b]) for a in range(n) for b in range(n))
 
 
 def naive_square_is_minus_identity(j):
@@ -157,12 +165,67 @@ def naive_j_class(c, j):
     structure tensor c: [jx, jy] = [x, y] and [jx, y] = j[x, y] on every
     ordered basis pair."""
     n = len(c)
-    units = [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
+    units = unit_rows(n)
     js = [naive_apply(j, u) for u in units]
     pairs = [(a, b) for a in range(n) for b in range(n)]
     abelian = all(naive_bracket(c, js[a], js[b]) == c[a][b] for a, b in pairs)
     bi_invariant = all(naive_bracket(c, js[a], units[b]) == naive_apply(j, c[a][b]) for a, b in pairs)
     return abelian, bi_invariant
+
+
+def naive_skew(m, g):
+    """g(m e_a, e_b) + g(e_a, m e_b) = 0 for every basis pair."""
+    units = unit_rows(len(g))
+    images = [naive_apply(m, u) for u in units]
+    return all(
+        naive_pair(g, images[a], ub) + naive_pair(g, ua, images[b]) == 0
+        for a, ua in enumerate(units)
+        for b, ub in enumerate(units)
+    )
+
+
+def naive_derivation(c, m):
+    """m[e_i, e_k] = [m e_i, e_k] + [e_i, m e_k] for every basis pair."""
+    n = len(c)
+    units = unit_rows(n)
+    return all(
+        naive_apply(m, c[i][k])
+        == [
+            a + b
+            for a, b in zip(
+                naive_bracket(c, naive_apply(m, units[i]), units[k]),
+                naive_bracket(c, units[i], naive_apply(m, units[k])),
+            )
+        ]
+        for i in range(n)
+        for k in range(i + 1, n)
+    )
+
+
+def naive_extension_failures(base, d, f, s0):
+    """The failures `validate_extension_data` reports, in its order, from the
+    dense structure tensor and naive products on basis vectors."""
+    c, g, jm, dm, fm = structure_tensor(base.algebra), entries(base.phi), entries(base.j), entries(d), entries(f)
+    units = unit_rows(base.dim)
+    failures = []
+    for name, m in (("D", dm), ("F", fm)):
+        if not naive_skew(m, g):
+            failures.append(f"{name} is not skewsymmetric for the base metric")
+        if not naive_derivation(c, m):
+            failures.append(f"{name} is not a derivation of the base")
+
+    def f_plus_jd(v):
+        return [a + b for a, b in zip(naive_apply(fm, v), naive_apply(jm, naive_apply(dm, v)))]
+
+    if any(f_plus_jd(naive_apply(jm, u)) != naive_apply(jm, f_plus_jd(u)) for u in units):
+        failures.append("[F + J D, J] != 0")
+    commutator = [
+        [a - b for a, b in zip(naive_apply(fm, naive_apply(dm, u)), naive_apply(dm, naive_apply(fm, u)))]
+        for u in units
+    ]
+    if any(naive_bracket(c, list(s0), u) != fdu for u, fdu in zip(units, commutator)):
+        failures.append("ad(s0) != F D - D F")
+    return tuple(failures)
 
 
 def cocycle_tensor(theta) -> list[list[list[Fraction]]]:
@@ -180,7 +243,7 @@ def naive_cocycle_violations(c, j, t):
     order the triples are visited: cyclicity and J-compatibility over all
     (i, j, k), the coadjoint 2-cocycle identity over i < j < k."""
     n = len(c)
-    units = [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
+    units = unit_rows(n)
 
     def theta(x, y):
         return naive_bracket(t, x, y)
@@ -220,7 +283,7 @@ def naive_commutative_failures(p, g):
     vector) and form g: commutativity, then associativity and invariance
     B(ek, ei ej) = B(ei ek, ej) per triple, then symmetry and degeneracy."""
     n = len(p)
-    units = [[Fraction(int(s == i)) for s in range(n)] for i in range(n)]
+    units = unit_rows(n)
     failures = [f"products not commutative at ({i},{j})"
                 for i in range(n) for j in range(n) if p[i][j] != p[j][i]]
     for i in range(n):

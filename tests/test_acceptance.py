@@ -12,8 +12,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from phq import (
     Cocycle,
     ExtensionData,
@@ -43,7 +41,9 @@ from phq import (
     vector,
     verify_witness,
 )
+from phq.linalg import unit_vector
 
+from conftest import adapted_pair, lemma_adapted_base
 from oracles import (
     entries,
     naive_ad_invariant,
@@ -55,7 +55,6 @@ from oracles import (
     signature_oracle,
     structure_tensor,
 )
-from test_constructions import adapted_pair, lemma_adapted_base
 
 ABELIAN_LABELS = tuple(
     f"R({2 * r},{2 * s})" for r in range(0, 5) for s in range(0, 5) if 0 < r + s <= 4
@@ -71,10 +70,6 @@ NONABELIAN_LABELS = (
     "L(2,4)+R(0,2)",
 )
 INDECOMPOSABLE = ("R(2,0)", "R(0,2)", "L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K")
-
-
-def unit(n, i):
-    return vector([1 if k == i else 0 for k in range(n)])
 
 
 def done(number, text=""):
@@ -283,12 +278,12 @@ def _tstar_witness_columns(eps):
     x3 = tuple((a + b) * half for a, b in zip(s0e, t0e))
     x3s = tuple(Fraction(eps) * (a - b) * half for a, b in zip(s0e, t0e))
     cols = [
-        unit(8, 7),                 # x1 -> v
-        unit(8, 6),                 # x2 -> Jv
+        unit_vector(8, 7),                 # x1 -> v
+        unit_vector(8, 6),                 # x2 -> Jv
         x3,
         ext.j.apply(x3),
-        unit(8, 0),                 # x1* -> z
-        unit(8, 1),                 # x2* -> Jz
+        unit_vector(8, 0),                 # x1* -> z
+        unit_vector(8, 1),                 # x2* -> Jz
         x3s,
         ext.j.apply(x3s),
     ]
@@ -303,12 +298,12 @@ def test_criterion_7_dim8_a_isotropic_datum():
     half = Fraction(1, 2)
     witness = Matrix.from_cols(
         [
-            unit(8, 7),                      # x1 -> v
-            unit(8, 6),                      # x2 -> Jv
+            unit_vector(8, 7),                      # x1 -> v
+            unit_vector(8, 6),                      # x2 -> Jv
             (0, 0, 1, 0, 1, 0, 0, 0),        # x3 -> s0
             (0, 0, 0, 1, 0, 1, 0, 0),        # x4 -> J s0
-            unit(8, 0),                      # x1* -> z
-            unit(8, 1),                      # x2* -> Jz
+            unit_vector(8, 0),                      # x1* -> z
+            unit_vector(8, 1),                      # x2* -> Jz
             (0, 0, half, 0, -half, 0, 0, 0),  # x3* -> t0
             (0, 0, 0, half, 0, -half, 0, 0),  # x4* -> J t0
         ],
@@ -384,8 +379,8 @@ def test_criterion_7_dim8_c_adapted_pair_datum():
 
     u1, ju1 = emb((1, 0, 0, 0)), emb((0, 1, 0, 0))
     u2, ju2 = emb((0, 0, 1, 0)), emb((0, 0, 0, 1))
-    z, zp = unit(8, 0), unit(8, 1)
-    vp, v = unit(8, 6), unit(8, 7)
+    z, zp = unit_vector(8, 0), unit_vector(8, 1)
+    vp, v = unit_vector(8, 6), unit_vector(8, 7)
     add = lambda a, b: tuple(x + y for x, y in zip(a, b))
     sub = lambda a, b: tuple(x - y for x, y in zip(a, b))
     witness = Matrix.from_cols(

@@ -29,26 +29,14 @@ from phq import (
     label,
     phq_double_extension,
     tstar_kodaira,
-    vector,
     verify_witness,
 )
+from phq.linalg import unit_vector
 
-from oracles import entries, naive_apply, naive_bracket, structure_tensor
+from conftest import ALL_LABELS, in_basis
+from oracles import entries, naive_product
 
 INDECOMPOSABLE = ("R(2,0)", "R(0,2)", "L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K")
-
-ALL_LABELS = (
-    "R(2,0)", "R(0,2)", "R(2,2)", "R(4,0)", "R(0,4)",
-    "R(4,2)", "R(2,4)", "R(6,0)", "R(0,6)", "R(4,4)",
-    "R(6,2)", "R(2,6)", "R(8,0)", "R(0,8)",
-    "L(4,2)", "L(2,4)",
-    "L(4,2)+R(2,0)", "L(4,2)+R(0,2)", "L(2,4)+R(2,0)", "L(2,4)+R(0,2)",
-    "Tstar0K", "TstarTheta3K",
-)
-
-
-def unit(n, i):
-    return vector([1 if k == i else 0 for k in range(n)])
 
 
 class TestLabels:
@@ -72,10 +60,20 @@ class TestLabels:
             (lambda: build("R(2,0)+R(2)"), "unknown factor 'R(2)'"),
             (lambda: abelian_with_signature(1, 1), "signature (1,1) must have even nonzero entries"),
             (lambda: abelian_with_signature(0, 0), "signature (0,0) must have even nonzero entries"),
+            # one spelling per label: ASCII digits, no leading zero, no trailing newline
+            (lambda: CatalogLabel.parse("R(02,0)"), "unknown factor 'R(02,0)'"),
+            (lambda: CatalogLabel.parse("R(\u0662,0)"), "unknown factor 'R(\u0662,0)'"),
+            (lambda: label("R(2,0)\n"), "unknown factor 'R(2,0)\\n'"),
+            # refused before int() meets the interpreter's digit limit
+            (
+                lambda: build("R(" + "2" * 5000 + ",0)"),
+                "abelian factor has a signature entry of more than 600 digits",
+            ),
         ],
         ids=[
             "empty", "odd_signature", "zero_signature", "unknown", "unknown_beside_known",
-            "odd_abelian", "zero_abelian",
+            "odd_abelian", "zero_abelian", "leading_zero", "arabic_indic_digit", "trailing_newline",
+            "long_digit_run",
         ],
     )
     def test_messages(self, make, message):
@@ -87,7 +85,7 @@ class TestLabels:
 class TestBuild:
     def test_core_metric_value(self):
         core = build("L(4,2)")
-        assert core.pairing(unit(6, 2), unit(6, 2)) == 1  # phi(x2, x2) = 1
+        assert core.pairing(unit_vector(6, 2), unit_vector(6, 2)) == 1  # phi(x2, x2) = 1
 
     def test_opposite_metric_is_negated(self):
         assert build("L(2,4)").phi == -build("L(4,2)").phi
@@ -135,8 +133,6 @@ class TestClassify:
             classify(build("R(6,4)+R(2,0)"))
 
     def test_invalid_input_rejected(self):
-        from phq import LieAlgebra, PHQAlgebra
-
         solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
         p = PHQAlgebra(
             solvable,
@@ -202,7 +198,7 @@ class TestWitness:
     def test_witness_implies_equal_fingerprints(self):
         # swap the two halves of the neutral abelian algebra: an equivalence
         p = build("R(2,2)")
-        w = Matrix.from_cols([unit(4, 2), unit(4, 3), unit(4, 0), unit(4, 1)], rows=4)
+        w = Matrix.from_cols([unit_vector(4, 2), unit_vector(4, 3), unit_vector(4, 0), unit_vector(4, 1)], rows=4)
         rep = verify_witness(p, p, w)
         assert not rep.ok  # swapping positive and negative planes breaks the isometry
 
@@ -212,9 +208,9 @@ class TestWitness:
         p = build("Tstar0K")
         cols = []
         for i in range(4):
-            cols.append(unit(8, i).__class__(2 * c for c in unit(8, i)))
+            cols.append(unit_vector(8, i).__class__(2 * c for c in unit_vector(8, i)))
         for i in range(4, 8):
-            cols.append(tuple(c / 2 for c in unit(8, i)))
+            cols.append(tuple(c / 2 for c in unit_vector(8, i)))
         w = Matrix.from_cols(cols, rows=8)
         rep = verify_witness(p, p, w)
         if rep.ok:
@@ -265,11 +261,6 @@ TRANSPORTED_LABELS = (
 )
 
 
-def _naive_matmul(a, b):
-    cols = [naive_apply(a, [row[c] for row in b]) for c in range(len(b[0]))]
-    return [list(row) for row in zip(*cols)]
-
-
 def _seeded_basis_change(n, seed):
     """A product M of 2n seeded shears e_i += c e_j, and its inverse."""
     rng = random.Random(seed)
@@ -281,27 +272,8 @@ def _seeded_basis_change(n, seed):
         shear = [row[:] for row in ident]
         unshear = [row[:] for row in ident]
         shear[i][j], unshear[i][j] = c, -c
-        m, m_inv = _naive_matmul(m, shear), _naive_matmul(unshear, m_inv)
+        m, m_inv = naive_product(m, shear), naive_product(unshear, m_inv)
     return m, m_inv
-
-
-def _transport(p, m, m_inv):
-    """p in the basis given by the columns of M, computed with the oracles
-    only: bracket M^-1 [Mx, My], j -> M^-1 j M, phi -> M^T phi M."""
-    n = p.dim
-    c = structure_tensor(p.algebra)
-    cols = [[row[k] for row in m] for k in range(n)]
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = naive_apply(m_inv, naive_bracket(c, cols[i], cols[j]))
-            brackets[i, j] = {k: v for k, v in enumerate(image) if v}
-    m_t = [list(row) for row in zip(*m)]
-    return PHQAlgebra(
-        LieAlgebra.from_brackets(p.basis_names, brackets),
-        Matrix.from_rows(_naive_matmul(m_inv, _naive_matmul(entries(p.j), m))),
-        Matrix.from_rows(_naive_matmul(m_t, _naive_matmul(entries(p.phi), m))),
-    )
 
 
 class TestBasisIndependence:
@@ -309,8 +281,8 @@ class TestBasisIndependence:
     def test_transport_keeps_axioms_label_and_reduction(self, name):
         p = build(name)
         m, m_inv = _seeded_basis_change(p.dim, name)
-        assert _naive_matmul(m, m_inv) == entries(Matrix.identity(p.dim))
-        q = _transport(p, m, m_inv)
+        assert naive_product(m, m_inv) == entries(Matrix.identity(p.dim))
+        q = in_basis(p, m, m_inv)
         assert (q.algebra.brackets, q.phi) != (p.algebra.brackets, p.phi)
         assert check_phq(q).ok
         got, want = classify(q), classify(p)

@@ -32,9 +32,7 @@ from phq.fileformat import (
     serialize_algebra,
 )
 
-from conftest import FIXTURES
-from test_lazy import child
-from test_structures import transported
+from conftest import ALL_LABELS, FIXTURES, child, transported
 
 
 MINIMAL = json.dumps(
@@ -281,7 +279,7 @@ class TestParsing:
 
     def test_one_fraction_per_distinct_scalar(self, monkeypatch):
         # a dense transport repeats most of its scalar strings
-        text = serialize_algebra(PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0))))
+        text = serialize_algebra(transported(build("TstarTheta3K"), random.Random(0)))
         doc = json.loads(text)
         scalars = [v for entry in doc["brackets"] for v in entry["coeffs"].values()]
         scalars += [v for name in ("J", "phi") for row in doc[name] for v in row]
@@ -362,8 +360,7 @@ class TestParsing:
             }
             return json.dumps(doc, indent=2) + "\n"
 
-        from inputs import LADDER, recipe_text  # perfbench/, on the path through test_lazy
-        from test_catalog import ALL_LABELS
+        from inputs import LADDER, recipe_text  # perfbench/, on the path through conftest
 
         odd = PHQAlgebra(
             LieAlgebra(('q"\\\x01', "é\U0001d524"), {(0, 1): {0: Fraction(-3, 7), 1: Fraction(-1, 2)}}),
@@ -683,7 +680,8 @@ from fractions import Fraction
 sys.path.insert(0, "tests")
 from phq import LieAlgebra, PHQAlgebra, build, parse_algebra_text, serialize_algebra
 from phq.lie import _scalar_text, format_vector
-from test_cli_fuzz import MAX_DIGITS, _dumps
+from phq.fileformat import MAX_DIGITS
+from conftest import _dumps
 edge, big, core = 10**4300 - 1, 10**4300, build("L(4,2)")
 print(format_vector([Fraction(edge, 7), Fraction(-1, big), Fraction(-edge)], ["a", "b", "c"]))
 print(_scalar_text(-big), _scalar_text(Fraction(1, big)), _scalar_text(big + 1))

@@ -18,7 +18,7 @@ import random
 from phq.cli import main
 from phq.fileformat import MAX_DIGITS, MAX_DIM
 
-from conftest import FIXTURES
+from conftest import FIXTURES, _dumps
 
 SEED = 20240611
 MUTANTS = 64  # mutated texts; each runs 8 (`.alg`) or 2 (`.recipe`) commands
@@ -60,20 +60,6 @@ def _mutate(doc, rng: random.Random):
         else:
             container[key] = copy.deepcopy(rng.choice(WRONG_VALUES))
     return doc
-
-
-def _dumps(node) -> str:
-    """``json.dumps(node)``, with every int written 600 digits at a time, so
-    that no digit limit of the interpreter (640 at least) refuses
-    ``10**MAX_DIGITS``."""
-    if isinstance(node, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in node.items()) + "}"
-    if isinstance(node, list):
-        return "[" + ", ".join(map(_dumps, node)) + "]"
-    if type(node) is not int or abs(node) < 10**600:
-        return json.dumps(node)
-    high, low = divmod(abs(node), 10**600)
-    return ("-" if node < 0 else "") + _dumps(high) + f"{low:0600d}"
 
 
 def _run(argv):

@@ -16,7 +16,6 @@ from phq import (
     InvalidParameter,
     LieAlgebra,
     Matrix,
-    PHQAlgebra,
     build,
     check_cocycle,
     check_commutative,
@@ -40,8 +39,9 @@ from phq import (
     vector,
     verify_witness,
 )
+from phq.linalg import unit_vector
 
-from test_structures import transported
+from conftest import adapted_pair, lemma_adapted_base, transported
 from oracles import (
     cocycle_tensor,
     entries,
@@ -49,10 +49,6 @@ from oracles import (
     naive_commutative_failures,
     structure_tensor,
 )
-
-
-def unit(n, i):
-    return vector([1 if k == i else 0 for k in range(n)])
 
 
 class TestDirectSum:
@@ -77,25 +73,6 @@ class TestDirectSum:
         assert fs.sig_phi == (fa.sig_phi[0] + fb.sig_phi[0], fa.sig_phi[1] + fb.sig_phi[1])
 
 
-def lemma_adapted_base() -> PHQAlgebra:
-    """Neutral 4-dim base in the adapted frame (u1, Ju1, u2, Ju2) with the
-    pairings phi(u1,u2) = phi(Ju1,Ju2) = 1."""
-    alg = LieAlgebra.abelian(("u1", "Ju1", "u2", "Ju2"))
-    j = Matrix.from_cols([(0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)], rows=4)
-    phi = Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    return PHQAlgebra(alg, j, phi)
-
-
-def adapted_pair(a, b) -> tuple[Matrix, Matrix]:
-    """F(u2) = a Ju1, F(Ju2) = -a u1 and the same shape with b for D."""
-    def shear(c):
-        return Matrix.from_cols(
-            [(0, 0, 0, 0), (0, 0, 0, 0), (0, c, 0, 0), (-c, 0, 0, 0)], rows=4
-        )
-
-    return shear(a), shear(b)
-
-
 class TestValidateExtensionData:
     @pytest.mark.parametrize(
         "d, f, s0",
@@ -112,15 +89,15 @@ class TestValidateExtensionData:
 
     def test_trivial_data_passes(self):
         base = build("R(2,2)")
-        assert validate_extension_data(base, Matrix.zero(4), Matrix.zero(4), unit(4, 0)).ok
+        assert validate_extension_data(base, Matrix.zero(4), Matrix.zero(4), unit_vector(4, 0)).ok
 
     def test_noncentral_s0_on_nonabelian_base_fails(self):
         base = build("L(4,2)")
-        rep = validate_extension_data(base, Matrix.zero(6), Matrix.zero(6), unit(6, 0))
+        rep = validate_extension_data(base, Matrix.zero(6), Matrix.zero(6), unit_vector(6, 0))
         assert not rep.ok
         assert any("ad(s0)" in f for f in rep.failures)
         with pytest.raises(InvalidExtensionData):
-            ExtensionData(base, Matrix.zero(6), Matrix.zero(6), unit(6, 0))
+            ExtensionData(base, Matrix.zero(6), Matrix.zero(6), unit_vector(6, 0))
 
     def test_adapted_pair_passes_with_commuting_maps(self):
         base = lemma_adapted_base()
@@ -164,7 +141,7 @@ class TestPlaneDoubleExtension:
             base = build(name)
             n = base.dim
             out = phq_double_extension(
-                ExtensionData(base, Matrix.zero(n), Matrix.zero(n), unit(n, 0))
+                ExtensionData(base, Matrix.zero(n), Matrix.zero(n), unit_vector(n, 0))
             )
             p0, q0 = signature(base.phi)
             assert signature(out.phi) == (p0 + 2, q0 + 2)
@@ -199,7 +176,7 @@ class TestSwap:
             vector([-1, 0] + [0] * (n + 2)),       # z1' -> -z
         ]
         for i in range(n):
-            cols.append(unit(n + 4, 2 + i))
+            cols.append(unit_vector(n + 4, 2 + i))
         cols.append(vector([0] * (n + 2) + [0, -1]))  # v1' -> -v
         cols.append(vector([0] * (n + 2) + [1, 0]))   # v1 -> v'
         psi = Matrix.from_cols(cols, rows=n + 4)
@@ -317,8 +294,8 @@ def cocycle_inputs():
     kodaira = kodaira_thurston()
     # rational brackets and j: a generic transport, and a rescaled carrier
     # whose valid cocycles pass J-compatibility only with the factor d_j^2
-    transport = transported(build("L(4,2)"), random.Random(3))[:2]
-    carriers = [kodaira] + [(p.algebra, p.j) for p in (build("R(6,0)"), build("L(4,2)"))] + [transport]
+    transport = transported(build("L(4,2)"), random.Random(3))
+    carriers = [kodaira] + [(p.algebra, p.j) for p in (build("R(6,0)"), build("L(4,2)"), transport)]
     out = [(*kodaira, theta) for theta in kodaira_cocycle_basis()]
     out += [rescaled(*kodaira, theta, SCALES) for theta in kodaira_cocycle_basis()]
     for seed in range(12):
@@ -426,8 +403,8 @@ class TestCotangentExtension:
         # metric and complex structure
         for i in range(4):
             assert out.phi[i, 4 + i] == 1
-        assert out.j.col(0) == unit(8, 1)
-        assert out.j.col(4) == unit(8, 5)
+        assert out.j.col(0) == unit_vector(8, 1)
+        assert out.j.col(4) == unit_vector(8, 5)
 
     def test_twisted_fingerprint(self):
         out = tstar_kodaira(kodaira_cocycle_basis()[2])

@@ -10,18 +10,11 @@ its first read.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
-
-ROOT = FIXTURES.parent
-sys.path.append(str(ROOT / "perfbench"))
-from spans import SPANS_MARK  # noqa: E402
+from conftest import FIXTURES, ROOT, child
+from spans import SPANS_MARK
 
 LAYERS = ("linalg", "lie", "structures", "reduction", "catalog", "constructions", "fileformat", "cli")
 LAZY = ("catalog", "constructions", "reduction")
@@ -62,14 +55,6 @@ ran = [m for m in {layers!r} if type(sys.modules["phq." + m]) is types.ModuleTyp
 print(" ".join(ran), file=sys.stderr)
 sys.exit(code)
 """
-
-
-def child(args, code=None, **env):
-    """A fresh interpreter on ``args`` (after ``-c code`` if given), with
-    ``env`` added to its environment."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
-    argv = [sys.executable, *(("-c", code) if code is not None else ()), *args]
-    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=False, timeout=300)
 
 
 def snapshot(key):

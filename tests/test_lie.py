@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from phq import (
     DimensionMismatch,
@@ -18,20 +17,12 @@ from phq import (
     vector,
 )
 
+from phq.linalg import unit_vector
 from phq.lie import _ad_matrix, _derivation_failures, format_vector
 
+from conftest import ALL_LABELS
 from oracles import naive_jacobi_violations, structure_tensor
 from strategies import matrices, vectors
-from test_catalog import ALL_LABELS
-
-
-def unit(n, i):
-    return vector([1 if k == i else 0 for k in range(n)])
-
-
-@pytest.fixture(scope="module")
-def core():
-    return build("L(4,2)")
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +66,7 @@ class TestShapeGuards:
 class TestBracket:
     def test_core_bracket(self, core):
         # [x1, Jx1] = x2 in the six-dimensional model
-        assert core.algebra.bracket(unit(6, 0), unit(6, 1)) == unit(6, 2)
+        assert core.algebra.bracket(unit_vector(6, 0), unit_vector(6, 1)) == unit_vector(6, 2)
 
     def test_bracket_with_itself_vanishes(self, core):
         x = vector([1, 2, Fraction(-1, 3), 0, 5, 1])
@@ -84,7 +75,7 @@ class TestBracket:
     def test_bilinear_expansion_on_carrier(self):
         k, _ = kodaira_thurston()
         x = vector([1, 1, 0, 0])  # x1 + x2
-        assert k.bracket(x, unit(4, 1)) == unit(4, 2)
+        assert k.bracket(x, unit_vector(4, 1)) == unit_vector(4, 2)
 
     @given(vectors(6), vectors(6))
     def test_antisymmetry(self, x, y):
@@ -142,7 +133,7 @@ class TestSeriesAndIdeals:
         assert LieAlgebra.abelian(4).derived_ideal().dim == 0
         derived = core.algebra.derived_ideal()
         assert derived.dim == 3
-        expected = Subspace.span(6, [unit(6, 2), unit(6, 4), unit(6, 5)])
+        expected = Subspace.span(6, [unit_vector(6, 2), unit_vector(6, 4), unit_vector(6, 5)])
         assert derived == expected
         assert tstar3.algebra.derived_ideal().dim == 5
 

@@ -56,17 +56,17 @@ from phq import (
     verify_witness,
 )
 from phq.cli import main
-from phq.linalg import add_vec
+from phq.linalg import add_vec, unit_vector
 
-from conftest import FIXTURES
-from oracles import entries, naive_apply, naive_bracket, naive_pair, structure_tensor
-from test_catalog import ALL_LABELS
-from test_constructions import adapted_pair, lemma_adapted_base
-from test_structures import transported
-
-
-def unit(n, i):
-    return vector([1 if k == i else 0 for k in range(n)])
+from conftest import ALL_LABELS, FIXTURES, adapted_pair, lemma_adapted_base, transported
+from oracles import (
+    entries,
+    naive_bracket,
+    naive_derivation,
+    naive_extension_failures,
+    structure_tensor,
+    unit_rows,
+)
 
 
 def with_phi_entry(p, i, k, value):
@@ -100,7 +100,7 @@ def catalog_inputs():
     three `transported` copies of each, keyed ``label@seed``."""
     inputs = [(name, build(name)) for name in NONABELIAN]
     inputs += [
-        (f"{name}@{seed}", PHQAlgebra(*transported(build(name), random.Random(seed))))
+        (f"{name}@{seed}", transported(build(name), random.Random(seed)))
         for seed in range(3)
         for name in NONABELIAN
     ]
@@ -266,13 +266,13 @@ class TestFindCentralPair:
         pair = find_central_pair(p)
         assert pair.subspace == Subspace.full(4)
         assert not pair.in_derived
-        assert pair.z == unit(4, 0)  # first basis vector already has norm 1
+        assert pair.z == unit_vector(4, 0)  # first basis vector already has norm 1
 
     def test_core_picks_central_derived_vector(self):
         p = build("L(4,2)")
         pair = find_central_pair(p)
         assert pair.in_derived
-        assert pair.z == unit(6, 4)  # x3
+        assert pair.z == unit_vector(6, 4)  # x3
         assert p.pairing(pair.z, pair.z) == 0
 
     def test_untwisted_cotangent_choice(self):
@@ -280,7 +280,7 @@ class TestFindCentralPair:
         pair = find_central_pair(p)
         assert pair.in_derived
         # W ∩ derived = span{x3, x1*, x2*}; the first echelon vector is x3
-        assert pair.z == unit(8, 2)
+        assert pair.z == unit_vector(8, 2)
 
     def test_derived_branch_vectors_are_isotropic(self):
         for name in NONABELIAN:
@@ -292,14 +292,14 @@ class TestFindCentralPair:
     def test_empty_intersection_carries_w_and_the_center(self):
         # aff(1) + R^2: the center span(e3, e4) is mapped onto span(e1, e2)
         algebra = LieAlgebra(("e1", "e2", "e3", "e4"), {(0, 1): {1: 1}})
-        j = Matrix.from_cols([unit(4, 2), unit(4, 3), unit(4, 0), unit(4, 1)], rows=4)
+        j = Matrix.from_cols([unit_vector(4, 2), unit_vector(4, 3), unit_vector(4, 0), unit_vector(4, 1)], rows=4)
         with pytest.raises(EmptyIntersection) as info:
             find_central_pair(PHQAlgebra(algebra, j, Matrix.identity(4)))
         assert str(info.value) == (
             "W = center ∩ j(center) is zero, with center = span(e3, e4); input is outside the nilpotent case"
         )
         assert info.value.subspace == Subspace.zero(4)
-        assert info.value.center == Subspace.span(4, [unit(4, 2), unit(4, 3)])
+        assert info.value.center == Subspace.span(4, [unit_vector(4, 2), unit_vector(4, 3)])
 
     def test_reduction_stuck_carries_w_and_the_candidates(self):
         # phi = 0 makes every candidate isotropic, and W = span(e1, e2) misses
@@ -312,13 +312,13 @@ class TestFindCentralPair:
             "in the derived ideal; tried e1, e2, e1 +e2"
         )
         assert info.value.subspace == Subspace.full(2)
-        assert info.value.candidates == (unit(2, 0), unit(2, 1), vector([1, 1]))
+        assert info.value.candidates == (unit_vector(2, 0), unit_vector(2, 1), vector([1, 1]))
 
     def test_reduction_stuck_marks_a_coefficient_too_long_to_print(self):
         # W = span(e3 + L e4) with L of 5,001 digits, which str() refuses
         long = 10**5000
         algebra = LieAlgebra(("e1", "e2", "e3", "e4"), {(0, 1): {2: 1}})
-        j = Matrix.from_cols([unit(4, 1), unit(4, 0), vector([0, 0, 1, long]), unit(4, 0)], rows=4)
+        j = Matrix.from_cols([unit_vector(4, 1), unit_vector(4, 0), vector([0, 0, 1, long]), unit_vector(4, 0)], rows=4)
         with pytest.raises(ReductionStuck) as info:
             find_central_pair(PHQAlgebra(algebra, j, Matrix.zero(4)))
         assert str(info.value) == (
@@ -331,8 +331,8 @@ class TestFindCentralPair:
 class TestSplitPlane:
     def test_split_positive_plane_from_mixed_abelian(self):
         p = build("R(2,4)")
-        step = split_plane(p, unit(6, 0))
-        assert (step.kind, step.z, step.sign) == ("split_plane", unit(6, 0), 1)
+        step = split_plane(p, unit_vector(6, 0))
+        assert (step.kind, step.z, step.sign) == ("split_plane", unit_vector(6, 0), 1)
         assert step.v is step.extension_data is step.adapted_basis is None
         assert step.recovered.dim == 4
         assert signature(step.recovered.phi) == (0, 4)
@@ -341,7 +341,7 @@ class TestSplitPlane:
     def test_split_factor_from_sum(self):
         p = build("L(4,2)+R(2,0)")
         # basis order: core first, then the positive plane at indices 6, 7
-        step = split_plane(p, unit(8, 6))
+        step = split_plane(p, unit_vector(8, 6))
         assert step.sign == 1
         assert step.v is step.extension_data is step.adapted_basis is None
         assert fingerprint(step.recovered) == fingerprint(build("L(4,2)"))
@@ -352,7 +352,7 @@ class TestSplitPlane:
         # plane's is the input's
         for name in ("L(4,2)+R(2,0)", "L(2,4)+R(0,2)", "R(2,4)"):
             for seed in range(3):
-                p = PHQAlgebra(*transported(build(name), random.Random(seed)))
+                p = transported(build(name), random.Random(seed))
                 w = find_central_pair(p).subspace.basis
                 z = next(x for x in [*w, *map(add_vec, w, w[1:])] if p.pairing(x, x))
                 step = split_plane(p, z)
@@ -366,12 +366,12 @@ class TestSplitPlane:
     def test_rejects_nonsymmetric_metric(self):
         p = with_phi_entry(build("L(4,2)+R(2,0)"), 0, 1, Fraction(1, 3))
         with pytest.raises(NotSymmetricError):
-            split_plane(p, unit(8, 6))
+            split_plane(p, unit_vector(8, 6))
 
     def test_rejects_isotropic_vector(self):
         p = build("Tstar0K")
         with pytest.raises(NotDefinitePlane):
-            split_plane(p, unit(8, 2))
+            split_plane(p, unit_vector(8, 2))
 
     # on the Kodaira-Thurston algebra with its block rotation j, z = x3 is
     # central and derived and jz = x4 is central, so the metric decides
@@ -379,10 +379,10 @@ class TestSplitPlane:
         "phi, z, error, message",
         [
             (Matrix.identity(4), (1, 0), DimensionMismatch, "vector must match the algebra dimension"),
-            (Matrix.identity(4), unit(4, 2), NonIsotropic, "z must be isotropic"),
+            (Matrix.identity(4), unit_vector(4, 2), NonIsotropic, "z must be isotropic"),
             (
                 Matrix.zero(4),
-                unit(4, 2),
+                unit_vector(4, 2),
                 InvalidCentralElement,
                 "no dual vector for z: metric degenerate on the pair",
             ),
@@ -397,20 +397,20 @@ class TestSplitPlane:
     def test_rejects_noncentral_vector(self):
         p = build("L(4,2)")
         with pytest.raises(InvalidCentralElement):
-            split_plane(p, unit(6, 0))
+            split_plane(p, unit_vector(6, 0))
 
     def test_rejects_central_vector_with_noncentral_image(self):
         # e1 is central of norm 1, but this j sends it to the non-central x1
-        p = with_j_column(build("L(4,2)+R(2,0)"), 6, unit(8, 0))
+        p = with_j_column(build("L(4,2)+R(2,0)"), 6, unit_vector(8, 0))
         with pytest.raises(InvalidCentralElement, match="^z and jz must be central$"):
-            split_plane(p, unit(8, 6))
+            split_plane(p, unit_vector(8, 6))
 
 
 def test_mixed_denominators_pass_every_symmetry_test():
     # phi of this copy has entries over 3, 5, 4 and 9 at once; the symmetry
     # test compares the integers of one common denominator in each caller
     # (`signature` and `orthogonal_complement`: test_linalg)
-    p = PHQAlgebra(*transported(build("L(4,2)+R(2,0)"), random.Random(1)))
+    p = transported(build("L(4,2)+R(2,0)"), random.Random(1))
     assert {3, 5} <= {e.denominator for e in p.phi.entries}
     assert check_quadratic(p.algebra, p.phi).ok
     w = find_central_pair(p).subspace.basis
@@ -425,11 +425,11 @@ class TestReduceByPlane:
     def test_abelian_rejected(self):
         p = build("R(4,4)")
         with pytest.raises(InvalidCentralElement):
-            reduce_by_plane(p, unit(8, 0))
+            reduce_by_plane(p, unit_vector(8, 0))
 
     def test_core_with_negative_padding(self):
         p = build("L(2,4)+R(0,2)")
-        step = reduce_by_plane(p, unit(8, 4))  # z = x3
+        step = reduce_by_plane(p, unit_vector(8, 4))  # z = x3
         assert step.recovered.dim == 4
         assert signature(step.recovered.phi) == (0, 4)
         data = step.extension_data
@@ -442,7 +442,7 @@ class TestReduceByPlane:
 
     def test_twisted_cotangent_recovers_nonzero_map(self):
         p = build("TstarTheta3K")
-        step = reduce_by_plane(p, unit(8, 4))  # z = x1*
+        step = reduce_by_plane(p, unit_vector(8, 4))  # z = x1*
         assert step.recovered.dim == 4
         assert signature(step.recovered.phi) == (2, 2)
         data = step.extension_data
@@ -454,24 +454,24 @@ class TestReduceByPlane:
     def test_rejects_nonisotropic_central_vector(self):
         p = build("R(2,2)")
         with pytest.raises(InvalidCentralElement):
-            reduce_by_plane(p, unit(4, 0))  # not in (empty) derived ideal
+            reduce_by_plane(p, unit_vector(4, 0))  # not in (empty) derived ideal
 
     def test_rejects_noncentral_vector(self):
         p = build("L(4,2)")
         with pytest.raises(InvalidCentralElement, match="^z must lie in center ∩ derived$"):
-            reduce_by_plane(p, unit(6, 0))  # x1
+            reduce_by_plane(p, unit_vector(6, 0))  # x1
 
     def test_rejects_nonsymmetric_metric(self):
         # z = x3 passes every test before the complement is taken
         p = with_phi_entry(build("L(4,2)"), 0, 1, Fraction(1, 3))
         with pytest.raises(NotSymmetricError):
-            reduce_by_plane(p, unit(6, 4))
+            reduce_by_plane(p, unit_vector(6, 4))
 
     def test_rejects_central_vector_with_noncentral_image(self):
         # x3 is central and derived, but this j sends it to the non-central x1
-        p = with_j_column(build("L(4,2)"), 4, unit(6, 0))
+        p = with_j_column(build("L(4,2)"), 4, unit_vector(6, 0))
         with pytest.raises(InvalidCentralElement, match="^jz must be central$"):
-            reduce_by_plane(p, unit(6, 4))
+            reduce_by_plane(p, unit_vector(6, 4))
 
     @pytest.mark.parametrize(
         "shift",
@@ -486,15 +486,15 @@ class TestReduceByPlane:
         monkeypatch.setattr(phq.reduction, "_choose", moved_v(shift))
         message = "v must be isotropic, with phi(z, v) = 1 and phi(jz, v) = 0"
         with pytest.raises(HypothesisViolated, match=f"^{re.escape(message)}$"):
-            reduce_by_plane(build("L(4,2)"), unit(6, 4))
+            reduce_by_plane(build("L(4,2)"), unit_vector(6, 4))
 
     # a split removes no frame vector, so jz leaves its frame; a plane step
     # keeps z and jz in its frame, and j(b + z) has a component along jz
     @pytest.mark.parametrize(
         "step, name, z, message",
         [
-            (split_plane, "L(4,2)+R(2,0)", unit(8, 6), "the restriction leaves the frame; the subspace is not invariant"),
-            (reduce_by_plane, "L(4,2)", unit(6, 4), "j does not keep the restricted subspace"),
+            (split_plane, "L(4,2)+R(2,0)", unit_vector(8, 6), "the restriction leaves the frame; the subspace is not invariant"),
+            (reduce_by_plane, "L(4,2)", unit_vector(6, 4), "j does not keep the restricted subspace"),
         ],
         ids=["split_plane", "reduce_by_plane"],
     )
@@ -588,7 +588,7 @@ class TestFullReduction:
         def split_first(p):
             calls.append(p)
             pair = real(p)
-            return CentralPair(pair.subspace, unit(p.dim, 6), False) if len(calls) == 1 else pair
+            return CentralPair(pair.subspace, unit_vector(p.dim, 6), False) if len(calls) == 1 else pair
 
         monkeypatch.setattr(phq.reduction, "find_central_pair", split_first)
         path = str(FIXTURES / "L42_R20.alg")
@@ -629,7 +629,7 @@ class TestFullReduction:
         # tensor(TstarTheta3K, k=3) in a seeded dense basis reduces as the
         # sparse rung does, through valid bases and valid extension data
         sparse = tensor_construct(build("TstarTheta3K"), truncated_poly(3))
-        p = PHQAlgebra(*transported(sparse, random.Random(7)))
+        p = transported(sparse, random.Random(7))
         result = full_reduction(p)
         assert result.describe() == full_reduction(sparse).describe()
         assert sum(s.kind == "plane_reduction" for s in result.steps) == 3
@@ -644,7 +644,7 @@ class TestFullReduction:
         # validate_extension_data multiplies no Matrix, and the witness, the
         # j-class and the Salamon check add, subtract, scale or multiply none
         inputs = [(name, build(name)) for name in ALL_LABELS]
-        inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
+        inputs.append(("TstarTheta3K", transported(build("TstarTheta3K"), random.Random(0))))
         expected = [(full_reduction(p).describe(), classify(p).label) for _, p in inputs]
         data = full_reduction(inputs[-1][1]).steps[0].extension_data
 
@@ -701,7 +701,7 @@ class TestFullReduction:
         import phq.structures
 
         inputs = [build(name) for name in ALL_LABELS]
-        inputs.append(PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0))))
+        inputs.append(transported(build("TstarTheta3K"), random.Random(0)))
         seen = Counter()
 
         def ints(*values):
@@ -763,7 +763,7 @@ class TestFullReduction:
                 monkeypatch.setattr(module, "scaled", lambda values: handed.append(values) or scale(values))
 
         inputs = [build(name) for name in ALL_LABELS]
-        inputs += [PHQAlgebra(*transported(p, random.Random(1))) for p in inputs]
+        inputs += [transported(p, random.Random(1)) for p in inputs]
         for p in inputs:
             assert check_phq(p).ok
             fingerprint(p)
@@ -784,7 +784,7 @@ class TestFullReduction:
 def first_plane_datum(name, seed=None):
     """The extension data of the first step of `full_reduction` on ``name``,
     in its recipe basis or, given a seed, in a `transported` copy."""
-    p = build(name) if seed is None else PHQAlgebra(*transported(build(name), random.Random(seed)))
+    p = build(name) if seed is None else transported(build(name), random.Random(seed))
     return full_reduction(p).steps[0].extension_data
 
 
@@ -848,63 +848,6 @@ def test_the_lemma_hypotheses_fail_on_the_other_labels():
     }
 
 
-def naive_skew(m, g):
-    """g(m e_a, e_b) + g(e_a, m e_b) = 0 for every basis pair."""
-    n = len(g)
-    units = [list(unit(n, i)) for i in range(n)]
-    images = [naive_apply(m, u) for u in units]
-    return all(
-        naive_pair(g, images[a], units[b]) + naive_pair(g, units[a], images[b]) == 0
-        for a in range(n)
-        for b in range(n)
-    )
-
-
-def naive_derivation(c, m):
-    """m[e_i, e_k] = [m e_i, e_k] + [e_i, m e_k] for every basis pair."""
-    n = len(c)
-    units = [list(unit(n, i)) for i in range(n)]
-    return all(
-        naive_apply(m, c[i][k])
-        == [
-            a + b
-            for a, b in zip(
-                naive_bracket(c, naive_apply(m, units[i]), units[k]),
-                naive_bracket(c, units[i], naive_apply(m, units[k])),
-            )
-        ]
-        for i in range(n)
-        for k in range(i + 1, n)
-    )
-
-
-def naive_extension_failures(base, d, f, s0):
-    """The failures `validate_extension_data` reports, in its order, from the
-    dense structure tensor and naive products on basis vectors."""
-    n = base.dim
-    c, g, jm, dm, fm = structure_tensor(base.algebra), entries(base.phi), entries(base.j), entries(d), entries(f)
-    units = [list(unit(n, i)) for i in range(n)]
-    failures = []
-    for name, m in (("D", dm), ("F", fm)):
-        if not naive_skew(m, g):
-            failures.append(f"{name} is not skewsymmetric for the base metric")
-        if not naive_derivation(c, m):
-            failures.append(f"{name} is not a derivation of the base")
-
-    def f_plus_jd(v):
-        return [a + b for a, b in zip(naive_apply(fm, v), naive_apply(jm, naive_apply(dm, v)))]
-
-    if any(f_plus_jd(naive_apply(jm, u)) != naive_apply(jm, f_plus_jd(u)) for u in units):
-        failures.append("[F + J D, J] != 0")
-    commutator = [
-        [a - b for a, b in zip(naive_apply(fm, naive_apply(dm, u)), naive_apply(dm, naive_apply(fm, u)))]
-        for u in units
-    ]
-    if any(naive_bracket(c, list(s0), u) != fdu for u, fdu in zip(units, commutator)):
-        failures.append("ad(s0) != F D - D F")
-    return tuple(failures)
-
-
 def elementary(n, a, b, value):
     """The n x n matrix with ``value`` at (a, b) and zeros elsewhere."""
     return Matrix.from_rows([[value if (r, s) == (a, b) else 0 for s in range(n)] for r in range(n)])
@@ -963,7 +906,7 @@ def inner_pair(data):
     identity holds with both sides nonzero; None on other bases."""
     base = data.base
     n, c = base.dim, structure_tensor(base.algebra)
-    units = [list(unit(n, i)) for i in range(n)]
+    units = unit_rows(n)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     noncentral = [(a, b) for a, b in pairs if any(any(naive_bracket(c, c[a][b], u)) for u in units)]
     if not noncentral:
@@ -982,7 +925,7 @@ class TestExtensionDataAgainstOracle:
         step.extension_data
         for seed in range(3)
         for p in [build(name) for name in ALL_LABELS] + [direct_sum(build("L(4,2)"), build("L(2,4)"))]
-        for step in full_reduction(PHQAlgebra(*transported(p, random.Random(seed)))).steps
+        for step in full_reduction(transported(p, random.Random(seed))).steps
         if step.kind == "plane_reduction"
     ]
 

@@ -6,14 +6,11 @@ becomes a property, breaks the traced benchmark run.
 """
 
 import importlib
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
-from spans import SPANS  # noqa: E402
+from spans import SPANS  # perfbench/, on the path through conftest
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""The library imports nothing beyond the standard library, and the test
-oracles import nothing from the library."""
+"""The library imports nothing beyond the standard library, the test
+oracles import nothing from the library, and no test file imports a test
+module."""
 
 import ast
 import sys
@@ -31,6 +32,15 @@ def test_oracles_import_nothing_from_phq():
     # the oracles cross-check the library, so they must not share its code
     from_phq = [m for m in absolute_imports(TESTS / "oracles.py") if m.split(".")[0] == "phq"]
     assert not from_phq, f"oracles.py imports {from_phq}"
+
+
+def test_no_test_file_imports_a_test_module():
+    # shared inputs live in conftest.py, oracles in oracles.py
+    found = {}
+    for path in sorted(TESTS.glob("*.py")):
+        if modules := [m for m in absolute_imports(path) if m.split(".")[0].startswith("test_")]:
+            found[path.name] = modules
+    assert not found, f"test modules imported: {found}"
 
 
 def test_sources_found():

@@ -5,7 +5,6 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-import sympy
 from hypothesis import given
 
 import phq.lie
@@ -37,9 +36,19 @@ from phq import (
     verify_witness,
 )
 from phq.catalog import _FINGERPRINT_TABLE
+from phq.linalg import unit_vector
 from phq.lie import _ad_matrix, _derivation_failures, format_vector
 
+from conftest import (
+    ALL_LABELS,
+    DENSE_COEFFS,
+    MAP_COPRIME,
+    TABLE_COPRIME,
+    dense_transported,
+    transported,
+)
 from oracles import (
+    congruent,
     entries,
     naive_ad_invariant,
     naive_apply,
@@ -57,41 +66,31 @@ from oracles import (
     structure_tensor,
 )
 from strategies import vectors
-from test_catalog import ALL_LABELS
 
 
 ROT2 = Matrix.from_rows([[0, -1], [1, 0]])
 
 
-def unit(n, i):
-    return vector([1 if k == i else 0 for k in range(n)])
-
-
-@pytest.fixture(scope="module")
-def core():
-    return build("L(4,2)")
-
-
 class TestNijenhuis:
     def test_abelian_torsion_vanishes(self):
         a = LieAlgebra.abelian(2)
-        assert nijenhuis(a, ROT2, unit(2, 0), unit(2, 1)) == vector([0, 0])
+        assert nijenhuis(a, ROT2, unit_vector(2, 0), unit_vector(2, 1)) == vector([0, 0])
 
     def test_core_torsion_vanishes_on_all_pairs(self, core):
         for a in range(6):
             for b in range(a + 1, 6):
-                assert nijenhuis(core.algebra, core.j, unit(6, a), unit(6, b)) == vector([0] * 6)
+                assert nijenhuis(core.algebra, core.j, unit_vector(6, a), unit_vector(6, b)) == vector([0] * 6)
 
     def test_modified_map_has_torsion(self, core):
         # Change the images of x2 and x3 to swap into each other; the torsion
         # shows up on the pair (x1, x2), not on (x1, Jx1) whose brackets never
         # touch the modified columns.
         cols = [core.j.col(i) for i in range(6)]
-        cols[2] = unit(6, 4)   # x2 -> x3
+        cols[2] = unit_vector(6, 4)   # x2 -> x3
         cols[4] = vector([0, 0, -1, 0, 0, 0])  # x3 -> -x2
         jmod = Matrix.from_cols(cols, rows=6)
-        assert nijenhuis(core.algebra, jmod, unit(6, 0), unit(6, 1)) == vector([0] * 6)
-        residual = nijenhuis(core.algebra, jmod, unit(6, 0), unit(6, 2))
+        assert nijenhuis(core.algebra, jmod, unit_vector(6, 0), unit_vector(6, 1)) == vector([0] * 6)
+        residual = nijenhuis(core.algebra, jmod, unit_vector(6, 0), unit_vector(6, 2))
         assert residual == vector([0, 0, -1, 0, 0, -1])  # -x2 - Jx3
 
     @given(vectors(6), vectors(6))
@@ -115,7 +114,7 @@ class TestShapeGuards:
                 "metric must be square of the algebra dimension",
             ),
             (
-                lambda: nijenhuis(LieAlgebra.abelian(4), ROT2, unit(4, 0), unit(4, 1)),
+                lambda: nijenhuis(LieAlgebra.abelian(4), ROT2, unit_vector(4, 0), unit_vector(4, 1)),
                 "j must be square of the algebra dimension",
             ),
             (lambda: j_class(LieAlgebra.abelian(4), ROT2), "j must be square of the algebra dimension"),
@@ -147,7 +146,7 @@ class TestCheckComplex:
 
     def test_broken_square_detected(self, core):
         cols = [core.j.col(i) for i in range(6)]
-        cols[2] = unit(6, 4)
+        cols[2] = unit_vector(6, 4)
         cols[4] = vector([0, 0, -1, 0, 0, 0])
         rep = check_complex(core.algebra, Matrix.from_cols(cols, rows=6))
         assert not rep["J^2"].ok
@@ -287,7 +286,7 @@ class TestFingerprint:
         # the center and the lower central series are read off the integer
         # table: no n^2 x n system reaches rref
         inputs = [(name, build(name)) for name in ALL_LABELS]
-        inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
+        inputs.append(("TstarTheta3K", transported(build("TstarTheta3K"), random.Random(0))))
 
         shapes = []
         rref = Matrix.rref
@@ -328,7 +327,7 @@ class TestFingerprint:
         # and ad columns; each is computed at most once per algebra
         rng = random.Random(0)
         inputs = [build(name) for name in ALL_LABELS]
-        inputs += [PHQAlgebra(*transported(p, rng)) for p in inputs]
+        inputs += [transported(p, rng) for p in inputs]
         names = ("_columns", "_center", "_derived", "_series")
         computed = count_computations(monkeypatch, names)
         for p in inputs:
@@ -354,7 +353,7 @@ class TestFingerprint:
         # solves, membership and the invariants all go through
         # linalg.eliminate, and so does Matrix.rank; no library code reaches Matrix.rref
         inputs = [(name, build(name)) for name in ALL_LABELS]
-        inputs.append(("TstarTheta3K", PHQAlgebra(*transported(build("TstarTheta3K"), random.Random(0)))))
+        inputs.append(("TstarTheta3K", transported(build("TstarTheta3K"), random.Random(0))))
         described = [full_reduction(p).describe() for _, p in inputs]
 
         def refuse(self):
@@ -379,7 +378,7 @@ class TestSalamon:
         derived = core.algebra.derived_ideal()
         total = Subspace.span(6, derived.basis + map_image(core.j, derived).basis)
         assert total == Subspace.span(
-            6, [unit(6, 2), unit(6, 3), unit(6, 4), unit(6, 5)]
+            6, [unit_vector(6, 2), unit_vector(6, 3), unit_vector(6, 4), unit_vector(6, 5)]
         )
         assert salamon_check(core).ok
 
@@ -416,31 +415,6 @@ def random_broken_input(rng, table_coeffs=SWEEP_COEFFS, map_coeffs=SWEEP_COEFFS)
     return LieAlgebra.from_brackets(n, table), j, phi
 
 
-# Denominators 3 and 4 in the table, 5 and 4 in j and phi: the common
-# denominators of the table, of j and of phi differ, so the sweeps that
-# clear them are exercised with each scale on its own.
-TABLE_COPRIME = (0, 0, 0, 1, -1, Fraction(1, 3), Fraction(-7, 4))
-MAP_COPRIME = (0, 0, 0, 1, -1, Fraction(2, 5), Fraction(-7, 4))
-
-
-def in_basis(p, cols, p_inv):
-    """p in the basis of the columns ``cols`` of P, with P^-1 = ``p_inv``: the
-    bracket becomes P^-1 [P x, P y], j becomes P^-1 j P and phi becomes
-    P^T phi P."""
-    n, c = p.dim, structure_tensor(p.algebra)
-    table = {
-        (a, b): dict(enumerate(naive_apply(p_inv, naive_bracket(c, cols[a], cols[b]))))
-        for a in range(n)
-        for b in range(a + 1, n)
-    }
-    jm = entries(p.j)
-    return (
-        LieAlgebra(p.basis_names, table),
-        Matrix.from_cols([naive_apply(p_inv, naive_apply(jm, col)) for col in cols]),
-        Matrix.from_rows(congruent(entries(p.phi), [[col[a] for col in cols] for a in range(n)])),
-    )
-
-
 def count_computations(monkeypatch, names):
     """For each cached property of `LieAlgebra` in ``names``, the list of the
     algebras it is computed for from now on, one entry per computation."""
@@ -457,49 +431,15 @@ def count_computations(monkeypatch, names):
     return computed
 
 
-def transported(p, rng):
-    """p in the basis of the columns of P = D U (`in_basis`): D diagonal and
-    U unit upper bidiagonal, with coprime denominators."""
-    n = p.dim
-    d = [rng.choice((Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 1)) for _ in range(n)]
-    u = [rng.choice(TABLE_COPRIME + MAP_COPRIME) for _ in range(n - 1)]
-    # P e_b = d_b e_b + u_(b-1) d_(b-1) e_(b-1); (U^-1)_ab = prod over a <= k < b of -u_k
-    cols = [[d[a] if a == b else u[a] * d[a] if a == b - 1 else Fraction(0) for a in range(n)] for b in range(n)]
-    u_inv = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        u_inv[a][a] = Fraction(1)
-        for b in range(a + 1, n):
-            u_inv[a][b] = -u[b - 1] * u_inv[a][b - 1]
-    return in_basis(p, cols, [[u_inv[a][b] / d[b] for b in range(n)] for a in range(n)])
-
-
-DENSE_COEFFS = (1, -1, 2, -2, Fraction(1, 3), Fraction(-7, 4), Fraction(2, 5))
-
-
-def dense_transported(p, rng):
-    """p in the basis of the columns of P = L U (`in_basis`), with L unit
-    lower and U unit upper triangular and every entry off their diagonals
-    nonzero, so that P, P^-1 and, in general, the new table and j have no
-    zero entry."""
-    n = p.dim
-    tri = [[Fraction(1) if a == b else Fraction(rng.choice(DENSE_COEFFS)) if a > b else Fraction(0)
-            for b in range(n)] for a in range(n)]
-    upper = [[Fraction(1) if a == b else Fraction(rng.choice(DENSE_COEFFS)) if a < b else Fraction(0)
-              for b in range(n)] for a in range(n)]
-    pm = [[sum(tri[a][k] * upper[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
-    inv = sympy.Matrix(pm).inv()
-    p_inv = [[Fraction(int(inv[a, b].p), int(inv[a, b].q)) for b in range(n)] for a in range(n)]
-    return in_basis(p, [[pm[a][b] for a in range(n)] for b in range(n)], p_inv)
-
-
 def fully_dense_inputs():
     """Dense transports of four catalog labels (dims 6 and 8, all axioms
     hold) and two random inputs that break them; in each, every coefficient
     of the table and every entry of j is nonzero."""
-    inputs = [
+    transports = (
         dense_transported(build(label), random.Random(seed))
         for seed, label in enumerate(("L(4,2)", "L(2,4)", "Tstar0K", "TstarTheta3K"))
-    ]
+    )
+    inputs = [(q.algebra, q.j, q.phi) for q in transports]
     for seed, n in enumerate((6, 8)):
         rng = random.Random(seed)
         table = {(a, b): {k: rng.choice(DENSE_COEFFS) for k in range(n)} for a in range(n) for b in range(a + 1, n)}
@@ -508,10 +448,10 @@ def fully_dense_inputs():
     return inputs
 
 
-def perturbed(algebra, j, phi, rng):
-    """The transported input and three breakages of it: one table
+def perturbed(p, rng):
+    """The transported input p and three breakages of it: one table
     coefficient, one entry of j, and one symmetric pair of entries of phi."""
-    n = algebra.dim
+    n, algebra, j, phi = p.dim, p.algebra, p.j, p.phi
     a, b = sorted(rng.sample(range(n), 2))
     table = {pair: dict(col) for pair, col in algebra.brackets.items()}
     col, k = table.setdefault((a, b), {}), rng.randrange(n)
@@ -530,7 +470,7 @@ def coprime_inputs():
     inputs = [random_broken_input(random.Random(seed), TABLE_COPRIME, MAP_COPRIME) for seed in range(20)]
     for seed, label in enumerate(("L(4,2)", "L(2,4)", "R(2,2)", "TstarTheta3K")):
         rng = random.Random(seed)
-        inputs += perturbed(*transported(build(label), rng), rng)
+        inputs += perturbed(transported(build(label), rng), rng)
     return inputs
 
 
@@ -548,13 +488,6 @@ def triangular(coeffs):
         }
         algebras.append(LieAlgebra.from_brackets(n, table))
     return algebras
-
-
-def congruent(m, p):
-    """P^T M P for square lists of Fractions."""
-    n = len(m)
-    mp = [[sum(m[a][k] * p[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
-    return [[sum(p[k][a] * mp[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
 
 
 def negative_pivot_then_zero_diagonal(rng):
@@ -699,9 +632,9 @@ class TestSweepsAgainstOracles:
             for i, j, k in naive_jacobi_violations(c):
                 # the cyclic sum [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
                 cycle = zip(
-                    naive_bracket(c, list(unit(n, i)), c[j][k]),
-                    naive_bracket(c, list(unit(n, j)), c[k][i]),
-                    naive_bracket(c, list(unit(n, k)), c[i][j]),
+                    naive_bracket(c, list(unit_vector(n, i)), c[j][k]),
+                    naive_bracket(c, list(unit_vector(n, j)), c[k][i]),
+                    naive_bracket(c, list(unit_vector(n, k)), c[i][j]),
                 )
                 residual = [x + y + z for x, y, z in cycle]
                 expected.append(
@@ -724,7 +657,7 @@ class TestSweepsAgainstOracles:
             expected = []
             for a in range(n):
                 for b in range(a + 1, n):
-                    residual = naive_nijenhuis(c, jm, list(unit(n, a)), list(unit(n, b)))
+                    residual = naive_nijenhuis(c, jm, list(unit_vector(n, a)), list(unit_vector(n, b)))
                     if any(residual):
                         expected.append(f"N({names[a]}, {names[b]}) = {format_vector(residual, names)}")
             assert check_complex(algebra, j)["Nijenhuis"].failures == tuple(expected)
@@ -754,7 +687,7 @@ class TestSweepsAgainstOracles:
             center = algebra.center()
             for z in center.basis:
                 for i in range(n):
-                    assert not any(naive_bracket(c, list(z), list(unit(n, i))))
+                    assert not any(naive_bracket(c, list(z), list(unit_vector(n, i))))
             # row (i, k), column j: the e_k coefficient of [e_j, e_i]
             ad_rows = [[c[j][i][k] for j in range(n)] for i in range(n) for k in range(n)]
             assert center.dim == n - rank_oracle(Matrix.from_rows(ad_rows))
@@ -782,7 +715,7 @@ class TestSweepsAgainstOracles:
                 assert rank_oracle(Matrix.from_rows(basis + [w], cols=n)) == space.dim
                 assert space.contains(w)
                 for i in range(n):
-                    e = list(unit(n, i))
+                    e = list(unit_vector(n, i))
                     outside = rank_oracle(Matrix.from_rows(basis + [e], cols=n)) > space.dim
                     assert space.contains([a + b for a, b in zip(w, e)]) == (not outside)
                     outcomes.add(outside)
@@ -790,7 +723,7 @@ class TestSweepsAgainstOracles:
 
     def test_signature_of_transported_metrics(self):
         for seed, name in enumerate(ALL_LABELS):
-            _, _, phi = transported(build(name), random.Random(seed))
+            phi = transported(build(name), random.Random(seed)).phi
             assert signature(phi) == signature_oracle(phi), name
 
     def test_signature_after_a_negative_pivot_and_a_zero_diagonal(self):
@@ -825,7 +758,7 @@ class TestSweepsAgainstOracles:
             x = [Fraction(rng.choice(coeffs)) for _ in range(n)]
             s = lcm(*(v.denominator for v in x))
             ad = _ad_matrix(algebra, [int(v * s) for v in x])
-            expected = [naive_bracket(c, x, list(unit(n, j))) for j in range(n)]
+            expected = [naive_bracket(c, x, list(unit_vector(n, j))) for j in range(n)]
             d = algebra._scaled[0] * s
             assert [[Fraction(e, d) for e in ad[k * n : (k + 1) * n]] for k in range(n)] == [
                 list(row) for row in zip(*expected)
@@ -859,7 +792,7 @@ class TestSweepsAgainstOracles:
             assert series[0].dim == n
             for k, term in enumerate(series):
                 brackets = [
-                    naive_bracket(c, list(unit(n, i)), list(b))
+                    naive_bracket(c, list(unit_vector(n, i)), list(b))
                     for i in range(n)
                     for b in term.basis
                 ]
@@ -881,7 +814,7 @@ class TestSweepsAgainstOracles:
             n, c = algebra.dim, structure_tensor(algebra)
             rng = random.Random(seed)
             s = random_vector(rng, n)
-            ad_s = Matrix.from_cols([naive_bracket(c, list(s), list(unit(n, j))) for j in range(n)])
+            ad_s = Matrix.from_cols([naive_bracket(c, list(s), list(unit_vector(n, j))) for j in range(n)])
             m = Matrix.from_rows([random_vector(rng, n) for _ in range(n)])
             for cand in (m, ad_s, Matrix.zero(n)):
                 cm = entries(cand)
@@ -889,12 +822,12 @@ class TestSweepsAgainstOracles:
                 for i in range(n):
                     for j in range(i + 1, n):
                         lhs = naive_apply(cm, c[i][j])
-                        mi, mj = naive_apply(cm, unit(n, i)), naive_apply(cm, unit(n, j))
+                        mi, mj = naive_apply(cm, unit_vector(n, i)), naive_apply(cm, unit_vector(n, j))
                         rhs = [
                             a + b
                             for a, b in zip(
-                                naive_bracket(c, mi, list(unit(n, j))),
-                                naive_bracket(c, list(unit(n, i)), mj),
+                                naive_bracket(c, mi, list(unit_vector(n, j))),
+                                naive_bracket(c, list(unit_vector(n, i)), mj),
                             )
                         ]
                         if lhs != rhs:
@@ -913,7 +846,7 @@ class TestSweepsAgainstOracles:
             expected = []
             for i in range(n):
                 for k in range(i + 1, n):
-                    wi, wk = naive_apply(wm, unit(n, i)), naive_apply(wm, unit(n, k))
+                    wi, wk = naive_apply(wm, unit_vector(n, i)), naive_apply(wm, unit_vector(n, k))
                     if naive_apply(wm, c[i][k]) != naive_bracket(c, wi, wk):
                         expected.append(
                             f"witness does not intertwine the bracket at ({names[i]}, {names[k]})"
@@ -928,11 +861,11 @@ class TestSweepsAgainstOracles:
         outcomes = set()
         for algebra, j, _ in self.INPUTS:
             n, c, jm = algebra.dim, structure_tensor(algebra), entries(j)
-            js = [naive_apply(jm, unit(n, a)) for a in range(n)]
+            js = [naive_apply(jm, unit_vector(n, a)) for a in range(n)]
             pairs = [(a, b) for a in range(n) for b in range(n)]
             abelian = all(naive_bracket(c, js[a], js[b]) == c[a][b] for a, b in pairs)
             bi_invariant = all(
-                naive_bracket(c, js[a], list(unit(n, b))) == naive_apply(jm, c[a][b])
+                naive_bracket(c, js[a], list(unit_vector(n, b))) == naive_apply(jm, c[a][b])
                 for a, b in pairs
             )
             cls = j_class(algebra, j)
@@ -972,7 +905,7 @@ def labels_and_transports():
     out = []
     for seed, name in enumerate(TEN_LABELS):
         p = build(name)
-        out += [p, PHQAlgebra(*transported(p, random.Random(seed)))]
+        out += [p, transported(p, random.Random(seed))]
     return out
 
 

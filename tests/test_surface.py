@@ -14,13 +14,10 @@ count, so the re-exports of ``phq/__init__`` keep nothing alive.
 import ast
 import importlib
 import re
-import sys
-from pathlib import Path
 from types import FunctionType
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "perfbench"))
-from spans import SPANS  # noqa: E402
+from conftest import ROOT
+from spans import SPANS  # perfbench/, on the path through conftest
 
 SOURCES = sorted((ROOT / "src" / "phq").glob("*.py"))
 
