@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 
-from . import constructions, reduction
+from . import constructions, fileformat, reduction
 from .checks import Check, PhqError, Record
 from .lie import _CHUNK, LieAlgebra, LinearMap, _mapped
 from .linalg import Matrix, _transpose, mat_mul, mat_vec
@@ -98,6 +98,8 @@ def abelian_with_signature(p: int, q: int) -> PHQAlgebra:
     the block rotation complex structure on consecutive pairs."""
     if p % 2 or q % 2 or (p == 0 and q == 0):
         raise UnknownLabel(f"signature ({p},{q}) must have even nonzero entries")
+    if p + q > fileformat.MAX_DIM:
+        raise DimensionTooLarge(f"dimension {p + q} is above the limit {fileformat.MAX_DIM}")
     phi = Matrix.diagonal([1] * p + [-1] * q)
     return PHQAlgebra(LieAlgebra.abelian(p + q), constructions.block_rotation(p + q), phi)
 
@@ -141,9 +143,14 @@ def tstar_kodaira(theta: constructions.Cocycle | None = None) -> PHQAlgebra:
 
 
 def build(lab: CatalogLabel | str) -> PHQAlgebra:
-    """The exact model algebra for a label (factors summed in canonical order)."""
+    """The exact model algebra for a label (factors summed in canonical
+    order), whose dimension (6 for an L model, 8 for a T model) is bounded
+    by `fileformat.MAX_DIM` before any factor is built."""
     if isinstance(lab, str):
         lab = CatalogLabel.parse(lab)
+    dim = sum(sum(_signature(a)) if a[0] == "R" else 6 if a[0] == "L" else 8 for a in lab.factors)
+    if dim > fileformat.MAX_DIM:
+        raise DimensionTooLarge(f"dimension {dim} is above the limit {fileformat.MAX_DIM}")
     return reduce(
         constructions.direct_sum,
         (_MODELS[a]() if a in _MODELS else abelian_with_signature(*_signature(a)) for a in lab.factors),

@@ -53,6 +53,8 @@ def _int(literal: str, what: str) -> int:
     """The int of a decimal literal, ``-?[0-9]+``, of at most `MAX_DIGITS`
     digits, made in chunks of `_CHUNK` digits, so that the interpreter's
     digit limit, however it is set, never refuses it."""
+    if len(literal) <= _CHUNK:  # one chunk, as nearly every literal is
+        return int(literal)
     digits = literal.lstrip("-")
     if len(digits) > MAX_DIGITS:
         raise ParseError(f"{what} has more than {MAX_DIGITS} digits")

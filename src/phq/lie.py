@@ -30,7 +30,6 @@ from .linalg import (
     bilinear,
     dense,
     mat_vec,
-    scaled,
     sparse_table,
     vector,
 )
@@ -171,9 +170,9 @@ class LieAlgebra(Record):
     @cached_property
     def _series(self) -> tuple[Subspace, ...]:
         """C0 = g and C1 = ``_derived``; C(k+1) is the span of the columns of
-        ad(c) for c in a basis of Ck; stops at zero or when stationary.  Each
-        c is scaled to integers, `_twisted` writes the columns of every ad(c)
-        off T, and `eliminate` spans them at once."""
+        ad(c) for c in a basis of Ck; stops at zero or when stationary.
+        `_twisted` writes the columns of every ad(c) off T for the integer
+        rows that Ck keeps, and `eliminate` spans them at once."""
         n = self.dim
         series = [Subspace.full(n)]
         nxt = self._derived
@@ -181,7 +180,7 @@ class LieAlgebra(Record):
             series.append(nxt)
             if nxt.dim == 0:
                 break
-            nxt = _span_int(n, _twisted(self, [scaled(c)[1] for c in nxt.basis]).values())
+            nxt = _span_int(n, _twisted(self, [x for _, x in nxt._scaled]).values())
         return tuple(series)
 
     def center(self) -> Subspace:

@@ -5,12 +5,12 @@ gives is a `fractions.Fraction`, so every result is exact and independent of
 evaluation order, but the heavy loops run on integers: the ranks, spans,
 null spaces and solves here and the invariants of `lie` all reach the one
 elimination routine, `eliminate`, and each makes its Fractions once, at the
-end.  The subspace maps `intersect`, `map_image`, `orthogonal_complement`
-and `gram_restriction` scale each basis vector with `scaled` and go straight
-to the integer span, null space or Gram product.
+end.  A `Subspace` keeps the integer rows it was spanned from, and each map
+or invariant of a subspace goes straight from them to the integer span,
+null space or Gram product.
 
-Each object is scaled once: a `Matrix`, and the bracket table of a
-`lie.LieAlgebra`, scales itself to integers on first use and keeps them as
+Each object is scaled once: a `Matrix`, the bracket table of a
+`lie.LieAlgebra` and the basis of a `Subspace` keep their integers as
 ``_scaled``, and no reader mutates them, so `check_phq`, `fingerprint`,
 `classify` and the reduction steps all read one integer form of an input.
 """
@@ -340,14 +340,13 @@ class Matrix(Record):
         """Reduced row echelon form and the pivot columns.
 
         The result is the unique RREF, independent of row order of the input.
-        Each row is scaled by its least common denominator, `eliminate`
-        reduces the integer rows, and each Fraction is made once at the end,
-        as entry / pivot.
+        Each row is scaled by its least common denominator, and the rows
+        span a subspace (`_span_int`), whose basis is the nonzero rows; the
+        pivot of a row is the first place of its scale.
         """
-        rows, pivots = eliminate([scaled(self.row(i))[1] for i in range(self.rows)], self.cols)
-        out = [e for row in _normalized(rows, pivots) for e in row]
-        out += [ZERO] * ((self.rows - len(pivots)) * self.cols)
-        return Matrix(self.rows, self.cols, tuple(out)), tuple(pivots)
+        s = _span_int(self.cols, [scaled(self.row(i))[1] for i in range(self.rows)])
+        out = [e for b in s.basis for e in b] + [ZERO] * ((self.rows - s.dim) * self.cols)
+        return Matrix(self.rows, self.cols, tuple(out)), tuple(x.index(d) for d, x in s._scaled)
 
     def rank(self) -> int:
         """The number of pivots `eliminate` finds in the rows of ``_scaled``."""
@@ -433,14 +432,21 @@ def eliminate(rows: Iterable[list[int]], cols: int) -> tuple[list[list[int]], li
     return m[: len(pivots)], pivots
 
 
-def _normalized(rows: list[list[int]], pivots: list[int]) -> list[Vector]:
-    """The rows of `eliminate` divided by their pivots, as Fractions."""
-    return [tuple(Fraction(a, row[c]) if a else ZERO for a in row) for row, c in zip(rows, pivots)]
+def _unscaled(x: Scaled) -> Vector:
+    """The Fraction vector of a `Scaled` pair."""
+    return tuple(Fraction(a, x[0]) if a else ZERO for a in x[1])
 
 
 def _span_int(n: int, rows: Iterable[list[int]]) -> Subspace:
-    """The span of integer rows of length n as a canonical subspace."""
-    return Subspace(n, tuple(_normalized(*eliminate(rows, n))))
+    """The span of integer rows of length n as a canonical subspace, which
+    keeps as ``_scaled`` each row from `eliminate` over its gcd, signed so
+    that its pivot (the scale) is positive: `scaled` of its basis vector."""
+    red, pivots = eliminate(rows, n)
+    gs = [gcd(*row) if row[c] > 0 else -gcd(*row) for row, c in zip(red, pivots)]
+    pairs = [(row[c] // g, [a // g for a in row]) for row, c, g in zip(red, pivots, gs)]
+    s = Subspace(n, tuple(map(_unscaled, pairs)))
+    object.__setattr__(s, "_scaled", pairs)
+    return s
 
 
 def _kernel_int(rows: Iterable[list[int]], cols: int) -> Subspace:
@@ -499,13 +505,23 @@ class Subspace(Record):
     def dim(self) -> int:
         return len(self.basis)
 
+    def __getattr__(self, name: str):
+        """``_scaled`` that `_span_int` did not keep, made on first read and kept as the fields are."""
+        if name != "_scaled":
+            raise AttributeError(name)
+        object.__setattr__(self, name, [scaled(b) for b in self.basis])
+        return self._scaled
+
     def contains(self, v: Sequence) -> bool:
         """Rank test through `eliminate`: v is in the span when it adds no pivot."""
         w = vector(v)
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        rows = [scaled(b)[1] for b in (*self.basis, w)]
-        return len(eliminate(rows, self.ambient_dim)[1]) == self.dim
+        return self._holds(scaled(w)[1])
+
+    def _holds(self, x: Sequence[int]) -> bool:
+        """Whether the integer vector x lies in the span: it adds no pivot to the kept rows."""
+        return len(eliminate([*(y for _, y in self._scaled), x], self.ambient_dim)[1]) == self.dim
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -513,7 +529,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
     n = u.ambient_dim
-    frame = [scaled(b)[1] for b in u.basis + v.basis]
+    frame = [x for _, x in u._scaled + v._scaled]
     rows = [[x[i] for x in frame] for i in range(n)]  # [U | V]
     # (a, b) in the null space of [U | V] means U a = -V b, a point of both
     nulls = _null_int(rows, len(frame))
@@ -525,7 +541,7 @@ def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
     n = u.ambient_dim
     if g.rows != g.cols or g.rows != n:
         raise DimensionMismatch("pairing matrix must be square of the ambient dimension")
-    return _complement_int(n, g._scaled[1], [scaled(w)[1] for w in u.basis])
+    return _complement_int(n, g._scaled[1], [x for _, x in u._scaled])
 
 
 def _complement_int(n: int, g: Sequence[int], xs: Iterable[Sequence[int]]) -> Subspace:
@@ -543,7 +559,7 @@ def map_image(m: Matrix, u: Subspace) -> Subspace:
     if m.cols != u.ambient_dim:
         raise DimensionMismatch(f"{m.rows}x{m.cols} map on a subspace of ambient dim {u.ambient_dim}")
     mn = m._scaled[1]
-    return _span_int(m.rows, [mat_vec(mn, m.rows, m.cols, enumerate(scaled(b)[1]), 0) for b in u.basis])
+    return _span_int(m.rows, [mat_vec(mn, m.rows, m.cols, enumerate(x), 0) for _, x in u._scaled])
 
 
 def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
@@ -558,18 +574,11 @@ def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matri
     """Gram matrix of the n x n form gn / dg, gn row-major integers, on the
     vectors of the `Scaled` pairs (s, x) of ``vs``: entry (a, b) is
     x_a . (gn x_b) / (dg s_a s_b), each made once.  Every Gram matrix is
-    formed here: `gram_restriction` (so the isotropy test of a subspace) and
-    the metric a reduction step restricts."""
+    formed here: `gram_restriction`, the metric on the derived ideal's kept
+    rows in `fingerprint`, and the metric a reduction step restricts."""
     images = [mat_vec(gn, n, n, enumerate(x), 0) for _, x in vs]
-    return Matrix(
-        len(vs),
-        len(vs),
-        tuple(
-            Fraction(sum(map(mul, xa, gxb)), dg * sa * sb)
-            for sa, xa in vs
-            for (sb, _), gxb in zip(vs, images)
-        ),
-    )
+    gram = [Fraction(sum(map(mul, x, y)), dg * s * t) for s, x in vs for (t, _), y in zip(vs, images)]
+    return Matrix(len(vs), len(vs), tuple(gram))
 
 
 def signature(g: Matrix) -> tuple[int, int]:

@@ -31,6 +31,7 @@ from .linalg import (
     _complement_int,
     _gram_int,
     _solve_int,
+    _unscaled,
     add_vec,
     bilinear,
     intersect,
@@ -114,32 +115,32 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     in_derived = intersect(w, p.algebra.derived_ideal())
     candidates = _choose(p, "z", w, in_derived)
     for z in candidates:
-        if in_derived.contains(z):
-            return CentralPair(w, z, True)
-        if _phi(p, scaled(z), scaled(z)) != 0:
-            return CentralPair(w, z, False)
-    raise ReductionStuck(w, candidates, p.basis_names)
+        if in_derived._holds(z[1]):
+            return CentralPair(w, _unscaled(z), True)
+        if _phi(p, z, z) != 0:
+            return CentralPair(w, _unscaled(z), False)
+    raise ReductionStuck(w, [_unscaled(z) for z in candidates], p.basis_names)
 
 
 def _choose(p: PHQAlgebra, what: str, *given):
     """Every choice of an inverse step, made here and nowhere else: a step is
     valid for any admissible z, isotropic dual v and complement basis
     (Medina–Revoy 1985), and the steps check z and v.  ``what`` is one of
-    - ``"z"``, given W and W ∩ derived: the candidates in order of
+    - ``"z"``, given W and W ∩ derived: the `Scaled` candidates in order of
       preference, the first echelon vector of W ∩ derived if that is not
       zero, else the echelon basis of W and then its pairwise sums;
     - ``"v"``, given the `Scaled` z and jz: `_isotropic_dual`'s solution;
     - ``"basis"``, given the `Scaled` vectors of the plane a step removes:
-      the echelon basis (`_complement_int`) of their orthogonal complement.
+      the kept `Scaled` echelon basis (`_complement_int`) of their orthogonal complement.
     """
     if what == "z":
         w, in_derived = given
         if in_derived.dim > 0:
-            return [in_derived.basis[0]]
-        return [*w.basis, *(add_vec(u, v) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :])]
+            return in_derived._scaled[:1]
+        return [*w._scaled, *(scaled(add_vec(u, v)) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :])]
     if what == "v":
         return _isotropic_dual(p, *given)
-    return _complement_int(p.dim, p.phi._scaled[1], [x for _, x in given]).basis
+    return _complement_int(p.dim, p.phi._scaled[1], [x for _, x in given])._scaled
 
 
 # The helpers below take and give `Scaled` pairs, or integers where only a
@@ -161,11 +162,6 @@ def _central(p: PHQAlgebra, x: Scaled) -> bool:
     """ad(x) = 0, tested on the integer columns of ad(x) that `_twisted`
     reads off T; the center is never built."""
     return not any(map(any, _twisted(p.algebra, [x[1]]).values()))
-
-
-def _unscaled(x: Scaled) -> Vector:
-    """The Fraction vector of a `Scaled` pair."""
-    return tuple(Fraction(a, x[0]) for a in x[1])
 
 
 def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled) -> Vector:
@@ -198,21 +194,20 @@ def _restrict(
 
     One integer solve of [frame | images], for the frame (drop..., basis...),
     gives the coordinates of the images under j of the basis vectors, of
-    their brackets and of the brackets of the ``extra`` pairs, all `Scaled`
-    pairs: x_c = y_c * s_c / den for the scale s_c of column c and the scale
-    den of an image.  Components along ``drop`` are discarded, but j must
-    keep the span of ``basis``.  The metric is the Gram block B^T g B on
-    integers.  Returns the restriction and the ``basis`` coordinates of the
-    ``extra`` brackets.
+    their nonzero brackets and of the brackets of the ``extra`` pairs, all
+    `Scaled` pairs: x_c = y_c * s_c / den for the scale s_c of column c and
+    the scale den of an image.  Components along ``drop`` are discarded, but
+    j must keep the span of ``basis``; the table keeps nonzero coordinates.
+    The metric is the Gram block B^T g B on integers.  Returns the
+    restriction and the ``basis`` coordinates of the ``extra`` brackets.
     """
     m, k = len(basis), len(drop)
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     d, t = p.algebra._scaled
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    products = [(a, b, y) for a, b in pairs if any(y := bilinear(t, basis[a][1], basis[b][1], zero=0))]
     images = [_jmap(p, x) for x in basis]
-    images += [
-        (d * x[0] * y[0], bilinear(t, x[1], y[1], zero=0))
-        for x, y in [(basis[a], basis[b]) for a, b in pairs] + list(extra)
-    ]
+    images += [(d * basis[a][0] * basis[b][0], y) for a, b, y in products]
+    images += [(d * x[0] * y[0], bilinear(t, x[1], y[1], zero=0)) for x, y in extra]
     frame = [*drop, *basis]
     rows = [[x[i] for _, x in frame] + [y[i] for _, y in images] for i in range(p.dim)]
     coords = _solve_int(rows, [s for s, _ in frame], [den for den, _ in images])
@@ -221,15 +216,13 @@ def _restrict(
     if any(any(c[:k]) for c in coords[:m]):
         raise InvalidCentralElement("j does not keep the restricted subspace")
     coords = [c[k:] for c in coords]
+    brackets = {(a, b): {i: x for i, x in enumerate(c) if x} for (a, b, _), c in zip(products, coords[m:])}
     restricted = PHQAlgebra(
-        LieAlgebra(
-            tuple(f"b{i + 1}" for i in range(m)),
-            {pair: dict(enumerate(c)) for pair, c in zip(pairs, coords[m:])},
-        ),
+        LieAlgebra(tuple(f"b{i + 1}" for i in range(m)), brackets),
         Matrix.from_cols(coords[:m], rows=m),
         _gram_int(p.dim, *p.phi._scaled, basis),
     )
-    return restricted, coords[m + len(pairs) :]
+    return restricted, coords[m + len(products) :]
 
 
 def _central_plane(p: PHQAlgebra, z: Vector, derived: bool) -> tuple[Scaled, Scaled, int]:
@@ -241,7 +234,7 @@ def _central_plane(p: PHQAlgebra, z: Vector, derived: bool) -> tuple[Scaled, Sca
     zs = scaled(z)
     zps = _jmap(p, zs)
     both = "z and jz must be central"
-    if not _central(p, zs) or derived and not p.algebra.derived_ideal().contains(z):
+    if not _central(p, zs) or derived and not p.algebra.derived_ideal()._holds(zs[1]):
         raise InvalidCentralElement("z must lie in center ∩ derived" if derived else both)
     if not _central(p, zps):
         raise InvalidCentralElement("jz must be central" if derived else both)
@@ -271,7 +264,7 @@ def split_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     zs, zps, norm = _central_plane(p, z, False)
     if norm == 0:
         raise NotDefinitePlane("phi(z, z) = 0: the plane of z is not definite")
-    rest = _restrict(p, [scaled(b) for b in _choose(p, "basis", zs, zps)])[0]
+    rest = _restrict(p, _choose(p, "basis", zs, zps))[0]
     return ReductionStep("split_plane", z, None, 1 if norm > 0 else -1, rest, None, None)
 
 
@@ -292,18 +285,17 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     v = _choose(p, "v", zs, zps)
     vs = scaled(v)
     vps = _jmap(p, vs)
-    basis = _choose(p, "basis", zs, zps, vs, vps)
+    bs = _choose(p, "basis", zs, zps, vs, vps)
     # tested after the basis, whose choice rejects a phi that is not symmetric
     if _phi(p, vs, vs) or _phi(p, zps, vs) or _phi(p, zs, vs) != p.phi._scaled[0] * zs[0] * vs[0]:
         raise HypothesisViolated("v must be isotropic, with phi(z, v) = 1 and phi(jz, v) = 0")
-    m = len(basis)
-    bs = [scaled(b) for b in basis]
+    m = len(bs)
     # F, D and s0 are the base components of [v, x], [v', x] and [v, v'].
     extra = [(w, b) for w in (vs, vps) for b in bs] + [(vs, vps)]
     base, ext = _restrict(p, bs, drop=(zs, zps), extra=extra)
     f, d = (Matrix.from_cols(ext[a : a + m], rows=m) for a in (0, m))
     data = ExtensionData(base, d, f, ext[2 * m])
-    adapted = Matrix.from_cols([z, _unscaled(zps), *basis, _unscaled(vps), v], rows=p.dim)
+    adapted = Matrix.from_cols([z, *map(_unscaled, (zps, *bs, vps)), v], rows=p.dim)
     return ReductionStep("plane_reduction", z, v, None, base, data, adapted)
 
 

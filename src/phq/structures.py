@@ -27,6 +27,7 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Vector,
+    _gram_int,
     _skew,
     _transpose,
     add_vec,
@@ -34,7 +35,6 @@ from .linalg import (
     dense,
     dot,
     eliminate,
-    gram_restriction,
     mat_mul,
     mat_vec,
     scaled,
@@ -335,16 +335,16 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
         dim_center=p.algebra.center().dim,
         nilpotency_index=p.algebra.nilpotency_index(),
         sig_phi=signature(p.phi),
-        sig_phi_on_derived=signature(gram_restriction(p.phi, derived.basis)),
+        sig_phi_on_derived=signature(_gram_int(p.dim, *p.phi._scaled, derived._scaled)),
     )
 
 
 def salamon_check(p: PHQAlgebra) -> Check:
     """For nilpotent input, verify dim([g,g] + j[g,g]) < dim(g): the rank of
-    the integer vectors x and J x, J = ``j._scaled``, for the scaled basis x
-    of the derived ideal."""
+    the integer vectors x and J x, J = ``j._scaled``, for the integer rows x
+    that the derived ideal keeps."""
     n, jn = p.dim, p.j._scaled[1]
-    xs = [scaled(b)[1] for b in p.algebra.derived_ideal().basis]
+    xs = [x for _, x in p.algebra.derived_ideal()._scaled]
     dim = len(eliminate([*xs, *(mat_vec(jn, n, n, enumerate(x), 0) for x in xs)], n)[1])
     failures = (f"[g,g] + j[g,g] has full dimension {dim}",) if dim == n else ()
     return Check("derived + j(derived) is proper", failures)

@@ -31,6 +31,7 @@ from phq import (
     tstar_kodaira,
     verify_witness,
 )
+from phq.fileformat import MAX_DIM
 from phq.linalg import unit_vector
 
 from conftest import ALL_LABELS, in_basis
@@ -97,6 +98,31 @@ class TestBuild:
     def test_every_build_passes_axioms(self):
         for name in ALL_LABELS:
             assert check_phq(build(name)).ok, name
+
+    @pytest.mark.parametrize(
+        "make, dim",
+        [
+            (lambda: build("R(100000000,0)"), 100000000),
+            (lambda: build("R(64,2)"), 66),
+            (lambda: build("L(4,2)+R(58,0)+R(2,0)"), 66),
+            (lambda: build("+".join(["Tstar0K"] * 8) + "+L(2,4)"), 70),
+            (lambda: abelian_with_signature(10**600, 2), 10**600 + 2),
+        ],
+        ids=["nine_digits", "one_factor", "factors_within_the_bound", "models", "abelian"],
+    )
+    def test_a_label_above_max_dim_is_refused_before_it_is_built(self, monkeypatch, make, dim):
+        # the total dimension is read off the label; nothing is allocated
+        def build_nothing(*args):
+            raise AssertionError("an algebra was built from an oversized label")
+
+        monkeypatch.setattr(Matrix, "diagonal", build_nothing)
+        for builder in ("lorentz_core", "tstar_kodaira"):
+            monkeypatch.setattr(phq.catalog, builder, build_nothing)
+        with pytest.raises(DimensionTooLarge, match=f"^dimension {dim} is above the limit {MAX_DIM}$"):
+            make()
+
+    def test_a_label_at_max_dim_builds(self):
+        assert build("R(62,2)").dim == build("L(4,2)+R(58,0)").dim == MAX_DIM
 
 
 class TestClassify:

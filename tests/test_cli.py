@@ -644,6 +644,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and "digits" in err
 
+    @pytest.mark.parametrize("digits", [1, 3, 599, 600, 601, 1000])
+    def test_an_integer_literal_has_its_value(self, digits):
+        # a literal of at most 600 characters is read in one call, a longer
+        # one 600 digits at a time; the value is formed without int(str)
+        for sign, literal in ((1, "7" * digits), (-1, "-" + "7" * digits)):
+            assert phq.fileformat._int(literal, "an integer") == sign * 7 * (10**digits - 1) // 9
+
     # PYTHONINTMAXSTRDIGITS is 4,300 by default; 640 is the least it admits,
     # and 0 lifts it
     @pytest.mark.parametrize("limit", ["640", "0"])

@@ -38,6 +38,7 @@ from phq import (
     fingerprint,
     full_reduction,
     gram_restriction,
+    intersect,
     j_class,
     kernel,
     kodaira_thurston,
@@ -56,7 +57,7 @@ from phq import (
     verify_witness,
 )
 from phq.cli import main
-from phq.linalg import add_vec, unit_vector
+from phq.linalg import _unscaled, add_vec, scaled, unit_vector
 
 from conftest import ALL_LABELS, FIXTURES, adapted_pair, lemma_adapted_base, transported
 from oracles import (
@@ -190,20 +191,22 @@ def generic_z(p, what, *given):
     W ∩ [g,g] in place of b1."""
     if what == "z" and given[1].dim:
         b = given[1].basis
-        return [tuple(sum(k * x[i] for k, x in enumerate(b, start=1)) for i in range(p.dim))]
+        return [scaled(tuple(sum(k * x[i] for k, x in enumerate(b, start=1)) for i in range(p.dim)))]
     return CHOOSE(p, what, *given)
 
 
 def shuffled_basis(p, what, *given):
     """The policy, with the complement basis shuffled and then changed by a
-    unit upper bidiagonal integer matrix: b_i + c_i b_(i+1), c_i in ±1, ±2."""
+    unit upper bidiagonal integer matrix: b_i + c_i b_(i+1), c_i in ±1, ±2.
+    The basis is a list of `Scaled` pairs (s, x), and (s, x) + k (t, y) is
+    (s t, t x + k s y)."""
     out = CHOOSE(p, what, *given)
     if what == "basis":
         rng = random.Random(len(out))
         b = list(out)
         rng.shuffle(b)
         steps = [(x, y, rng.choice((-2, -1, 1, 2))) for x, y in zip(b, b[1:])]
-        out = [tuple(a + k * c for a, c in zip(x, y)) for x, y, k in steps] + b[-1:]
+        out = [(s * t, [t * a + k * s * c for a, c in zip(x, y)]) for (s, x), (t, y), k in steps] + b[-1:]
     return out
 
 
@@ -222,11 +225,12 @@ def moved_v(shift):
 
 def moved_basis(p, what, *given):
     """The policy, with the first complement vector b moved to b + z: j(b + z)
-    has the component jz, outside the complement."""
+    has the component jz, outside the complement.  For the `Scaled` pairs
+    (t, x) of b and (s, z) of z, b + z is (s t, s x + t z)."""
     out = CHOOSE(p, what, *given)
     if what == "basis":
-        s, z = given[0]
-        out = [tuple(a + Fraction(c, s) for a, c in zip(out[0], z)), *out[1:]]
+        (s, z), (t, x) = given[0], out[0]
+        out = [(s * t, [s * a + t * c for a, c in zip(x, z)]), *out[1:]]
     return out
 
 
@@ -235,7 +239,7 @@ def split_first(p, what, *given):
     definite central plane is split off before any plane reduction."""
     out = CHOOSE(p, what, *given)
     if what == "z":
-        out = [z for z in CHOOSE(p, "z", given[0], Subspace.zero(p.dim)) if p.pairing(z, z)] + out
+        out = [z for z in CHOOSE(p, "z", given[0], Subspace.zero(p.dim)) if p.pairing(*[_unscaled(z)] * 2)] + out
     return out
 
 
@@ -779,6 +783,73 @@ class TestFullReduction:
         for obj in created:
             if "_scaled" in vars(obj):
                 assert vars(obj)["_scaled"] == fresh[type(obj)](obj)
+
+    @staticmethod
+    def subspace_inputs():
+        """The catalog models, a `transported` copy of each, and
+        complexify(TstarTheta3K), built afresh for each test."""
+        models = [(name, build(name)) for name in ALL_LABELS]
+        models += [(f"{name}@1", transported(p, random.Random(1))) for name, p in models]
+        return models + [("complexify(TstarTheta3K)", complexify(build("TstarTheta3K")))]
+
+    def test_subspaces_keep_the_scaled_rows_of_their_basis(self, monkeypatch):
+        # a subspace spanned by `eliminate` keeps, as `_scaled`, exactly the
+        # `scaled` pair of each basis vector (its integer row and its pivot
+        # as scale), so every reader gets the integers a rescaling would give
+        made = []  # every Subspace built during the run
+        complements = []  # the complement of each reduction step
+        complement = phq.reduction._complement_int
+
+        def recording(self, post_init=Subspace.__post_init__):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Subspace, "__post_init__", recording)
+        monkeypatch.setattr(
+            phq.reduction, "_complement_int", lambda *args: complements.append(complement(*args)) or complements[-1]
+        )
+        for name, p in self.subspace_inputs():
+            for q in [p, *(step.recovered for step in full_reduction(p).steps)]:
+                center, derived = q.algebra.center(), q.algebra.derived_ideal()
+                w = intersect(center, map_image(q.j, center))
+                named = [center, derived, *q.algebra.lower_central_series()[1:], w, intersect(w, derived)]
+                for s in named:
+                    assert "_scaled" in vars(s), name  # kept by the elimination, not made on a read
+                    assert s._scaled == [scaled(b) for b in s.basis], name
+        assert complements and all("_scaled" in vars(s) for s in complements)
+        # so do the rows a subspace made from Fractions makes on its first read
+        assert all(s._scaled == [scaled(b) for b in s.basis] for s in made + complements)
+        assert any(d > 1 for s in made for d, _ in s._scaled)  # some basis has a denominator
+
+    def test_no_reader_scales_a_subspace_basis(self, monkeypatch):
+        # the maps, the invariants and the steps read the integer rows a
+        # subspace keeps: during full_reduction, fingerprint and
+        # salamon_check no binding of linalg.scaled receives a vector that
+        # belongs to the basis of a Subspace
+        bases = {}  # id -> each basis vector of every Subspace built, kept alive
+        scale = phq.linalg.scaled
+
+        def recording(self, post_init=Subspace.__post_init__):
+            bases.update((id(b), b) for b in self.basis)
+            post_init(self)
+
+        def guarded(values):
+            if id(values) in bases:
+                raise AssertionError("linalg.scaled received a subspace basis vector")
+            return scale(values)
+
+        monkeypatch.setattr(Subspace, "__post_init__", recording)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phq") and getattr(module, "scaled", None) is scale:
+                monkeypatch.setattr(module, "scaled", guarded)
+        for name, p in self.subspace_inputs():
+            full_reduction(p)
+            fingerprint(p)
+            assert salamon_check(p).ok, name
+        assert bases
+        # and it fires: the Gram block of a basis through the public map scales each vector
+        with pytest.raises(AssertionError, match="received a subspace basis vector"):
+            gram_restriction(p.phi, p.algebra.derived_ideal().basis)
 
 
 def first_plane_datum(name, seed=None):
