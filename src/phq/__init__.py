@@ -36,8 +36,8 @@ _EXPORTS = {
     ),
     "lie": "LieAlgebra LinearMap check_jacobi",
     "linalg": (
-        "DimensionMismatch Matrix NotSymmetricError Subspace Vector frac gram_restriction intersect "
-        "kernel map_image orthogonal_complement signature solve_linear vector"
+        "DimensionMismatch Matrix NotSymmetricError Subspace Vector frac intersect kernel map_image signature "
+        "solve_linear vector"
     ),
     "reduction": (
         "CentralPair EmptyIntersection HypothesisViolated InvalidCentralElement NonIsotropic "

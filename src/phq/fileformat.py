@@ -198,10 +198,13 @@ def serialize_algebra(p: PHQAlgebra) -> str:
 
 class Recipe(Record):
     """Parsed construction tree: every field is checked, ``dim`` is the
-    predicted dimension, and `evaluate` builds the algebra."""
+    dimension a walk of the tree predicts, and `evaluate` builds the algebra."""
 
     tree: dict
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return _recipe(self.tree, "recipe")[0]
 
     def evaluate(self) -> PHQAlgebra:
         """Walk the tree again, as parsing did, and build what that walk
@@ -214,7 +217,8 @@ class Recipe(Record):
 
 def parse_recipe_text(text: str) -> Recipe:
     doc = _load_json(text)
-    return Recipe(doc, _recipe(doc, "recipe")[0])
+    _recipe(doc, "recipe")
+    return Recipe(doc)
 
 
 def _recipe(

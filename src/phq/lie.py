@@ -171,8 +171,8 @@ class LieAlgebra(Record):
     def _series(self) -> tuple[Subspace, ...]:
         """C0 = g and C1 = ``_derived``; C(k+1) is the span of the columns of
         ad(c) for c in a basis of Ck; stops at zero or when stationary.
-        `_twisted` writes the columns of every ad(c) off T for the integer
-        rows that Ck keeps, and `eliminate` spans them at once."""
+        `_twisted` writes the columns of every ad(c) off T for the echelon
+        rows of Ck, and `eliminate` spans them at once."""
         n = self.dim
         series = [Subspace.full(n)]
         nxt = self._derived
@@ -180,7 +180,7 @@ class LieAlgebra(Record):
             series.append(nxt)
             if nxt.dim == 0:
                 break
-            nxt = _span_int(n, _twisted(self, [x for _, x in nxt._scaled]).values())
+            nxt = _span_int(n, _twisted(self, [x for _, x in nxt.echelon]).values())
         return tuple(series)
 
     def center(self) -> Subspace:

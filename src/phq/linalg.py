@@ -5,14 +5,14 @@ gives is a `fractions.Fraction`, so every result is exact and independent of
 evaluation order, but the heavy loops run on integers: the ranks, spans,
 null spaces and solves here and the invariants of `lie` all reach the one
 elimination routine, `eliminate`, and each makes its Fractions once, at the
-end.  A `Subspace` keeps the integer rows it was spanned from, and each map
-or invariant of a subspace goes straight from them to the integer span,
-null space or Gram product.
+end.  A `Subspace` is its integer echelon rows, and each map or invariant
+of a subspace goes straight from them to the integer span, null space or
+Gram product; its Fraction basis is made only when a reader asks for it.
 
-Each object is scaled once: a `Matrix`, the bracket table of a
-`lie.LieAlgebra` and the basis of a `Subspace` keep their integers as
-``_scaled``, and no reader mutates them, so `check_phq`, `fingerprint`,
-`classify` and the reduction steps all read one integer form of an input.
+Each object is scaled once: a `Matrix` and the bracket table of a
+`lie.LieAlgebra` keep their integers as ``_scaled``, and no reader mutates
+them, so `check_phq`, `fingerprint`, `classify` and the reduction steps all
+read one integer form of an input.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ Vector = tuple[Fraction, ...]
 SparseTable = dict[tuple[int, int], dict[int, Fraction]]
 
 # A vector v as the pair (s, x) of a positive scale s and the integers
-# x = s * v, as `scaled` gives it.
-Scaled = tuple[int, list[int]]
+# x = s * v, as `scaled` gives it; a `Subspace` keeps x as a tuple.
+Scaled = tuple[int, Sequence[int]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -184,8 +184,7 @@ def _transpose(m: Sequence, n: int) -> list:
     """The transpose of the row-major n x n matrix ``m``.  A form is
     symmetric when its scaled integers equal their transpose, the one
     symmetry test of `structures.check_quadratic`, `signature`,
-    `orthogonal_complement`, the reduction steps' complements and
-    `constructions.check_commutative`."""
+    `_complement_int` and `constructions.check_commutative`."""
     return [x for c in range(n) for x in m[c::n]]
 
 
@@ -214,7 +213,7 @@ def mat_mul(a: Sequence[int], rows: int, inner: int, b: Sequence[int], cols: int
 
 class Matrix(Record):
     """Dense exact matrix, row-major entries, acting on coordinate columns.
-    Products, sums, differences and `apply` skip zero entries."""
+    Products, sums and `apply` skip zero entries."""
 
     rows: int
     cols: int
@@ -259,7 +258,7 @@ class Matrix(Record):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls.from_rows([unit_vector(n, i) for i in range(n)], n)
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
@@ -301,10 +300,6 @@ class Matrix(Record):
         self._same_shape(other)
         return Matrix(self.rows, self.cols, add_vec(self.entries, other.entries))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, sub_vec(self.entries, other.entries))
-
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
@@ -342,11 +337,11 @@ class Matrix(Record):
         The result is the unique RREF, independent of row order of the input.
         Each row is scaled by its least common denominator, and the rows
         span a subspace (`_span_int`), whose basis is the nonzero rows; the
-        pivot of a row is the first place of its scale.
+        pivot of an echelon row is the first place of its scale.
         """
         s = _span_int(self.cols, [scaled(self.row(i))[1] for i in range(self.rows)])
         out = [e for b in s.basis for e in b] + [ZERO] * ((self.rows - s.dim) * self.cols)
-        return Matrix(self.rows, self.cols, tuple(out)), tuple(x.index(d) for d, x in s._scaled)
+        return Matrix(self.rows, self.cols, tuple(out)), tuple(x.index(d) for d, x in s.echelon)
 
     def rank(self) -> int:
         """The number of pivots `eliminate` finds in the rows of ``_scaled``."""
@@ -361,34 +356,22 @@ def solve_linear(a: Matrix, b: Sequence) -> Vector | None:
     the RREF (the minimal-support representative for a fixed pivot order),
     so the result is deterministic.
     """
-    xs = solve_linear_many(a, [b])
+    bv = vector(b)
+    if len(bv) != a.rows:
+        raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
+    xs = _solve_int([scaled(a.row(i) + bv[i : i + 1])[1] for i in range(a.rows)], [1] * a.cols, [1])
     return None if xs is None else xs[0]
 
 
-def solve_linear_many(a: Matrix, bs: Sequence[Sequence]) -> list[Vector] | None:
-    """The `solve_linear` solution for each right-hand side in ``bs``, from
-    one `eliminate` of ``[a | b1 ... bk]``; None if any system is inconsistent.
-
-    Each row is scaled to integers, and only the solution entries become
-    Fractions.  The pivots inside ``a`` do not depend on the appended
-    columns, so each column gets the solution `solve_linear` gives it alone.
-    A pivot right of ``a`` marks an inconsistent column and alters every
-    column after it.
-    """
-    bvs = [vector(b) for b in bs]
-    for bv in bvs:
-        if len(bv) != a.rows:
-            raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
-    rows = [scaled(a.row(i) + tuple(bv[i] for bv in bvs))[1] for i in range(a.rows)]
-    return _solve_int(rows, [1] * a.cols, [1] * len(bvs))
-
-
 def _solve_int(rows: Iterable[list[int]], scales: Sequence[int], dens: Sequence[int]) -> list[Vector] | None:
-    """`solve_linear_many` on integer rows ``[A | B]`` of a system whose
-    column c of A is scales[c] times the rational column and whose column r
-    of B is dens[r] times the rational right-hand side.  The integer solution
-    X gives x_c = X_c * scales[c] / dens[r], and each Fraction is made once,
-    as row[k] * scales[c] / (row[c] * dens[r]) for the pivot c of a row."""
+    """The `solve_linear` solution for each column r of B, from one
+    `eliminate` of the integer rows ``[A | B]``, or None if any column is
+    inconsistent (a pivot right of A); column c of A is scales[c] times the
+    rational column and column r of B is dens[r] times the rational
+    right-hand side.  The integer solution X gives x_c = X_c * scales[c] /
+    dens[r], each Fraction made once, as row[k] * scales[c] / (row[c] *
+    dens[r]) for the pivot c of a row.  The pivots inside A do not depend on
+    B, so each column gets the solution it gets alone."""
     cols = len(scales)
     red, pivots = eliminate(rows, cols + len(dens))
     if pivots and pivots[-1] >= cols:
@@ -437,16 +420,13 @@ def _unscaled(x: Scaled) -> Vector:
     return tuple(Fraction(a, x[0]) if a else ZERO for a in x[1])
 
 
-def _span_int(n: int, rows: Iterable[list[int]]) -> Subspace:
-    """The span of integer rows of length n as a canonical subspace, which
-    keeps as ``_scaled`` each row from `eliminate` over its gcd, signed so
-    that its pivot (the scale) is positive: `scaled` of its basis vector."""
+def _span_int(n: int, rows: Iterable[Sequence[int]]) -> Subspace:
+    """The span of integer rows of length n as a canonical subspace: each
+    row from `eliminate` over its gcd, signed so that its pivot (the scale)
+    is positive, is `scaled` of a vector of the RREF basis."""
     red, pivots = eliminate(rows, n)
     gs = [gcd(*row) if row[c] > 0 else -gcd(*row) for row, c in zip(red, pivots)]
-    pairs = [(row[c] // g, [a // g for a in row]) for row, c, g in zip(red, pivots, gs)]
-    s = Subspace(n, tuple(map(_unscaled, pairs)))
-    object.__setattr__(s, "_scaled", pairs)
-    return s
+    return Subspace(n, tuple((row[c] // g, tuple(a // g for a in row)) for row, c, g in zip(red, pivots, gs)))
 
 
 def _kernel_int(rows: Iterable[list[int]], cols: int) -> Subspace:
@@ -479,11 +459,12 @@ def kernel(a: Matrix) -> Subspace:
 
 
 class Subspace(Record):
-    """A linear subspace with its canonical RREF basis (rows), so equal
-    subspaces compare equal with ``==``."""
+    """A linear subspace as its canonical echelon rows: the `Scaled` pair
+    (pivot, primitive integer row) of each vector of its RREF basis, as
+    `scaled` gives it, so equal subspaces compare equal with ``==``."""
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    echelon: tuple[tuple[int, tuple[int, ...]], ...]
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -494,34 +475,22 @@ class Subspace(Record):
         return _span_int(ambient_dim, [scaled(v)[1] for v in vs])
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+        n = ambient_dim
+        return cls(n, tuple((1, tuple(int(i == j) for j in range(n))) for i in range(n)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.echelon)
 
-    def __getattr__(self, name: str):
-        """``_scaled`` that `_span_int` did not keep, made on first read and kept as the fields are."""
-        if name != "_scaled":
-            raise AttributeError(name)
-        object.__setattr__(self, name, [scaled(b) for b in self.basis])
-        return self._scaled
-
-    def contains(self, v: Sequence) -> bool:
-        """Rank test through `eliminate`: v is in the span when it adds no pivot."""
-        w = vector(v)
-        if len(w) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient dimension mismatch")
-        return self._holds(scaled(w)[1])
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis as Fractions, made on each read, for the cold paths."""
+        return tuple(map(_unscaled, self.echelon))
 
     def _holds(self, x: Sequence[int]) -> bool:
-        """Whether the integer vector x lies in the span: it adds no pivot to the kept rows."""
-        return len(eliminate([*(y for _, y in self._scaled), x], self.ambient_dim)[1]) == self.dim
+        """Whether the integer vector x lies in the span: it adds no pivot to the echelon rows."""
+        return len(eliminate([*(y for _, y in self.echelon), x], self.ambient_dim)[1]) == self.dim
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -529,26 +498,18 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
     n = u.ambient_dim
-    frame = [x for _, x in u._scaled + v._scaled]
+    frame = [x for _, x in u.echelon + v.echelon]
     rows = [[x[i] for x in frame] for i in range(n)]  # [U | V]
     # (a, b) in the null space of [U | V] means U a = -V b, a point of both
     nulls = _null_int(rows, len(frame))
     return _span_int(n, [[sum(map(mul, a[: u.dim], row)) for row in rows] for a in nulls])
 
 
-def orthogonal_complement(u: Subspace, g: Matrix) -> Subspace:
-    """{x : x^T g w = 0 for all w in u} for a symmetric pairing ``g``."""
-    n = u.ambient_dim
-    if g.rows != g.cols or g.rows != n:
-        raise DimensionMismatch("pairing matrix must be square of the ambient dimension")
-    return _complement_int(n, g._scaled[1], [x for _, x in u._scaled])
-
-
 def _complement_int(n: int, g: Sequence[int], xs: Iterable[Sequence[int]]) -> Subspace:
-    """The y with x^T G y = 0 for every integer vector x of ``xs``, the null
-    space of the rows G x, for the row-major n x n integer form G; raises
-    `NotSymmetricError` unless G is symmetric.  `orthogonal_complement` and
-    `reduction._choose`, for the complement basis of a step, call it."""
+    """The orthogonal complement of the integer vectors ``xs`` for the
+    row-major n x n integer form G, the null space of the rows G x; raises
+    `NotSymmetricError` unless G is symmetric.  `reduction._choose` takes it
+    as the basis of a step."""
     if g != _transpose(g, n):
         raise NotSymmetricError("pairing matrix must be symmetric")
     return _kernel_int([mat_vec(g, n, n, enumerate(x), 0) for x in xs], n)
@@ -559,23 +520,16 @@ def map_image(m: Matrix, u: Subspace) -> Subspace:
     if m.cols != u.ambient_dim:
         raise DimensionMismatch(f"{m.rows}x{m.cols} map on a subspace of ambient dim {u.ambient_dim}")
     mn = m._scaled[1]
-    return _span_int(m.rows, [mat_vec(mn, m.rows, m.cols, enumerate(x), 0) for _, x in u._scaled])
-
-
-def gram_restriction(g: Matrix, vectors: Sequence[Sequence]) -> Matrix:
-    """Gram matrix B^T g B of ``g`` on the given vectors, the columns of B."""
-    vs = [vector(v) for v in vectors]
-    if g.rows != g.cols or any(len(v) != g.rows for v in vs):
-        raise DimensionMismatch("Gram matrix needs a square form and vectors of its dimension")
-    return _gram_int(g.rows, *g._scaled, [scaled(v) for v in vs])
+    return _span_int(m.rows, [mat_vec(mn, m.rows, m.cols, enumerate(x), 0) for _, x in u.echelon])
 
 
 def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matrix:
-    """Gram matrix of the n x n form gn / dg, gn row-major integers, on the
-    vectors of the `Scaled` pairs (s, x) of ``vs``: entry (a, b) is
-    x_a . (gn x_b) / (dg s_a s_b), each made once.  Every Gram matrix is
-    formed here: `gram_restriction`, the metric on the derived ideal's kept
-    rows in `fingerprint`, and the metric a reduction step restricts."""
+    """Gram matrix B^T g B of the n x n form g = gn / dg, gn row-major
+    integers, on the vectors of the `Scaled` pairs (s, x) of ``vs``, the
+    columns of B: entry (a, b) is x_a . (gn x_b) / (dg s_a s_b), each made
+    once.  Every Gram matrix is formed here: the metric on the derived
+    ideal's echelon rows in `fingerprint`, and the metric a reduction step
+    restricts."""
     images = [mat_vec(gn, n, n, enumerate(x), 0) for _, x in vs]
     gram = [Fraction(sum(map(mul, x, y)), dg * s * t) for s, x in vs for (t, _), y in zip(vs, images)]
     return Matrix(len(vs), len(vs), tuple(gram))

@@ -131,16 +131,17 @@ def _choose(p: PHQAlgebra, what: str, *given):
       zero, else the echelon basis of W and then its pairwise sums;
     - ``"v"``, given the `Scaled` z and jz: `_isotropic_dual`'s solution;
     - ``"basis"``, given the `Scaled` vectors of the plane a step removes:
-      the kept `Scaled` echelon basis (`_complement_int`) of their orthogonal complement.
+      the echelon rows (`_complement_int`) of their orthogonal complement.
     """
     if what == "z":
         w, in_derived = given
         if in_derived.dim > 0:
-            return in_derived._scaled[:1]
-        return [*w._scaled, *(scaled(add_vec(u, v)) for i, u in enumerate(w.basis) for v in w.basis[i + 1 :])]
+            return [*in_derived.echelon[:1]]
+        b = w.basis
+        return [*w.echelon, *(scaled(add_vec(u, v)) for i, u in enumerate(b) for v in b[i + 1 :])]
     if what == "v":
         return _isotropic_dual(p, *given)
-    return _complement_int(p.dim, p.phi._scaled[1], [x for _, x in given])._scaled
+    return _complement_int(p.dim, p.phi._scaled[1], [x for _, x in given]).echelon
 
 
 # The helpers below take and give `Scaled` pairs, or integers where only a

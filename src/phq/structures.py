@@ -335,16 +335,16 @@ def fingerprint(p: PHQAlgebra) -> Fingerprint:
         dim_center=p.algebra.center().dim,
         nilpotency_index=p.algebra.nilpotency_index(),
         sig_phi=signature(p.phi),
-        sig_phi_on_derived=signature(_gram_int(p.dim, *p.phi._scaled, derived._scaled)),
+        sig_phi_on_derived=signature(_gram_int(p.dim, *p.phi._scaled, derived.echelon)),
     )
 
 
 def salamon_check(p: PHQAlgebra) -> Check:
     """For nilpotent input, verify dim([g,g] + j[g,g]) < dim(g): the rank of
-    the integer vectors x and J x, J = ``j._scaled``, for the integer rows x
-    that the derived ideal keeps."""
+    the integer vectors x and J x, J = ``j._scaled``, for the echelon rows x
+    of the derived ideal."""
     n, jn = p.dim, p.j._scaled[1]
-    xs = [x for _, x in p.algebra.derived_ideal()._scaled]
+    xs = [x for _, x in p.algebra.derived_ideal().echelon]
     dim = len(eliminate([*xs, *(mat_vec(jn, n, n, enumerate(x), 0) for x in xs)], n)[1])
     failures = (f"[g,g] + j[g,g] has full dimension {dim}",) if dim == n else ()
     return Check("derived + j(derived) is proper", failures)

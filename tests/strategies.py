@@ -102,5 +102,5 @@ def subspaces(n=4):
     coprime-rational vectors of length n (so often of lower dimension)."""
     spans = st.lists(st.lists(coprime_rationals, min_size=n, max_size=n), max_size=n + 1)
     return st.one_of(
-        st.just(Subspace.zero(n)), st.just(Subspace.full(n)), spans.map(lambda vs: Subspace.span(n, vs))
+        st.just(Subspace(n, ())), st.just(Subspace.full(n)), spans.map(lambda vs: Subspace.span(n, vs))
     )

@@ -416,12 +416,25 @@ class TestParsing:
         assert recipe.evaluate() == build("TstarTheta3K")
 
     def test_evaluate_bounds_and_builds_the_tree_it_holds(self):
-        # `evaluate` walks the tree again, whatever dimension the record holds
+        # `evaluate` walks the tree again, whatever tree the record was parsed from
         recipe = parse_recipe_text('{"op": "L(4,2)"}')
-        grown = type(recipe)({"op": "tensor", "k": 100000, "base": recipe.tree}, recipe.dim)
+        grown = type(recipe)({"op": "tensor", "k": 100000, "base": recipe.tree})
         with pytest.raises(ParseError, match=f"dimension 600000, above {MAX_DIM}"):
             grown.evaluate()
-        assert type(recipe)({"op": "L(2,4)"}, recipe.dim).evaluate() == build("L(2,4)")
+        assert type(recipe)({"op": "L(2,4)"}).evaluate() == build("L(2,4)")
+
+    def test_dim_follows_a_changed_tree(self):
+        # `dim` is read off the tree the record holds, not kept from the parse
+        recipe = parse_recipe_text('{"op": "L(4,2)"}')
+        assert recipe.dim == 6
+        recipe.tree.update({"op": "tensor", "k": 100000, "base": {"op": "L(4,2)"}})
+        assert recipe.dim == 600000
+        with pytest.raises(ParseError, match=f"dimension 600000, above {MAX_DIM}"):
+            recipe.evaluate()
+        recipe.tree.clear()
+        recipe.tree["op"] = "abelian"
+        with pytest.raises(ParseError, match="abelian needs nonnegative integer 'p'"):
+            recipe.dim
 
     @pytest.mark.parametrize("name", MALFORMED_RECIPES)
     def test_malformed_recipe_message(self, name):

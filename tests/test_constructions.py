@@ -25,7 +25,6 @@ from phq import (
     direct_sum,
     fingerprint,
     full_reduction,
-    gram_restriction,
     kodaira_cocycle_basis,
     kodaira_thurston,
     parse_recipe_text,
@@ -39,7 +38,7 @@ from phq import (
     vector,
     verify_witness,
 )
-from phq.linalg import unit_vector
+from phq.linalg import _gram_int, unit_vector
 
 from conftest import adapted_pair, lemma_adapted_base, transported
 from oracles import (
@@ -102,7 +101,7 @@ class TestValidateExtensionData:
     def test_adapted_pair_passes_with_commuting_maps(self):
         base = lemma_adapted_base()
         f, d = adapted_pair(1, 1)
-        assert not any((f @ d - d @ f).entries)
+        assert f @ d == d @ f
         assert validate_extension_data(base, d, f, vector([0, 0, 0, 0])).ok
 
     def test_non_skew_map_named(self):
@@ -429,7 +428,7 @@ class TestCotangentExtension:
     def test_untwisted_derived_ideal_is_totally_isotropic(self):
         out = tstar_kodaira()
         derived = out.algebra.derived_ideal()
-        assert signature(gram_restriction(out.phi, derived.basis)) == (0, 0)
+        assert signature(_gram_int(out.dim, *out.phi._scaled, derived.echelon)) == (0, 0)
 
 
 class TestTensorAndComplexify:

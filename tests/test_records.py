@@ -45,7 +45,7 @@ FIELDS = {
     "Check": "label failures",
     "Report": "parts",
     "Matrix": "rows cols entries",
-    "Subspace": "ambient_dim basis",
+    "Subspace": "ambient_dim echelon",
     "LieAlgebra": "basis_names brackets",
     "PHQAlgebra": "algebra j phi",
     "JClassification": "abelian bi_invariant",
@@ -59,7 +59,7 @@ FIELDS = {
     "CatalogLabel": "factors",
     "Classification": "label fingerprint reduction",
     "InequivalenceEvidence": "field value_a value_b",
-    "Recipe": "tree dim",
+    "Recipe": "tree",
 }
 
 MODULES = ("checks", "linalg", "lie", "structures", "constructions", "reduction", "catalog", "fileformat")
@@ -80,7 +80,7 @@ def samples():
         "Check": (Check("a", ("x",)), Check("a")),
         "Report": (Report((Check("a"),)), Report(())),
         "Matrix": (Matrix.identity(2), Matrix.zero(2)),
-        "Subspace": (Subspace.span(2, [[1, 2]]), Subspace.zero(2)),
+        "Subspace": (Subspace.span(2, [[1, 2]]), Subspace(2, ())),
         "LieAlgebra": (LieAlgebra(("e1", "e2", "e3"), {(0, 1): {2: 1}}), LieAlgebra.abelian(3)),
         "PHQAlgebra": (l42, l24),
         "JClassification": (JClassification(True, False), j_class(l42.algebra, l42.j)),
@@ -166,7 +166,7 @@ def test_repr_strings():
     assert repr(s["Matrix"][0]) == (
         "Matrix(rows=2, cols=2, entries=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)))"
     )
-    assert repr(s["Subspace"][0]) == "Subspace(ambient_dim=2, basis=((Fraction(1, 1), Fraction(2, 1)),))"
+    assert repr(s["Subspace"][0]) == "Subspace(ambient_dim=2, echelon=((1, (1, 2)),))"
     assert repr(s["LieAlgebra"][0]) == (
         "LieAlgebra(basis_names=('e1', 'e2', 'e3'), brackets={(0, 1): {2: Fraction(1, 1)}})"
     )
@@ -179,7 +179,7 @@ def test_repr_strings():
     )
     assert repr(s["Cocycle"][0]) == "Cocycle(dim=2, values={})"
     assert repr(s["Recipe"][0]) == (
-        "Recipe(tree={'op': 'tstar', 'base': {'op': 'kodaira'}, 'theta': ['0', '0', '1', '0']}, dim=8)"
+        "Recipe(tree={'op': 'tstar', 'base': {'op': 'kodaira'}, 'theta': ['0', '0', '1', '0']})"
     )
     digests = {
         name: hashlib.sha256(repr(s[name][0]).encode()).hexdigest()
@@ -195,11 +195,11 @@ def test_no_record_holds_a_callable():
     for name, pair in samples().items():
         for a in pair:
             assert not any(callable(getattr(a, f)) for f in fields(name)), name
-    # a recipe is its tree and dimension; `evaluate` builds from the tree
+    # a recipe is its tree; `dim` and `evaluate` read the tree
     recipe = samples()["Recipe"][0]
     with pytest.raises(TypeError):
-        type(recipe)(recipe.tree, recipe.dim, lambda: None)
-    assert type(recipe)(recipe.tree, recipe.dim).evaluate() == build("TstarTheta3K")
+        type(recipe)(recipe.tree, lambda: None)
+    assert type(recipe)(recipe.tree).evaluate() == build("TstarTheta3K")
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,6 @@ from phq import (
     find_central_pair,
     fingerprint,
     full_reduction,
-    gram_restriction,
     intersect,
     j_class,
     kernel,
@@ -57,7 +56,7 @@ from phq import (
     verify_witness,
 )
 from phq.cli import main
-from phq.linalg import _unscaled, add_vec, scaled, unit_vector
+from phq.linalg import _gram_int, _unscaled, add_vec, scaled, unit_vector
 
 from conftest import ALL_LABELS, FIXTURES, adapted_pair, lemma_adapted_base, transported
 from oracles import (
@@ -239,7 +238,7 @@ def split_first(p, what, *given):
     definite central plane is split off before any plane reduction."""
     out = CHOOSE(p, what, *given)
     if what == "z":
-        out = [z for z in CHOOSE(p, "z", given[0], Subspace.zero(p.dim)) if p.pairing(*[_unscaled(z)] * 2)] + out
+        out = [z for z in CHOOSE(p, "z", given[0], Subspace(p.dim, ())) if p.pairing(*[_unscaled(z)] * 2)] + out
     return out
 
 
@@ -302,7 +301,7 @@ class TestFindCentralPair:
         assert str(info.value) == (
             "W = center ∩ j(center) is zero, with center = span(e3, e4); input is outside the nilpotent case"
         )
-        assert info.value.subspace == Subspace.zero(4)
+        assert info.value.subspace == Subspace(4, ())
         assert info.value.center == Subspace.span(4, [unit_vector(4, 2), unit_vector(4, 3)])
 
     def test_reduction_stuck_carries_w_and_the_candidates(self):
@@ -413,7 +412,7 @@ class TestSplitPlane:
 def test_mixed_denominators_pass_every_symmetry_test():
     # phi of this copy has entries over 3, 5, 4 and 9 at once; the symmetry
     # test compares the integers of one common denominator in each caller
-    # (`signature` and `orthogonal_complement`: test_linalg)
+    # (`signature` and `_complement_int`: test_linalg)
     p = transported(build("L(4,2)+R(2,0)"), random.Random(1))
     assert {3, 5} <= {e.denominator for e in p.phi.entries}
     assert check_quadratic(p.algebra, p.phi).ok
@@ -646,7 +645,7 @@ class TestFullReduction:
     def test_steps_stay_on_the_integer_kernel(self, monkeypatch):
         # a reduction or a classify evaluates no bracket in Fractions,
         # validate_extension_data multiplies no Matrix, and the witness, the
-        # j-class and the Salamon check add, subtract, scale or multiply none
+        # j-class and the Salamon check add, scale or multiply none
         inputs = [(name, build(name)) for name in ALL_LABELS]
         inputs.append(("TstarTheta3K", transported(build("TstarTheta3K"), random.Random(0))))
         expected = [(full_reduction(p).describe(), classify(p).label) for _, p in inputs]
@@ -658,7 +657,6 @@ class TestFullReduction:
         refused = {
             "__matmul__": {"validate_extension_data", "verify_witness", "j_class", "salamon_check"},
             "__add__": {"verify_witness", "j_class", "salamon_check"},
-            "__sub__": {"verify_witness", "j_class", "salamon_check"},
             "scale": {"verify_witness", "j_class", "salamon_check"},
         }
 
@@ -793,9 +791,13 @@ class TestFullReduction:
         return models + [("complexify(TstarTheta3K)", complexify(build("TstarTheta3K")))]
 
     def test_subspaces_keep_the_scaled_rows_of_their_basis(self, monkeypatch):
-        # a subspace spanned by `eliminate` keeps, as `_scaled`, exactly the
-        # `scaled` pair of each basis vector (its integer row and its pivot
-        # as scale), so every reader gets the integers a rescaling would give
+        # a subspace spanned by `eliminate` stores, as its echelon rows,
+        # exactly the `scaled` pair of each basis vector (its integer row and
+        # its pivot as scale), so every reader gets the integers a rescaling
+        # would give
+        def rescaled(s):
+            return tuple((d, tuple(x)) for d, x in map(scaled, s.basis))
+
         made = []  # every Subspace built during the run
         complements = []  # the complement of each reduction step
         complement = phq.reduction._complement_int
@@ -814,31 +816,31 @@ class TestFullReduction:
                 w = intersect(center, map_image(q.j, center))
                 named = [center, derived, *q.algebra.lower_central_series()[1:], w, intersect(w, derived)]
                 for s in named:
-                    assert "_scaled" in vars(s), name  # kept by the elimination, not made on a read
-                    assert s._scaled == [scaled(b) for b in s.basis], name
-        assert complements and all("_scaled" in vars(s) for s in complements)
-        # so do the rows a subspace made from Fractions makes on its first read
-        assert all(s._scaled == [scaled(b) for b in s.basis] for s in made + complements)
-        assert any(d > 1 for s in made for d, _ in s._scaled)  # some basis has a denominator
+                    assert s.echelon == rescaled(s), name
+        assert complements
+        # and so does every other subspace of the run, the full space of each series too
+        assert all(s.echelon == rescaled(s) for s in made + complements)
+        assert any(d > 1 for s in made for d, _ in s.echelon)  # some basis has a denominator
 
     def test_no_reader_scales_a_subspace_basis(self, monkeypatch):
-        # the maps, the invariants and the steps read the integer rows a
-        # subspace keeps: during full_reduction, fingerprint and
-        # salamon_check no binding of linalg.scaled receives a vector that
-        # belongs to the basis of a Subspace
-        bases = {}  # id -> each basis vector of every Subspace built, kept alive
-        scale = phq.linalg.scaled
+        # the maps, the invariants and the steps read the echelon rows of a
+        # subspace: during full_reduction, fingerprint and salamon_check no
+        # binding of linalg.scaled receives a vector read off the basis of
+        # a Subspace
+        bases = {}  # id -> each basis vector read off a Subspace, kept alive
+        basis, scale = Subspace.basis.fget, phq.linalg.scaled
 
-        def recording(self, post_init=Subspace.__post_init__):
-            bases.update((id(b), b) for b in self.basis)
-            post_init(self)
+        def recording(self):
+            vectors = basis(self)
+            bases.update((id(b), b) for b in vectors)
+            return vectors
 
         def guarded(values):
             if id(values) in bases:
                 raise AssertionError("linalg.scaled received a subspace basis vector")
             return scale(values)
 
-        monkeypatch.setattr(Subspace, "__post_init__", recording)
+        monkeypatch.setattr(Subspace, "basis", property(recording))
         for name, module in list(sys.modules.items()):
             if name.startswith("phq") and getattr(module, "scaled", None) is scale:
                 monkeypatch.setattr(module, "scaled", guarded)
@@ -846,10 +848,38 @@ class TestFullReduction:
             full_reduction(p)
             fingerprint(p)
             assert salamon_check(p).ok, name
-        assert bases
-        # and it fires: the Gram block of a basis through the public map scales each vector
+        # and it fires: spanning a basis again through `Subspace.span` scales each vector
         with pytest.raises(AssertionError, match="received a subspace basis vector"):
-            gram_restriction(p.phi, p.algebra.derived_ideal().basis)
+            Subspace.span(p.dim, p.algebra.derived_ideal().basis)
+
+    def test_fractions_are_made_only_for_the_chosen_vectors(self, monkeypatch):
+        # a subspace is its integer rows, so no span, map or invariant makes
+        # Fractions: during full_reduction, fingerprint and salamon_check,
+        # linalg._unscaled runs only inside find_central_pair (the z it
+        # returns, and the pairwise sums of W it may offer) and
+        # reduce_by_plane (the columns of the adapted basis)
+        unscaled, seen = phq.linalg._unscaled, Counter()
+        allowed = {"find_central_pair", "reduce_by_plane"}
+
+        def guarded(x):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in allowed:
+                frame = frame.f_back
+            if frame is None:
+                raise AssertionError(f"linalg._unscaled was entered from {sys._getframe(1).f_code.co_name}")
+            seen[frame.f_code.co_name] += 1
+            return unscaled(x)
+
+        for module in (phq.linalg, phq.reduction):
+            monkeypatch.setattr(module, "_unscaled", guarded)
+        for name, p in self.subspace_inputs():
+            full_reduction(p)
+            fingerprint(p)
+            assert salamon_check(p).ok, name
+        assert seen.keys() == allowed
+        # and it fires: reading a subspace's basis elsewhere makes Fractions
+        with pytest.raises(AssertionError, match="_unscaled was entered from basis"):
+            p.algebra.center().basis
 
 
 def first_plane_datum(name, seed=None):
@@ -884,7 +914,7 @@ def test_the_adapted_pair_lemma(name, seed, read_back):
     assert not any((f @ f @ f @ f).entries) and not any((d @ d @ d @ d).entries)
     ker = kernel(f)
     assert ker.dim == 2 and map_image(base.j, ker) == ker == Subspace.span(4, [f.col(i) for i in range(4)])
-    assert not any(gram_restriction(base.phi, ker.basis).entries)
+    assert not any(_gram_int(4, *base.phi._scaled, ker.echelon).entries)
     u1 = ker.basis[0]
     ju1 = base.j.apply(u1)
     assert not any(d.apply(u1) + d.apply(ju1))
@@ -957,7 +987,7 @@ def perturbations(data):
     out = [((base, d + Matrix.identity(n).scale(Fraction(1, 7)), f, s0), "D is not skewsymmetric for the base metric")]
     if any(any(any(row) for row in plane) for plane in c):
         commuting = (skew_rank_two(g, a, b, Fraction(1, 11)) for a, b in pairs)
-        x = next(y for y in (x - j @ x @ j for x in commuting) if not naive_derivation(c, entries(f + y)))
+        x = next(y for y in (x + -(j @ x @ j) for x in commuting) if not naive_derivation(c, entries(f + y)))
         out.append(((base, d, f + x, s0), "F is not a derivation of the base"))
         k = next(k for k in range(n) if any(any(v) for v in c[k]))
         moved = tuple(v + Fraction(1, 13) * (i == k) for i, v in enumerate(s0))

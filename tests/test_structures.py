@@ -36,7 +36,7 @@ from phq import (
     verify_witness,
 )
 from phq.catalog import _FINGERPRINT_TABLE
-from phq.linalg import unit_vector
+from phq.linalg import scaled, unit_vector
 from phq.lie import _ad_matrix, _derivation_failures, format_vector
 
 from conftest import (
@@ -344,7 +344,7 @@ class TestFingerprint:
         algebra = build("TstarTheta3K").algebra
         series = algebra.lower_central_series()
         kept = list(series)
-        series.append(Subspace.zero(algebra.dim))
+        series.append(Subspace(algebra.dim, ()))
         series[0] = series[1]
         assert algebra.lower_central_series() == kept
         assert algebra.nilpotency_index() == len(kept) - 1
@@ -713,11 +713,11 @@ class TestSweepsAgainstOracles:
                 cs = [rng.choice(coeffs) for _ in basis]
                 w = [sum((c * b[k] for c, b in zip(cs, basis)), Fraction(0)) for k in range(n)]
                 assert rank_oracle(Matrix.from_rows(basis + [w], cols=n)) == space.dim
-                assert space.contains(w)
+                assert space._holds(scaled(w)[1])
                 for i in range(n):
                     e = list(unit_vector(n, i))
                     outside = rank_oracle(Matrix.from_rows(basis + [e], cols=n)) > space.dim
-                    assert space.contains([a + b for a, b in zip(w, e)]) == (not outside)
+                    assert space._holds(scaled([a + b for a, b in zip(w, e)])[1]) == (not outside)
                     outcomes.add(outside)
         assert outcomes == {True, False}
 
@@ -799,7 +799,7 @@ class TestSweepsAgainstOracles:
                 if k + 1 < len(series):
                     nxt = series[k + 1]
                 else:  # the series stops at zero or where it is stationary
-                    nxt = Subspace.zero(n) if term.dim == 0 else term
+                    nxt = Subspace(n, ()) if term.dim == 0 else term
                 # nxt is spanned by the brackets: it contains them all and
                 # they have its dimension
                 assert rank_oracle(Matrix.from_rows(brackets, cols=n)) == nxt.dim
