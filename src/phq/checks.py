@@ -27,8 +27,8 @@ class Record:
     ``__post_init__``, which may normalize a field through
     ``object.__setattr__``.  Two records are equal when they have the same
     class and equal fields, and hash as the tuple of those; assigning
-    or deleting an attribute raises `AttributeError`.  Instances keep a
-    ``__dict__``, so `functools.cached_property` works on them.  No code is
+    or deleting an attribute raises `AttributeError`.  A value computed once
+    is a `kept` property, inline beside the fields.  No code is
     generated per class: the methods below serve every record, which keeps
     class creation and the imports it would need out of each start of
     ``phq``.
@@ -94,6 +94,20 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {self.__class__.__qualname__} is frozen")
+
+
+class kept:
+    """`functools.cached_property` through ``object.__setattr__``: a value that
+    ``func`` fills on first read and one a maker stores at birth share one inline slot."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        _setattr(obj, self.name, value := self.func(obj))
+        return value
 
 
 class Check(Record):

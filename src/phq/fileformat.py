@@ -10,6 +10,7 @@ import json
 import re
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from pathlib import Path
 from typing import Any, Callable
 
@@ -49,7 +50,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
-def _int(literal: str, what: str) -> int:
+def _int(literal: str, what: Callable[[], str]) -> int:
     """The int of a decimal literal, ``-?[0-9]+``, of at most `MAX_DIGITS`
     digits, made in chunks of `_CHUNK` digits, so that the interpreter's
     digit limit, however it is set, never refuses it."""
@@ -57,7 +58,7 @@ def _int(literal: str, what: str) -> int:
         return int(literal)
     digits = literal.lstrip("-")
     if len(digits) > MAX_DIGITS:
-        raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
+        raise ParseError(f"{what()} has more than {MAX_DIGITS} digits")
     n = 0
     for i in range(0, len(digits), _CHUNK):
         part = digits[i : i + _CHUNK]
@@ -67,7 +68,7 @@ def _int(literal: str, what: str) -> int:
 
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text, parse_int=lambda literal: _int(literal, "a JSON integer"))
+        return json.loads(text, parse_int=lambda literal: _int(literal, lambda: "a JSON integer"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError as exc:
@@ -79,35 +80,50 @@ def _integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rational(value: Any, where: str) -> Fraction:
+def _rational(value: Any, where: Callable[[], str]) -> Fraction:
+    """The Fraction of a JSON scalar; ``where()`` is made only for an error."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise BadRational(f"{where}: scalars must be exact rational strings, got {value!r}")
+        raise BadRational(f"{where()}: scalars must be exact rational strings, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            return Fraction(*(_int(part, f"{where}: a scalar") for part in value.split("/")))
+            return Fraction(*(_int(part, lambda: f"{where()}: a scalar") for part in value.split("/")))
         except ZeroDivisionError as exc:
-            raise BadRational(f"{where}: not a rational: {value!r}") from exc
-    raise BadRational(f"{where}: not a rational: {value!r}")
+            raise BadRational(f"{where()}: not a rational: {value!r}") from exc
+    raise BadRational(f"{where()}: not a rational: {value!r}")
 
 
-def _matrix(rows: Any, dim: int, where: str, scalar: Callable[[Any, str], Fraction] = _rational) -> Matrix:
+def _over(known: dict[str | int, Fraction], values: list) -> tuple[int, dict, dict[int, Fraction]]:
+    """The lcm d of the known scalars' denominators, d f for each f, and f for each d f."""
+    fracs = {v: known[v] for v in set(values)}
+    d = lcm(*(f.denominator for f in fracs.values()))
+    ints = {v: f.numerator * (d // f.denominator) for v, f in fracs.items()}
+    return d, ints, {ints[v]: f for v, f in fracs.items()}
+
+
+def _matrix(rows: Any, dim: int, where: str, known: dict[str | int, Fraction]) -> Matrix:
+    """The dim x dim matrix of a list of rows, born with its integers; each new
+    scalar's Fraction goes into ``known``, where no bool or float is looked up."""
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
-    out = []
+    values = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}: row {r} must have {dim} entries")
-        at = f"{where}[{r}]"
-        out += [scalar(e, at) for e in row]
-    return Matrix(dim, dim, tuple(out))
+        if not (set(map(type, row)) <= {str, int} and all(map(known.__contains__, row))):
+            for value in row:
+                if value.__class__ not in (str, int) or value not in known:
+                    known[value] = _rational(value, lambda: f"{where}[{r}]")
+        values += row
+    d, ints, made = _over(known, values)
+    return Matrix._from_scaled(dim, dim, d, list(map(ints.__getitem__, values)), made)
 
 
 def parse_algebra_text(text: str) -> PHQAlgebra:
-    """The algebra of an `.alg` text.  Each distinct scalar string of the
-    text is validated and made a Fraction once, and its later occurrences
-    share that Fraction; a bad scalar raises at its first position."""
+    """The algebra of an `.alg` text.  Each distinct scalar is validated and
+    made a Fraction once, and a bad one raises at its first position; the
+    table, J and phi are born with the integers of those Fractions."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("algebra file must be a JSON object")
@@ -129,44 +145,37 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
         raise ParseError("basis names must be UTF-8 text, without lone surrogates")
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
-    known: dict[str, Fraction] = {}
-
-    def scalar(value: Any, where: str) -> Fraction:
-        if not isinstance(value, str):
-            return _rational(value, where)
-        if value not in known:
-            known[value] = _rational(value, where)
-        return known[value]
-
-    sparse: dict[tuple[int, int], dict[int, Fraction]] = {}
+    known, sparse = {}, {}  # scalar -> Fraction; (i, j) -> {k: scalar}
     for pos, entry in enumerate(brackets):
-        where = f"brackets[{pos}]"
         if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= set(entry):
-            raise ParseError(f"{where}: needs fields i, j, coeffs")
+            raise ParseError(f"brackets[{pos}]: needs fields i, j, coeffs")
         i, j = entry["i"], entry["j"]
         if not _integer(i) or not _integer(j):
-            raise ParseError(f"{where}: i and j must be integers")
+            raise ParseError(f"brackets[{pos}]: i and j must be integers")
         if not (0 <= i < dim and 0 <= j < dim):
-            raise IndexOutOfRange(f"{where}: index out of range for dim {dim}")
+            raise IndexOutOfRange(f"brackets[{pos}]: index out of range for dim {dim}")
         if i >= j:
-            raise ParseError(f"{where}: bracket entries must have i < j")
+            raise ParseError(f"brackets[{pos}]: bracket entries must have i < j")
         if (i, j) in sparse:
-            raise ParseError(f"{where}: duplicate bracket ({i},{j})")
+            raise ParseError(f"brackets[{pos}]: duplicate bracket ({i},{j})")
         coeffs = entry["coeffs"]
         if not isinstance(coeffs, dict):
-            raise ParseError(f"{where}: coeffs must be an object")
-        parsed: dict[int, Fraction] = {}
+            raise ParseError(f"brackets[{pos}]: coeffs must be an object")
+        parsed = sparse[i, j] = {}
         for key, val in coeffs.items():
             if not _INDEX.fullmatch(key):
-                raise ParseError(f"{where}: bad coefficient index {key!r}")
-            k = _int(key, f"{where}: a coefficient index")
+                raise ParseError(f"brackets[{pos}]: bad coefficient index {key!r}")
+            k = _int(key, lambda: f"brackets[{pos}]: a coefficient index")
             if not 0 <= k < dim:
                 # the key, not k: `_INDEX` keeps it canonical, and str(k) may exceed the digit limit
-                raise IndexOutOfRange(f"{where}: coefficient index {key} out of range")
-            parsed[k] = scalar(val, f"{where}.coeffs[{key}]")
-        sparse[(i, j)] = parsed
-    algebra = LieAlgebra.from_brackets(tuple(basis), sparse)
-    return PHQAlgebra(algebra, _matrix(jmat, dim, "J", scalar), _matrix(phi, dim, "phi", scalar))
+                raise IndexOutOfRange(f"brackets[{pos}]: coefficient index {key} out of range")
+            if val.__class__ not in (str, int) or val not in known:  # as in `_matrix`
+                known[val] = _rational(val, lambda: f"brackets[{pos}].coeffs[{key}]")
+            parsed[k] = val
+    d, ints, made = _over(known, [v for col in sparse.values() for v in col.values()])
+    table = {pair: {k: ints[v] for k, v in col.items()} for pair, col in sparse.items()}
+    algebra = LieAlgebra._from_scaled(tuple(basis), d, table, made)
+    return PHQAlgebra(algebra, _matrix(jmat, dim, "J", known), _matrix(phi, dim, "phi", known))
 
 
 def serialize_algebra(p: PHQAlgebra) -> str:
@@ -258,7 +267,7 @@ def _recipe(
         theta = node.get("theta")
         if not isinstance(theta, list) or len(theta) != 4:
             raise ParseError(f"{where}: tstar needs a list of 4 coefficients")
-        coeffs = [_rational(c, f"{where}.theta[{pos}]") for pos, c in enumerate(theta)]
+        coeffs = [_rational(c, lambda: f"{where}.theta[{pos}]") for pos, c in enumerate(theta)]
         base = node.get("base", {"op": "kodaira"})
         _recipe(base, f"{where}.base", depth + 1, carrier=True)
         if base["op"] != "kodaira":
@@ -286,10 +295,10 @@ def _recipe(
     s0 = node.get("s0")
     if not isinstance(s0, list):
         raise ParseError(f"{where}: phq_ext needs vector 's0'")
-    d, f = _matrix(node["D"], n, f"{where}.D"), _matrix(node["F"], n, f"{where}.F")
+    d, f = (_matrix(node[name], n, f"{where}.{name}", {}) for name in ("D", "F"))
     if len(s0) != n:
         raise ParseError(f"{where}: s0 must have length {n}")
-    s0 = tuple(_rational(c, f"{where}.s0[{pos}]") for pos, c in enumerate(s0))
+    s0 = tuple(_rational(c, lambda: f"{where}.s0[{pos}]") for pos, c in enumerate(s0))
     return n + 4, lambda: constructions.phq_double_extension(ExtensionData(build_base(), d, f, s0))
 
 

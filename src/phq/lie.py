@@ -13,11 +13,11 @@ hand-entered tables can be diagnosed instead of rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .checks import Check, Record
+from .checks import Check, Record, _setattr, kept
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -101,10 +101,22 @@ class LieAlgebra(Record):
     def dim(self) -> int:
         return len(self.basis_names)
 
-    @cached_property
+    @kept
     def _scaled(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
-        """`linalg._scaled_sparse` of the table, d and d * brackets, made on first use and kept."""
+        """`linalg._scaled_sparse` of the table, d and d * brackets, kept."""
         return _scaled_sparse(self.brackets)
+
+    @classmethod
+    def _from_scaled(cls, names: Sequence[str], d: int, table: Mapping, made: dict | None = None) -> "LieAlgebra":
+        """The algebra of the integer table T / d (pairs i < j, d > 0), born
+        with ``_scaled``, `_scaled_sparse` of it; as `Matrix._from_scaled`."""
+        ints = [x for col in table.values() for x in col.values()]
+        g = gcd(d, *ints) if d > 1 else 1
+        made = made or {x: Fraction(x, d) for x in set(ints) if x}
+        a = cls(names, {pair: {k: made[x] for k, x in col.items() if x} for pair, col in table.items()})
+        ints = {pair: {k: table[pair][k] // g for k in col} for pair, col in a.brackets.items()}
+        _setattr(a, "_scaled", (d // g, ints))
+        return a
 
     @property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:
@@ -144,7 +156,7 @@ class LieAlgebra(Record):
             raise DimensionMismatch("bracket arguments must match the algebra dimension")
         return bilinear(self.brackets, xv, yv)
 
-    @cached_property
+    @kept
     def _columns(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each index b, the pairs (r, items of T(e_r, e_b)) of the nonzero
         brackets, from one pass over T = ``_scaled``: the column c of a pair
@@ -157,17 +169,17 @@ class LieAlgebra(Record):
             columns[a].append((b, [(k, -c) for k, c in col.items()]))
         return columns
 
-    @cached_property
+    @kept
     def _center(self) -> Subspace:
         """The null space of `_adjoint_rows`."""
         return _kernel_int(_adjoint_rows(self).values(), self.dim)
 
-    @cached_property
+    @kept
     def _derived(self) -> Subspace:
         """The span of the columns of T."""
         return _span_int(self.dim, [dense(col, self.dim, 0) for col in self._scaled[1].values()])
 
-    @cached_property
+    @kept
     def _series(self) -> tuple[Subspace, ...]:
         """C0 = g and C1 = ``_derived``; C(k+1) is the span of the columns of
         ad(c) for c in a basis of Ck; stops at zero or when stationary.

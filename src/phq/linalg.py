@@ -9,22 +9,22 @@ end.  A `Subspace` is its integer echelon rows, and each map or invariant
 of a subspace goes straight from them to the integer span, null space or
 Gram product; its Fraction basis is made only when a reader asks for it.
 
-Each object is scaled once: a `Matrix` and the bracket table of a
+Each object is scaled at most once: a `Matrix` and the bracket table of a
 `lie.LieAlgebra` keep their integers as ``_scaled``, and no reader mutates
 them, so `check_phq`, `fingerprint`, `classify` and the reduction steps all
-read one integer form of an input.
+read one integer form of an input.  What the parser, a product or a
+reduction step makes is born with them, from its maker (``_from_scaled``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .checks import PhqError, Record
+from .checks import PhqError, Record, _setattr, kept
 
 Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
@@ -50,11 +50,11 @@ class NotSymmetricError(PhqError, ValueError):
 def frac(x: int | str | Fraction) -> Fraction:
     """Coerce an int, a Fraction, or a rational string like ``-3/7``.
 
-    Floats are rejected: this library never rounds.
+    Floats and booleans are rejected: this library never rounds.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -257,6 +257,17 @@ class Matrix(Record):
         )
 
     @classmethod
+    def _from_scaled(cls, rows: int, cols: int, d: int, ints: Sequence[int], made: dict | None = None) -> "Matrix":
+        """The matrix of the row-major ints / d, d > 0, born with ``_scaled``:
+        d and ints over their gcd, which is `scaled` of the entries.  Each
+        entry x / d is made once, unless ``made`` holds it already."""
+        g = gcd(d, *ints) if d > 1 else 1
+        made = made or {x: Fraction(x, d) if x else ZERO for x in set(ints)}
+        m = cls(rows, cols, tuple(map(made.__getitem__, ints)))
+        _setattr(m, "_scaled", (d // g, [x // g for x in ints] if g > 1 else list(ints)))
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls.from_rows([unit_vector(n, i) for i in range(n)], n)
 
@@ -312,8 +323,7 @@ class Matrix(Record):
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         (da, a), (db, b) = self._scaled, other._scaled
-        d, out = da * db, mat_mul(a, self.rows, self.cols, b, other.cols)
-        return Matrix(self.rows, other.cols, tuple(Fraction(x, d) if x else ZERO for x in out))
+        return Matrix._from_scaled(self.rows, other.cols, da * db, mat_mul(a, self.rows, self.cols, b, other.cols))
 
     def apply(self, v: Sequence) -> Vector:
         """The image of the coordinate vector v, on Fractions, for callers that
@@ -325,10 +335,10 @@ class Matrix(Record):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length-{len(v)} vector")
         return tuple(mat_vec(self.entries, self.rows, self.cols, enumerate(v)))
 
-    @cached_property
+    @kept
     def _scaled(self) -> Scaled:
-        """`scaled` of the entries, made on first use and kept: the least
-        common denominator d and the row-major integers d * entries."""
+        """`scaled` of the entries, kept: the least common denominator d and
+        the row-major integers d * entries."""
         return scaled(self.entries)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
@@ -360,28 +370,27 @@ def solve_linear(a: Matrix, b: Sequence) -> Vector | None:
     if len(bv) != a.rows:
         raise DimensionMismatch(f"matrix has {a.rows} rows, rhs has length {len(bv)}")
     xs = _solve_int([scaled(a.row(i) + bv[i : i + 1])[1] for i in range(a.rows)], [1] * a.cols, [1])
-    return None if xs is None else xs[0]
+    return None if xs is None else _unscaled(xs[0])
 
 
-def _solve_int(rows: Iterable[list[int]], scales: Sequence[int], dens: Sequence[int]) -> list[Vector] | None:
-    """The `solve_linear` solution for each column r of B, from one
-    `eliminate` of the integer rows ``[A | B]``, or None if any column is
-    inconsistent (a pivot right of A); column c of A is scales[c] times the
-    rational column and column r of B is dens[r] times the rational
-    right-hand side.  The integer solution X gives x_c = X_c * scales[c] /
-    dens[r], each Fraction made once, as row[k] * scales[c] / (row[c] *
-    dens[r]) for the pivot c of a row.  The pivots inside A do not depend on
-    B, so each column gets the solution it gets alone."""
+def _solve_int(rows: Iterable[list[int]], scales: Sequence[int], dens: Sequence[int]) -> list[Scaled] | None:
+    """The `solve_linear` solution of each column r of B, as `Scaled` pairs
+    over one scale, from one `eliminate` of the integer rows ``[A | B]``, or
+    None if any column is inconsistent; column c of A is scales[c] times the
+    rational column, column r of B dens[r] times the right-hand side, and
+    the pivot c of a reduced row gives x_c = row[k] * scales[c] / (row[c] *
+    dens[r]).  Each column gets the solution it gets alone."""
     cols = len(scales)
     red, pivots = eliminate(rows, cols + len(dens))
     if pivots and pivots[-1] >= cols:
         return None
-    xs = [[ZERO] * cols for _ in dens]
+    big, common = lcm(*(row[c] for row, c in zip(red, pivots))), lcm(*dens)
+    xs = [[0] * cols for _ in dens]
     for row, c in zip(red, pivots):
+        f = scales[c] * (big // row[c])
         for x, e, den in zip(xs, row[cols:], dens):
-            if e:
-                x[c] = Fraction(e * scales[c], row[c] * den)
-    return [tuple(x) for x in xs]
+            x[c] = e * f * (common // den)
+    return [(big * common, x) for x in xs]
 
 
 def eliminate(rows: Iterable[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -526,13 +535,13 @@ def map_image(m: Matrix, u: Subspace) -> Subspace:
 def _gram_int(n: int, dg: int, gn: Sequence[int], vs: Sequence[Scaled]) -> Matrix:
     """Gram matrix B^T g B of the n x n form g = gn / dg, gn row-major
     integers, on the vectors of the `Scaled` pairs (s, x) of ``vs``, the
-    columns of B: entry (a, b) is x_a . (gn x_b) / (dg s_a s_b), each made
-    once.  Every Gram matrix is formed here: the metric on the derived
-    ideal's echelon rows in `fingerprint`, and the metric a reduction step
-    restricts."""
-    images = [mat_vec(gn, n, n, enumerate(x), 0) for _, x in vs]
-    gram = [Fraction(sum(map(mul, x, y)), dg * s * t) for s, x in vs for (t, _), y in zip(vs, images)]
-    return Matrix(len(vs), len(vs), tuple(gram))
+    columns of B: entry (a, b) is x_a . (gn x_b) / (dg s_a s_b), over dg
+    L^2 for the lcm L of the s_a.  Every Gram matrix is formed here: the
+    metric on the derived ideal's echelon rows in `fingerprint`, and the
+    metric a reduction step restricts."""
+    images, big = [mat_vec(gn, n, n, enumerate(x), 0) for _, x in vs], lcm(*(s for s, _ in vs))
+    gram = [sum(map(mul, x, y)) * (big // s) * (big // t) for s, x in vs for (t, _), y in zip(vs, images)]
+    return Matrix._from_scaled(len(vs), len(vs), dg * big * big, gram)
 
 
 def signature(g: Matrix) -> tuple[int, int]:

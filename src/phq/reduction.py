@@ -8,10 +8,9 @@ drives an orthogonal split (`split_plane`).  Both steps return a
 `ReductionStep`, and `full_reduction` iterates them to an abelian residue.
 
 Each inverse step computes over int on the integers that the bracket
-table, j and phi keep, and makes each Fraction of its result once, at the
-end.  A recovered base is scaled once, when `ExtensionData` validates the
-data a plane step read off (independently of how the step computed it), and
-the next step reads the same integers.
+table, j and phi keep, and hands them on: the recovered table, j and phi,
+and a plane step's D and F, are born with their integers from the step's
+one integer solve, so no step scales what the step before it made.
 """
 
 from __future__ import annotations
@@ -179,10 +178,15 @@ def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled) -> Vector:
     xs = _solve_int(rows, [1] * n, [1])
     if xs is None:
         raise InvalidCentralElement("no dual vector for z: metric degenerate on the pair")
-    v0 = scaled(xs[0])
+    v0 = xs[0]
     q = _phi(p, v0, v0)  # dg s^2 phi(v0, v0)
     (s, x), (sz, zn) = v0, z
     return tuple(Fraction(2 * dg * s * sz * a - q * b, 2 * dg * s * s * sz) for a, b in zip(x, zn))
+
+
+def _matrix(cols: Sequence[Scaled], m: int) -> Matrix:
+    """The m x m matrix of `Scaled` columns over one scale, born with them."""
+    return Matrix._from_scaled(m, m, cols[0][0] if cols else 1, [x[r] for r in range(m) for _, x in cols])
 
 
 def _restrict(
@@ -190,17 +194,17 @@ def _restrict(
     basis: Sequence[Scaled],
     drop: Sequence[Scaled] = (),
     extra: Sequence[tuple[Scaled, Scaled]] = (),
-) -> tuple[PHQAlgebra, list[Vector]]:
+) -> tuple[PHQAlgebra, list[Scaled]]:
     """Restriction of brackets, j and phi to the span of ``basis``.
 
     One integer solve of [frame | images], for the frame (drop..., basis...),
     gives the coordinates of the images under j of the basis vectors, of
     their nonzero brackets and of the brackets of the ``extra`` pairs, all
-    `Scaled` pairs: x_c = y_c * s_c / den for the scale s_c of column c and
-    the scale den of an image.  Components along ``drop`` are discarded, but
-    j must keep the span of ``basis``; the table keeps nonzero coordinates.
-    The metric is the Gram block B^T g B on integers.  Returns the
-    restriction and the ``basis`` coordinates of the ``extra`` brackets.
+    `Scaled` pairs over one scale (`_solve_int`).  Components along ``drop``
+    are discarded, but j must keep the span of ``basis``.  The table and j
+    are born with those integers, the metric with the integer Gram block
+    B^T g B.  Returns the restriction and the ``basis`` coordinates of the
+    ``extra`` brackets.
     """
     m, k = len(basis), len(drop)
     d, t = p.algebra._scaled
@@ -214,13 +218,13 @@ def _restrict(
     coords = _solve_int(rows, [s for s, _ in frame], [den for den, _ in images])
     if coords is None:
         raise InvalidCentralElement("the restriction leaves the frame; the subspace is not invariant")
-    if any(any(c[:k]) for c in coords[:m]):
+    if any(any(x[:k]) for _, x in coords[:m]):
         raise InvalidCentralElement("j does not keep the restricted subspace")
-    coords = [c[k:] for c in coords]
-    brackets = {(a, b): {i: x for i, x in enumerate(c) if x} for (a, b, _), c in zip(products, coords[m:])}
+    coords = [(s, x[k:]) for s, x in coords]
+    brackets = {(a, b): dict(enumerate(x)) for (a, b, _), (_, x) in zip(products, coords[m:])}
     restricted = PHQAlgebra(
-        LieAlgebra(tuple(f"b{i + 1}" for i in range(m)), brackets),
-        Matrix.from_cols(coords[:m], rows=m),
+        LieAlgebra._from_scaled(tuple(f"b{i + 1}" for i in range(m)), coords[0][0] if coords else 1, brackets),
+        _matrix(coords[:m], m),
         _gram_int(p.dim, *p.phi._scaled, basis),
     )
     return restricted, coords[m + len(products) :]
@@ -294,8 +298,8 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     # F, D and s0 are the base components of [v, x], [v', x] and [v, v'].
     extra = [(w, b) for w in (vs, vps) for b in bs] + [(vs, vps)]
     base, ext = _restrict(p, bs, drop=(zs, zps), extra=extra)
-    f, d = (Matrix.from_cols(ext[a : a + m], rows=m) for a in (0, m))
-    data = ExtensionData(base, d, f, ext[2 * m])
+    f, d = (_matrix(ext[a : a + m], m) for a in (0, m))
+    data = ExtensionData(base, d, f, _unscaled(ext[2 * m]))
     adapted = Matrix.from_cols([z, *map(_unscaled, (zps, *bs, vps)), v], rows=p.dim)
     return ReductionStep("plane_reduction", z, v, None, base, data, adapted)
 

@@ -17,6 +17,7 @@ that a plane double extension builds from and a reduction step reads back.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import sub
 from typing import Sequence
 
@@ -221,18 +222,19 @@ def validate_extension_data(base: PHQAlgebra, d: LinearMap, f: LinearMap, s0: Se
     j, and the adjoint of s0 equals the commutator f d - d f entrywise.
 
     Each is an integer identity on the base's T, J and G (as every sweep
-    here); d, f and s0 are scaled by their one common denominator c:
-    D = c d, F = c f and S = c s0.  Then D^T G + G D = 0 and the derivation
-    identity of D on T (`lie._derivation_failures`), and the same for F;
-    [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
+    here); the ``_scaled`` of d and f and `scaled` of s0 go over the lcm c
+    of their scales: D = c d, F = c f and S = c s0.  Then D^T G + G D = 0
+    and the derivation identity of D on T (`lie._derivation_failures`), and
+    the same for F; [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
     c ad(S) = d_t (F D - D F), with ad(S) read off T by `lie._ad_matrix`.
     """
     s0v, n = vector(s0), base.dim
     if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
         return Check("extension data", ("shape mismatch with the base algebra",))
     dt, (dj, jn), g = base.algebra._scaled[0], base.j._scaled, base.phi._scaled[1]
-    c, dfs = scaled(d.entries + f.entries + s0v)
-    dn, fn, sn = dfs[: n * n], dfs[n * n : 2 * n * n], dfs[2 * n * n :]
+    parts = (d._scaled, f._scaled, scaled(s0v))
+    c = lcm(*(e for e, _ in parts))
+    dn, fn, sn = ([x * (c // e) for x in xs] for e, xs in parts)
     failures = []
     for name, m in (("D", dn), ("F", fn)):
         if not _skew(m, g, n):

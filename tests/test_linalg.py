@@ -21,7 +21,7 @@ from phq import (
     vector,
 )
 
-from phq.linalg import _complement_int, _gram_int, _solve_int, add_vec, dot, scaled, sub_vec
+from phq.linalg import _complement_int, _gram_int, _solve_int, _unscaled, add_vec, dot, scaled, sub_vec
 
 from oracles import (
     entries,
@@ -71,6 +71,14 @@ class TestVector:
     def test_floats_raise(self, given):
         with pytest.raises(TypeError, match="not an exact rational"):
             vector(given)
+
+    def test_booleans_raise(self):
+        # a bool is an int to Python, but not a scalar here, as in the parser
+        with pytest.raises(TypeError, match="not an exact rational: True"):
+            vector([True, False])
+        with pytest.raises(TypeError, match="not an exact rational: True"):
+            LieAlgebra.from_brackets(3, {(0, 1): {2: True}})
+        assert vector([1, 0]) == (F(1), F(0))
 
 
 class TestSparseTable:
@@ -140,10 +148,12 @@ class TestShapeGuards:
 
 def solve_many(a, bs):
     """`_solve_int` on ``[a | b1 ... bk]``, each column given as the
-    integers of its `scaled` pair and the pair's scale."""
+    integers of its `scaled` pair and the pair's scale, with each solution,
+    a `Scaled` pair, made a Fraction vector."""
     cols = [scaled(a.col(c)) for c in range(a.cols)] + [scaled(vector(b)) for b in bs]
     rows = [[x[i] for _, x in cols] for i in range(a.rows)]
-    return _solve_int(rows, [s for s, _ in cols[: a.cols]], [s for s, _ in cols[a.cols :]])
+    xs = _solve_int(rows, [s for s, _ in cols[: a.cols]], [s for s, _ in cols[a.cols :]])
+    return None if xs is None else [_unscaled(x) for x in xs]
 
 
 def complement(u, g):

@@ -56,9 +56,10 @@ from phq import (
     verify_witness,
 )
 from phq.cli import main
+from phq.fileformat import parse_algebra_text, parse_recipe_text, serialize_algebra
 from phq.linalg import _gram_int, _unscaled, add_vec, scaled, unit_vector
 
-from conftest import ALL_LABELS, FIXTURES, adapted_pair, lemma_adapted_base, transported
+from conftest import ALL_LABELS, FIXTURES, adapted_pair, dense_transported, lemma_adapted_base, transported
 from oracles import (
     entries,
     naive_bracket,
@@ -693,6 +694,32 @@ class TestFullReduction:
             monkeypatch.setattr(phq.structures, "_mapped", lambda algebra, m: Matrix.identity(1) @ Matrix.identity(1))
             j_class(inputs[0][1].algebra, inputs[0][1].j)
 
+    def test_parsed_and_recovered_objects_are_born_scaled(self, monkeypatch):
+        # the parser and every reduction step hand each table and matrix its
+        # integers: over parse_algebra_text and full_reduction of the ladder
+        # and of dense transports no `_scaled` is computed, and linalg.scaled
+        # runs at most three times a step, for z, v and s0
+        from inputs import LADDER, recipe_text  # perfbench/, on the path through conftest
+
+        texts = [serialize_algebra(parse_recipe_text(recipe_text(tree)).evaluate()) for tree in LADDER.values()]
+        texts += [serialize_algebra(dense_transported(build(name), random.Random(seed))) for seed, name in enumerate(ALL_LABELS)]
+        filled, handed = Counter(), []
+        for cls in (LieAlgebra, Matrix):
+
+            def counting(self, func=cls.__dict__["_scaled"].func, name=cls.__name__):
+                filled[name] += 1
+                return func(self)
+
+            monkeypatch.setattr(cls.__dict__["_scaled"], "func", counting)
+        scale = phq.linalg.scaled
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phq") and getattr(module, "scaled", None) is scale:
+                monkeypatch.setattr(module, "scaled", lambda values: handed.append(values) or scale(values))
+        steps = sum(len(full_reduction(parse_algebra_text(text)).steps) for text in texts)
+        assert steps > len(LADDER)
+        assert filled == Counter()
+        assert len(handed) <= 3 * steps
+
     def test_products_and_ad_columns_multiply_only_ints(self, monkeypatch):
         # `linalg.mat_mul` and `lie._twisted` multiply the integers that the
         # tables and matrices keep, also behind `@`, through
@@ -742,7 +769,11 @@ class TestFullReduction:
     def test_each_table_and_matrix_is_scaled_once(self, monkeypatch):
         # however many checks, invariants and steps read an algebra's table
         # or a matrix's entries as integers, each object is scaled once, by
-        # its own `_scaled`, and no reader mutates the integers it is handed
+        # its own `_scaled` or by its maker, and no reader mutates the
+        # integers it is handed; what the parser makes is born with the
+        # integers a rescaling gives, in the same key order, also from
+        # unreduced, signed-zero, zero-padded and JSON-integer scalars and
+        # an explicit zero coefficient
         created = []  # every LieAlgebra and Matrix built during the run
         filled = []  # the object of each computation of a `_scaled`
         handed = []  # every argument of linalg.scaled
@@ -764,9 +795,20 @@ class TestFullReduction:
             if name.startswith("phq") and getattr(module, "scaled", None) is scale:
                 monkeypatch.setattr(module, "scaled", lambda values: handed.append(values) or scale(values))
 
+        doc = json.loads((FIXTURES / "L42.alg").read_text())
+        odd, ints = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+        odd["J"][0] = ["2/4", "-0", "0/7", "007", "-3/9", "1"]
+        odd["phi"][1] = ["0/7", "-0", "4/6", "0", "007", "-2/4"]
+        odd["brackets"][0]["coeffs"].update({"0": "0", "1": "2/4", "5": "-0"})
+        for entry in ints["brackets"]:
+            entry["coeffs"] = {k: int(v) for k, v in entry["coeffs"].items()} | {"0": 0}
+        for name in ("J", "phi"):
+            ints[name] = [[int(v) for v in row] for row in ints[name]]
+        fixtures = [parse_path(path) for path in sorted(FIXTURES.glob("*.alg"))]
+        parsed = [parse_algebra_text(json.dumps(d)) for d in (odd, ints)] + fixtures
         inputs = [build(name) for name in ALL_LABELS]
         inputs += [transported(p, random.Random(1)) for p in inputs]
-        for p in inputs:
+        for p in inputs + fixtures:
             assert check_phq(p).ok
             fingerprint(p)
             full_reduction(p)
@@ -778,9 +820,15 @@ class TestFullReduction:
         calls = Counter(map(id, handed))
         assert all(calls[id(m.entries)] == fills[id(m.entries)] for m in created if isinstance(m, Matrix))
         assert any(isinstance(m, Matrix) for m in filled) and any(isinstance(a, LieAlgebra) for a in filled)
+        def ordered(x):  # dicts as lists of items, so that == sees the key order
+            return [(k, ordered(v)) for k, v in x.items()] if isinstance(x, dict) else x
+
+        assert all("_scaled" in vars(obj) for q in parsed for obj in (q.algebra, q.j, q.phi))
+        assert parsed[0].j[0, 0] == Fraction(1, 2) and len(parsed[1].algebra.brackets[0, 1]) == 1
         for obj in created:
             if "_scaled" in vars(obj):
-                assert vars(obj)["_scaled"] == fresh[type(obj)](obj)
+                (d, x), (e, y) = vars(obj)["_scaled"], fresh[type(obj)](obj)
+                assert (d, ordered(x)) == (e, ordered(y))
 
     @staticmethod
     def subspace_inputs():

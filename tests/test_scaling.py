@@ -1,23 +1,26 @@
-"""Each algebra and each matrix scales itself to integers, and each algebra
+"""Each algebra and each matrix holds its own integers, and each algebra
 computes its own invariants.
 
 `LieAlgebra._scaled` and `Matrix._scaled` are the one place where a bracket
-table or a whole matrix is scaled by its least common denominator, and
-every other reader of those integers goes through them, so an object is
-scaled once however many checks, invariants and steps read it.  In the same
-way the center, the derived ideal, the lower central series and the ad
-columns are cached properties of `LieAlgebra` (``_center``, ``_derived``,
+table or a whole matrix keeps its integers over its least common
+denominator, filled at birth by the maker or on first use, and every other
+reader of those integers goes through them, so an object is scaled at most
+once however many checks, invariants and steps read it.  In the same way
+the center, the derived ideal, the lower central series and the ad
+columns are kept properties of `LieAlgebra` (``_center``, ``_derived``,
 ``_series``, ``_columns``); a module-level function or import of one of
 them, or of the retired ``_ad_columns`` and ``_index``, would compute them
 a second way and is named here.
 
-Read with `ast` over ``src/phq``: a call ``scaled(<expr>.entries)`` outside
-`linalg.Matrix`, or a definition or import of a second holder of the same
-integers (``scaled_table``, ``_Integers``, or ``_integers``, which scaled
-a cocycle's values beside `linalg._scaled_sparse`), or of ``_ad_entries``,
-a second reader of ad(x) beside `lie._twisted`, is named here.  A call on a
-sum of several matrices' entries, as for D, F and s0 under one common
-denominator, is not a whole matrix and passes.
+Read with `ast` over ``src/phq``: a call of ``scaled`` on any expression
+that reads ``.entries`` (one matrix's, or a sum of several, as D, F and s0
+were once put under one denominator) outside `linalg.Matrix`, or a
+definition or import of a second holder of the same integers
+(``scaled_table``, ``_Integers``, or ``_integers``, which scaled a
+cocycle's values beside `linalg._scaled_sparse`), or of ``_ad_entries``, a
+second reader of ad(x) beside `lie._twisted`, is named here.  A maker that
+holds the integers (the parser, a product, a reduction step) stores them at
+birth, so no reader outside `Matrix` rescales entries.
 """
 
 import ast
@@ -55,8 +58,7 @@ def _findings():
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "scaled"
                 and node.args
-                and isinstance(node.args[0], ast.Attribute)
-                and node.args[0].attr == "entries"
+                and any(isinstance(sub, ast.Attribute) and sub.attr == "entries" for sub in ast.walk(node.args[0]))
                 and id(node) not in owned
             ):
                 yield f"{where}: scales {ast.unparse(node.args[0])} outside Matrix"

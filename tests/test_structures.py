@@ -416,7 +416,7 @@ def random_broken_input(rng, table_coeffs=SWEEP_COEFFS, map_coeffs=SWEEP_COEFFS)
 
 
 def count_computations(monkeypatch, names):
-    """For each cached property of `LieAlgebra` in ``names``, the list of the
+    """For each kept property of `LieAlgebra` in ``names``, the list of the
     algebras it is computed for from now on, one entry per computation."""
     computed = {}
     for name in names:
