@@ -68,6 +68,14 @@ class Record:
     def __post_init__(self):
         pass
 
+    @classmethod
+    def _born(cls, *values, **kept):
+        """The record of the field ``values`` and ``kept`` values, without `__post_init__`."""
+        obj = object.__new__(cls)
+        for name, value in (*zip(cls._fields, values), *kept.items()):
+            _setattr(obj, name, value)
+        return obj
+
     def _key(self) -> tuple:
         """The tuple of the fields."""
         key = self._get(self)

@@ -87,6 +87,8 @@ def _rational(value: Any, where: Callable[[], str]) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        if len(value) <= _CHUNK and "/" not in value:  # an integer, as most scalars are
+            return Fraction(int(value))
         try:
             return Fraction(*(_int(part, lambda: f"{where()}: a scalar") for part in value.split("/")))
         except ZeroDivisionError as exc:
@@ -98,7 +100,7 @@ def _over(known: dict[str | int, Fraction], values: list) -> tuple[int, dict, di
     """The lcm d of the known scalars' denominators, d f for each f, and f for each d f."""
     fracs = {v: known[v] for v in set(values)}
     d = lcm(*(f.denominator for f in fracs.values()))
-    ints = {v: f.numerator * (d // f.denominator) for v, f in fracs.items()}
+    ints = {v: f.numerator * (d // f.denominator) if d > 1 else f.numerator for v, f in fracs.items()}
     return d, ints, {ints[v]: f for v, f in fracs.items()}
 
 
@@ -107,23 +109,25 @@ def _matrix(rows: Any, dim: int, where: str, known: dict[str | int, Fraction]) -
     scalar's Fraction goes into ``known``, where no bool or float is looked up."""
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
-    values = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{where}: row {r} must have {dim} entries")
-        if not (set(map(type, row)) <= {str, int} and all(map(known.__contains__, row))):
+    values = [v for row in rows if isinstance(row, list) and len(row) == dim for v in row]
+    if len(values) < dim * dim or not set(map(type, values)) <= {str, int}:
+        for r, row in enumerate(rows):  # raises at the first bad row or scalar, if any
+            if not isinstance(row, list) or len(row) != dim:
+                raise ParseError(f"{where}: row {r} must have {dim} entries")
             for value in row:
                 if value.__class__ not in (str, int) or value not in known:
                     known[value] = _rational(value, lambda: f"{where}[{r}]")
-        values += row
+    for value in [v for v in dict.fromkeys(values) if v not in known]:  # new scalars, by first position
+        known[value] = _rational(value, lambda: f"{where}[{values.index(value) // dim}]")
     d, ints, made = _over(known, values)
     return Matrix._from_scaled(dim, dim, d, list(map(ints.__getitem__, values)), made)
 
 
 def parse_algebra_text(text: str) -> PHQAlgebra:
-    """The algebra of an `.alg` text.  Each distinct scalar is validated and
-    made a Fraction once, and a bad one raises at its first position; the
-    table, J and phi are born with the integers of those Fractions."""
+    """The algebra of an `.alg` text.  A coefficient index is looked up by its text, J and phi
+    are checked in one pass, and each distinct scalar is made a Fraction once; a bad index, row
+    or scalar takes the slow path and raises at its first position.  The table, J and phi are
+    born with their integers, through makers that check nothing again."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("algebra file must be a JSON object")
@@ -146,6 +150,7 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
     known, sparse = {}, {}  # scalar -> Fraction; (i, j) -> {k: scalar}
+    index = {str(k): k for k in range(dim)}
     for pos, entry in enumerate(brackets):
         if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= set(entry):
             raise ParseError(f"brackets[{pos}]: needs fields i, j, coeffs")
@@ -163,11 +168,11 @@ def parse_algebra_text(text: str) -> PHQAlgebra:
             raise ParseError(f"brackets[{pos}]: coeffs must be an object")
         parsed = sparse[i, j] = {}
         for key, val in coeffs.items():
-            if not _INDEX.fullmatch(key):
-                raise ParseError(f"brackets[{pos}]: bad coefficient index {key!r}")
-            k = _int(key, lambda: f"brackets[{pos}]: a coefficient index")
-            if not 0 <= k < dim:
-                # the key, not k: `_INDEX` keeps it canonical, and str(k) may exceed the digit limit
+            if (k := index.get(key)) is None:  # not the text of an index below dim
+                if not _INDEX.fullmatch(key):
+                    raise ParseError(f"brackets[{pos}]: bad coefficient index {key!r}")
+                _int(key, lambda: f"brackets[{pos}]: a coefficient index")
+                # the key, not its int: `_INDEX` keeps it canonical, and str(k) may exceed the digit limit
                 raise IndexOutOfRange(f"brackets[{pos}]: coefficient index {key} out of range")
             if val.__class__ not in (str, int) or val not in known:  # as in `_matrix`
                 known[val] = _rational(val, lambda: f"brackets[{pos}].coeffs[{key}]")

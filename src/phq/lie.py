@@ -17,7 +17,7 @@ from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .checks import Check, Record, _setattr, kept
+from .checks import Check, Record, kept
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -108,15 +108,16 @@ class LieAlgebra(Record):
 
     @classmethod
     def _from_scaled(cls, names: Sequence[str], d: int, table: Mapping, made: dict | None = None) -> "LieAlgebra":
-        """The algebra of the integer table T / d (pairs i < j, d > 0), born
-        with ``_scaled``, `_scaled_sparse` of it; as `Matrix._from_scaled`."""
-        ints = [x for col in table.values() for x in col.values()]
-        g = gcd(d, *ints) if d > 1 else 1
-        made = made or {x: Fraction(x, d) for x in set(ints) if x}
-        a = cls(names, {pair: {k: made[x] for k, x in col.items() if x} for pair, col in table.items()})
-        ints = {pair: {k: table[pair][k] // g for k in col} for pair, col in a.brackets.items()}
-        _setattr(a, "_scaled", (d // g, ints))
-        return a
+        """The algebra of the integer table T / d, born with ``_scaled`` (`_scaled_sparse` of it).
+        Callers guarantee d > 0, int coefficients and pairs i < j of indices below ``len(names)``:
+        nothing is checked, zeros go, pairs and keys are sorted, each x / d is made once or read from ``made``."""
+        ints = {pair: c for pair, col in sorted(table.items()) if (c := {k: x for k, x in sorted(col.items()) if x})}
+        values = [x for col in ints.values() for x in col.values()]
+        made = made or {x: Fraction(x, d) for x in set(values)}
+        g = gcd(d, *values) if d > 1 else 1
+        brackets = {pair: {k: made[x] for k, x in col.items()} for pair, col in ints.items()}
+        ints = {pair: {k: x // g for k, x in col.items()} for pair, col in ints.items()} if g > 1 else ints
+        return cls._born(tuple(names), brackets, _scaled=(d // g, ints))
 
     @property
     def structure(self) -> tuple[tuple[Vector, ...], ...]:

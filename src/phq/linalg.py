@@ -9,11 +9,11 @@ end.  A `Subspace` is its integer echelon rows, and each map or invariant
 of a subspace goes straight from them to the integer span, null space or
 Gram product; its Fraction basis is made only when a reader asks for it.
 
-Each object is scaled at most once: a `Matrix` and the bracket table of a
-`lie.LieAlgebra` keep their integers as ``_scaled``, and no reader mutates
-them, so `check_phq`, `fingerprint`, `classify` and the reduction steps all
-read one integer form of an input.  What the parser, a product or a
-reduction step makes is born with them, from its maker (``_from_scaled``).
+Each object is scaled at most once: a `Matrix` and the table of a
+`lie.LieAlgebra` keep their integers as ``_scaled``, which no reader mutates,
+so the checks, invariants and reduction steps read one integer form of an
+input.  What the parser, a product or a reduction step makes is born with them
+from its maker (``_from_scaled``), which repeats none of its callers' checks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from .checks import PhqError, Record, _setattr, kept
+from .checks import PhqError, Record, kept
 
 Vector = tuple[Fraction, ...]
 # A bilinear map in sparse form: ``table[i, j]`` maps each basis index k to
@@ -220,17 +220,17 @@ class Matrix(Record):
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        self._shape()
         # the methods trust their entries, so an int or float must not get in
         if not all(map(isinstance, self.entries, repeat(Fraction))):
             bad = next(e for e in self.entries if not isinstance(e, Fraction))
             raise TypeError(f"matrix entries must be Fractions, got {bad!r}")
+
+    def _shape(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise DimensionMismatch("negative matrix shape")
+        if len(self.entries) != (size := self.rows * self.cols):
+            raise DimensionMismatch(f"{self.rows}x{self.cols} matrix needs {size} entries, got {len(self.entries)}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -258,13 +258,14 @@ class Matrix(Record):
 
     @classmethod
     def _from_scaled(cls, rows: int, cols: int, d: int, ints: Sequence[int], made: dict | None = None) -> "Matrix":
-        """The matrix of the row-major ints / d, d > 0, born with ``_scaled``:
-        d and ints over their gcd, which is `scaled` of the entries.  Each
-        entry x / d is made once, unless ``made`` holds it already."""
+        """The matrix of the row-major ints / d, born with ``_scaled``: d and ints over their gcd,
+        `scaled` of the entries.  Callers hand over a list of ints and d > 0, and each x / d is
+        made once, or read from ``made``, so only the shape is checked."""
         g = gcd(d, *ints) if d > 1 else 1
         made = made or {x: Fraction(x, d) if x else ZERO for x in set(ints)}
-        m = cls(rows, cols, tuple(map(made.__getitem__, ints)))
-        _setattr(m, "_scaled", (d // g, [x // g for x in ints] if g > 1 else list(ints)))
+        entries = tuple(map(made.__getitem__, ints))
+        m = cls._born(rows, cols, entries, _scaled=(d // g, [x // g for x in ints] if g > 1 else ints))
+        m._shape()
         return m
 
     @classmethod
@@ -281,12 +282,6 @@ class Matrix(Record):
         v = vector(values)
         n = len(v)
         return cls(n, n, tuple(v[i] if i == j else ZERO for i in range(n) for j in range(n)))
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -308,7 +303,8 @@ class Matrix(Record):
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         return Matrix(self.rows, self.cols, add_vec(self.entries, other.entries))
 
     def __neg__(self) -> "Matrix":

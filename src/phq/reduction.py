@@ -15,11 +15,11 @@ one integer solve, so no step scales what the step before it made.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .checks import PhqError, Record
+from .checks import PhqError, Record, _setattr
 from .lie import LieAlgebra, _twisted, format_vector
 from .linalg import (
     DimensionMismatch,
@@ -40,7 +40,7 @@ from .linalg import (
     signature,
     vector,
 )
-from .structures import ExtensionData, PHQAlgebra
+from .structures import ExtensionData, InvalidExtensionData, PHQAlgebra, _extension_check
 
 
 def _span_text(vectors: Sequence[Vector], names: Sequence[str]) -> str:
@@ -114,10 +114,10 @@ def find_central_pair(p: PHQAlgebra) -> CentralPair:
     in_derived = intersect(w, p.algebra.derived_ideal())
     candidates = _choose(p, "z", w, in_derived)
     for z in candidates:
-        if in_derived._holds(z[1]):
-            return CentralPair(w, _unscaled(z), True)
-        if _phi(p, z, z) != 0:
-            return CentralPair(w, _unscaled(z), False)
+        if (derived := in_derived._holds(z[1])) or _phi(p, z, z) != 0:
+            pair = CentralPair(w, _unscaled(z), derived)
+            _setattr(p, "_chosen", (pair.z, z))  # the step on pair.z reads z here (`_central_plane`)
+            return pair
     raise ReductionStuck(w, [_unscaled(z) for z in candidates], p.basis_names)
 
 
@@ -128,7 +128,7 @@ def _choose(p: PHQAlgebra, what: str, *given):
     - ``"z"``, given W and W ∩ derived: the `Scaled` candidates in order of
       preference, the first echelon vector of W ∩ derived if that is not
       zero, else the echelon basis of W and then its pairwise sums;
-    - ``"v"``, given the `Scaled` z and jz: `_isotropic_dual`'s solution;
+    - ``"v"``, given the `Scaled` z and jz: `_isotropic_dual`'s `Scaled` solution;
     - ``"basis"``, given the `Scaled` vectors of the plane a step removes:
       the echelon rows (`_complement_int`) of their orthogonal complement.
     """
@@ -164,11 +164,11 @@ def _central(p: PHQAlgebra, x: Scaled) -> bool:
     return not any(map(any, _twisted(p.algebra, [x[1]]).values()))
 
 
-def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled) -> Vector:
+def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled) -> Scaled:
     """An isotropic v with phi(z, v) = 1 and phi(zp, v) = 0, for an isotropic
     z orthogonal to zp: the minimal-support solution v0 of the two linear
     conditions, moved along z until it is isotropic, v0 - phi(v0, v0) / 2 z,
-    with each entry made once over the common denominator.  Raises
+    as its `Scaled` pair over the gcd, which is `scaled` of v.  Raises
     `InvalidCentralElement` if the conditions are inconsistent.  The solver
     behind the reduction's choice of v (`_choose`)."""
     n = p.dim
@@ -181,7 +181,9 @@ def _isotropic_dual(p: PHQAlgebra, z: Scaled, zp: Scaled) -> Vector:
     v0 = xs[0]
     q = _phi(p, v0, v0)  # dg s^2 phi(v0, v0)
     (s, x), (sz, zn) = v0, z
-    return tuple(Fraction(2 * dg * s * sz * a - q * b, 2 * dg * s * s * sz) for a, b in zip(x, zn))
+    den, x = 2 * dg * s * s * sz, [2 * dg * s * sz * a - q * b for a, b in zip(x, zn)]
+    g = gcd(den, *x)
+    return den // g, [a // g for a in x]
 
 
 def _matrix(cols: Sequence[Scaled], m: int) -> Matrix:
@@ -236,7 +238,7 @@ def _central_plane(p: PHQAlgebra, z: Vector, derived: bool) -> tuple[Scaled, Sca
     reduction (``derived``), that z lies in the derived ideal."""
     if len(z) != p.dim:
         raise DimensionMismatch("vector must match the algebra dimension")
-    zs = scaled(z)
+    zs = chosen[1] if (chosen := getattr(p, "_chosen", None)) and chosen[0] is z else scaled(z)
     zps = _jmap(p, zs)
     both = "z and jz must be central"
     if not _central(p, zs) or derived and not p.algebra.derived_ideal()._holds(zs[1]):
@@ -287,8 +289,7 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     zs, zps, norm = _central_plane(p, z, True)
     if norm != 0:
         raise NonIsotropic("z must be isotropic")
-    v = _choose(p, "v", zs, zps)
-    vs = scaled(v)
+    vs = _choose(p, "v", zs, zps)
     vps = _jmap(p, vs)
     bs = _choose(p, "basis", zs, zps, vs, vps)
     # tested after the basis, whose choice rejects a phi that is not symmetric
@@ -299,7 +300,10 @@ def reduce_by_plane(p: PHQAlgebra, z: Vector) -> ReductionStep:
     extra = [(w, b) for w in (vs, vps) for b in bs] + [(vs, vps)]
     base, ext = _restrict(p, bs, drop=(zs, zps), extra=extra)
     f, d = (_matrix(ext[a : a + m], m) for a in (0, m))
-    data = ExtensionData(base, d, f, _unscaled(ext[2 * m]))
+    if not (report := _extension_check(base, d, f, ext[2 * m])).ok:  # checked on the integers of s0
+        raise InvalidExtensionData(report)
+    data = ExtensionData._born(base, d, f, _unscaled(ext[2 * m]))
+    v = _unscaled(vs)
     adapted = Matrix.from_cols([z, *map(_unscaled, (zps, *bs, vps)), v], rows=p.dim)
     return ReductionStep("plane_reduction", z, v, None, base, data, adapted)
 

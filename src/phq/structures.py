@@ -27,6 +27,7 @@ from .lie import _ad_matrix, _derivation_failures, _mapped, _twisted
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    Scaled,
     Vector,
     _gram_int,
     _skew,
@@ -228,11 +229,16 @@ def validate_extension_data(base: PHQAlgebra, d: LinearMap, f: LinearMap, s0: Se
     the same for F; [d_j F + J D, J] = 0, which is c d_j [f + j d, j]; and
     c ad(S) = d_t (F D - D F), with ad(S) read off T by `lie._ad_matrix`.
     """
-    s0v, n = vector(s0), base.dim
-    if len(s0v) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
+    return _extension_check(base, d, f, scaled(vector(s0)))
+
+
+def _extension_check(base: PHQAlgebra, d: LinearMap, f: LinearMap, s: Scaled) -> Check:
+    """`validate_extension_data` of s0 given as its `Scaled` pair s."""
+    n = base.dim
+    if len(s[1]) != n or d.rows != n or d.cols != n or f.rows != n or f.cols != n:
         return Check("extension data", ("shape mismatch with the base algebra",))
     dt, (dj, jn), g = base.algebra._scaled[0], base.j._scaled, base.phi._scaled[1]
-    parts = (d._scaled, f._scaled, scaled(s0v))
+    parts = (d._scaled, f._scaled, s)
     c = lcm(*(e for e, _ in parts))
     dn, fn, sn = ([x * (c // e) for x in xs] for e, xs in parts)
     failures = []

@@ -32,7 +32,9 @@ from phq.fileformat import (
     serialize_algebra,
 )
 
-from conftest import ALL_LABELS, FIXTURES, child, transported
+from phq.linalg import Matrix, _scaled_sparse, scaled
+
+from conftest import ALL_LABELS, FIXTURES, child, dense_transported, transported
 
 
 MINIMAL = json.dumps(
@@ -259,7 +261,156 @@ MALFORMED_ALGEBRAS = {
 }
 
 
+def with_key(key: str) -> str:
+    """MINIMAL with one bracket whose one coefficient index is ``key``."""
+    return minimal(brackets=[{"i": 0, "j": 1, "coeffs": {key: "1"}}])
+
+
+def with_value(where: str, value) -> str:
+    """MINIMAL with ``value`` as a coefficient, as J[1][0] or as phi[1][1]."""
+    if where == "coeffs":
+        return minimal(brackets=[{"i": 0, "j": 1, "coeffs": {"0": value}}])
+    rows = {"J": [["0", "-1"], [value, "0"]], "phi": [["1", "0"], ["0", value]]}
+    return minimal(**{where: rows[where]})
+
+
+# Each bad index or scalar of an `.alg` text, with the error class and the
+# exact message that the parser gave before it looked indices up in a table
+# and checked J and phi in one pass.
+PARSE_ERRORS = {
+    "key_00": (with_key("00"), ParseError, "brackets[0]: bad coefficient index '00'"),
+    "key_01": (with_key("01"), ParseError, "brackets[0]: bad coefficient index '01'"),
+    "key_plus": (with_key("+1"), ParseError, "brackets[0]: bad coefficient index '+1'"),
+    "key_space": (with_key(" 1"), ParseError, "brackets[0]: bad coefficient index ' 1'"),
+    "key_underscore": (with_key("1_0"), ParseError, "brackets[0]: bad coefficient index '1_0'"),
+    "key_fullwidth": (with_key("\uff11"), ParseError, "brackets[0]: bad coefficient index '\uff11'"),
+    "key_dim": (with_key("2"), IndexOutOfRange, "brackets[0]: coefficient index 2 out of range"),
+    "key_700_digits": (
+        with_key("1" + "0" * 699),
+        IndexOutOfRange,
+        "brackets[0]: coefficient index " + "1" + "0" * 699 + " out of range",
+    ),
+    "key_1001_digits": (
+        with_key("1" + "0" * 1000),
+        ParseError,
+        "brackets[0]: a coefficient index has more than 1000 digits",
+    ),
+    "coeffs_list": (with_value("coeffs", []), BadRational, "brackets[0].coeffs[0]: not a rational: []"),
+    "coeffs_object": (with_value("coeffs", {}), BadRational, "brackets[0].coeffs[0]: not a rational: {}"),
+    "coeffs_true": (
+        with_value("coeffs", True),
+        BadRational,
+        "brackets[0].coeffs[0]: scalars must be exact rational strings, got True",
+    ),
+    "coeffs_float": (
+        with_value("coeffs", 1.5),
+        BadRational,
+        "brackets[0].coeffs[0]: scalars must be exact rational strings, got 1.5",
+    ),
+    "coeffs_zero_denominator": (
+        with_value("coeffs", "1/0"),
+        BadRational,
+        "brackets[0].coeffs[0]: not a rational: '1/0'",
+    ),
+    "coeffs_plus": (with_value("coeffs", "+1"), BadRational, "brackets[0].coeffs[0]: not a rational: '+1'"),
+    "coeffs_fullwidth": (
+        with_value("coeffs", "\uff11"),
+        BadRational,
+        "brackets[0].coeffs[0]: not a rational: '\uff11'",
+    ),
+    "J_list": (with_value("J", []), BadRational, "J[1]: not a rational: []"),
+    "J_object": (with_value("J", {}), BadRational, "J[1]: not a rational: {}"),
+    "J_true": (with_value("J", True), BadRational, "J[1]: scalars must be exact rational strings, got True"),
+    "J_float": (with_value("J", 1.5), BadRational, "J[1]: scalars must be exact rational strings, got 1.5"),
+    "J_zero_denominator": (with_value("J", "1/0"), BadRational, "J[1]: not a rational: '1/0'"),
+    "J_plus": (with_value("J", "+1"), BadRational, "J[1]: not a rational: '+1'"),
+    "J_fullwidth": (with_value("J", "\uff11"), BadRational, "J[1]: not a rational: '\uff11'"),
+    "phi_list": (with_value("phi", []), BadRational, "phi[1]: not a rational: []"),
+    "phi_object": (with_value("phi", {}), BadRational, "phi[1]: not a rational: {}"),
+    "phi_true": (with_value("phi", True), BadRational, "phi[1]: scalars must be exact rational strings, got True"),
+    "phi_float": (with_value("phi", 1.5), BadRational, "phi[1]: scalars must be exact rational strings, got 1.5"),
+    "phi_zero_denominator": (with_value("phi", "1/0"), BadRational, "phi[1]: not a rational: '1/0'"),
+    "phi_plus": (with_value("phi", "+1"), BadRational, "phi[1]: not a rational: '+1'"),
+    "phi_fullwidth": (with_value("phi", "\uff11"), BadRational, "phi[1]: not a rational: '\uff11'"),
+    "short_row": (minimal(J=[["0", "-1"], ["1"]]), ParseError, "J: row 1 must have 2 entries"),
+    # the first bad position wins, whether a row or a scalar
+    "bad_scalar_before_short_row": (minimal(J=[["0", "x"], ["1"]]), BadRational, "J[0]: not a rational: 'x'"),
+    "short_row_before_bad_scalar": (minimal(J=[["1"], ["x", "0"]]), ParseError, "J: row 0 must have 2 entries"),
+    "bad_string_before_float": (minimal(J=[["0", "x"], [1.5, "0"]]), BadRational, "J[0]: not a rational: 'x'"),
+    "bad_value_before_bad_key": (
+        minimal(brackets=[{"i": 0, "j": 1, "coeffs": {"0": "x", "00": "1"}}]),
+        BadRational,
+        "brackets[0].coeffs[0]: not a rational: 'x'",
+    ),
+    "bad_key_before_bad_value": (
+        minimal(brackets=[{"i": 0, "j": 1, "coeffs": {"00": "1", "0": "x"}}]),
+        ParseError,
+        "brackets[0]: bad coefficient index '00'",
+    ),
+}
+
+
+def ordered(x):
+    """Dicts as lists of items, nested, so that == also compares key order."""
+    return [(k, ordered(v)) for k, v in x.items()] if isinstance(x, dict) else x
+
+
+def built(doc: dict) -> PHQAlgebra:
+    """The algebra of a parsed `.alg` document, made by the public constructors."""
+    table = {(e["i"], e["j"]): {int(k): v for k, v in e["coeffs"].items()} for e in doc["brackets"]}
+    return PHQAlgebra(
+        LieAlgebra.from_brackets(doc["basis"], table), Matrix.from_rows(doc["J"]), Matrix.from_rows(doc["phi"])
+    )
+
+
+def equivalence_texts() -> list[str]:
+    """The fixtures; dense transports of every label with their bracket
+    entries and coefficient keys shuffled; and texts whose scalars are
+    unreduced, signed zeros, zero-padded, JSON integers or explicit zero
+    coefficients."""
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.alg"))]
+    for seed, name in enumerate(ALL_LABELS):
+        rng = random.Random(seed)
+        doc = json.loads(serialize_algebra(dense_transported(build(name), rng)))
+        rng.shuffle(doc["brackets"])
+        for entry in doc["brackets"]:
+            items = list(entry["coeffs"].items())
+            rng.shuffle(items)
+            entry["coeffs"] = dict(items)
+        texts.append(json.dumps(doc))
+    doc = json.loads((FIXTURES / "L42.alg").read_text())
+    odd, ints = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    odd["J"][0] = ["2/4", "-0", "0/7", "007", "-3/9", "1"]
+    odd["phi"][1] = ["0/7", "-0", "4/6", "0", "007", "-2/4"]
+    odd["brackets"][0]["coeffs"].update({"0": "0", "1": "2/4", "5": "-0"})
+    odd["brackets"][1]["coeffs"] = {"0": "0/7"}  # a pair whose every coefficient is zero
+    for entry in ints["brackets"]:
+        entry["coeffs"] = {k: int(v) for k, v in entry["coeffs"].items()} | {"0": 0}
+    for name in ("J", "phi"):
+        ints[name] = [[int(v) for v in row] for row in ints[name]]
+    return texts + [json.dumps(odd), json.dumps(ints)]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("name", PARSE_ERRORS)
+    def test_each_bad_index_or_scalar_keeps_its_error(self, name):
+        text, cls, message = PARSE_ERRORS[name]
+        with pytest.raises(ParseError) as err:
+            parse_algebra_text(text)
+        assert (type(err.value), str(err.value)) == (cls, message)
+
+    def test_parsed_algebra_equals_the_one_the_constructors_build(self):
+        texts = equivalence_texts()
+        assert len(texts) == len(list(FIXTURES.glob("*.alg"))) + len(ALL_LABELS) + 2
+        for text in texts:
+            p, q = parse_algebra_text(text), built(json.loads(text))
+            assert p == q
+            assert p.basis_names == q.basis_names and type(p.basis_names) is tuple
+            assert ordered(p.algebra.brackets) == ordered(q.algebra.brackets)
+            (d, t), (e, u) = vars(p.algebra)["_scaled"], _scaled_sparse(p.algebra.brackets)
+            assert (d, ordered(t)) == (e, ordered(u))
+            for m in (p.j, p.phi):
+                assert vars(m)["_scaled"] == scaled(m.entries)
     def test_minimal_abelian_file(self):
         p = parse_algebra_text(MINIMAL)
         assert p.dim == 2

@@ -211,13 +211,14 @@ def shuffled_basis(p, what, *given):
 
 
 def moved_v(shift):
-    """The policy, with v moved to v + shift(p, z, jz, v)."""
+    """The policy, with v moved to v + shift(p, z, jz, v), on Fractions; z, jz
+    and v come as `Scaled` pairs, and the moved v goes on as one."""
 
     def policy(p, what, *given):
         out = CHOOSE(p, what, *given)
         if what == "v":
-            z, jz = ([Fraction(a, s) for a in x] for s, x in given)
-            out = tuple(map(add, out, shift(p, z, jz, out)))
+            z, jz, v = ([Fraction(a, s) for a in x] for s, x in (*given, out))
+            out = scaled(list(map(add, v, shift(p, z, jz, v))))
         return out
 
     return policy
@@ -696,9 +697,9 @@ class TestFullReduction:
 
     def test_parsed_and_recovered_objects_are_born_scaled(self, monkeypatch):
         # the parser and every reduction step hand each table and matrix its
-        # integers: over parse_algebra_text and full_reduction of the ladder
-        # and of dense transports no `_scaled` is computed, and linalg.scaled
-        # runs at most three times a step, for z, v and s0
+        # integers, and each step gets z, v and s0 as `Scaled` pairs: over
+        # parse_algebra_text and full_reduction of the ladder and of dense
+        # transports no `_scaled` is computed and linalg.scaled never runs
         from inputs import LADDER, recipe_text  # perfbench/, on the path through conftest
 
         texts = [serialize_algebra(parse_recipe_text(recipe_text(tree)).evaluate()) for tree in LADDER.values()]
@@ -718,7 +719,7 @@ class TestFullReduction:
         steps = sum(len(full_reduction(parse_algebra_text(text)).steps) for text in texts)
         assert steps > len(LADDER)
         assert filled == Counter()
-        assert len(handed) <= 3 * steps
+        assert handed == []
 
     def test_products_and_ad_columns_multiply_only_ints(self, monkeypatch):
         # `linalg.mat_mul` and `lie._twisted` multiply the integers that the
@@ -774,22 +775,29 @@ class TestFullReduction:
         # integers a rescaling gives, in the same key order, also from
         # unreduced, signed-zero, zero-padded and JSON-integer scalars and
         # an explicit zero coefficient
-        created = []  # every LieAlgebra and Matrix built during the run
+        created = {}  # every LieAlgebra and Matrix built during the run, by id
         filled = []  # the object of each computation of a `_scaled`
         handed = []  # every argument of linalg.scaled
         scale = phq.linalg.scaled
         fresh = {cls: cls.__dict__["_scaled"].func for cls in (LieAlgebra, Matrix)}
         for cls, func in fresh.items():
-
+            # an object is made by the constructor, which runs __post_init__,
+            # or by the maker `_from_scaled`, which need not
             def recording(self, post_init=cls.__post_init__):
-                created.append(self)
+                created[id(self)] = self
                 post_init(self)
+
+            def making(*args, maker=cls._from_scaled, **kwargs):
+                obj = maker(*args, **kwargs)
+                created[id(obj)] = obj
+                return obj
 
             def counting(self, func=func):
                 filled.append(self)
                 return func(self)
 
             monkeypatch.setattr(cls, "__post_init__", recording)
+            monkeypatch.setattr(cls, "_from_scaled", making)
             monkeypatch.setattr(cls.__dict__["_scaled"], "func", counting)
         for name, module in list(sys.modules.items()):
             if name.startswith("phq") and getattr(module, "scaled", None) is scale:
@@ -818,14 +826,15 @@ class TestFullReduction:
         # a Matrix's entries reach linalg.scaled only through its `_scaled`
         fills = Counter(id(m.entries) for m in filled if isinstance(m, Matrix))
         calls = Counter(map(id, handed))
-        assert all(calls[id(m.entries)] == fills[id(m.entries)] for m in created if isinstance(m, Matrix))
+        assert all(calls[id(m.entries)] == fills[id(m.entries)] for m in created.values() if isinstance(m, Matrix))
         assert any(isinstance(m, Matrix) for m in filled) and any(isinstance(a, LieAlgebra) for a in filled)
         def ordered(x):  # dicts as lists of items, so that == sees the key order
             return [(k, ordered(v)) for k, v in x.items()] if isinstance(x, dict) else x
 
         assert all("_scaled" in vars(obj) for q in parsed for obj in (q.algebra, q.j, q.phi))
+        assert all(id(obj) in created for q in parsed for obj in (q.algebra, q.j, q.phi))
         assert parsed[0].j[0, 0] == Fraction(1, 2) and len(parsed[1].algebra.brackets[0, 1]) == 1
-        for obj in created:
+        for obj in created.values():
             if "_scaled" in vars(obj):
                 (d, x), (e, y) = vars(obj)["_scaled"], fresh[type(obj)](obj)
                 assert (d, ordered(x)) == (e, ordered(y))
